@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, LengthMismatch
+from .errors import EmptyClass, LengthMismatch, NumericalError
 from .rate import Partition
 
 ORTHONORMAL_TOL = 1e-10
@@ -39,6 +39,37 @@ class SubspaceModel:
         return tuple(U.shape[1] for U in self.bases)
 
 
+def _class_basis(Zj: np.ndarray, energy: float, j: int) -> np.ndarray:
+    """Orthonormal (n, r) basis of the top principal directions of one class.
+
+    The power spectrum s**2 comes from the eigenvalues of the smaller Gram
+    (Zj Zj^T when n <= m_j, else Zj^T Zj), which is much cheaper than a
+    thin SVD of a tall or wide block. Eigenvalues at the Gram's rounding
+    level count as exact zeros, so `energy = 1.0` keeps the true rank.
+    """
+    n, mj = Zj.shape
+    wide = n <= mj
+    lam, V = np.linalg.eigh(Zj @ Zj.T if wide else Zj.T @ Zj)
+    lam, V = lam[::-1], V[:, ::-1]
+    floor = max(n, mj) * np.finfo(np.float64).eps * lam[0]
+    power = np.where(lam > floor, lam, 0.0)
+    total = power.sum()
+    if total == 0.0:
+        raise EmptyClass(f"class {j} features are all zero")
+    r = int(np.searchsorted(np.cumsum(power) / total, energy) + 1)
+    # a zero-power direction carries no energy and has no well-defined
+    # image under Zj, so it is never kept
+    r = min(max(r, 1), int(np.count_nonzero(power)))
+    if wide:
+        return V[:, :r].copy()
+    # Zj v_i has norm sqrt(lam_i), but dividing by it leaves an error near
+    # eps * lam_0 / lam_i in the basis's orthogonality, which fails the
+    # model's check once the kept spectrum spans several decades; QR of the
+    # kept images gives the same span, orthonormal to working precision
+    Q, _ = np.linalg.qr(Zj @ V[:, :r])
+    return Q
+
+
 def fit_subspaces(Z, partition: Partition, energy: float = 0.95) -> SubspaceModel:
     """Top singular subspace of each class, keeping >= `energy` of the
     squared singular value mass (at least one direction per class)."""
@@ -47,19 +78,14 @@ def fit_subspaces(Z, partition: Partition, energy: float = 0.95) -> SubspaceMode
     Zf = _flatten(Z)
     if Zf.shape[1] != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {Zf.shape[1]}")
+    if not np.isfinite(Zf).all():
+        raise NumericalError("features hold a non-finite value; cannot fit class subspaces")
     bases = []
     for j in range(partition.k):
         mask = partition.mask(j)
         if not mask.any():
             raise EmptyClass(f"class {j} has no samples")
-        U, s, _ = np.linalg.svd(Zf[:, mask], full_matrices=False)
-        power = s**2
-        total = power.sum()
-        if total == 0.0:
-            raise EmptyClass(f"class {j} features are all zero")
-        r = int(np.searchsorted(np.cumsum(power) / total, energy) + 1)
-        r = min(max(r, 1), U.shape[1])
-        bases.append(U[:, :r].copy())
+        bases.append(_class_basis(Zf[:, mask], energy, j))
     return SubspaceModel(bases=tuple(bases))
 
 

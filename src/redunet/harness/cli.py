@@ -14,6 +14,8 @@ Exit codes: 0 success, 2 configuration, 3 data, 4 numerical.
 import argparse
 import sys
 
+import numpy as np
+
 from ..errors import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, RedunetError, exit_code_for
 from .config import KINDS, load_config
 from .experiments import eval_experiment, export_kernels, run_experiment
@@ -99,6 +101,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -29,20 +29,32 @@ def emit_csv(data, path, header):
     A 1-d array becomes one column; an empty series yields a header-only
     file. Strings pass through, numbers are formatted round-trippably.
     """
+    float_matrix = False
     if isinstance(data, np.ndarray):
         if data.ndim == 1:
             rows = [(v,) for v in data]
         elif data.ndim == 2:
             rows = data
+            float_matrix = data.dtype.kind == "f"
         else:
             raise ValueError("only 1-d or 2-d arrays can be written")
     else:
         rows = data
+    if float_matrix and not np.isfinite(data).all():
+        raise ValueError("non-finite value cannot be written to CSV")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
+        if float_matrix:
+            # a formatted finite double never needs quoting, so rows skip
+            # csv.writer and the per-value dispatch of _format: same bytes,
+            # written one row at a time to keep memory flat
+            fmt = "{:.17g}".format
+            for row in data:
+                fh.write(",".join(map(fmt, row.tolist())) + "\n")
+        else:
+            for row in rows:
+                writer.writerow([_format(v) for v in row])
 
 
 def read_csv(path):

@@ -8,6 +8,9 @@ considered correct when its fast paths agree with these.
 
 import numpy as np
 
+from redunet.classify import SubspaceModel, _flatten
+from redunet.errors import EmptyClass
+
 
 def rng_for(seed):
     return np.random.default_rng(seed)
@@ -113,3 +116,28 @@ def stacked_doubly_circulant(Zbar):
     """(C*HW, HW*m) for a (C, H, W, m) sample stack."""
     Zbar = np.asarray(Zbar)
     return np.hstack([multichannel_doubly_circulant(Zbar[..., i]) for i in range(Zbar.shape[3])])
+
+
+# ---------------------------------------------------------- classifier
+
+def svd_subspaces(Z, partition, energy=0.95):
+    """Nearest-subspace fit from a thin SVD of each class block."""
+    if not 0.0 < energy <= 1.0:
+        raise ValueError("energy must lie in (0, 1]")
+    Zf = _flatten(Z)
+    if Zf.shape[1] != partition.m:
+        raise ValueError(f"partition covers {partition.m} samples, features have {Zf.shape[1]}")
+    bases = []
+    for j in range(partition.k):
+        mask = partition.mask(j)
+        if not mask.any():
+            raise EmptyClass(f"class {j} has no samples")
+        U, s, _ = np.linalg.svd(Zf[:, mask], full_matrices=False)
+        power = s**2
+        total = power.sum()
+        if total == 0.0:
+            raise EmptyClass(f"class {j} features are all zero")
+        r = int(np.searchsorted(np.cumsum(power) / total, energy) + 1)
+        r = min(max(r, 1), U.shape[1])
+        bases.append(U[:, :r].copy())
+    return SubspaceModel(bases=tuple(bases))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from redunet.classify import SubspaceModel, evaluate, fit_subspaces, predict
-from redunet.errors import LengthMismatch
+from redunet.errors import LengthMismatch, NumericalError
 from redunet.rate import Partition
 from redunet.spectral1d import construct_shift1d, forward_shift1d
 
-from oracles import labels_for, rng_for
+from oracles import labels_for, rng_for, svd_subspaces
 
 
 # --------------------------------------------------------------- fitting
@@ -68,6 +68,68 @@ def test_fit_validates_energy_and_sample_count():
 def test_model_rejects_skewed_basis():
     with pytest.raises(ValueError):
         SubspaceModel(bases=(np.array([[1.0], [1.0]]),))
+
+
+def _low_rank(rng, n, m, rank):
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+
+
+def _oracle_cases():
+    rng = rng_for(8)
+    two = np.repeat([0, 1], 12)
+    yield "wide", rng.standard_normal((6, 24)), two, 0.95
+    yield "tall", rng.standard_normal((40, 24)), two, 0.95
+    yield "square", rng.standard_normal((12, 24)), two, 0.9
+    # each class spans its own 3-d subspace, so predictions are no tie
+    rank3 = np.hstack([_low_rank(rng, 30, 12, 3), _low_rank(rng, 30, 12, 3)])
+    yield "rank_deficient_full_energy", rank3, two, 1.0
+    yield "one_column_class", rng.standard_normal((9, 7)), np.array([0] * 6 + [1]), 0.95
+    yield "three_classes", rng.standard_normal((10, 45)), labels_for(45, 3, rng), 0.8
+    yield "multichannel", rng.standard_normal((3, 8, 30)), labels_for(30, 2, rng), 0.95
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_fit_matches_svd_oracle(case):
+    _, Z, labels, energy = case
+    P = Partition(labels)
+    model = fit_subspaces(Z, P, energy=energy)
+    oracle = svd_subspaces(Z, P, energy=energy)
+    assert model.ranks == oracle.ranks
+    for U, W in zip(model.bases, oracle.bases):
+        assert np.max(np.abs(U @ U.T - W @ W.T)) < 1e-10
+    Q = rng_for(9).standard_normal(Z.shape[:-1] + (50,))
+    assert np.array_equal(predict(Q, model), predict(Q, oracle))
+    assert np.array_equal(predict(Z, model), predict(Z, oracle))
+
+
+def test_rank_deficient_block_keeps_true_rank_at_full_energy():
+    # wide and tall blocks of rank 3: Gram rounding noise must not count
+    rng = rng_for(10)
+    for n, m in ((8, 40), (40, 8)):
+        model = fit_subspaces(_low_rank(rng, n, m, 3), Partition(np.zeros(m, dtype=int)),
+                              energy=1.0)
+        assert model.ranks == (3,)
+
+
+def test_tall_block_with_wide_spectrum_stays_orthonormal():
+    # singular values over six decades: every direction is kept at full
+    # energy, and the basis must still pass the model's orthonormality check
+    rng = rng_for(11)
+    A = np.linalg.qr(rng.standard_normal((50, 10)))[0]
+    B = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    Z = (A * np.logspace(0, -6, 10)) @ B
+    model = fit_subspaces(Z, Partition(np.zeros(10, dtype=int)), energy=1.0)
+    assert model.ranks == (10,)
+    U = model.bases[0]
+    assert np.max(np.abs(U @ U.T - A @ A.T)) < 1e-8
+
+
+def test_fit_rejects_non_finite_features():
+    Z = rng_for(12).standard_normal((4, 6))
+    for bad in (np.nan, np.inf):
+        Z[1, 2] = bad
+        with pytest.raises(NumericalError):
+            fit_subspaces(Z, Partition(np.zeros(6, dtype=int)))
 
 
 # ------------------------------------------------------------- prediction

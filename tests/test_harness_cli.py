@@ -102,6 +102,35 @@ def test_corrupt_archive_exits_three(tmp_path):
     assert rc == 3
 
 
+def test_non_finite_custom_vector_exits_four(tmp_path, capsys):
+    rng = rng_for(1)
+    X = rng.standard_normal((3, 8))
+    X[1, 4] = np.nan
+    data = tmp_path / "bad.npz"
+    np.savez(data, X=X, labels=np.repeat([0, 1], 4))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 2\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_stray_linalg_error_exits_four(tmp_path, capsys, monkeypatch):
+    import redunet.harness.cli as cli
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    rc = main(["construct", "gauss2d", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error:") and "did not converge" in err
+
+
 # ------------------------------------------------------- eval and kernels
 
 def _constructed(tmp_path, **kw):
