@@ -32,6 +32,7 @@ from .archive import load_model, save_model
 from .csvio import emit_csv
 
 ORTHO_COS = 0.1  # |cos| at or below this counts as orthogonal
+_SWEEP_BLOCK_VALUES = 2**20  # cosines per (rows, columns, shifts) block: 8 MB of float64
 
 _MNIST_FILES = {"train_images": "train-images-idx3-ubyte",
                 "train_labels": "train-labels-idx1-ubyte",
@@ -257,15 +258,27 @@ def _cross_class_max_abs_cos(flat_tr, labels) -> float:
 
 def _orthogonal_fraction_all_shifts(F_test, test_labels, F_train, labels) -> float:
     """Fraction of cross-class (shifted test, train) pairs with |cos| <= 0.1,
-    over every cyclic shift of the test features."""
+    over every cyclic shift of the test features.
+
+    The cosine of test column i shifted by s against train column j is the
+    cross-correlation sum_c sum_t F_test[c, t-s, i] F_train[c, t, j], which
+    is irfft_s(sum_c conj(A[c, f, i]) B[c, f, j]) with A, B the rffts of
+    the two stacks along the position axis: one batched product per block
+    of test rows gives the cosines at all T shifts at once.
+    """
     T = F_train.shape[1]
-    flat_tr = _flat(F_train)
-    cross = test_labels[:, None] != labels[None, :]
-    total = int(cross.sum()) * T
-    hits = 0
-    for s in range(T):
-        cos = np.abs(_flat(np.roll(F_test, s, axis=1)).T @ flat_tr)
-        hits += int((cos[cross] <= ORTHO_COS).sum())
+    A = np.fft.rfft(F_test, axis=1).conj().transpose(1, 2, 0)  # (F, m_test, C)
+    B = np.fft.rfft(F_train, axis=1).transpose(1, 0, 2)         # (F, C, m)
+    total = hits = 0
+    for j in np.unique(test_labels):
+        rows = np.flatnonzero(test_labels == j)
+        Bx = B[:, :, labels != j]
+        step = max(1, _SWEEP_BLOCK_VALUES // max(1, Bx.shape[2] * T))
+        for start in range(0, rows.size, step):
+            prod = A[:, rows[start:start + step]] @ Bx  # (F, r, m_x)
+            cos = np.fft.irfft(prod.transpose(1, 2, 0), n=T, axis=-1)
+            hits += int((np.abs(cos) <= ORTHO_COS).sum())
+        total += rows.size * Bx.shape[2] * T
     return hits / total
 
 

@@ -19,10 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, NotPositiveDefinite, ZeroVector
+from .errors import EmptyClass, NotPositiveDefinite, NumericalError, ZeroVector
 
 # Relative tolerance for the Hermitian precondition of logdet_psd.
 HERMITIAN_TOL = 1e-10
+
+
+def real_finite(X, what: str = "input") -> np.ndarray:
+    """``X`` as a float64 array, rejected before any work is done on it.
+
+    A complex array raises ValueError (its imaginary part would otherwise
+    be dropped with only a warning); a NaN or inf raises NumericalError,
+    since it would otherwise spread through every layer into NaN features.
+    """
+    arr = np.asarray(X)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} must be real, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{what} holds a non-finite value")
+    return arr
 
 
 def as_matrix(Z) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _freq
 from .errors import ImaginaryResidue
-from .rate import Partition, rate_components
+from .rate import Partition, rate_components, real_finite
 from .vector import default_lambda
 
 IMAG_TOL = 1e-6
@@ -215,7 +215,7 @@ def construct_shift1d(Zbar, partition: Partition, L: int, eta: float, eps: float
     the same layers with estimated membership (identical to running
     forward_shift1d afterwards), for use with ``keep_layers=False``.
     """
-    Zbar = np.asarray(Zbar, dtype=np.float64)
+    Zbar = real_finite(Zbar, "training signals")
     if Zbar.ndim != 3:
         raise ValueError("expected a (C, T, m) sample stack")
     C, T, m = Zbar.shape
@@ -230,7 +230,7 @@ def construct_shift1d(Zbar, partition: Partition, L: int, eta: float, eps: float
     Vt = dft_channels(_freq.normalize_samples(Zbar)).transpose(1, 0, 2)
     Vc = None
     if carry is not None:
-        carry = np.asarray(carry, dtype=np.float64)
+        carry = real_finite(carry, "carry signals")
         single = carry.ndim == 2
         carry = carry[:, :, None] if single else carry
         Vc = dft_channels(_freq.normalize_samples(carry)).transpose(1, 0, 2)
@@ -261,7 +261,7 @@ def forward_shift1d(model: Shift1DReduNet, xbar: np.ndarray) -> np.ndarray:
     Inputs are Frobenius-normalized per sample; a zero-layer model returns
     the normalized input. Membership is estimated at every layer.
     """
-    xbar = np.asarray(xbar, dtype=np.float64)
+    xbar = real_finite(xbar)
     single = xbar.ndim == 2
     X = xbar[:, :, None] if single else xbar
     if X.shape[0] != model.C or X.shape[1] != model.T:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _freq
 from .errors import ImaginaryResidue
-from .rate import Partition, rate_components
+from .rate import Partition, rate_components, real_finite
 from .vector import default_lambda
 
 IMAG_TOL = 1e-6
@@ -193,7 +193,7 @@ def construct_translation2d(Zbar, partition: Partition, L: int, eta: float, eps:
     ``use_labels`` is set, estimated otherwise), objective triple recorded
     initially and after every layer.
     """
-    Zbar = np.asarray(Zbar, dtype=np.float64)
+    Zbar = real_finite(Zbar, "training images")
     if Zbar.ndim != 4:
         raise ValueError("expected a (C, H, W, m) sample stack")
     C, H, W, m = Zbar.shape
@@ -215,7 +215,7 @@ def construct_translation2d(Zbar, partition: Partition, L: int, eta: float, eps:
     Vt = to_spectral(Zbar)
     Vc = None
     if carry is not None:
-        carry = np.asarray(carry, dtype=np.float64)
+        carry = real_finite(carry, "carry images")
         carry = carry[..., None] if carry.ndim == 3 else carry
         Vc = to_spectral(carry)
 
@@ -240,7 +240,7 @@ def construct_translation2d(Zbar, partition: Partition, L: int, eta: float, eps:
 
 def forward_translation2d(model: Translation2DReduNet, xbar: np.ndarray) -> np.ndarray:
     """Map raw images (C, H, W) or (C, H, W, b) through the constructed layers."""
-    xbar = np.asarray(xbar, dtype=np.float64)
+    xbar = real_finite(xbar)
     single = xbar.ndim == 3
     X = xbar[..., None] if single else xbar
     C, H, W = model.C, model.H, model.W

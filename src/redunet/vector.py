@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ZeroVector
-from .rate import Partition, RateParams, as_matrix, rate_components
+from .rate import Partition, RateParams, as_matrix, rate_components, real_finite
 
 _NORM_FLOOR = 1e-12
 
@@ -195,7 +195,7 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
     useful with ``keep_layers=False`` when the operator stack would not fit
     in memory.
     """
-    X = as_matrix(X)
+    X = real_finite(as_matrix(X), "training features")
     n, m = X.shape
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, X has {m}")
@@ -205,10 +205,10 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
         lam = default_lambda(partition.k)
     params = RateParams(eps)
 
-    Z = normalize_columns(X.astype(np.float64, copy=True))
+    Z = normalize_columns(X)
     Zc = None
     if carry is not None:
-        Zc = normalize_columns(as_matrix(carry).astype(np.float64, copy=True))
+        Zc = normalize_columns(real_finite(as_matrix(carry), "carry features"))
 
     onehot = partition.onehot()
     trace = [rate_components(Z, partition, eps)]
@@ -243,7 +243,7 @@ def forward_vector(model: VectorReduNet, x: np.ndarray) -> np.ndarray:
     normalized input. Membership is always estimated (labels are unknown
     at inference time).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_finite(x)
     single = x.ndim == 1
     Z = normalize_columns(x[:, None] if single else x.copy())
     for layer in model.layers:

@@ -10,6 +10,7 @@ import numpy as np
 
 from redunet.classify import SubspaceModel, _flatten
 from redunet.errors import EmptyClass
+from redunet.harness.experiments import ORTHO_COS, _flat
 
 
 def rng_for(seed):
@@ -141,3 +142,19 @@ def svd_subspaces(Z, partition, energy=0.95):
         r = min(max(r, 1), U.shape[1])
         bases.append(U[:, :r].copy())
     return SubspaceModel(bases=tuple(bases))
+
+
+# ------------------------------------------------------ shift sweep
+
+def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
+    """Fraction of cross-class (shifted test, train) pairs with |cos| <= 0.1,
+    over every cyclic shift of the test features."""
+    T = F_train.shape[1]
+    flat_tr = _flat(F_train)
+    cross = test_labels[:, None] != labels[None, :]
+    total = int(cross.sum()) * T
+    hits = 0
+    for s in range(T):
+        cos = np.abs(_flat(np.roll(F_test, s, axis=1)).T @ flat_tr)
+        hits += int((cos[cross] <= ORTHO_COS).sum())
+    return hits / total

@@ -4,9 +4,11 @@ import pytest
 from redunet.errors import ConfigError, DataError
 from redunet.harness.archive import load_model
 from redunet.harness.config import load_config
+from redunet.harness import experiments
 from redunet.harness.csvio import read_csv, read_matrix
 from redunet.harness.experiments import eval_experiment, run_experiment
 
+from oracles import roll_orthogonal_fraction
 from test_datasets import write_idx_images, write_idx_labels
 
 
@@ -154,6 +156,73 @@ def test_signals_run_includes_shift_metrics(tmp_path):
     assert 0.0 <= metrics["cross_class_orthogonal_fraction"] <= 1.0
     # cosine matrices are |cos|, bounded by one
     assert read_matrix(out / "cosine_train.csv").max() <= 1.0 + 1e-12
+
+
+def _unit_stack(rng, C, T, m, scale=1.0):
+    F = rng.standard_normal((C, T, m))
+    return scale * F / np.linalg.norm(F.reshape(-1, m), axis=0)
+
+
+def _sweep_case(seed, C, T, train_counts, test_counts, scale=1.0):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(train_counts)), train_counts))
+    test_labels = rng.permutation(np.repeat(np.arange(len(test_counts)), test_counts))
+    return (_unit_stack(rng, C, T, test_labels.size, scale), test_labels,
+            _unit_stack(rng, C, T, labels.size, scale), labels)
+
+
+@pytest.mark.parametrize("C, T, train_counts, test_counts", [
+    (3, 1, (4, 6), (5, 2)),
+    (3, 2, (4, 6), (5, 2)),
+    (2, 7, (3, 5), (4, 1)),
+    (2, 8, (3, 5), (4, 1)),
+    (1, 9, (6, 2), (2, 3)),
+    (4, 6, (2, 5, 3), (3, 1, 4)),
+    (2, 5, (1, 4, 7), (2, 6, 1)),
+])
+def test_shift_sweep_equals_roll_loop(C, T, train_counts, test_counts):
+    case = _sweep_case(C * 100 + T, C, T, train_counts, test_counts)
+    assert (experiments._orthogonal_fraction_all_shifts(*case)
+            == roll_orthogonal_fraction(*case))
+
+
+def test_shift_sweep_splits_a_class_into_row_blocks():
+    T, per_class = 256, 4096
+    assert experiments._SWEEP_BLOCK_VALUES // (per_class * T) < 3
+    case = _sweep_case(5, 1, T, (per_class, per_class), (3, 2))
+    assert (experiments._orthogonal_fraction_all_shifts(*case)
+            == roll_orthogonal_fraction(*case))
+
+
+def test_shift_sweep_uneven_last_block(monkeypatch):
+    T, per_class = 6, 5
+    monkeypatch.setattr(experiments, "_SWEEP_BLOCK_VALUES", 2 * per_class * T + 1)
+    case = _sweep_case(6, 2, T, (per_class, per_class), (5, 3))
+    assert (experiments._orthogonal_fraction_all_shifts(*case)
+            == roll_orthogonal_fraction(*case))
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_shift_sweep_counts_a_cosine_at_the_threshold(T):
+    F_test = np.zeros((1, T, 1))
+    F_test[0, 0, 0] = experiments.ORTHO_COS
+    F_train = np.zeros((1, T, 2))
+    F_train[0, 0] = 1.0
+    case = (F_test, np.array([0]), F_train, np.array([0, 1]))
+    assert experiments._orthogonal_fraction_all_shifts(*case) == 1.0
+    assert roll_orthogonal_fraction(*case) == 1.0
+
+
+def test_shift_sweep_with_cosines_near_threshold():
+    # unit columns in C*T = 100 dimensions have cosines of spread 0.1; scaling
+    # both stacks by 1.2 puts the median |cos| at the 0.1 threshold
+    case = _sweep_case(7, 4, 25, (30, 20), (15, 25), scale=1.2)
+    F_test, _, F_train, _ = case
+    cos = np.abs(F_test.reshape(100, -1).T @ F_train.reshape(100, -1))
+    assert np.mean(np.abs(cos - 0.1) < 0.01) > 0.05
+    fraction = experiments._orthogonal_fraction_all_shifts(*case)
+    assert 0.4 < fraction < 0.6
+    assert fraction == roll_orthogonal_fraction(*case)
 
 
 # ------------------------------------------------------- synthetic IDX runs

@@ -118,6 +118,26 @@ def test_non_finite_custom_vector_exits_four(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_custom_vector_exits_four_before_any_layer(tmp_path, capsys, monkeypatch):
+    import redunet.vector
+
+    def fail(*args, **kwargs):
+        pytest.fail("a layer was built from non-finite input")
+
+    monkeypatch.setattr(redunet.vector, "expansion_operator", fail)
+    X = rng_for(1).standard_normal((3, 8))
+    X[1, 4] = np.nan
+    data = tmp_path / "bad.npz"
+    np.savez(data, X=X, labels=np.repeat([0, 1], 4))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 500\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_stray_linalg_error_exits_four(tmp_path, capsys, monkeypatch):
     import redunet.harness.cli as cli
 
