@@ -20,19 +20,17 @@ from .errors import (ConfigError, DataError, NumericalError, RedunetError,
 from .lifting import FilterBank, lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from .rate import (FeatureMatrix, Partition, RateParams, class_rate, coding_rate,
                    rate_components, rate_gradient, rate_reduction)
-from .spectral1d import (Shift1DReduNet, construct_shift1d, forward_shift1d,
-                         kernel_extract, shift_rate_components, shift_rate_reduction,
-                         spectral_gradient)
-from .spectral2d import (Translation2DReduNet, construct_translation2d,
-                         forward_translation2d, kernel_extract_2d,
-                         spectral_gradient_2d, translation_rate_components,
-                         translation_rate_reduction)
+from .spectral import (SpectralReduNet, construct_shift1d, construct_translation2d,
+                       forward_shift1d, forward_translation2d, kernel_extract,
+                       kernel_extract_2d, shift_rate_components, shift_rate_reduction,
+                       spectral_gradient, spectral_gradient_2d,
+                       translation_rate_components, translation_rate_reduction)
 from .vector import VectorReduNet, construct_vector_net, forward_vector
 
 __all__ = [
     "ConfigError", "DataError", "FeatureMatrix", "FilterBank", "LabeledDataset",
-    "NumericalError", "Partition", "RateParams", "RedunetError", "Shift1DReduNet",
-    "SubspaceModel", "Translation2DReduNet", "VectorReduNet", "class_rate",
+    "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
+    "SubspaceModel", "VectorReduNet", "class_rate",
     "coding_rate", "construct_shift1d", "construct_translation2d",
     "construct_vector_net", "evaluate", "exit_code_for", "fit_subspaces",
     "forward_shift1d", "forward_translation2d", "forward_vector",

@@ -1,9 +1,10 @@
-"""Shared per-frequency machinery for the spectral network variants.
+"""Per-frequency machinery of the spectral networks.
 
-Both the cyclic-shift (1-d) and translation (2-d) constructions reduce to
-the same computation once the frequency axes are flattened: the features
-become a stack of complex slices V(p) of shape (C, m), one per frequency,
-and every operator is block diagonal across frequencies with C x C blocks
+Over any cyclic group (shifts in 1-d, translations in 2-d) the
+construction is the same computation once the frequency axes are
+flattened: the features become a stack of complex slices V(p) of shape
+(C, m), one per frequency, and every operator is block diagonal across
+frequencies with C x C blocks
 
     E(p)   = alpha   (I + alpha   V(p) V(p)*)^-1
     C_j(p) = alpha_j (I + alpha_j V(p) Pi_j V(p)*)^-1,   alpha = C/(m eps^2).
@@ -18,15 +19,13 @@ diagonal blocks of the dense operators, and the layer update equals the
 dense update conjugated by the unitary transform.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefinite, ZeroVector
-from .rate import Partition, RateParams
-
-_NORM_FLOOR = 1e-12
+from .rate import NORM_FLOOR, Partition, RateParams, hermitian_inverse
 
 
 @dataclass
@@ -48,40 +47,24 @@ class SpectralLayer:
     lam: float
 
 
-def conjugate_plan_1d(T: int):
-    """Frequencies to factor and (target, source) conjugate-mirror pairs."""
-    compute = list(range(T // 2 + 1))
-    mirror = [(p, T - p) for p in range(T // 2 + 1, T)]
+def conjugate_plan(freq_shape: tuple):
+    """Frequencies to factor and (target, source) conjugate-mirror pairs.
+
+    Indices are flattened row-major over ``freq_shape``. The half spectrum
+    of the last axis is factored; every other frequency p is the conjugate
+    mirror of (-p mod n) on every axis.
+    """
+    index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
+    mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
+    half = freq_shape[-1] // 2 + 1
+    compute = index[..., :half].ravel().tolist()
+    mirror = list(zip(index[..., half:].ravel().tolist(),
+                      mirror_of[..., half:].ravel().tolist()))
     return compute, mirror
-
-
-def conjugate_plan_2d(H: int, W: int):
-    """Same plan on flattened (p, q) indices; mirroring on the W axis only."""
-    compute = [p * W + q for p in range(H) for q in range(W // 2 + 1)]
-    mirror = []
-    for p in range(H):
-        for q in range(W // 2 + 1, W):
-            src = ((H - p) % H) * W + (W - q)
-            mirror.append((p * W + q, src))
-    return compute, mirror
-
-
-def full_plan(F: int):
-    return list(range(F)), []
-
-
-def hermitian_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix via Cholesky."""
-    try:
-        c = cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    inv = cho_solve(c, np.eye(A.shape[0], dtype=A.dtype), check_finite=False)
-    return 0.5 * (inv + inv.conj().T)
 
 
 def check_conjugate_symmetry(Vt: np.ndarray, mirror, tol: float = 1e-8):
-    """Half-spectrum mode requires spectra of real signals; verify it."""
+    """The mirror fill is exact only for spectra of real signals; verify it."""
     if not mirror:
         return
     scale = max(1.0, float(np.max(np.abs(Vt))))
@@ -89,22 +72,22 @@ def check_conjugate_symmetry(Vt: np.ndarray, mirror, tol: float = 1e-8):
         err = float(np.max(np.abs(Vt[tgt] - Vt[src].conj())))
         if err > tol * scale:
             raise ValueError(
-                "half-spectrum mode needs a conjugate-symmetric spectrum "
-                f"(max violation {err:.3e}); use full_spectrum=True for complex data")
+                "the layer needs the conjugate-symmetric spectrum of real signals "
+                f"(max violation {err:.3e})")
 
 
-def build_layer(Vt: np.ndarray, partition: Partition, eps: float, plan,
-                eta: float, lam: float, freq_shape: tuple,
-                gram_scale: float) -> SpectralLayer:
+def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
+                lam: float, freq_shape: tuple) -> SpectralLayer:
     """Factor the per-frequency operators from spectral features Vt (F, C, m).
 
-    ``gram_scale`` is the frequency count of the transform; see the module
-    docstring for why the Grams of unitary spectra carry that scale.
+    The Grams are scaled by the frequency count F = prod(freq_shape); see
+    the module docstring for why the Grams of unitary spectra carry it.
     """
     F, C, m = Vt.shape
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
-    compute, mirror = plan
+    gram_scale = float(F)
+    compute, mirror = conjugate_plan(tuple(freq_shape))
     check_conjugate_symmetry(Vt, mirror)
     params = RateParams(eps)
     alpha = params.alpha(C, m)
@@ -112,18 +95,17 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, plan,
     k = partition.k
     eye = np.eye(C, dtype=np.complex128)
 
+    def operator(Vs, a):  # a (I + a F Vs Vs*)^-1, its Gram symmetrized
+        G = gram_scale * (Vs @ Vs.conj().T)
+        return a * hermitian_inverse(eye + a * 0.5 * (G + G.conj().T))
+
     Ebar = np.empty((F, C, C), dtype=np.complex128)
     Cbar = np.empty((k, F, C, C), dtype=np.complex128)
     masks = [partition.mask(j) for j in range(k)]
     for p in compute:
-        Vp = Vt[p]
-        G = gram_scale * (Vp @ Vp.conj().T)
-        Ebar[p] = alpha * hermitian_inverse(eye + alpha * 0.5 * (G + G.conj().T))
+        Ebar[p] = operator(Vt[p], alpha)
         for j in range(k):
-            Vpj = Vp[:, masks[j]]
-            Gj = gram_scale * (Vpj @ Vpj.conj().T)
-            Cbar[j, p] = alpha_class[j] * hermitian_inverse(
-                eye + alpha_class[j] * 0.5 * (Gj + Gj.conj().T))
+            Cbar[j, p] = operator(Vt[p][:, masks[j]], alpha_class[j])
     for tgt, src in mirror:
         Ebar[tgt] = Ebar[src].conj()
         Cbar[:, tgt] = Cbar[:, src].conj()
@@ -154,7 +136,7 @@ def membership(CV: np.ndarray, lam: float) -> np.ndarray:
 def normalize_samples(Vt: np.ndarray) -> np.ndarray:
     """Scale every sample (last axis) to unit Frobenius norm."""
     norms = np.sqrt(np.sum(np.abs(Vt) ** 2, axis=tuple(range(Vt.ndim - 1))))
-    if np.any(norms < _NORM_FLOOR):
+    if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be normalized")
     return Vt / norms
 
@@ -187,15 +169,16 @@ def _stack_logdet_sum(Vt: np.ndarray, coeff: float) -> float:
     return float(2.0 * np.sum(np.log(diags)))
 
 
-def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
-                        scale: float) -> tuple[float, float, float]:
+def spectral_components(Vt: np.ndarray, partition: Partition,
+                        eps: float) -> tuple[float, float, float]:
     """Objective triple (reduction, expand, compress) from spectral features.
 
-    ``scale`` is the frequency count of the transform: it multiplies the
-    per-frequency Grams (unitary spectra vs dense eigenvalues) and divides
-    the summed log-dets (the objective is the dense rate per position).
+    The frequency count F scales the per-frequency Grams (unitary spectra
+    vs dense eigenvalues) and divides the summed log-dets (the objective
+    is the dense rate per position).
     """
     F, C, m = Vt.shape
+    scale = float(F)
     params = RateParams(eps)
     R = _stack_logdet_sum(Vt, scale * params.alpha(C, m)) / (2.0 * scale)
     Rc = 0.0

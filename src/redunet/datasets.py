@@ -6,15 +6,16 @@ through numpy's default PRNG so regeneration is bit-identical.
 """
 
 import gzip
+import itertools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagic, ChecksumFailure, LabelImageCountMismatch,
+from .errors import (BadMagic, LabelImageCountMismatch,
                      StepsNotDividingGamma, TruncatedFile, ZeroVector)
+from .rate import NORM_FLOOR
 
-_NORM_FLOOR = 1e-12
 _RESAMPLE_TRIES = 100
 
 IMAGE_MAGIC = 0x00000803
@@ -72,7 +73,7 @@ def gaussian_sphere(k: int = 2, means=None, sigma: float = 0.1, m_per_class: int
         block = means[j] + sigma * rng.standard_normal((m_per_class, dim))
         norms = np.linalg.norm(block, axis=1)
         for _ in range(_RESAMPLE_TRIES):
-            bad = norms < _NORM_FLOOR
+            bad = norms < NORM_FLOOR
             if not bad.any():
                 break
             block[bad] = means[j] + sigma * rng.standard_normal((int(bad.sum()), dim))
@@ -164,20 +165,6 @@ def load_mnist(image_path, label_path, digits=None, seed=None) -> LabeledDataset
     return LabeledDataset(samples, labels, seed, "mnist")
 
 
-def fetch_idx(url: str, path, checksum: str) -> None:
-    """Download one IDX file and verify its SHA-256 before keeping it."""
-    import hashlib
-    import urllib.request
-
-    with urllib.request.urlopen(url) as resp:
-        raw = resp.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != checksum:
-        raise ChecksumFailure(f"{url}: sha256 {digest} != {checksum}")
-    with open(path, "wb") as fh:
-        fh.write(raw)
-
-
 # ----------------------------------------------------------- augmentation
 
 def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
@@ -190,15 +177,10 @@ def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     X = dataset.samples
-    if X.ndim == 2:
-        shifts = [(s,) for s in range(0, X.shape[1], stride)]
-        axes = (1,)
-    elif X.ndim == 3:
-        shifts = [(p, q) for p in range(0, X.shape[1], stride)
-                  for q in range(0, X.shape[2], stride)]
-        axes = (1, 2)
-    else:
+    if X.ndim not in (2, 3):
         raise ValueError("expected (m, n) signals or (m, H, W) images")
+    shifts = list(itertools.product(*(range(0, n, stride) for n in X.shape[1:])))
+    axes = tuple(range(1, X.ndim))
     stacked = np.stack([np.roll(X, s, axis=axes) for s in shifts], axis=1)
     samples = stacked.reshape((-1,) + X.shape[1:])
     labels = np.repeat(dataset.labels, len(shifts))

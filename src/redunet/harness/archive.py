@@ -10,10 +10,11 @@ Layout, all little-endian:
     u32 CRC32 over everything between the magic and this field
 
 Layer payloads: the vector kind stores E (n*n) then the k class operators
-(k*n*n); the spectral kinds store Ebar (F*C*C complex) then Cbar
-(k*F*C*C complex) with F the full frequency count. The per-layer scalars
-(alpha, gamma, step size) are constant across a construction, so they are
-stored once in the header.
+(k*n*n); the spectral kinds (dims C, T for shift, C, H, W for
+translation) store Ebar (F*C*C complex) then Cbar (k*F*C*C complex) with
+F the full frequency count. The per-layer scalars (alpha, gamma, step
+size) are constant across a construction, so they are stored once in the
+header.
 """
 
 import struct
@@ -22,13 +23,13 @@ import zlib
 import numpy as np
 
 from ..errors import BadMagic, ChecksumFailure, VersionMismatch
-from ..spectral1d import Shift1DReduNet
-from ..spectral2d import Translation2DReduNet
+from ..spectral import SpectralReduNet
 from ..vector import LayerParams, VectorReduNet
 from .. import _freq
 
 MAGIC = b"REDUNET1"
 VERSION = 1
+# a model's kind is the rank of its symmetry group: none, shifts, translations
 KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D = 0, 1, 2
 
 
@@ -40,12 +41,8 @@ def _f64(*values) -> bytes:
     return struct.pack("<" + "d" * len(values), *(float(v) for v in values))
 
 
-def _real_bytes(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _complex_bytes(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<c16").tobytes()
+def _bytes(arr, dtype="<f8") -> bytes:
+    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def _shared_layer_scalars(layers):
@@ -65,10 +62,8 @@ def save_model(model, path) -> str:
     """Serialize a constructed network; returns the path written."""
     if isinstance(model, VectorReduNet):
         kind, dims = KIND_VECTOR, (model.n,)
-    elif isinstance(model, Shift1DReduNet):
-        kind, dims = KIND_SHIFT1D, (model.C, model.T)
-    elif isinstance(model, Translation2DReduNet):
-        kind, dims = KIND_TRANSLATION2D, (model.C, model.H, model.W)
+    elif isinstance(model, SpectralReduNet) and len(model.freq_shape) in (1, 2):
+        kind, dims = len(model.freq_shape), (model.C, *model.freq_shape)
     else:
         raise TypeError(f"cannot archive a {type(model).__name__}")
 
@@ -87,17 +82,14 @@ def save_model(model, path) -> str:
     ]
     parts.extend(_u32(d) for d in dims)
     parts.append(_f64(model.eps, model.eta, model.lam))
-    parts.append(_real_bytes(model.gamma))
+    parts.append(_bytes(model.gamma))
     parts.append(_f64(alpha))
-    parts.append(_real_bytes(alpha_class))
-    parts.append(_real_bytes(trace))
+    parts.append(_bytes(alpha_class))
+    parts.append(_bytes(trace))
+    dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
-        if kind == KIND_VECTOR:
-            parts.append(_real_bytes(layer.E))
-            parts.append(_real_bytes(layer.C))
-        else:
-            parts.append(_complex_bytes(layer.Ebar))
-            parts.append(_complex_bytes(layer.Cbar))
+        ops = (layer.E, layer.C) if kind == KIND_VECTOR else (layer.Ebar, layer.Cbar)
+        parts.extend(_bytes(op, dtype) for op in ops)
     body = b"".join(parts)
     blob = MAGIC + body + _u32(zlib.crc32(body))
     with open(path, "wb") as fh:
@@ -121,19 +113,15 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
-    def f64(self, count=1):
-        out = np.frombuffer(self._take(8 * count), dtype="<f8").astype(np.float64)
-        return float(out[0]) if count == 1 else out
+    def f64(self) -> float:
+        return float(self.array(()))
 
-    def reals(self, shape) -> np.ndarray:
+    def array(self, shape, dtype="<f8") -> np.ndarray:
+        """Little-endian ``dtype`` values as a native array of ``shape``."""
+        dtype = np.dtype(dtype)
         n = int(np.prod(shape, dtype=np.int64))
-        out = np.frombuffer(self._take(8 * n), dtype="<f8")
-        return out.astype(np.float64).reshape(shape)
-
-    def complexes(self, shape) -> np.ndarray:
-        n = int(np.prod(shape, dtype=np.int64))
-        out = np.frombuffer(self._take(16 * n), dtype="<c16")
-        return out.astype(np.complex128).reshape(shape)
+        out = np.frombuffer(self._take(dtype.itemsize * n), dtype=dtype)
+        return out.astype(dtype.newbyteorder("=")).reshape(shape)
 
 
 def load_model(path):
@@ -166,45 +154,34 @@ def load_model(path):
     ndim = cur.u32()
     dims = tuple(cur.u32() for _ in range(ndim))
     eps, eta, lam = (cur.f64() for _ in range(3))
-    gamma = cur.reals((k,))
+    gamma = cur.array((k,))
     alpha = cur.f64()
-    alpha_class = cur.reals((k,))
-    trace = cur.reals((trace_rows, 3))
+    alpha_class = cur.array((k,))
+    trace = cur.array((trace_rows, 3))
 
-    expected_ndim = {KIND_VECTOR: 1, KIND_SHIFT1D: 2, KIND_TRANSLATION2D: 3}.get(kind)
-    if expected_ndim is None:
+    if kind not in (KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D):
         raise ChecksumFailure(f"{path}: unknown model kind {kind}")
-    if ndim != expected_ndim:
-        raise ChecksumFailure(f"{path}: kind {kind} expects {expected_ndim} dims, got {ndim}")
+    if ndim != kind + 1:  # the channel count (or n), then the group grid
+        raise ChecksumFailure(f"{path}: kind {kind} expects {kind + 1} dims, got {ndim}")
 
+    # the vector kind is the trivial group: no frequency axis, real operators
+    C, freq_shape = dims[0], dims[1:]
+    vector = kind == KIND_VECTOR
+    grid = () if vector else (int(np.prod(freq_shape, dtype=np.int64)),)
+    dtype = "<f8" if vector else "<c16"
     layers = []
-    if kind == KIND_VECTOR:
-        n, = dims
-        for _ in range(depth):
-            E = cur.reals((n, n))
-            C = cur.reals((k, n, n))
-            layers.append(LayerParams(E=E, C=C, gamma=gamma.copy(), alpha=alpha,
-                                      alpha_class=alpha_class.copy(), eta=eta, lam=lam))
-        model = VectorReduNet(layers=layers, n=n, k=k, eps=eps, eta=eta, lam=lam,
-                              trace=trace, gamma=gamma)
+    for _ in range(depth):
+        E = cur.array(grid + (C, C), dtype)
+        Cs = cur.array((k,) + grid + (C, C), dtype)
+        scalars = dict(gamma=gamma.copy(), alpha=alpha, alpha_class=alpha_class.copy(),
+                       eta=eta, lam=lam)
+        layers.append(LayerParams(E=E, C=Cs, **scalars) if vector else
+                      _freq.SpectralLayer(Ebar=E, Cbar=Cs, freq_shape=freq_shape, **scalars))
+    common = dict(layers=layers, k=k, eps=eps, eta=eta, lam=lam, trace=trace, gamma=gamma)
+    if vector:
+        model = VectorReduNet(n=C, **common)
     else:
-        C = dims[0]
-        freq_shape = dims[1:]
-        F = int(np.prod(freq_shape, dtype=np.int64))
-        for _ in range(depth):
-            Ebar = cur.complexes((F, C, C))
-            Cbar = cur.complexes((k, F, C, C))
-            layers.append(_freq.SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
-                                              gamma=gamma.copy(), alpha=alpha,
-                                              alpha_class=alpha_class.copy(),
-                                              eta=eta, lam=lam))
-        if kind == KIND_SHIFT1D:
-            model = Shift1DReduNet(layers=layers, C=C, T=freq_shape[0], k=k, eps=eps,
-                                   eta=eta, lam=lam, trace=trace, gamma=gamma)
-        else:
-            model = Translation2DReduNet(layers=layers, C=C, H=freq_shape[0],
-                                         W=freq_shape[1], k=k, eps=eps, eta=eta,
-                                         lam=lam, trace=trace, gamma=gamma)
+        model = SpectralReduNet(C=C, freq_shape=freq_shape, **common)
     if cur.off != len(buf) - 4:
         raise ChecksumFailure(f"{path}: {len(buf) - 4 - cur.off} unread payload bytes")
     return model

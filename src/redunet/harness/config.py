@@ -7,6 +7,7 @@ on top of that kind's defaults, and CLI flag values apply last.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -62,6 +63,8 @@ def _float(raw, key, positive=False, nonneg=False):
         value = float(str(raw).strip())
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
     if positive and not value > 0:
         raise ConfigError(f"{key}: must be positive, got {value}")
     if nonneg and value < 0:
@@ -99,8 +102,8 @@ def _radii(raw, key):
         values = tuple(float(v) for v in str(raw).split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated radii, got {raw!r}") from None
-    if not values or any(r <= 0 for r in values):
-        raise ConfigError(f"{key}: radii must be positive, got {raw!r}")
+    if not values or not all(0 < r < math.inf for r in values):
+        raise ConfigError(f"{key}: radii must be positive and finite, got {raw!r}")
     return values
 
 
@@ -141,17 +144,14 @@ _MNIST_PATHS = ("data_dir", "train_images", "train_labels", "test_images", "test
 
 # allowed keys and defaults per kind; defaults follow the reference
 # experiment settings for that data regime
+_GAUSS = {
+    "keys": _COMMON + ("m_per_class", "m_test_per_class", "sigma"),
+    "defaults": {"layers": 2000, "eta": 0.5, "eps": 0.1, "m_per_class": 500,
+                 "m_test_per_class": 500, "sigma": 0.1},
+}
 _SCHEMAS = {
-    "gauss2d": {
-        "keys": _COMMON + ("m_per_class", "m_test_per_class", "sigma"),
-        "defaults": {"layers": 2000, "eta": 0.5, "eps": 0.1, "m_per_class": 500,
-                     "m_test_per_class": 500, "sigma": 0.1},
-    },
-    "gauss3d": {
-        "keys": _COMMON + ("m_per_class", "m_test_per_class", "sigma"),
-        "defaults": {"layers": 2000, "eta": 0.5, "eps": 0.1, "m_per_class": 500,
-                     "m_test_per_class": 500, "sigma": 0.1},
-    },
+    "gauss2d": _GAUSS,
+    "gauss3d": _GAUSS,
     "signals1d": {
         "keys": _COMMON + ("m_per_class", "m_test_per_class", "n", "noise",
                            "channels", "kernel_size", "stride"),

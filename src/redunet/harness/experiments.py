@@ -24,9 +24,8 @@ from ..datasets import (LabeledDataset, gaussian_sphere, load_mnist,
 from ..errors import ConfigError, DataError
 from ..lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from ..rate import Partition
-from ..spectral1d import Shift1DReduNet, construct_shift1d, forward_shift1d, kernel_extract
-from ..spectral2d import (Translation2DReduNet, construct_translation2d,
-                          forward_translation2d, kernel_extract_2d)
+from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
+                        forward_translation2d, layer_kernel)
 from ..vector import VectorReduNet, construct_vector_net, forward_vector
 from .archive import load_model, save_model
 from .csvio import emit_csv
@@ -114,18 +113,25 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
                     test.samples.T, test.labels)
 
 
+def _mapped(kind, as_input, train, test, aug=None, rolls=None) -> Prepared:
+    """The datasets mapped into model space by ``as_input``."""
+    return Prepared(kind, as_input(train), train.labels, as_input(test), test.labels,
+                    None if aug is None else as_input(aug),
+                    None if aug is None else aug.labels, rolls)
+
+
+def _flat_samples(ds) -> np.ndarray:
+    return ds.samples.reshape(ds.m, -1).T
+
+
 def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     train = signals_1d(cfg.m_per_class, cfg.n, cfg.seed, cfg.noise)
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
-    lift = lambda ds: sparsify(lift_1d(ds.samples.T, bank))
-    aug = aug_labels = None
-    if want_aug:
-        shifted = shift_augment(test, cfg.stride)
-        aug, aug_labels = lift(shifted), shifted.labels
+    aug = shift_augment(test, cfg.stride) if want_aug else None
     rolls = [((s,), (1,)) for s in range(0, cfg.n, cfg.stride)]
-    return Prepared("shift1d", lift(train), train.labels, lift(test), test.labels,
-                    aug, aug_labels, rolls)
+    return _mapped("shift1d", lambda ds: sparsify(lift_1d(ds.samples.T, bank)),
+                   train, test, aug, rolls)
 
 
 def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
@@ -140,41 +146,37 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
 
     train_p, test_p = to_polar(train), to_polar(test)
     aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
-
     if cfg.variant == "vector":
-        as_input = lambda ds: ds.samples.reshape(ds.m, -1).T
-        rolls = None
-        kind = "vector"
-    else:
-        as_input = lambda ds: ds.samples.transpose(2, 1, 0)  # (C, gamma, m)
-        rolls = [((s,), (1,)) for s in range(0, cfg.gamma, cfg.stride)]
-        kind = "shift1d"
-    aug = as_input(aug_p) if aug_p is not None else None
-    aug_labels = aug_p.labels if aug_p is not None else None
-    return Prepared(kind, as_input(train_p), train_p.labels,
-                    as_input(test_p), test_p.labels, aug, aug_labels, rolls)
+        return _mapped("vector", _flat_samples, train_p, test_p, aug_p)
+    rolls = [((s,), (1,)) for s in range(0, cfg.gamma, cfg.stride)]
+    return _mapped("shift1d", lambda ds: ds.samples.transpose(2, 1, 0),  # (C, gamma, m)
+                   train_p, test_p, aug_p, rolls)
 
 
 def _prepare_translation(cfg, want_aug: bool) -> Prepared:
     train, test = _load_mnist_pair(cfg)
     H, W = train.samples.shape[1:]
-    aug_ds = shift_augment(test, cfg.stride) if want_aug else None
-
+    aug = shift_augment(test, cfg.stride) if want_aug else None
     if cfg.variant == "vector":
-        as_input = lambda ds: ds.samples.reshape(ds.m, -1).T
-        rolls = None
-        kind = "vector"
-    else:
-        bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size),
-                              cfg.seed + 2)
-        as_input = lambda ds: sparsify(lift_2d(ds.samples.transpose(1, 2, 0), bank))
-        rolls = [((p, q), (1, 2)) for p in range(0, H, cfg.stride)
-                 for q in range(0, W, cfg.stride)]
-        kind = "translation2d"
-    aug = as_input(aug_ds) if aug_ds is not None else None
-    aug_labels = aug_ds.labels if aug_ds is not None else None
-    return Prepared(kind, as_input(train), train.labels,
-                    as_input(test), test.labels, aug, aug_labels, rolls)
+        return _mapped("vector", _flat_samples, train, test, aug)
+    bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
+    rolls = [((p, q), (1, 2)) for p in range(0, H, cfg.stride)
+             for q in range(0, W, cfg.stride)]
+    return _mapped("translation2d",
+                   lambda ds: sparsify(lift_2d(ds.samples.transpose(1, 2, 0), bank)),
+                   train, test, aug, rolls)
+
+
+def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:
+    """One non-negative integer label per column, else DataError."""
+    labels = np.asarray(raw)
+    if labels.shape != (count,):
+        raise DataError(f"{path}: {key} has shape {labels.shape}, "
+                        f"expected one label for each of {count} columns")
+    if (labels.dtype.kind not in "iuf" or not np.isfinite(labels).all()
+            or np.any(labels % 1 != 0) or np.any(labels < 0)):
+        raise DataError(f"{path}: {key} must hold non-negative integers")
+    return labels.astype(int)
 
 
 def _prepare_custom(cfg) -> Prepared:
@@ -188,15 +190,19 @@ def _prepare_custom(cfg) -> Prepared:
         if key not in arrays:
             raise DataError(f"{cfg.data}: missing array {key!r}")
     X = np.asarray(arrays["X"], dtype=np.float64)
-    labels = np.asarray(arrays["labels"], dtype=int)
-    if X.ndim != 2 or X.shape[1] != labels.shape[0]:
-        raise DataError(f"{cfg.data}: X must be (n, m) with one label per column")
+    if X.ndim != 2:
+        raise DataError(f"{cfg.data}: X must be (n, m), got shape {X.shape}")
+    labels = _npz_labels(cfg.data, arrays["labels"], X.shape[1], "labels")
     test = test_labels = None
     if "X_test" in arrays:
         if "labels_test" not in arrays:
             raise DataError(f"{cfg.data}: X_test without labels_test")
         test = np.asarray(arrays["X_test"], dtype=np.float64)
-        test_labels = np.asarray(arrays["labels_test"], dtype=int)
+        if test.ndim != 2 or test.shape[0] != X.shape[0]:
+            raise DataError(f"{cfg.data}: X_test must be ({X.shape[0]}, m_test), "
+                            f"got shape {test.shape}")
+        test_labels = _npz_labels(cfg.data, arrays["labels_test"], test.shape[1],
+                                  "labels_test")
     return Prepared("vector", X, labels, test, test_labels)
 
 
@@ -218,12 +224,13 @@ def _prepare(cfg, want_aug: bool = True) -> Prepared:
 
 _CONSTRUCT = {"vector": construct_vector_net, "shift1d": construct_shift1d,
               "translation2d": construct_translation2d}
+_SPECTRAL_KIND = {1: "shift1d", 2: "translation2d"}  # by group rank
 
 
 def _forward(model, X):
     if isinstance(model, VectorReduNet):
         return forward_vector(model, X)
-    if isinstance(model, Shift1DReduNet):
+    if len(model.freq_shape) == 1:
         return forward_shift1d(model, X)
     return forward_translation2d(model, X)
 
@@ -232,10 +239,8 @@ def _check_model_matches(model, prep: Prepared, archive_path):
     shape = prep.train.shape[:-1]
     if isinstance(model, VectorReduNet):
         kind, dims = "vector", (model.n,)
-    elif isinstance(model, Shift1DReduNet):
-        kind, dims = "shift1d", (model.C, model.T)
     else:
-        kind, dims = "translation2d", (model.C, model.H, model.W)
+        kind, dims = _SPECTRAL_KIND[len(model.freq_shape)], (model.C, *model.freq_shape)
     if kind != prep.model_kind or dims != shape:
         raise ConfigError(
             f"{archive_path}: archive holds a {kind} model of shape {dims}, "
@@ -388,12 +393,9 @@ def export_kernels(archive_path, out_dir) -> list:
     if not model.layers:
         raise DataError(f"{archive_path}: archive has no stored layers")
     layer = model.layers[0]
-    if isinstance(model, Shift1DReduNet):
-        extract = kernel_extract
-        names = [f"t{t}" for t in range(model.T)]
-    else:
-        extract = kernel_extract_2d
-        names = [f"p{p}q{q}" for p in range(model.H) for q in range(model.W)]
+    letters = "t" if len(model.freq_shape) == 1 else "pq"
+    names = ["".join(f"{a}{i}" for a, i in zip(letters, t))
+             for t in np.ndindex(*model.freq_shape)]
     os.makedirs(out_dir, exist_ok=True)
     header = ["out_channel", "in_channel"] + names
 
@@ -404,10 +406,10 @@ def export_kernels(archive_path, out_dir) -> list:
 
     paths = []
     path = os.path.join(out_dir, "kernel_expand.csv")
-    emit_csv(rows_of(extract(layer, "expand")), path, header)
+    emit_csv(rows_of(layer_kernel(layer, "expand")), path, header)
     paths.append(path)
     for j in range(model.k):
         path = os.path.join(out_dir, f"kernel_compress_class{j}.csv")
-        emit_csv(rows_of(extract(layer, "compress", class_index=j)), path, header)
+        emit_csv(rows_of(layer_kernel(layer, "compress", class_index=j)), path, header)
         paths.append(path)
     return paths

@@ -11,45 +11,29 @@ import time
 
 import numpy as np
 
-from .. import _freq
+from .._freq import normalize_samples
 from ..rate import Partition
-from ..spectral1d import (augmented_partition, construct_shift1d, dft_channels,
-                          forward_shift1d, shift_rate_components,
-                          shift_rate_reduction, spectral_gradient,
-                          stacked_circulant)
-from ..spectral2d import translation_rate_components
+from ..spectral import (augmented_partition, construct_shift1d, dft, forward_shift1d,
+                        group_rate_components, shift_rate_reduction, spectral_gradient,
+                        spectral_operators, stacked_circulant)
 from ..vector import compression_operators, expansion_operator
 from .csvio import emit_csv
 
 _BENCH_REPEATS = 3
 
 
-def _normalize(Zbar):
-    axes = tuple(range(Zbar.ndim - 1))
-    return Zbar / np.sqrt(np.sum(Zbar**2, axis=axes))
-
-
-def _objective_gap_1d() -> float:
-    rng = np.random.default_rng(0)
-    Zbar = _normalize(rng.standard_normal((2, 8, 4)))
-    labels = np.array([0, 1, 0, 1])
-    fast = shift_rate_components(Zbar, Partition(labels), 0.5, method="fast")
-    dense = shift_rate_components(Zbar, Partition(labels), 0.5, method="dense")
-    return float(np.max(np.abs(np.array(fast) - np.array(dense))))
-
-
-def _objective_gap_2d() -> float:
-    rng = np.random.default_rng(1)
-    Zbar = _normalize(rng.standard_normal((2, 3, 3, 2)))
-    labels = np.array([0, 1])
-    fast = translation_rate_components(Zbar, Partition(labels), 0.5, method="fast")
-    dense = translation_rate_components(Zbar, Partition(labels), 0.5, method="dense")
+def _objective_gap(seed: int, shape: tuple, labels) -> float:
+    """Largest gap between the fast and dense objective triples."""
+    Zbar = normalize_samples(np.random.default_rng(seed).standard_normal(shape))
+    P = Partition(np.array(labels))
+    fast = group_rate_components(Zbar, P, 0.5, method="fast")
+    dense = group_rate_components(Zbar, P, 0.5, method="dense")
     return float(np.max(np.abs(np.array(fast) - np.array(dense))))
 
 
 def _gradient_rel_err() -> float:
     rng = np.random.default_rng(2)
-    Z0 = _normalize(rng.standard_normal((2, 6, 3)))
+    Z0 = normalize_samples(rng.standard_normal((2, 6, 3)))
     labels = np.array([0, 1, 0])
     P = Partition(labels)
     expand, compress = spectral_gradient(Z0, P, 0.5)
@@ -81,17 +65,15 @@ def _equivariance_err() -> float:
 def _benchmark() -> tuple[float, float]:
     """Best-of-N seconds for (per-frequency, dense) layer factorization."""
     rng = np.random.default_rng(7)
-    Zbar = _normalize(rng.standard_normal((8, 64, 64)))
+    Zbar = normalize_samples(rng.standard_normal((8, 64, 64)))
     labels = np.repeat(np.arange(2), 32)
     P = Partition(labels)
-    Vt = dft_channels(Zbar).transpose(1, 0, 2)
-    plan = _freq.conjugate_plan_1d(64)
+    V = dft(Zbar, 1)
     stack = stacked_circulant(Zbar)
     Paug = augmented_partition(P, 64)
 
     def spectral_once():
-        _freq.build_layer(Vt, P, 0.1, plan, eta=0.5, lam=20.0,
-                          freq_shape=(64,), gram_scale=64.0)
+        spectral_operators(V, P, 0.1, eta=0.5, lam=20.0)
 
     def dense_once():
         expansion_operator(stack, 0.1)
@@ -116,8 +98,8 @@ def run_selftest(out_dir=None) -> tuple[list, list]:
     to raise (the CLI maps failures to NumericalError's exit code).
     """
     checks = [
-        ("objective_gap_1d", _objective_gap_1d(), 1e-7),
-        ("objective_gap_2d", _objective_gap_2d(), 1e-7),
+        ("objective_gap_1d", _objective_gap(0, (2, 8, 4), [0, 1, 0, 1]), 1e-7),
+        ("objective_gap_2d", _objective_gap(1, (2, 3, 3, 2), [0, 1]), 1e-7),
         ("gradient_rel_err", _gradient_rel_err(), 1e-5),
         ("equivariance_err", _equivariance_err(), 1e-8),
     ]

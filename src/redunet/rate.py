@@ -18,11 +18,14 @@ The objective maximized by the networks in this package is the difference
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import EmptyClass, NotPositiveDefinite, NumericalError, ZeroVector
 
 # Relative tolerance for the Hermitian precondition of logdet_psd.
 HERMITIAN_TOL = 1e-10
+# Norm below which a feature counts as zero and cannot be normalized.
+NORM_FLOOR = 1e-12
 
 
 def real_finite(X, what: str = "input") -> np.ndarray:
@@ -167,6 +170,17 @@ def logdet_psd(M) -> float:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
+
+
+def hermitian_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of a real symmetric or complex Hermitian positive definite
+    matrix via Cholesky, symmetrized."""
+    try:
+        c = cho_factor(A, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    inv = cho_solve(c, np.eye(A.shape[0], dtype=A.dtype), check_finite=False)
+    return 0.5 * (inv + inv.conj().T)
 
 
 def _gram_logdet(Z: np.ndarray, alpha: float) -> float:

@@ -1,0 +1,384 @@
+"""Invariant construction on multichannel signals over a cyclic group.
+
+A sample is a real (C, *G) array: C channels on a grid G that wraps
+around in every axis, G = (T,) for 1-d signals (cyclic shifts, the group
+Z_T) or G = (H, W) for 2-d images (cyclic translations, Z_H x Z_W).
+Treating every translation of every sample as equally valid training data
+replaces each sample by the (C*F, F) stack of its per-channel group
+circulants, F = prod(G). The unitary DFT over the group axes
+block-diagonalizes all of them at once, so the objective, the operators
+and the layer updates decouple into F independent C x C problems, one per
+frequency (see ``_freq``). The dense circulant route is kept alongside as
+the oracle the fast path is tested against.
+
+Conventions: stacks carry the sample axis last, (C, *G, m); the DFT is
+unitary (1/sqrt(F) scaling, negative exponent); frequencies and
+translations are flattened row-major (last group axis fastest), and
+`group_circulant(z)` places the translation by t in column t, e.g.
+[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]].
+
+The rank-generic functions read the group rank off the stack (its number
+of axes minus two) or off the model. The 1-d and 2-d entry points
+(`construct_shift1d`, `forward_translation2d`, ...) fix the rank, check
+it, and call them.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import _freq
+from .errors import ImaginaryResidue
+from .rate import Partition, rate_components, real_finite
+from .vector import default_lambda
+
+IMAG_TOL = 1e-6
+
+
+# ------------------------------------------------------------ transforms
+
+def dft(z, rank: int) -> np.ndarray:
+    """Unitary DFT over the group axes 1..rank of a (C, *G, ...) array."""
+    z = np.asarray(z)
+    axes = tuple(range(1, rank + 1))
+    return np.fft.fftn(z, axes=axes) / np.sqrt(math.prod(z.shape[1:rank + 1]))
+
+
+def _real(w: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarray:
+    """Real part of ``w`` after checking that its imaginary part is rounding."""
+    residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
+    if residue > tol:
+        raise ImaginaryResidue(f"{what} kept imaginary residue {residue:.3e}")
+    return w.real
+
+
+def idft(v, rank: int, tol: float = IMAG_TOL) -> np.ndarray:
+    """Unitary inverse DFT over the group axes; real after a residue check.
+
+    Spectra of real signals are conjugate-symmetric, so their inverse
+    transforms must be real up to rounding. A larger imaginary residue
+    means the caller fed data that is not actually a real signal's
+    spectrum, which is reported instead of silently discarded.
+    """
+    v = np.asarray(v)
+    axes = tuple(range(1, rank + 1))
+    w = np.fft.ifftn(v, axes=axes) * np.sqrt(math.prod(v.shape[1:rank + 1]))
+    return _real(w, "inverse transform", tol)
+
+
+def _freq_major(V: np.ndarray) -> np.ndarray:
+    """(C, *G, m) -> (F, C, m), the frequency axes flattened."""
+    C, m = V.shape[0], V.shape[-1]
+    return V.reshape(C, math.prod(V.shape[1:-1]), m).transpose(1, 0, 2)
+
+
+def _spectra(Z: np.ndarray) -> np.ndarray:
+    """(F, C, m) unitary spectra of a real (C, *G, m) stack."""
+    return _freq_major(dft(Z, Z.ndim - 2))
+
+
+def _input_spectra(x, shape: tuple, what: str = "input"):
+    """Spectra (F, C, b) of the normalized samples of one sample ``x`` of
+    ``shape`` = (C, *G) or a batch (C, *G, b), and whether it was one sample."""
+    x = real_finite(x, what)
+    single = x.ndim == len(shape)
+    X = x[..., None] if single else x
+    if X.shape[:-1] != shape:
+        raise ValueError(f"expected {what} samples of shape {shape}, got {X.shape[:-1]}")
+    return _spectra(_freq.normalize_samples(X)), single
+
+
+def _signals(Vt: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real (C, *G, m) signals of (F, C, m) spectra, ``shape`` = (C, *G)."""
+    return idft(Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1]), len(shape) - 1)
+
+
+# ------------------------------------------------------- dense oracles
+
+def group_circulant(z) -> np.ndarray:
+    """(F, F) matrix whose columns are the flattened translations of z.
+
+    Column t, with t running over the grid G last axis fastest, is z
+    cyclically translated by t: its entry x reads z[x - t mod G].
+    """
+    z = np.asarray(z)
+    axes = tuple(range(z.ndim))
+    return np.stack([np.roll(z, t, axis=axes).reshape(-1) for t in np.ndindex(z.shape)],
+                    axis=1)
+
+
+def stacked_circulant(Zbar) -> np.ndarray:
+    """(C*F, F*m): the per-channel group circulants of each sample stacked
+    vertically, the samples side by side."""
+    Zbar = np.asarray(Zbar)
+    return np.hstack([np.vstack([group_circulant(ch) for ch in Zbar[..., i]])
+                      for i in range(Zbar.shape[-1])])
+
+
+def augmented_partition(partition: Partition, times: int) -> Partition:
+    """Partition of the column set where each sample contributes `times` translations."""
+    return Partition(np.repeat(partition.labels, times), k=partition.k)
+
+
+# ------------------------------------------------------------- objective
+
+def group_rate_components(Zbar, partition: Partition, eps: float,
+                          method: str = "fast") -> tuple[float, float, float]:
+    """Objective triple of the translation-augmented feature set, divided by F.
+
+    The fast route sums per-frequency log-dets; the dense route actually
+    builds the (C*F, F*m) circulant stack and evaluates the plain rate on
+    it. Both exist on purpose and are compared by the tests.
+    """
+    Zbar = np.asarray(Zbar)
+    F = math.prod(Zbar.shape[1:-1])
+    if method == "fast":
+        return _freq.spectral_components(_spectra(Zbar), partition, eps)
+    if method == "dense":
+        dR, R, Rc = rate_components(stacked_circulant(Zbar),
+                                    augmented_partition(partition, F), eps)
+        return dR / F, R / F, Rc / F
+    raise ValueError(f"unknown method {method!r}")
+
+
+# ------------------------------------------------------------- operators
+
+def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
+                       lam: float | None = None) -> _freq.SpectralLayer:
+    """Per-frequency operator stacks from spectral features Vbar (C, *G, m).
+
+    ``Vbar`` is the unitary spectrum (`dft` output); the factored slices
+    are exactly the frequency blocks of the dense operators on the
+    circulant stacks, whose eigenvalue data is sqrt(F) larger (the Grams
+    are scaled accordingly). Only the half spectrum of the last group axis
+    is factored and the rest is mirror-filled by conjugation, which is
+    exact for spectra of real signals; other spectra are rejected.
+    """
+    Vbar = np.asarray(Vbar, dtype=np.complex128)
+    if Vbar.ndim < 3:
+        raise ValueError("expected (C, *G, m) spectral features")
+    if lam is None:
+        lam = default_lambda(partition.k)
+    return _freq.build_layer(_freq_major(Vbar), partition, eps, eta=eta, lam=lam,
+                             freq_shape=Vbar.shape[1:-1])
+
+
+def group_gradient(Zbar, partition: Partition, eps: float):
+    """Ascent terms of the invariant objective, in the signal domain.
+
+    Returns ``(expand, compress)`` with shapes (C, *G, m) and
+    (k, C, *G, m): the inverse transforms of E(p) V(p) and
+    gamma_j C_j(p) V(p) Pi_j. Their difference
+    ``expand - compress.sum(axis=0)`` is exactly the derivative of the
+    rate reduction of `group_rate_components` with respect to the signals.
+    """
+    Zbar = np.asarray(Zbar)
+    shape = Zbar.shape[:-1]
+    V = dft(Zbar, Zbar.ndim - 2)
+    layer = spectral_operators(V, partition, eps)
+    Vt = _freq_major(V)
+    expand = _signals(layer.Ebar @ Vt, shape)
+    compress = np.empty((partition.k,) + Zbar.shape)
+    for j in range(partition.k):
+        Wj = layer.Cbar[j] @ Vt
+        Wj[:, :, ~partition.mask(j)] = 0.0
+        compress[j] = partition.gamma[j] * _signals(Wj, shape)
+    return expand, compress
+
+
+# ----------------------------------------------------------------- model
+
+@dataclass
+class SpectralReduNet:
+    """Constructed invariant network and its construction trace.
+
+    ``freq_shape`` is the group grid G; inputs and features are
+    (C, *freq_shape, m) stacks.
+    """
+
+    layers: list
+    C: int
+    freq_shape: tuple
+    k: int
+    eps: float
+    eta: float
+    lam: float
+    trace: np.ndarray
+    gamma: np.ndarray
+    features: np.ndarray | None = None
+    carry_features: np.ndarray | None = None
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers)
+
+
+def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
+              lam: float | None = None, keep_layers: bool = True, carry=None,
+              use_labels: bool = False) -> SpectralReduNet:
+    """Build an L-layer invariant network from labeled (C, *G, m) signals.
+
+    Samples are normalized to unit Frobenius norm, transformed once, and
+    every layer factors its operators from the current spectral features,
+    then updates all samples and renormalizes. ``use_labels`` drives the
+    training updates with the true one-hot memberships (the exact ascent
+    step) instead of the estimated ones. The trace records the objective
+    triple (reduction, expand, compress) of the initial features and after
+    every layer. ``carry`` propagates an optional unlabeled sample (C, *G)
+    or batch (C, *G, b) through the same layers with estimated membership
+    (identical to running `forward` afterwards), for use with
+    ``keep_layers=False``.
+    """
+    Zbar = real_finite(Zbar, "training stack")
+    if Zbar.ndim < 3:
+        raise ValueError("expected a (C, *G, m) sample stack")
+    shape, m = Zbar.shape[:-1], Zbar.shape[-1]
+    if m != partition.m:
+        raise ValueError(f"partition covers {partition.m} samples, stack has {m}")
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    if lam is None:
+        lam = default_lambda(partition.k)
+
+    Vt = _spectra(_freq.normalize_samples(Zbar))
+    Vc = None if carry is None else _input_spectra(carry, shape, "carry stack")[0]
+
+    onehot = partition.onehot() if use_labels else None
+    trace = [_freq.spectral_components(Vt, partition, eps)]
+    layers = []
+    for _ in range(int(L)):
+        layer = _freq.build_layer(Vt, partition, eps, eta=eta, lam=lam,
+                                  freq_shape=shape[1:])
+        Vt = _freq.update_batch(Vt, layer, pi=onehot)
+        if Vc is not None:
+            Vc = _freq.update_batch(Vc, layer)
+        trace.append(_freq.spectral_components(Vt, partition, eps))
+        if keep_layers:
+            layers.append(layer)
+
+    return SpectralReduNet(layers=layers, C=shape[0], freq_shape=shape[1:], k=partition.k,
+                           eps=eps, eta=eta, lam=lam, trace=np.array(trace),
+                           gamma=partition.gamma.copy(), features=_signals(Vt, shape),
+                           carry_features=None if Vc is None else _signals(Vc, shape))
+
+
+def forward(model: SpectralReduNet, xbar) -> np.ndarray:
+    """Map raw signals (C, *G) or (C, *G, b) through the constructed layers.
+
+    Inputs are Frobenius-normalized per sample; a zero-layer model returns
+    the normalized input. Membership is estimated at every layer.
+    """
+    shape = (model.C, *model.freq_shape)
+    Vt, single = _input_spectra(xbar, shape)
+    for layer in model.layers:
+        Vt = _freq.update_batch(Vt, layer)
+    out = _signals(Vt, shape)
+    return out[..., 0] if single else out
+
+
+def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
+                 class_index: int = 0) -> np.ndarray:
+    """Signal-domain convolution kernel of a layer operator, shape (C, C, *G).
+
+    The per-frequency stacks are diagonalized group-circulant blocks; the
+    inverse transform of each (c, c') frequency sequence is the first
+    column of that block, i.e. the kernel whose multichannel circular
+    convolution applies the operator.
+    """
+    if which == "expand":
+        stack = layer.Ebar
+    elif which == "compress":
+        stack = layer.Cbar[class_index]
+    else:
+        raise ValueError(f"unknown operator kind {which!r}")
+    G, C = tuple(layer.freq_shape), stack.shape[1]
+    axes = tuple(range(len(G)))
+    kern = _real(np.fft.ifftn(stack.reshape(*G, C, C), axes=axes), "operator kernel")
+    return kern.transpose(len(G), len(G) + 1, *axes)
+
+
+# ------------------------------------------- 1-d and 2-d entry points
+
+_LAYOUTS = {1: "(C, T, m)", 2: "(C, H, W, m)"}
+
+
+def _stack_of_rank(Zbar, rank: int) -> np.ndarray:
+    Zbar = np.asarray(Zbar)
+    if Zbar.ndim != rank + 2:
+        raise ValueError(f"expected a {_LAYOUTS[rank]} sample stack, got shape {Zbar.shape}")
+    return Zbar
+
+
+def _of_rank(obj, rank: int):
+    if len(obj.freq_shape) != rank:
+        raise ValueError(f"expected a {rank}-d group, got freq_shape {obj.freq_shape}")
+    return obj
+
+
+def shift_rate_components(Zbar, partition: Partition, eps: float,
+                          method: str = "fast") -> tuple[float, float, float]:
+    """`group_rate_components` of (C, T, m) signals under cyclic shifts."""
+    return group_rate_components(_stack_of_rank(Zbar, 1), partition, eps, method)
+
+
+def shift_rate_reduction(Zbar, partition: Partition, eps: float,
+                         method: str = "fast") -> float:
+    """Rate reduction of (C, T, m) signals under the full cyclic shift group."""
+    return shift_rate_components(Zbar, partition, eps, method)[0]
+
+
+def translation_rate_components(Zbar, partition: Partition, eps: float,
+                                method: str = "fast") -> tuple[float, float, float]:
+    """`group_rate_components` of (C, H, W, m) images under cyclic translations."""
+    return group_rate_components(_stack_of_rank(Zbar, 2), partition, eps, method)
+
+
+def translation_rate_reduction(Zbar, partition: Partition, eps: float,
+                               method: str = "fast") -> float:
+    """Rate reduction of (C, H, W, m) images under the full translation group."""
+    return translation_rate_components(Zbar, partition, eps, method)[0]
+
+
+def spectral_gradient(Zbar, partition: Partition, eps: float):
+    """`group_gradient` of (C, T, m) signals."""
+    return group_gradient(_stack_of_rank(Zbar, 1), partition, eps)
+
+
+def spectral_gradient_2d(Zbar, partition: Partition, eps: float):
+    """`group_gradient` of (C, H, W, m) images."""
+    return group_gradient(_stack_of_rank(Zbar, 2), partition, eps)
+
+
+def construct_shift1d(Zbar, partition: Partition, L: int, eta: float, eps: float,
+                      **options) -> SpectralReduNet:
+    """`construct` on (C, T, m) signals: a shift-invariant network."""
+    return construct(_stack_of_rank(Zbar, 1), partition, L, eta, eps, **options)
+
+
+def construct_translation2d(Zbar, partition: Partition, L: int, eta: float, eps: float,
+                            **options) -> SpectralReduNet:
+    """`construct` on (C, H, W, m) images: a translation-invariant network."""
+    return construct(_stack_of_rank(Zbar, 2), partition, L, eta, eps, **options)
+
+
+def forward_shift1d(model: SpectralReduNet, xbar) -> np.ndarray:
+    """`forward` of signals (C, T) or (C, T, b) through a shift-invariant network."""
+    return forward(_of_rank(model, 1), xbar)
+
+
+def forward_translation2d(model: SpectralReduNet, xbar) -> np.ndarray:
+    """`forward` of images (C, H, W) or (C, H, W, b) through a translation network."""
+    return forward(_of_rank(model, 2), xbar)
+
+
+def kernel_extract(layer: _freq.SpectralLayer, which: str = "expand",
+                   class_index: int = 0) -> np.ndarray:
+    """`layer_kernel` of a shift-invariant layer, shape (C, C, T)."""
+    return layer_kernel(_of_rank(layer, 1), which, class_index)
+
+
+def kernel_extract_2d(layer: _freq.SpectralLayer, which: str = "expand",
+                      class_index: int = 0) -> np.ndarray:
+    """`layer_kernel` of a translation-invariant layer, shape (C, C, H, W)."""
+    return layer_kernel(_of_rank(layer, 2), which, class_index)

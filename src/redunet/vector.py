@@ -13,26 +13,16 @@ projects back onto the unit sphere:
     z  <-  normalize( z + eta E z - eta sum_j gamma_j pihat_j(z) C_j z ).
 
 Training-label updates (pihat replaced by the true one-hot membership)
-reproduce the per-sample slices of the exact objective gradient and are
-kept behind a flag for the gradient oracle tests.
+reproduce the per-sample slices of the exact objective gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ZeroVector
-from .rate import Partition, RateParams, as_matrix, rate_components, real_finite
-
-_NORM_FLOOR = 1e-12
-
-
-def _psd_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    c = cho_factor(A, lower=True, check_finite=False)
-    inv = cho_solve(c, np.eye(A.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
+from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, hermitian_inverse,
+                   rate_components, real_finite)
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
@@ -41,7 +31,7 @@ def expansion_operator(Z, eps: float) -> np.ndarray:
     n, m = Z.shape
     alpha = RateParams(eps).alpha(n, m)
     G = Z @ Z.T
-    return alpha * _psd_inverse(np.eye(n) + alpha * 0.5 * (G + G.T))
+    return alpha * hermitian_inverse(np.eye(n) + alpha * 0.5 * (G + G.T))
 
 
 def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
@@ -56,7 +46,7 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
         Zj = Z[:, partition.mask(j)]
         aj = params.alpha_class(n, int(partition.counts[j]))
         G = Zj @ Zj.T
-        C[j] = aj * _psd_inverse(np.eye(n) + aj * 0.5 * (G + G.T))
+        C[j] = aj * hermitian_inverse(np.eye(n) + aj * 0.5 * (G + G.T))
     return C
 
 
@@ -92,7 +82,6 @@ class VectorReduNet:
     gamma: np.ndarray
     features: np.ndarray | None = None
     carry_features: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -106,7 +95,7 @@ def default_lambda(k: int) -> float:
 
 def normalize_columns(Z: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(Z, axis=0)
-    if np.any(norms < _NORM_FLOOR):
+    if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be projected to the sphere")
     return Z / norms
 
@@ -128,57 +117,12 @@ def soft_membership(z: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
     return pi[:, 0] if single else pi
 
 
-def nonlinear_compression(z: np.ndarray, C: np.ndarray, gamma: np.ndarray,
-                          lam: float) -> np.ndarray:
-    """sigma(z) = sum_j gamma_j pihat_j(z) C_j z, batched like soft_membership."""
-    single = z.ndim == 1
-    zb = z[:, None] if single else z
-    Cz = C @ zb  # (k, n, b)
-    pi = soft_membership(zb, C, lam)  # (k, b)
-    sigma = np.einsum("jnb,jb->nb", Cz, gamma[:, None] * pi)
-    return sigma[:, 0] if single else sigma
-
-
-def relu_compression(z: np.ndarray, C: np.ndarray, alpha_class: np.ndarray) -> np.ndarray:
-    """Rectified variant of the compression step.
-
-    Uses the residual projections P_j = I - C_j / alpha_j and returns
-    z - sum_j relu(P_j z) (unnormalized; callers rescale as needed).
-    """
-    single = z.ndim == 1
-    zb = z[:, None] if single else z
-    out = zb.copy()
-    n = zb.shape[0]
-    for j in range(C.shape[0]):
-        P = np.eye(n) - C[j] / alpha_class[j]
-        out = out - np.maximum(P @ zb, 0.0)
-    return out[:, 0] if single else out
-
-
 def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray) -> np.ndarray:
     """One layer step for every column of Z with membership weights pi (k, b)."""
     EZ = layer.E @ Z
     Cz = layer.C @ Z  # (k, n, b)
     sigma = np.einsum("jnb,jb->nb", Cz, layer.gamma[:, None] * pi)
     return normalize_columns(Z + layer.eta * EZ - layer.eta * sigma)
-
-
-def apply_layer(z: np.ndarray, layer: LayerParams, label: int | None = None) -> np.ndarray:
-    """Move one feature (or batch) through a layer and renormalize.
-
-    With ``label`` given, the compression term uses the true class instead
-    of the membership estimate; that variant matches the exact objective
-    gradient on training data.
-    """
-    single = z.ndim == 1
-    zb = z[:, None] if single else z
-    if label is None:
-        pi = soft_membership(zb, layer.C, layer.lam)
-    else:
-        pi = np.zeros((layer.C.shape[0], zb.shape[1]))
-        pi[label] = 1.0
-    out = _update_batch(zb, layer, pi)
-    return out[:, 0] if single else out
 
 
 def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,

@@ -25,8 +25,7 @@ from redunet import (Partition, construct_shift1d, construct_translation2d,
                      translation_rate_components, translation_rate_reduction)
 from redunet.harness import read_csv
 from redunet.harness.cli import main as cli_main
-from redunet.spectral1d import dft_channels, spectral_operators
-from redunet.spectral2d import dft2_channels, spectral_operators_2d
+from redunet.spectral import dft, spectral_operators
 from redunet.vector import default_lambda
 
 import oracles
@@ -85,7 +84,7 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     dense = shift_rate_components(Zbar, P, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
-    layer = spectral_operators(dft_channels(Zbar), P, eps)
+    layer = spectral_operators(dft(Zbar, 1), P, eps)
     E, Cs = s1.dense_ops(Zbar, labels, eps)
     assert np.max(np.abs(s1.assemble_dense(layer.Ebar, 8) - E)) <= 1e-7
     for j in range(P.k):
@@ -107,7 +106,7 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     dense = translation_rate_components(Qbar, Q, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
-    layer2 = spectral_operators_2d(dft2_channels(Qbar), Q, eps)
+    layer2 = spectral_operators(dft(Qbar, 2), Q, eps)
     E2, Cs2 = s2.dense_ops(Qbar, qlabels, eps)
     assert np.max(np.abs(s2.assemble_dense(layer2.Ebar, 3, 3) - E2)) <= 1e-7
     for j in range(Q.k):
@@ -204,11 +203,11 @@ def test_criterion_03_degenerate_inputs_and_norm_conservation():
     # the unitary transforms conserve energy sample by sample
     Sbar = rng.standard_normal((3, 16, 5))
     sig = np.sqrt((Sbar ** 2).sum(axis=(0, 1)))
-    spec = np.sqrt((np.abs(dft_channels(Sbar)) ** 2).sum(axis=(0, 1)))
+    spec = np.sqrt((np.abs(dft(Sbar, 1)) ** 2).sum(axis=(0, 1)))
     assert np.max(np.abs(sig - spec)) <= 1e-10
     Ibar = rng.standard_normal((2, 4, 6, 5))
     sig2 = np.sqrt((Ibar ** 2).sum(axis=(0, 1, 2)))
-    spec2 = np.sqrt((np.abs(dft2_channels(Ibar)) ** 2).sum(axis=(0, 1, 2)))
+    spec2 = np.sqrt((np.abs(dft(Ibar, 2)) ** 2).sum(axis=(0, 1, 2)))
     assert np.max(np.abs(sig2 - spec2)) <= 1e-10
 
     # every constructed feature (and carried sample) lands on the sphere

@@ -4,8 +4,8 @@ import pytest
 from redunet.errors import BadMagic, ChecksumFailure, VersionMismatch
 from redunet.harness.archive import load_model, save_model
 from redunet.rate import Partition
-from redunet.spectral1d import construct_shift1d, forward_shift1d
-from redunet.spectral2d import construct_translation2d, forward_translation2d
+from redunet.spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
+                              forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
 from oracles import labels_for, rng_for

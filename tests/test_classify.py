@@ -4,7 +4,7 @@ import pytest
 from redunet.classify import SubspaceModel, evaluate, fit_subspaces, predict
 from redunet.errors import LengthMismatch, NumericalError
 from redunet.rate import Partition
-from redunet.spectral1d import construct_shift1d, forward_shift1d
+from redunet.spectral import construct_shift1d, forward_shift1d
 
 from oracles import labels_for, rng_for, svd_subspaces
 

@@ -297,7 +297,7 @@ def test_translation_invariant_model_kind(tmp_path, glyph_dir):
     out = tmp_path / "run"
     run_experiment(cfg, out)
     model = load_model(out / "model.rnet")
-    assert (model.C, model.H, model.W) == (2, 12, 12)
+    assert (model.C, *model.freq_shape) == (2, 12, 12)
 
 
 def test_insufficient_class_samples_rejected(tmp_path, glyph_dir):

@@ -138,6 +138,67 @@ def test_non_finite_custom_vector_exits_four_before_any_layer(tmp_path, capsys, 
     assert err.startswith("error:") and "non-finite" in err
 
 
+def _bad_npz(case):
+    rng = rng_for(2)
+    arrays = {"X": rng.standard_normal((3, 8)), "labels": np.repeat([0, 1], 4),
+              "X_test": rng.standard_normal((3, 4)), "labels_test": np.array([0, 1, 0, 1])}
+    if case == "test_rows":
+        arrays["X_test"] = rng.standard_normal((4, 4))
+    elif case == "test_1d":
+        arrays["X_test"] = rng.standard_normal(12)
+    elif case == "test_label_count":
+        arrays["labels_test"] = np.array([0, 1, 0])
+    elif case == "negative_labels":
+        arrays["labels"] = np.repeat([-1, 1], 4)
+    elif case == "fractional_labels":
+        arrays["labels"] = np.repeat([0.5, 1.5], 4)
+    elif case == "negative_test_labels":
+        arrays["labels_test"] = np.array([0, -1, 0, 1])
+    elif case == "fractional_test_labels":
+        arrays["labels_test"] = np.array([0.0, 1.0, 0.5, 1.0])
+    elif case == "label_count":
+        arrays["labels"] = np.repeat([0, 1], 3)
+    return arrays
+
+
+@pytest.mark.parametrize("case", ["test_rows", "test_1d", "test_label_count",
+                                  "negative_labels", "fractional_labels",
+                                  "negative_test_labels", "fractional_test_labels",
+                                  "label_count"])
+def test_bad_custom_vector_npz_exits_three_before_any_layer(tmp_path, capsys,
+                                                            monkeypatch, case):
+    import redunet.vector
+
+    def fail(*args, **kwargs):
+        pytest.fail("a layer was built from an inconsistent .npz")
+
+    monkeypatch.setattr(redunet.vector, "expansion_operator", fail)
+    data = tmp_path / "bad.npz"
+    np.savez(data, **_bad_npz(case))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 500\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("signals1d", "lambda", "inf"), ("signals1d", "eps", "inf"),
+    ("signals1d", "noise", "nan"), ("signals1d", "eta", "inf"),
+    ("gauss2d", "eta", "-inf"), ("gauss2d", "sigma", "nan"),
+    ("gauss2d", "energy", "nan"), ("mnist-rotation", "radii", "1,nan,2,3,4"),
+    ("mnist-rotation", "radii", "1,2,3,4,inf")])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, kind, key, value):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{kind}]\nlayers = 1\n{key} = {value}\n")
+    rc = main(["construct", kind, "--config", str(ini), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 def test_stray_linalg_error_exits_four(tmp_path, capsys, monkeypatch):
     import redunet.harness.cli as cli
 

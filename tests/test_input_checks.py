@@ -5,8 +5,8 @@ import pytest
 
 from redunet.errors import NumericalError
 from redunet.rate import Partition
-from redunet.spectral1d import construct_shift1d, forward_shift1d
-from redunet.spectral2d import construct_translation2d, forward_translation2d
+from redunet.spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
+                              forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
 from oracles import rng_for

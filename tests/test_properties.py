@@ -1,14 +1,21 @@
 """Property tests over random small shapes; skipped when hypothesis is absent."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
+from redunet.rate import Partition
+from redunet.spectral import (SpectralReduNet, construct, dft, forward,
+                              group_rate_components, spectral_operators, stacked_circulant)
 
-from oracles import labels_for, roll_orthogonal_fraction
+from oracles import dft_matrix, labels_for, repeat_labels, roll_orthogonal_fraction
 
 
 @settings(max_examples=60, deadline=None)
@@ -22,3 +29,94 @@ def test_shift_sweep_equals_roll_loop(C, T, m, m_test, k, seed):
     F_test /= np.linalg.norm(F_test.reshape(-1, m_test), axis=0)
     case = (F_test, labels_for(m_test, k, rng), F_train, labels_for(m, k, rng))
     assert _orthogonal_fraction_all_shifts(*case) == roll_orthogonal_fraction(*case)
+
+
+# ------------------------------------------------- the spectral engine
+
+# group grids: 1-d (T,) or 2-d (H, W), with T = 1, H = 1 and W = 1 reachable
+groups = st.one_of(st.tuples(st.integers(1, 7)),
+                   st.tuples(st.integers(1, 4), st.integers(1, 4)))
+
+
+def random_stack(seed, C, G, m, k):
+    rng = np.random.default_rng(seed)
+    return rng, rng.standard_normal((C, *G, m)), Partition(labels_for(m, k, rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups, C=st.integers(1, 3), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@example(G=(1,), C=2, m=3, seed=0)
+@example(G=(1, 5), C=2, m=3, seed=1)
+@example(G=(4, 1), C=1, m=4, seed=2)
+def test_fast_objective_equals_dense_oracle(G, C, m, seed):
+    _, Zbar, P = random_stack(seed, C, G, m, 2)
+    fast = group_rate_components(Zbar, P, 0.5, method="fast")
+    dense = group_rate_components(Zbar, P, 0.5, method="dense")
+    assert np.max(np.abs(np.array(fast) - np.array(dense))) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=groups, C=st.integers(1, 3), m=st.integers(2, 6), L=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=(1,), C=2, m=3, L=2, seed=0)
+@example(G=(1, 5), C=2, m=4, L=2, seed=1)
+@example(G=(4, 1), C=1, m=4, L=2, seed=2)
+def test_forward_commutes_with_cyclic_translation(G, C, m, L, seed):
+    rng, Zbar, P = random_stack(seed, C, G, m, 2)
+    model = construct(Zbar, P, L, eta=0.3, eps=0.5)
+    x = rng.standard_normal((C, *G, 3))
+    t = tuple(int(rng.integers(0, n)) for n in G)
+    axes = tuple(range(1, len(G) + 1))
+    moved = forward(model, np.roll(x, t, axis=axes))
+    assert np.max(np.abs(moved - np.roll(forward(model, x), t, axis=axes))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=groups, C=st.integers(1, 3), m=st.integers(2, 5), L=st.integers(0, 2),
+       k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(G=(1,), C=1, m=2, L=0, k=1, seed=0)
+@example(G=(1, 3), C=2, m=3, L=1, k=2, seed=1)
+@example(G=(3, 1), C=2, m=3, L=2, k=2, seed=2)
+def test_archive_roundtrip_is_bit_exact(G, C, m, L, k, seed):
+    _, Zbar, P = random_stack(seed, C, G, m, k)
+    model = construct(Zbar, P, L, eta=0.3, eps=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_model(save_model(model, os.path.join(tmp, "m.rnet")))
+    assert isinstance(back, SpectralReduNet)
+    assert (back.C, back.freq_shape, back.k, back.depth) == (C, G, k, L)
+    assert (back.eps, back.eta, back.lam) == (model.eps, model.eta, model.lam)
+    assert np.array_equal(back.trace, model.trace)
+    assert np.array_equal(back.gamma, model.gamma)
+    for got, want in zip(back.layers, model.layers):
+        assert got.freq_shape == want.freq_shape
+        assert np.array_equal(got.Ebar, want.Ebar)
+        assert np.array_equal(got.Cbar, want.Cbar)
+        assert got.alpha == want.alpha and np.array_equal(got.alpha_class, want.alpha_class)
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=groups, C=st.integers(1, 2), m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+@example(G=(9,), C=2, m=3, seed=0)
+@example(G=(1, 6), C=2, m=3, seed=1)
+@example(G=(4, 5), C=1, m=3, seed=2)
+def test_half_spectrum_operators_equal_dense_operators(G, C, m, seed):
+    # the factored half spectrum plus its conjugate mirror is every block
+    # of the dense operators on the circulant stack
+    _, Zbar, P = random_stack(seed, C, G, m, 2)
+    layer = spectral_operators(dft(Zbar, len(G)), P, 0.5)
+    big = stacked_circulant(Zbar)
+    F = big.shape[1] // m
+    unitary = dft_matrix(G[0])
+    for n in G[1:]:
+        unitary = np.kron(unitary, dft_matrix(n))
+    blocks = np.kron(np.eye(C), unitary)
+    labels = repeat_labels(P.labels, F)
+    for j, stack in [(None, layer.Ebar)] + list(enumerate(layer.Cbar)):
+        cols = big if j is None else big[:, labels == j]
+        a = C / (cols.shape[1] / F * 0.25)
+        dense = a * np.linalg.inv(np.eye(C * F) + a * cols @ cols.T)
+        spectral = np.zeros((C * F, C * F), dtype=complex)
+        for c in range(C):
+            for c2 in range(C):
+                spectral[c * F:(c + 1) * F, c2 * F:(c2 + 1) * F] = np.diag(stack[:, c, c2])
+        assert np.max(np.abs(blocks.conj().T @ spectral @ blocks - dense)) < 1e-9

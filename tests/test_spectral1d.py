@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from redunet import _freq
 from redunet.errors import ImaginaryResidue, ZeroVector
 from redunet.rate import Partition
-from redunet.spectral1d import (augmented_partition, circulant_oracle, construct_shift1d,
-                                dft_channels, forward_shift1d, idft_channels,
-                                kernel_extract, multichannel_circulant,
-                                shift_rate_components, shift_rate_reduction,
-                                spectral_gradient, spectral_layer_update,
-                                spectral_operators, stacked_circulant)
+from redunet.spectral import (augmented_partition, construct_shift1d, dft,
+                              forward_shift1d, group_circulant, idft, kernel_extract,
+                              shift_rate_components, shift_rate_reduction,
+                              spectral_gradient, spectral_operators, stacked_circulant)
 from redunet.vector import default_lambda
 
 import oracles
@@ -35,33 +34,33 @@ def test_dft_matches_matrix_oracle():
     z = rng.standard_normal((3, 8))
     F = dft_matrix(8)
     expected = z @ F.T  # per-channel transform
-    assert np.max(np.abs(dft_channels(z) - expected)) < 1e-12
+    assert np.max(np.abs(dft(z, 1) - expected)) < 1e-12
 
 
 def test_dft_parseval():
     rng = rng_for(1)
     z = rng.standard_normal((3, 16))
-    v = dft_channels(z)
+    v = dft(z, 1)
     assert abs(np.linalg.norm(z) - np.linalg.norm(v)) < 1e-12
 
 
 def test_idft_roundtrip():
     rng = rng_for(2)
     z = rng.standard_normal((2, 10, 3))
-    assert np.max(np.abs(idft_channels(dft_channels(z)) - z)) < 1e-12
+    assert np.max(np.abs(idft(dft(z, 1), 1) - z)) < 1e-12
 
 
 def test_idft_raises_on_imaginary_residue():
     v = np.zeros((1, 4), dtype=complex)
     v[0, 1] = 1.0  # not conjugate-symmetric
     with pytest.raises(ImaginaryResidue):
-        idft_channels(v)
+        idft(v, 1)
 
 
 # ------------------------------------------------------ circulant layout
 
 def test_circulant_pinned_example():
-    got = circulant_oracle(np.array([1.0, 2.0, 3.0]))
+    got = group_circulant(np.array([1.0, 2.0, 3.0]))
     expected = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]])
     assert np.array_equal(got, expected)
 
@@ -70,7 +69,7 @@ def test_circulant_diagonalized_by_dft():
     rng = rng_for(3)
     z = rng.standard_normal(8)
     F = dft_matrix(8)
-    got = F @ circulant_oracle(z) @ F.conj().T
+    got = F @ group_circulant(z) @ F.conj().T
     expected = np.diag(np.fft.fft(z) / np.sqrt(8) * np.sqrt(8))
     # diag entries are the unnormalized DFT of z
     assert np.max(np.abs(got - expected)) < 1e-10
@@ -79,7 +78,8 @@ def test_circulant_diagonalized_by_dft():
 def test_multichannel_layout_matches_oracle():
     rng = rng_for(4)
     zbar = rng.standard_normal((3, 5))
-    assert np.array_equal(multichannel_circulant(zbar), oracles.multichannel_circulant(zbar))
+    assert np.array_equal(stacked_circulant(zbar[..., None]),
+                          oracles.multichannel_circulant(zbar))
     Zbar = rng.standard_normal((2, 4, 3))
     assert np.array_equal(stacked_circulant(Zbar), oracles.stacked_circulant(Zbar))
 
@@ -89,7 +89,7 @@ def test_circulant_convolution_property():
     rng = rng_for(5)
     z, x = rng.standard_normal(7), rng.standard_normal(7)
     expected = np.real(np.fft.ifft(np.fft.fft(z) * np.fft.fft(x)))
-    assert np.max(np.abs(circulant_oracle(z) @ x - expected)) < 1e-12
+    assert np.max(np.abs(group_circulant(z) @ x - expected)) < 1e-12
 
 
 # ------------------------------------------------------------- objective
@@ -162,12 +162,11 @@ def assemble_dense(stack, T):
     return out
 
 
-@pytest.mark.parametrize("full", [False, True])
-def test_spectral_operators_match_dense(full):
+def test_spectral_operators_match_dense():
     Zbar, labels = sample_stack(9)
     P = Partition(labels)
     eps = 0.5
-    layer = spectral_operators(dft_channels(Zbar), P, eps, full_spectrum=full)
+    layer = spectral_operators(dft(Zbar, 1), P, eps)
     E_dense, C_dense = dense_ops(Zbar, labels, eps)
     got_E = assemble_dense(layer.Ebar, Zbar.shape[1])
     assert np.max(np.abs(got_E.imag)) < 1e-9
@@ -178,18 +177,20 @@ def test_spectral_operators_match_dense(full):
 
 
 def test_half_spectrum_equals_full():
-    Zbar, labels = sample_stack(10, T=9)  # odd T exercises the mirror bounds
+    # the factored half spectrum and its conjugate mirror give every block
+    # of the full dense operators; odd T exercises the mirror bounds
+    Zbar, labels = sample_stack(10, T=9)
     P = Partition(labels)
-    V = dft_channels(Zbar)
-    half = spectral_operators(V, P, 0.5)
-    full = spectral_operators(V, P, 0.5, full_spectrum=True)
-    assert np.max(np.abs(half.Ebar - full.Ebar)) < 1e-12
-    assert np.max(np.abs(half.Cbar - full.Cbar)) < 1e-12
+    half = spectral_operators(dft(Zbar, 1), P, 0.5)
+    E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
+    assert np.max(np.abs(assemble_dense(half.Ebar, 9) - E_dense)) < 1e-9
+    for j in range(P.k):
+        assert np.max(np.abs(assemble_dense(half.Cbar[j], 9) - C_dense[j])) < 1e-9
 
 
 def test_operator_slices_hermitian_pd():
     Zbar, labels = sample_stack(11)
-    layer = spectral_operators(dft_channels(Zbar), Partition(labels), 0.5)
+    layer = spectral_operators(dft(Zbar, 1), Partition(labels), 0.5)
     for p in range(Zbar.shape[1]):
         for M in [layer.Ebar[p]] + [layer.Cbar[j, p] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
@@ -332,12 +333,12 @@ def test_trace_single_class_stays_zero():
 def test_spectral_layer_update_single_matches_batch():
     Zbar, labels = sample_stack(21)
     P = Partition(labels)
-    layer = spectral_operators(dft_channels(frob_normalize(Zbar)), P, 0.5, eta=0.3)
-    V = dft_channels(frob_normalize(Zbar))
-    out = spectral_layer_update(V, layer)
+    layer = spectral_operators(dft(frob_normalize(Zbar), 1), P, 0.5, eta=0.3)
+    Vt = dft(frob_normalize(Zbar), 1).transpose(1, 0, 2)
+    out = _freq.update_batch(Vt, layer)
     for i in range(Zbar.shape[2]):
-        single = spectral_layer_update(V[:, :, i], layer)
-        assert np.max(np.abs(single - out[:, :, i])) < 1e-12
+        single = _freq.update_batch(Vt[:, :, i:i + 1], layer)
+        assert np.max(np.abs(single[:, :, 0] - out[:, :, i])) < 1e-12
 
 
 def test_construct_rejects_zero_sample():
@@ -359,7 +360,7 @@ def test_augmented_partition_counts():
 def test_kernel_applies_operator_by_convolution():
     Zbar, labels = sample_stack(23)
     P = Partition(labels)
-    layer = spectral_operators(dft_channels(Zbar), P, 0.5)
+    layer = spectral_operators(dft(Zbar, 1), P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 8))
@@ -374,7 +375,7 @@ def test_kernel_applies_operator_by_convolution():
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():
-    layer = spectral_operators(dft_channels(np.zeros((2, 6, 3)) + 0.0), Partition(np.array([0, 0, 1])), 0.5)
+    layer = spectral_operators(dft(np.zeros((2, 6, 3)), 1), Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p) = alpha I for every p -> kernel alpha * delta
     kern = kernel_extract(layer, "expand")
     alpha = layer.alpha

@@ -3,14 +3,11 @@ import pytest
 
 from redunet.errors import ImaginaryResidue, ZeroVector
 from redunet.rate import Partition
-from redunet.spectral1d import construct_shift1d
-from redunet.spectral2d import (augmented_partition_2d, construct_translation2d,
-                                dft2_channels, doubly_circulant_oracle,
-                                forward_translation2d, idft2_channels,
-                                kernel_extract_2d, multichannel_doubly_circulant,
-                                spectral_gradient_2d, spectral_operators_2d,
-                                stacked_doubly_circulant, translation_rate_components,
-                                translation_rate_reduction)
+from redunet.spectral import (augmented_partition, construct_shift1d,
+                              construct_translation2d, dft, forward_translation2d,
+                              group_circulant, idft, kernel_extract_2d,
+                              spectral_gradient_2d, spectral_operators, stacked_circulant,
+                              translation_rate_components, translation_rate_reduction)
 from redunet.vector import default_lambda
 
 import oracles
@@ -36,32 +33,32 @@ def test_dft2_matches_matrix_oracle():
     z = rng.standard_normal((2, 3, 5))
     FH, FW = dft_matrix(3), dft_matrix(5)
     expected = np.stack([FH @ ch @ FW.T for ch in z])
-    assert np.max(np.abs(dft2_channels(z) - expected)) < 1e-12
+    assert np.max(np.abs(dft(z, 2) - expected)) < 1e-12
 
 
 def test_dft2_parseval():
     rng = rng_for(1)
     z = rng.standard_normal((3, 4, 6))
-    assert abs(np.linalg.norm(z) - np.linalg.norm(dft2_channels(z))) < 1e-12
+    assert abs(np.linalg.norm(z) - np.linalg.norm(dft(z, 2))) < 1e-12
 
 
 def test_idft2_roundtrip():
     rng = rng_for(2)
     z = rng.standard_normal((2, 3, 4, 5))
-    assert np.max(np.abs(idft2_channels(dft2_channels(z)) - z)) < 1e-12
+    assert np.max(np.abs(idft(dft(z, 2), 2) - z)) < 1e-12
 
 
 def test_idft2_raises_on_imaginary_residue():
     v = np.zeros((1, 3, 3), dtype=complex)
     v[0, 1, 2] = 1.0  # not conjugate-symmetric
     with pytest.raises(ImaginaryResidue):
-        idft2_channels(v)
+        idft(v, 2)
 
 
 # ----------------------------------------------- doubly circulant layout
 
 def test_doubly_circulant_pinned_example():
-    got = doubly_circulant_oracle(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    got = group_circulant(np.array([[1.0, 2.0], [3.0, 4.0]]))
     expected = np.array([[1.0, 2.0, 3.0, 4.0],
                          [2.0, 1.0, 4.0, 3.0],
                          [3.0, 4.0, 1.0, 2.0],
@@ -73,7 +70,7 @@ def test_doubly_circulant_diagonalized_by_kron_dft():
     rng = rng_for(3)
     z = rng.standard_normal((3, 4))
     Fk = np.kron(dft_matrix(3), dft_matrix(4))
-    got = Fk @ doubly_circulant_oracle(z) @ Fk.conj().T
+    got = Fk @ group_circulant(z) @ Fk.conj().T
     expected = np.diag(np.fft.fft2(z).reshape(-1))
     # diag entries are the unnormalized 2-d DFT of z, row frequency major
     assert np.max(np.abs(got - expected)) < 1e-10
@@ -82,10 +79,10 @@ def test_doubly_circulant_diagonalized_by_kron_dft():
 def test_multichannel_layout_matches_oracle():
     rng = rng_for(4)
     zbar = rng.standard_normal((3, 2, 4))
-    assert np.array_equal(multichannel_doubly_circulant(zbar),
+    assert np.array_equal(stacked_circulant(zbar[..., None]),
                           oracles.multichannel_doubly_circulant(zbar))
     Zbar = rng.standard_normal((2, 3, 2, 3))
-    assert np.array_equal(stacked_doubly_circulant(Zbar),
+    assert np.array_equal(stacked_circulant(Zbar),
                           oracles.stacked_doubly_circulant(Zbar))
 
 
@@ -94,7 +91,7 @@ def test_doubly_circulant_convolution_property():
     rng = rng_for(5)
     z, x = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
     expected = np.real(np.fft.ifft2(np.fft.fft2(z) * np.fft.fft2(x)))
-    got = (doubly_circulant_oracle(z) @ x.reshape(-1)).reshape(3, 5)
+    got = (group_circulant(z) @ x.reshape(-1)).reshape(3, 5)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -169,14 +166,13 @@ def assemble_dense(stack, H, W):
     return out
 
 
-@pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("shape", [(2, 3, 3, 4), (2, 4, 3, 4), (2, 3, 4, 4)])
-def test_spectral_operators_match_dense(full, shape):
+def test_spectral_operators_match_dense(shape):
     Zbar, labels = image_stack(9, *shape)
     P = Partition(labels)
     eps = 0.5
     H, W = shape[1], shape[2]
-    layer = spectral_operators_2d(dft2_channels(Zbar), P, eps, full_spectrum=full)
+    layer = spectral_operators(dft(Zbar, 2), P, eps)
     E_dense, C_dense = dense_ops(Zbar, labels, eps)
     got_E = assemble_dense(layer.Ebar, H, W)
     assert np.max(np.abs(got_E.imag)) < 1e-9
@@ -188,18 +184,20 @@ def test_spectral_operators_match_dense(full, shape):
 
 @pytest.mark.parametrize("H,W", [(3, 3), (4, 4), (3, 4), (4, 5), (1, 6)])
 def test_half_spectrum_equals_full(H, W):
+    # the factored half spectrum and its conjugate mirror give every block
+    # of the full dense operators
     Zbar, labels = image_stack(10, H=H, W=W)
     P = Partition(labels)
-    V = dft2_channels(Zbar)
-    half = spectral_operators_2d(V, P, 0.5)
-    full = spectral_operators_2d(V, P, 0.5, full_spectrum=True)
-    assert np.max(np.abs(half.Ebar - full.Ebar)) < 1e-12
-    assert np.max(np.abs(half.Cbar - full.Cbar)) < 1e-12
+    half = spectral_operators(dft(Zbar, 2), P, 0.5)
+    E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
+    assert np.max(np.abs(assemble_dense(half.Ebar, H, W) - E_dense)) < 1e-9
+    for j in range(P.k):
+        assert np.max(np.abs(assemble_dense(half.Cbar[j], H, W) - C_dense[j])) < 1e-9
 
 
 def test_operator_slices_hermitian_pd():
     Zbar, labels = image_stack(11)
-    layer = spectral_operators_2d(dft2_channels(Zbar), Partition(labels), 0.5)
+    layer = spectral_operators(dft(Zbar, 2), Partition(labels), 0.5)
     for f in range(Zbar.shape[1] * Zbar.shape[2]):
         for M in [layer.Ebar[f]] + [layer.Cbar[j, f] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
@@ -210,7 +208,7 @@ def test_half_spectrum_rejects_asymmetric_spectrum():
     rng = rng_for(12)
     V = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
     with pytest.raises(ValueError):
-        spectral_operators_2d(V, Partition(labels_for(4, 2, rng)), 0.5)
+        spectral_operators(V, Partition(labels_for(4, 2, rng)), 0.5)
 
 
 # -------------------------------------------------------------- gradient
@@ -354,7 +352,7 @@ def test_construct_rejects_zero_sample():
 
 def test_augmented_partition_counts():
     P = Partition(np.array([0, 1, 1]))
-    aug = augmented_partition_2d(P, 2, 3)
+    aug = augmented_partition(P, 2 * 3)
     assert aug.m == 18
     assert list(aug.counts) == [6, 12]
 
@@ -364,7 +362,7 @@ def test_augmented_partition_counts():
 def test_kernel_applies_operator_by_convolution():
     Zbar, labels = image_stack(23)
     P = Partition(labels)
-    layer = spectral_operators_2d(dft2_channels(Zbar), P, 0.5)
+    layer = spectral_operators(dft(Zbar, 2), P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 3, 3))
@@ -379,8 +377,8 @@ def test_kernel_applies_operator_by_convolution():
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():
-    V = dft2_channels(np.zeros((2, 3, 4, 3)))
-    layer = spectral_operators_2d(V, Partition(np.array([0, 0, 1])), 0.5)
+    V = dft(np.zeros((2, 3, 4, 3)), 2)
+    layer = spectral_operators(V, Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p, q) = alpha I everywhere -> kernel alpha * delta
     kern = kernel_extract_2d(layer, "expand")
     alpha = layer.alpha

@@ -3,10 +3,9 @@ import pytest
 
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, RateParams, rate_gradient, rate_reduction
-from redunet.vector import (apply_layer, compression_operators, construct_vector_net,
-                            default_lambda, expansion_operator, forward_vector,
-                            nonlinear_compression, normalize_columns,
-                            relu_compression, soft_membership)
+from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
+                            expansion_operator, forward_vector,
+                            normalize_columns, soft_membership)
 
 from oracles import labels_for, rng_for
 
@@ -111,15 +110,16 @@ def test_soft_membership_large_lambda_does_not_overflow():
 
 
 def test_nonlinear_compression_matches_manual_sum():
+    # a layer step's compression term is sum_j gamma_j pihat_j(z) C_j z
     rng = rng_for(10)
-    Z = rng.standard_normal((4, 8))
+    X = rng.standard_normal((4, 8))
     P = Partition(labels_for(8, 2, rng))
-    C = compression_operators(Z, P, 0.5)
-    lam = default_lambda(2)
-    z = rng.standard_normal(4)
-    pi = soft_membership(z, C, lam)
-    expected = sum(P.gamma[j] * pi[j] * (C[j] @ z) for j in range(2))
-    assert np.linalg.norm(nonlinear_compression(z, C, P.gamma, lam) - expected) < 1e-12
+    layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
+    z = rng.standard_normal((4, 1))
+    pi = soft_membership(z, layer.C, layer.lam)
+    sigma = sum(layer.gamma[j] * pi[j] * (layer.C[j] @ z) for j in range(2))
+    raw = z + layer.eta * layer.E @ z - layer.eta * sigma
+    assert np.linalg.norm(_update_batch(z, layer, pi) - raw / np.linalg.norm(raw)) < 1e-12
 
 
 def test_hard_label_layer_equals_gradient_ascent_step():
@@ -195,9 +195,11 @@ def test_apply_layer_single_matches_batch():
     model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     batch = rng.standard_normal((4, 5))
-    out = apply_layer(batch, layer)
+    out = _update_batch(batch, layer, soft_membership(batch, layer.C, layer.lam))
     for i in range(5):
-        assert np.linalg.norm(apply_layer(batch[:, i], layer) - out[:, i]) < 1e-12
+        col = batch[:, i:i + 1]
+        single = _update_batch(col, layer, soft_membership(col, layer.C, layer.lam))
+        assert np.linalg.norm(single[:, 0] - out[:, i]) < 1e-12
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0)
 
 
@@ -207,29 +209,10 @@ def test_apply_layer_hard_label_variant():
     P = Partition(labels_for(12, 2, rng))
     model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
-    z = rng.standard_normal(4)
-    out = apply_layer(z, layer, label=1)
+    z = rng.standard_normal((4, 1))
+    out = _update_batch(z, layer, np.array([[0.0], [1.0]]))  # true label 1
     raw = z + layer.eta * layer.E @ z - layer.eta * layer.gamma[1] * layer.C[1] @ z
     assert np.linalg.norm(out - raw / np.linalg.norm(raw)) < 1e-12
-
-
-def test_relu_compression_manual():
-    rng = rng_for(19)
-    Z = normalize_columns(rng.standard_normal((4, 10)))
-    P = Partition(labels_for(10, 2, rng))
-    eps = 0.5
-    C = compression_operators(Z, P, eps)
-    params = RateParams(eps)
-    alphas = np.array([params.alpha_class(4, int(c)) for c in P.counts])
-    z = rng.standard_normal(4)
-    expected = z.copy()
-    for j in range(2):
-        Pj = np.eye(4) - C[j] / alphas[j]
-        expected -= np.maximum(Pj @ z, 0.0)
-    assert np.linalg.norm(relu_compression(z, C, alphas) - expected) < 1e-12
-    batch = relu_compression(Z, C, alphas)
-    assert batch.shape == Z.shape
-    assert np.linalg.norm(batch[:, 0] - relu_compression(Z[:, 0], C, alphas)) < 1e-12
 
 
 def test_construct_rejects_zero_column():
