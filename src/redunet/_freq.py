@@ -17,6 +17,22 @@ larger, which is why every Gram matrix below is scaled by the frequency
 count: with that scale the per-frequency operators are exactly the
 diagonal blocks of the dense operators, and the layer update equals the
 dense update conjugated by the unitary transform.
+
+Half spectrum. The signals are real, so V(-p) is the conjugate of V(p)
+(-p taken mod n on every group axis), and so are E(-p), C_j(-p) and every
+layer update. The layer loop therefore carries only the rfftn half of
+the last group axis: F_h = prod(G[:-1]) * (G[-1]//2 + 1) slices, in the
+row-major order of `np.fft.rfftn`. A sum over all F frequencies (sample
+norms, membership norms, the log-det objective) becomes a sum over the
+half with weight 2 per slice, for the slice and its mirror, except the
+last-axis columns 0 and G[-1]/2 (the latter for even G[-1] only), whose
+mirrors lie inside the half themselves and get weight 1 (`half_weights`).
+A layer's operator stacks stay full, (F, C, C): `build_layer` factors the
+half and fills in the conjugate mirrors, so the stored model and its
+kernels do not depend on this layout. Nothing inside the loop checks
+conjugate symmetry, because the loop only ever sees rfftn output; a full
+spectrum that enters from outside (`spectral.spectral_operators`) is
+checked once by `check_conjugate_symmetry`.
 """
 
 import math
@@ -34,7 +50,7 @@ class SpectralLayer:
 
     ``Ebar`` has shape (F, C, C) and ``Cbar`` (k, F, C, C), where F is the
     number of frequencies (T in 1-d, H*W in 2-d, recorded in
-    ``freq_shape``).
+    ``freq_shape``): the full spectrum, mirrors included.
     """
 
     Ebar: np.ndarray
@@ -47,48 +63,66 @@ class SpectralLayer:
     lam: float
 
 
-def conjugate_plan(freq_shape: tuple):
-    """Frequencies to factor and (target, source) conjugate-mirror pairs.
+def half_spectrum(freq_shape: tuple):
+    """Flat indices of the half spectrum and of the conjugate mirrors.
 
-    Indices are flattened row-major over ``freq_shape``. The half spectrum
-    of the last axis is factored; every other frequency p is the conjugate
-    mirror of (-p mod n) on every axis.
+    Indices run row-major over ``freq_shape``. Returns ``(half, other,
+    mirror)``: the F_h frequencies of the rfftn half of the last axis, in
+    rfftn order, the remaining frequencies, and for each of those its
+    mirror (-p mod n on every axis), which lies in the half.
     """
     index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
     mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
-    half = freq_shape[-1] // 2 + 1
-    compute = index[..., :half].ravel().tolist()
-    mirror = list(zip(index[..., half:].ravel().tolist(),
-                      mirror_of[..., half:].ravel().tolist()))
-    return compute, mirror
+    h = freq_shape[-1] // 2 + 1
+    return index[..., :h].ravel(), index[..., h:].ravel(), mirror_of[..., h:].ravel()
 
 
-def check_conjugate_symmetry(Vt: np.ndarray, mirror, tol: float = 1e-8):
-    """The mirror fill is exact only for spectra of real signals; verify it."""
-    if not mirror:
+def half_weights(freq_shape: tuple) -> np.ndarray:
+    """(F_h,) weight of each half-spectrum slice in a sum over all F frequencies."""
+    n = freq_shape[-1]
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return np.tile(w, math.prod(freq_shape[:-1]))
+
+
+def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-8):
+    """Reject a full (F, C, m) spectrum whose mirrors are not conjugates.
+
+    Only spectra of real signals have a half spectrum that stands for the
+    whole; every frequency outside the half must be its mirror's conjugate.
+    """
+    _, other, mirror = half_spectrum(freq_shape)
+    if not other.size:
         return
     scale = max(1.0, float(np.max(np.abs(Vt))))
-    for tgt, src in mirror:
-        err = float(np.max(np.abs(Vt[tgt] - Vt[src].conj())))
-        if err > tol * scale:
-            raise ValueError(
-                "the layer needs the conjugate-symmetric spectrum of real signals "
-                f"(max violation {err:.3e})")
+    err = float(np.max(np.abs(Vt[other] - Vt[mirror].conj())))
+    if err > tol * scale:
+        raise ValueError(
+            "the layer needs the conjugate-symmetric spectrum of real signals "
+            f"(max violation {err:.3e})")
 
 
 def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
                 lam: float, freq_shape: tuple) -> SpectralLayer:
-    """Factor the per-frequency operators from spectral features Vt (F, C, m).
+    """Factor the per-frequency operators from half spectra Vt (F_h, C, m).
 
-    The Grams are scaled by the frequency count F = prod(freq_shape); see
-    the module docstring for why the Grams of unitary spectra carry it.
+    Every half-spectrum frequency is factored; the rest of the full stacks
+    is the conjugate mirror. The Grams are scaled by the frequency count
+    F = prod(freq_shape); see the module docstring for why the Grams of
+    unitary spectra carry it.
     """
-    F, C, m = Vt.shape
+    freq_shape = tuple(freq_shape)
+    half, other, mirror = half_spectrum(freq_shape)
+    F_h, C, m = Vt.shape
+    if F_h != half.size:
+        raise ValueError(f"expected the {half.size} half-spectrum frequencies of "
+                         f"{freq_shape}, got {F_h}")
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
+    F = math.prod(freq_shape)
     gram_scale = float(F)
-    compute, mirror = conjugate_plan(tuple(freq_shape))
-    check_conjugate_symmetry(Vt, mirror)
     params = RateParams(eps)
     alpha = params.alpha(C, m)
     alpha_class = np.array([params.alpha_class(C, int(c)) for c in partition.counts])
@@ -101,41 +135,50 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
     Ebar = np.empty((F, C, C), dtype=np.complex128)
     Cbar = np.empty((k, F, C, C), dtype=np.complex128)
-    masks = [partition.mask(j) for j in range(k)]
-    for p in compute:
-        Ebar[p] = operator(Vt[p], alpha)
+    classes = [Vt[:, :, partition.mask(j)] for j in range(k)]
+    for p, full in enumerate(half.tolist()):
+        Ebar[full] = operator(Vt[p], alpha)
         for j in range(k):
-            Cbar[j, p] = operator(Vt[p][:, masks[j]], alpha_class[j])
-    for tgt, src in mirror:
-        Ebar[tgt] = Ebar[src].conj()
-        Cbar[:, tgt] = Cbar[:, src].conj()
+            Cbar[j, full] = operator(classes[j][p], alpha_class[j])
+    Ebar[other] = Ebar[mirror].conj()
+    Cbar[:, other] = Cbar[:, mirror].conj()
 
-    return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=tuple(freq_shape),
+    return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
                          alpha_class=alpha_class, eta=eta, lam=lam)
 
 
 def compressions(Vt: np.ndarray, layer: SpectralLayer) -> np.ndarray:
-    """All class projections C_j(p) v_i(p), shape (k, F, C, m)."""
-    return layer.Cbar @ Vt
+    """All class projections C_j(p) v_i(p) on half spectra, shape (k, F_h, C, m)."""
+    return layer.Cbar[:, half_spectrum(layer.freq_shape)[0]] @ Vt
 
 
-def membership(CV: np.ndarray, lam: float) -> np.ndarray:
-    """Softmax membership from the Frobenius norms of the class projections.
+def membership(CV: np.ndarray, lam: float, weight: np.ndarray) -> np.ndarray:
+    """Softmax membership from the norms of the class projections.
 
-    CV has shape (k, F, C, m); the norm aggregates every frequency and
-    channel of a sample. Largest logit is subtracted before exp.
+    CV has shape (k, F_h, C, m); the norm aggregates every frequency of the
+    full spectrum, each half-spectrum slice weighted by ``weight`` (F_h,),
+    and every channel of a sample. Largest logit is subtracted before exp.
     """
-    norms = np.sqrt(np.sum(np.abs(CV) ** 2, axis=(1, 2)))  # (k, m)
+    norms = np.sqrt(weight @ np.sum(np.abs(CV) ** 2, axis=2))  # (k, m)
     logits = -lam * norms
     logits -= logits.max(axis=0, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=0, keepdims=True)
 
 
-def normalize_samples(Vt: np.ndarray) -> np.ndarray:
-    """Scale every sample (last axis) to unit Frobenius norm."""
-    norms = np.sqrt(np.sum(np.abs(Vt) ** 2, axis=tuple(range(Vt.ndim - 1))))
+def normalize_samples(Vt: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Scale every sample (last axis) to unit norm.
+
+    Without ``weight`` the norm is Frobenius over all other axes (signals).
+    For (F_h, C, m) half spectra, ``weight`` (F_h,) weights the frequency
+    axis so the norm is that of the full spectrum, i.e. of the signal.
+    """
+    sq = np.abs(Vt) ** 2
+    if weight is None:
+        norms = np.sqrt(np.sum(sq, axis=tuple(range(Vt.ndim - 1))))
+    else:
+        norms = np.sqrt(weight @ np.sum(sq, axis=1))
     if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be normalized")
     return Vt / norms
@@ -143,21 +186,25 @@ def normalize_samples(Vt: np.ndarray) -> np.ndarray:
 
 def update_batch(Vt: np.ndarray, layer: SpectralLayer,
                  pi: np.ndarray | None = None) -> np.ndarray:
-    """One spectral layer step on (F, C, m) features, then renormalize.
+    """One spectral layer step on (F_h, C, m) half spectra, then renormalize.
 
     With ``pi`` omitted the membership is estimated from the projections;
     passing a (k, m) array (e.g. the true one-hot labels) overrides it.
     """
-    EV = layer.Ebar @ Vt
+    weight = half_weights(layer.freq_shape)
     CV = compressions(Vt, layer)
     if pi is None:
-        pi = membership(CV, layer.lam)
-    sigma = np.einsum("jfcm,jm->fcm", CV, layer.gamma[:, None] * pi)
-    return normalize_samples(Vt + layer.eta * EV - layer.eta * sigma)
+        pi = membership(CV, layer.lam, weight)
+    step = np.eye(Vt.shape[1]) + layer.eta * layer.Ebar[half_spectrum(layer.freq_shape)[0]]
+    out = step @ Vt  # v + eta E v
+    coeff = layer.eta * layer.gamma[:, None] * pi
+    for j in range(CV.shape[0]):  # - eta sum_j gamma_j pi_j C_j v
+        out -= coeff[j] * CV[j]
+    return normalize_samples(out, weight)
 
 
-def _stack_logdet_sum(Vt: np.ndarray, coeff: float) -> float:
-    """sum_p logdet(I + coeff V(p) V(p)*) with one batched factorization."""
+def _stack_logdet_sum(Vt: np.ndarray, coeff: float, weight: np.ndarray) -> float:
+    """sum_p w_p logdet(I + coeff V(p) V(p)*) with one batched factorization."""
     G = Vt @ Vt.conj().transpose(0, 2, 1)
     G = 0.5 * (G + G.conj().transpose(0, 2, 1))
     A = np.eye(Vt.shape[1], dtype=np.complex128) + coeff * G
@@ -166,25 +213,27 @@ def _stack_logdet_sum(Vt: np.ndarray, coeff: float) -> float:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     diags = np.real(np.diagonal(L, axis1=-2, axis2=-1))
-    return float(2.0 * np.sum(np.log(diags)))
+    return float(2.0 * weight @ np.sum(np.log(diags), axis=-1))
 
 
-def spectral_components(Vt: np.ndarray, partition: Partition,
-                        eps: float) -> tuple[float, float, float]:
-    """Objective triple (reduction, expand, compress) from spectral features.
+def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
+                        freq_shape: tuple) -> tuple[float, float, float]:
+    """Objective triple (reduction, expand, compress) from (F_h, C, m) half spectra.
 
-    The frequency count F scales the per-frequency Grams (unitary spectra
-    vs dense eigenvalues) and divides the summed log-dets (the objective
-    is the dense rate per position).
+    The frequency count F = prod(freq_shape) scales the per-frequency
+    Grams (unitary spectra vs dense eigenvalues) and divides the summed
+    log-dets (the objective is the dense rate per position); the sums run
+    over the full spectrum through `half_weights`.
     """
-    F, C, m = Vt.shape
-    scale = float(F)
+    _, C, m = Vt.shape
+    scale = float(math.prod(freq_shape))
+    weight = half_weights(tuple(freq_shape))
     params = RateParams(eps)
-    R = _stack_logdet_sum(Vt, scale * params.alpha(C, m)) / (2.0 * scale)
+    R = _stack_logdet_sum(Vt, scale * params.alpha(C, m), weight) / (2.0 * scale)
     Rc = 0.0
     for j in range(partition.k):
         mask = partition.mask(j)
         aj = params.alpha_class(C, int(partition.counts[j]))
-        acc = _stack_logdet_sum(Vt[:, :, mask], scale * aj)
+        acc = _stack_logdet_sum(Vt[:, :, mask], scale * aj, weight)
         Rc += partition.gamma[j] * acc / (2.0 * scale)
     return R - Rc, R, Rc

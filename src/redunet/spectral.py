@@ -15,7 +15,16 @@ Conventions: stacks carry the sample axis last, (C, *G, m); the DFT is
 unitary (1/sqrt(F) scaling, negative exponent); frequencies and
 translations are flattened row-major (last group axis fastest), and
 `group_circulant(z)` places the translation by t in column t, e.g.
-[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]].
+[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. The public transforms
+(`dft`, `idft`) and `spectral_operators` use the full spectrum;
+`spectral_operators` rejects one that is not conjugate-symmetric, and
+`idft` and `layer_kernel` reject an inverse transform with more than
+rounding left in its imaginary part. Internally, construction, forward
+and the objective carry only the rfftn half spectrum of the last group
+axis, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies, weighted as the
+`_freq` docstring describes, and return to signals with `irfftn`, whose
+output is real by construction. A layer still stores the full (F, C, C)
+operator stacks.
 
 The rank-generic functions read the group rank off the stack (its number
 of axes minus two) or off the model. The 1-d and 2-d entry points
@@ -74,12 +83,13 @@ def _freq_major(V: np.ndarray) -> np.ndarray:
 
 
 def _spectra(Z: np.ndarray) -> np.ndarray:
-    """(F, C, m) unitary spectra of a real (C, *G, m) stack."""
-    return _freq_major(dft(Z, Z.ndim - 2))
+    """(F_h, C, m) unitary half spectra of a real (C, *G, m) stack."""
+    axes = tuple(range(1, Z.ndim - 1))
+    return _freq_major(np.fft.rfftn(Z, axes=axes) / np.sqrt(math.prod(Z.shape[1:-1])))
 
 
 def _input_spectra(x, shape: tuple, what: str = "input"):
-    """Spectra (F, C, b) of the normalized samples of one sample ``x`` of
+    """Half spectra (F_h, C, b) of the normalized samples of one sample ``x`` of
     ``shape`` = (C, *G) or a batch (C, *G, b), and whether it was one sample."""
     x = real_finite(x, what)
     single = x.ndim == len(shape)
@@ -90,8 +100,11 @@ def _input_spectra(x, shape: tuple, what: str = "input"):
 
 
 def _signals(Vt: np.ndarray, shape: tuple) -> np.ndarray:
-    """Real (C, *G, m) signals of (F, C, m) spectra, ``shape`` = (C, *G)."""
-    return idft(Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1]), len(shape) - 1)
+    """Real (C, *G, m) signals of (F_h, C, m) half spectra, ``shape`` = (C, *G)."""
+    G = shape[1:]
+    half = Vt.transpose(1, 0, 2).reshape(*shape[:-1], G[-1] // 2 + 1, Vt.shape[-1])
+    axes = tuple(range(1, len(shape)))
+    return np.fft.irfftn(half, s=G, axes=axes) * np.sqrt(math.prod(G))
 
 
 # ------------------------------------------------------- dense oracles
@@ -134,7 +147,7 @@ def group_rate_components(Zbar, partition: Partition, eps: float,
     Zbar = np.asarray(Zbar)
     F = math.prod(Zbar.shape[1:-1])
     if method == "fast":
-        return _freq.spectral_components(_spectra(Zbar), partition, eps)
+        return _freq.spectral_components(_spectra(Zbar), partition, eps, Zbar.shape[1:-1])
     if method == "dense":
         dR, R, Rc = rate_components(stacked_circulant(Zbar),
                                     augmented_partition(partition, F), eps)
@@ -160,8 +173,11 @@ def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
         raise ValueError("expected (C, *G, m) spectral features")
     if lam is None:
         lam = default_lambda(partition.k)
-    return _freq.build_layer(_freq_major(Vbar), partition, eps, eta=eta, lam=lam,
-                             freq_shape=Vbar.shape[1:-1])
+    G = Vbar.shape[1:-1]
+    Vt = _freq_major(Vbar)
+    _freq.check_conjugate_symmetry(Vt, G)
+    return _freq.build_layer(Vt[_freq.half_spectrum(G)[0]], partition, eps, eta=eta,
+                             lam=lam, freq_shape=G)
 
 
 def group_gradient(Zbar, partition: Partition, eps: float):
@@ -175,13 +191,14 @@ def group_gradient(Zbar, partition: Partition, eps: float):
     """
     Zbar = np.asarray(Zbar)
     shape = Zbar.shape[:-1]
-    V = dft(Zbar, Zbar.ndim - 2)
-    layer = spectral_operators(V, partition, eps)
-    Vt = _freq_major(V)
-    expand = _signals(layer.Ebar @ Vt, shape)
+    Vt = _spectra(Zbar)
+    layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
+                              freq_shape=shape[1:])
+    half = _freq.half_spectrum(shape[1:])[0]
+    expand = _signals(layer.Ebar[half] @ Vt, shape)
     compress = np.empty((partition.k,) + Zbar.shape)
     for j in range(partition.k):
-        Wj = layer.Cbar[j] @ Vt
+        Wj = layer.Cbar[j, half] @ Vt
         Wj[:, :, ~partition.mask(j)] = 0.0
         compress[j] = partition.gamma[j] * _signals(Wj, shape)
     return expand, compress
@@ -245,19 +262,19 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     Vc = None if carry is None else _input_spectra(carry, shape, "carry stack")[0]
 
     onehot = partition.onehot() if use_labels else None
-    trace = [_freq.spectral_components(Vt, partition, eps)]
+    G = shape[1:]
+    trace = [_freq.spectral_components(Vt, partition, eps, G)]
     layers = []
     for _ in range(int(L)):
-        layer = _freq.build_layer(Vt, partition, eps, eta=eta, lam=lam,
-                                  freq_shape=shape[1:])
+        layer = _freq.build_layer(Vt, partition, eps, eta=eta, lam=lam, freq_shape=G)
         Vt = _freq.update_batch(Vt, layer, pi=onehot)
         if Vc is not None:
             Vc = _freq.update_batch(Vc, layer)
-        trace.append(_freq.spectral_components(Vt, partition, eps))
+        trace.append(_freq.spectral_components(Vt, partition, eps, G))
         if keep_layers:
             layers.append(layer)
 
-    return SpectralReduNet(layers=layers, C=shape[0], freq_shape=shape[1:], k=partition.k,
+    return SpectralReduNet(layers=layers, C=shape[0], freq_shape=G, k=partition.k,
                            eps=eps, eta=eta, lam=lam, trace=np.array(trace),
                            gamma=partition.gamma.copy(), features=_signals(Vt, shape),
                            carry_features=None if Vc is None else _signals(Vc, shape))

@@ -9,8 +9,11 @@ considered correct when its fast paths agree with these.
 import numpy as np
 
 from redunet.classify import SubspaceModel, _flatten
-from redunet.errors import EmptyClass
+from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.experiments import ORTHO_COS, _flat
+from redunet.rate import NORM_FLOOR, RateParams
+from redunet.spectral import dft, idft, spectral_operators
+from redunet.vector import default_lambda
 
 
 def rng_for(seed):
@@ -158,3 +161,120 @@ def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
         cos = np.abs(_flat(np.roll(F_test, s, axis=1)).T @ flat_tr)
         hits += int((cos[cross] <= ORTHO_COS).sum())
     return hits / total
+
+
+# ------------------------------------- full-spectrum spectral layer loop
+#
+# The layer loop as it ran on the full fftn spectrum, every frequency
+# carried and updated, before the engine moved to the rfftn half. Layers
+# come from the public `spectral_operators`, which factors the same
+# (full, mirror-filled) stacks.
+
+def full_compressions(Vt, layer):
+    """All class projections C_j(p) v_i(p), shape (k, F, C, m)."""
+    return layer.Cbar @ Vt
+
+
+def full_membership(CV, lam):
+    """Softmax membership from the Frobenius norms of the class projections.
+
+    CV has shape (k, F, C, m); the norm aggregates every frequency and
+    channel of a sample. Largest logit is subtracted before exp.
+    """
+    norms = np.sqrt(np.sum(np.abs(CV) ** 2, axis=(1, 2)))  # (k, m)
+    logits = -lam * norms
+    logits -= logits.max(axis=0, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def full_normalize_samples(Vt):
+    """Scale every sample (last axis) to unit Frobenius norm."""
+    norms = np.sqrt(np.sum(np.abs(Vt) ** 2, axis=tuple(range(Vt.ndim - 1))))
+    if np.any(norms < NORM_FLOOR):
+        raise ZeroVector("zero-norm feature cannot be normalized")
+    return Vt / norms
+
+
+def full_update_batch(Vt, layer, pi=None):
+    """One spectral layer step on (F, C, m) features, then renormalize.
+
+    With ``pi`` omitted the membership is estimated from the projections;
+    passing a (k, m) array (e.g. the true one-hot labels) overrides it.
+    """
+    EV = layer.Ebar @ Vt
+    CV = full_compressions(Vt, layer)
+    if pi is None:
+        pi = full_membership(CV, layer.lam)
+    sigma = np.einsum("jfcm,jm->fcm", CV, layer.gamma[:, None] * pi)
+    return full_normalize_samples(Vt + layer.eta * EV - layer.eta * sigma)
+
+
+def _full_stack_logdet_sum(Vt, coeff):
+    """sum_p logdet(I + coeff V(p) V(p)*) with one batched factorization."""
+    G = Vt @ Vt.conj().transpose(0, 2, 1)
+    G = 0.5 * (G + G.conj().transpose(0, 2, 1))
+    A = np.eye(Vt.shape[1], dtype=np.complex128) + coeff * G
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    diags = np.real(np.diagonal(L, axis1=-2, axis2=-1))
+    return float(2.0 * np.sum(np.log(diags)))
+
+
+def full_spectral_components(Vt, partition, eps):
+    """Objective triple (reduction, expand, compress) from (F, C, m) spectra."""
+    F, C, m = Vt.shape
+    scale = float(F)
+    params = RateParams(eps)
+    R = _full_stack_logdet_sum(Vt, scale * params.alpha(C, m)) / (2.0 * scale)
+    Rc = 0.0
+    for j in range(partition.k):
+        mask = partition.mask(j)
+        aj = params.alpha_class(C, int(partition.counts[j]))
+        acc = _full_stack_logdet_sum(Vt[:, :, mask], scale * aj)
+        Rc += partition.gamma[j] * acc / (2.0 * scale)
+    return R - Rc, R, Rc
+
+
+def _full_spectra(Z):
+    """(F, C, m) unitary fftn spectra of a real (C, *G, m) stack."""
+    C, m = Z.shape[0], Z.shape[-1]
+    return dft(Z, Z.ndim - 2).reshape(C, -1, m).transpose(1, 0, 2)
+
+
+def _full_signals(Vt, shape):
+    """Real (C, *G, m) signals of (F, C, m) spectra."""
+    return idft(Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1]), len(shape) - 1)
+
+
+def full_spectrum_construct(Zbar, partition, L, eta, eps, lam=None, carry=None,
+                            use_labels=False):
+    """(layers, features, carry features, trace) of the full-spectrum loop."""
+    shape = Zbar.shape[:-1]
+    if lam is None:
+        lam = default_lambda(partition.k)
+    Vt = _full_spectra(full_normalize_samples(Zbar))
+    Vc = None if carry is None else _full_spectra(full_normalize_samples(carry))
+    onehot = partition.onehot() if use_labels else None
+    trace = [full_spectral_components(Vt, partition, eps)]
+    layers = []
+    for _ in range(int(L)):
+        Vbar = Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1])
+        layer = spectral_operators(Vbar, partition, eps, eta=eta, lam=lam)
+        Vt = full_update_batch(Vt, layer, pi=onehot)
+        if Vc is not None:
+            Vc = full_update_batch(Vc, layer)
+        trace.append(full_spectral_components(Vt, partition, eps))
+        layers.append(layer)
+    return (layers, _full_signals(Vt, shape),
+            None if Vc is None else _full_signals(Vc, shape), np.array(trace))
+
+
+def full_spectrum_forward(layers, shape, xbar):
+    """Map a (C, *G, b) batch through ``layers`` on the full spectrum."""
+    Vt = _full_spectra(full_normalize_samples(xbar))
+    for layer in layers:
+        Vt = full_update_batch(Vt, layer)
+    return _full_signals(Vt, shape)

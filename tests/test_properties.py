@@ -15,7 +15,8 @@ from redunet.rate import Partition
 from redunet.spectral import (SpectralReduNet, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
 
-from oracles import dft_matrix, labels_for, repeat_labels, roll_orthogonal_fraction
+from oracles import (dft_matrix, full_spectrum_construct, full_spectrum_forward, labels_for,
+                     repeat_labels, roll_orthogonal_fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,6 +70,34 @@ def test_forward_commutes_with_cyclic_translation(G, C, m, L, seed):
     axes = tuple(range(1, len(G) + 1))
     moved = forward(model, np.roll(x, t, axis=axes))
     assert np.max(np.abs(moved - np.roll(forward(model, x), t, axis=axes))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=groups, C=st.integers(1, 3), m=st.integers(2, 6), L=st.integers(0, 3),
+       use_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(G=(1,), C=2, m=3, L=2, use_labels=False, seed=0)
+@example(G=(2,), C=2, m=4, L=2, use_labels=True, seed=1)
+@example(G=(7,), C=3, m=5, L=3, use_labels=False, seed=2)
+@example(G=(6,), C=2, m=4, L=3, use_labels=True, seed=3)
+@example(G=(1, 1), C=2, m=3, L=2, use_labels=False, seed=4)
+@example(G=(1, 2), C=2, m=4, L=2, use_labels=True, seed=5)
+@example(G=(1, 5), C=2, m=4, L=2, use_labels=False, seed=6)
+@example(G=(1, 4), C=1, m=4, L=3, use_labels=True, seed=7)
+@example(G=(3, 4), C=2, m=5, L=2, use_labels=False, seed=8)
+@example(G=(4, 3), C=2, m=5, L=2, use_labels=True, seed=9)
+def test_half_spectrum_loop_equals_full_spectrum_oracle(G, C, m, L, use_labels, seed):
+    # the rfftn half spectrum with weighted frequency sums is the full
+    # spectrum loop, for the trained features, a carry and forward alike
+    rng, Zbar, P = random_stack(seed, C, G, m, 2)
+    carry = rng.standard_normal((C, *G, 3))
+    model = construct(Zbar, P, L, eta=0.3, eps=0.5, carry=carry, use_labels=use_labels)
+    layers, features, carried, trace = full_spectrum_construct(
+        Zbar, P, L, eta=0.3, eps=0.5, carry=carry, use_labels=use_labels)
+    assert np.max(np.abs(model.features - features)) < 1e-12
+    assert np.max(np.abs(model.carry_features - carried)) < 1e-12
+    assert np.max(np.abs(model.trace - trace)) < 1e-10
+    x = rng.standard_normal((C, *G, 4))
+    assert np.max(np.abs(forward(model, x) - full_spectrum_forward(layers, (C, *G), x))) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

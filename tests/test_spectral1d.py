@@ -334,7 +334,7 @@ def test_spectral_layer_update_single_matches_batch():
     Zbar, labels = sample_stack(21)
     P = Partition(labels)
     layer = spectral_operators(dft(frob_normalize(Zbar), 1), P, 0.5, eta=0.3)
-    Vt = dft(frob_normalize(Zbar), 1).transpose(1, 0, 2)
+    Vt = np.fft.rfft(frob_normalize(Zbar), axis=1, norm="ortho").transpose(1, 0, 2)
     out = _freq.update_batch(Vt, layer)
     for i in range(Zbar.shape[2]):
         single = _freq.update_batch(Vt[:, :, i:i + 1], layer)

@@ -3,17 +3,25 @@
 ``perfbench/spans.py`` replaces functions at the names their callers look
 up, and reports a name that no longer resolves as absent instead of
 failing. A rename in the package would therefore silently blind part of
-the traced split; this check fails on it at once.
+the traced split; this check fails on it at once. So does a layer loop
+that stops calling one of the traced per-frequency functions, whose
+per-layer numbers would otherwise read 0.
 """
 
 import importlib
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
 import spans  # noqa: E402
+
+from oracles import labels_for  # noqa: E402
+from redunet.rate import Partition  # noqa: E402
+from redunet.spectral import construct, forward  # noqa: E402
 
 
 def _current(target):
@@ -29,3 +37,17 @@ def test_every_trace_target_resolves_and_is_restored():
             assert _current(target) is not before[target.name], target.name
     for target in spans.TARGETS:
         assert _current(target) is before[target.name], target.name
+
+
+def test_layer_loop_calls_every_traced_frequency_function():
+    rng = np.random.default_rng(0)
+    Zbar = rng.standard_normal((2, 3, 4, 6))
+    P = Partition(labels_for(6, 2, rng))
+    carry = rng.standard_normal((2, 3, 4, 2))
+    with spans.Tracer() as tracer:
+        model = construct(Zbar, P, L=2, eta=0.3, eps=0.5, carry=carry)
+        forward(model, rng.standard_normal((2, 3, 4, 2)))
+    recorded = {span.name for span in tracer.spans}
+    wanted = [t.name for t in spans.TARGETS if t.name.startswith("freq.")]
+    assert wanted
+    assert [name for name in wanted if name not in recorded] == []
