@@ -15,8 +15,14 @@ translation) store Ebar (F*C*C complex) then Cbar (k*F*C*C complex) with
 F the full frequency count. The per-layer scalars (alpha, gamma, step
 size) are constant across a construction, so they are stored once in the
 header.
+
+Neither direction copies the operators. ``save_model`` streams each
+operator's own buffer to the file while the CRC runs over it;
+``load_model`` reads the file into one buffer, checks the CRC on a view,
+and hands out the operators as writable arrays viewing that buffer.
 """
 
+import os
 import struct
 import zlib
 
@@ -41,8 +47,9 @@ def _f64(*values) -> bytes:
     return struct.pack("<" + "d" * len(values), *(float(v) for v in values))
 
 
-def _bytes(arr, dtype="<f8") -> bytes:
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
+def _bytes(arr, dtype="<f8") -> np.ndarray:
+    """The bytes of ``arr`` as ``dtype``: a view when it already is one, no copy."""
+    return np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8)
 
 
 def _shared_layer_scalars(layers):
@@ -90,10 +97,13 @@ def save_model(model, path) -> str:
     for layer in model.layers:
         ops = (layer.E, layer.C) if kind == KIND_VECTOR else (layer.Ebar, layer.Cbar)
         parts.extend(_bytes(op, dtype) for op in ops)
-    body = b"".join(parts)
-    blob = MAGIC + body + _u32(zlib.crc32(body))
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC)
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(_u32(crc))
     return str(path)
 
 
@@ -121,7 +131,7 @@ class _Cursor:
         dtype = np.dtype(dtype)
         n = int(np.prod(shape, dtype=np.int64))
         out = np.frombuffer(self._take(dtype.itemsize * n), dtype=dtype)
-        return out.astype(dtype.newbyteorder("=")).reshape(shape)
+        return out.astype(dtype.newbyteorder("="), copy=False).reshape(shape)
 
 
 def load_model(path):
@@ -131,7 +141,8 @@ def load_model(path):
     CRC32 does not match (which covers truncation and corruption).
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
+        fh.readinto(buf)
     if len(buf) < len(MAGIC):
         raise ChecksumFailure(f"{path}: shorter than the archive magic")
     if buf[:len(MAGIC)] != MAGIC:
@@ -142,7 +153,7 @@ def load_model(path):
     if version != VERSION:
         raise VersionMismatch(f"{path}: archive version {version}, expected {VERSION}")
     stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
-    actual = zlib.crc32(buf[len(MAGIC):-4])
+    actual = zlib.crc32(buf[len(MAGIC):len(buf) - 4])
     if stored != actual:
         raise ChecksumFailure(f"{path}: CRC32 {actual:#010x} != stored {stored:#010x}")
 

@@ -183,6 +183,28 @@ def hermitian_inverse(A: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.conj().T)
 
 
+def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
+    """a (I_n + a Z Z*)^-1 for an (n, m) matrix Z, symmetrized.
+
+    When m < n the m x m side is factored instead, by the push-through
+    identity (the one ``_gram_logdet`` relies on):
+
+        a (I_n + a Z Z*)^-1 = a (I_n - a Z (I_m + a Z* Z)^-1 Z*),
+
+    so the work is one m x m Cholesky inverse and two products rather
+    than an n x n one. When m >= n the n x n side is inverted directly.
+    """
+    n, m = Z.shape
+    if m < n:
+        G = Z.conj().T @ Z
+        K = hermitian_inverse(np.eye(m) + a * 0.5 * (G + G.conj().T))
+        out = (-a * a) * ((Z @ K) @ Z.conj().T)
+        out[np.diag_indices(n)] += a
+        return 0.5 * (out + out.conj().T)
+    G = Z @ Z.conj().T
+    return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))
+
+
 def _gram_logdet(Z: np.ndarray, alpha: float) -> float:
     """logdet(I + alpha Z Z*) through whichever Gram side is smaller.
 

@@ -6,6 +6,12 @@ features Z at construction time:
     E   = alpha   (I + alpha   Z Z*)^-1        (expands the whole set)
     C_j = alpha_j (I + alpha_j Z Pi_j Z*)^-1   (compresses class j)
 
+Both are dense (n, n) matrices built by ``rate.regularized_inverse``, which
+factors the smaller Gram side: with fewer columns than dimensions (m < n,
+say 400 samples of 784-d digits, or one class of them) it inverts the
+m x m matrix K = I + alpha Z* Z and applies the push-through identity
+alpha (I - alpha Z K^-1 Z*); otherwise it inverts the n x n side directly.
+
 A layer moves a feature z along the rate-reduction ascent direction,
 steering the compression term by a softmax membership estimate, and
 projects back onto the unit sphere:
@@ -21,17 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, hermitian_inverse,
-                   rate_components, real_finite)
+from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, rate_components,
+                   real_finite, regularized_inverse)
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
     """E = alpha (I + alpha Z Z*)^-1 for the full feature set."""
     Z = as_matrix(Z)
     n, m = Z.shape
-    alpha = RateParams(eps).alpha(n, m)
-    G = Z @ Z.T
-    return alpha * hermitian_inverse(np.eye(n) + alpha * 0.5 * (G + G.T))
+    return regularized_inverse(Z, RateParams(eps).alpha(n, m))
 
 
 def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
@@ -44,9 +48,7 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
     C = np.empty((partition.k, n, n))
     for j in range(partition.k):
         Zj = Z[:, partition.mask(j)]
-        aj = params.alpha_class(n, int(partition.counts[j]))
-        G = Zj @ Zj.T
-        C[j] = aj * hermitian_inverse(np.eye(n) + aj * 0.5 * (G + G.T))
+        C[j] = regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))
     return C
 
 
@@ -108,19 +110,30 @@ def soft_membership(z: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
     cannot overflow.
     """
     single = z.ndim == 1
-    zb = z[:, None] if single else z
-    norms = np.linalg.norm(C @ zb, axis=1)  # (k, b)
-    logits = -lam * norms
-    logits -= logits.max(axis=0, keepdims=True)
-    w = np.exp(logits)
-    pi = w / w.sum(axis=0, keepdims=True)
+    pi = _membership(C @ (z[:, None] if single else z), lam)
     return pi[:, 0] if single else pi
 
 
-def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray) -> np.ndarray:
-    """One layer step for every column of Z with membership weights pi (k, b)."""
+def _membership(Cz: np.ndarray, lam: float) -> np.ndarray:
+    """(k, b) softmax_j(-lam ||C_j z||) from the (k, n, b) class projections."""
+    logits = -lam * np.linalg.norm(Cz, axis=1)
+    logits -= logits.max(axis=0, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray | None = None) -> np.ndarray:
+    """One layer step for every column of Z with membership weights pi (k, b).
+
+    With ``pi`` omitted the membership is estimated from the same class
+    projections C_j Z the step uses, so an estimated step costs k+1
+    operator products; passing a (k, b) array (e.g. the true one-hot
+    labels) overrides it.
+    """
     EZ = layer.E @ Z
     Cz = layer.C @ Z  # (k, n, b)
+    if pi is None:
+        pi = _membership(Cz, layer.lam)
     sigma = np.einsum("jnb,jb->nb", Cz, layer.gamma[:, None] * pi)
     return normalize_columns(Z + layer.eta * EZ - layer.eta * sigma)
 
@@ -167,10 +180,9 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
             eta=eta,
             lam=lam,
         )
-        pi = onehot if use_labels else soft_membership(Z, layer.C, lam)
-        Z = _update_batch(Z, layer, pi)
+        Z = _update_batch(Z, layer, onehot if use_labels else None)
         if Zc is not None:
-            Zc = _update_batch(Zc, layer, soft_membership(Zc, layer.C, lam))
+            Zc = _update_batch(Zc, layer)
         trace.append(rate_components(Z, partition, eps))
         if keep_layers:
             layers.append(layer)
@@ -191,5 +203,5 @@ def forward_vector(model: VectorReduNet, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     Z = normalize_columns(x[:, None] if single else x.copy())
     for layer in model.layers:
-        Z = _update_batch(Z, layer, soft_membership(Z, layer.C, layer.lam))
+        Z = _update_batch(Z, layer)
     return Z[:, 0] if single else Z

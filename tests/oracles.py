@@ -6,14 +6,18 @@ column with np.roll, entrywise central finite differences. The package is
 considered correct when its fast paths agree with these.
 """
 
+import struct
+import zlib
+
 import numpy as np
 
 from redunet.classify import SubspaceModel, _flatten
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
+from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
 from redunet.harness.experiments import ORTHO_COS, _flat
-from redunet.rate import NORM_FLOOR, RateParams
+from redunet.rate import NORM_FLOOR, RateParams, hermitian_inverse
 from redunet.spectral import dft, idft, spectral_operators
-from redunet.vector import default_lambda
+from redunet.vector import VectorReduNet, default_lambda
 
 
 def rng_for(seed):
@@ -64,6 +68,13 @@ def central_diff_grad(f, Z, h=1e-6):
         grad[idx] = (f(Zp) - f(Zm)) / (2 * h)
         it.iternext()
     return grad
+
+
+def dense_regularized_inverse(Z, a):
+    """a (I_n + a Z Z*)^-1 by a Cholesky inverse of the n x n side, whatever m is."""
+    n = Z.shape[0]
+    G = Z @ Z.conj().T
+    return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))
 
 
 # ----------------------------------------------- dense circulant algebra
@@ -278,3 +289,37 @@ def full_spectrum_forward(layers, shape, xbar):
     for layer in layers:
         Vt = full_update_batch(Vt, layer)
     return _full_signals(Vt, shape)
+
+
+# --------------------------------------------------------------- archive
+
+def joined_save_model(model):
+    """The archive bytes, assembled as one joined blob with a CRC over it."""
+    def u32(value):
+        return struct.pack("<I", int(value))
+
+    def raw(arr, dtype="<f8"):
+        return np.ascontiguousarray(arr, dtype=dtype).tobytes()
+
+    vector = isinstance(model, VectorReduNet)
+    kind, dims = ((KIND_VECTOR, (model.n,)) if vector
+                  else (len(model.freq_shape), (model.C, *model.freq_shape)))
+    trace = np.asarray(model.trace, dtype=np.float64)
+    if model.layers:
+        alpha, alpha_class = model.layers[0].alpha, model.layers[0].alpha_class
+    else:
+        alpha, alpha_class = 0.0, np.zeros(model.k)
+    parts = [u32(VERSION), u32(kind), u32(model.k), u32(len(model.layers)),
+             u32(trace.shape[0]), u32(len(dims))]
+    parts.extend(u32(d) for d in dims)
+    parts.append(struct.pack("<ddd", model.eps, model.eta, model.lam))
+    parts.append(raw(model.gamma))
+    parts.append(struct.pack("<d", alpha))
+    parts.append(raw(alpha_class))
+    parts.append(raw(trace))
+    dtype = "<f8" if vector else "<c16"
+    for layer in model.layers:
+        ops = (layer.E, layer.C) if vector else (layer.Ebar, layer.Cbar)
+        parts.extend(raw(op, dtype) for op in ops)
+    body = b"".join(parts)
+    return MAGIC + body + u32(zlib.crc32(body))

@@ -11,12 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
-from redunet.rate import Partition
+from redunet.rate import Partition, RateParams, regularized_inverse
 from redunet.spectral import (SpectralReduNet, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
+from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
+                            expansion_operator, normalize_columns, soft_membership)
 
-from oracles import (dft_matrix, full_spectrum_construct, full_spectrum_forward, labels_for,
-                     repeat_labels, roll_orthogonal_fraction)
+from oracles import (dense_regularized_inverse, dft_matrix, full_spectrum_construct,
+                     full_spectrum_forward, joined_save_model, labels_for, repeat_labels,
+                     roll_orthogonal_fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,3 +152,77 @@ def test_half_spectrum_operators_equal_dense_operators(G, C, m, seed):
             for c2 in range(C):
                 spectral[c * F:(c + 1) * F, c2 * F:(c2 + 1) * F] = np.diag(stack[:, c, c2])
         assert np.max(np.abs(blocks.conj().T @ spectral @ blocks - dense)) < 1e-9
+
+
+# ------------------------------------------------------ the vector network
+
+def assert_matches_dense(got, Z, a):
+    # the n x n route is the oracle's own; the m x m route matches it closely
+    want = dense_regularized_inverse(Z, a)
+    if Z.shape[1] >= Z.shape[0]:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 12), eps=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, m=1, eps=0.5, seed=0)
+@example(n=5, m=5, eps=0.3, seed=1)
+@example(n=3, m=8, eps=0.5, seed=2)
+def test_regularized_inverse_equals_dense_oracle(n, m, eps, seed):
+    Z = normalize_columns(np.random.default_rng(seed).standard_normal((n, m)))
+    a = RateParams(eps).alpha(n, m)
+    assert_matches_dense(regularized_inverse(Z, a), Z, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(2, 12), lone=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, m=5, lone=True, seed=0)
+@example(n=4, m=9, lone=True, seed=1)
+def test_vector_operators_equal_dense_oracle(n, m, lone, seed):
+    # lone: class 0 holds a single sample
+    rng = np.random.default_rng(seed)
+    Z = normalize_columns(rng.standard_normal((n, m)))
+    labels = np.array([0] + [1] * (m - 1)) if lone else labels_for(m, 2, rng)
+    P, params = Partition(labels), RateParams(0.5)
+    assert_matches_dense(expansion_operator(Z, 0.5), Z, params.alpha(n, m))
+    for j, Cj in enumerate(compression_operators(Z, P, 0.5)):
+        assert_matches_dense(Cj, Z[:, labels == j], params.alpha_class(n, int(P.counts[j])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(3, 10), b=st.integers(1, 6), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k, seed):
+    rng = np.random.default_rng(seed)
+    P = Partition(labels_for(m, k, rng))
+    layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
+    Z = normalize_columns(rng.standard_normal((n, b)))
+    estimated = _update_batch(Z, layer, soft_membership(Z, layer.C, layer.lam))
+    assert np.array_equal(_update_batch(Z, layer), estimated)
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=st.one_of(st.just(()), groups), C=st.integers(1, 3), m=st.integers(2, 5),
+       L=st.integers(0, 2), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(G=(), C=3, m=4, L=0, k=2, seed=0)
+@example(G=(), C=3, m=4, L=2, k=2, seed=1)
+@example(G=(5,), C=2, m=3, L=0, k=2, seed=2)
+@example(G=(2, 3), C=2, m=3, L=1, k=1, seed=3)
+def test_streamed_archive_equals_joined_blob_and_loads_writable(G, C, m, L, k, seed):
+    # G = () is the vector network on C-dimensional features
+    _, Zbar, P = random_stack(seed, C, G, m, k)
+    make = construct_vector_net if G == () else construct
+    model = make(Zbar, P, L, eta=0.3, eps=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(model, os.path.join(tmp, "m.rnet"))
+        with open(path, "rb") as fh:
+            assert fh.read() == joined_save_model(model)
+        back = load_model(path)
+    for layer in back.layers:
+        for op in vars(layer).values():
+            if isinstance(op, np.ndarray):
+                assert op.flags.writeable

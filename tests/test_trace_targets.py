@@ -4,8 +4,8 @@
 up, and reports a name that no longer resolves as absent instead of
 failing. A rename in the package would therefore silently blind part of
 the traced split; this check fails on it at once. So does a layer loop
-that stops calling one of the traced per-frequency functions, whose
-per-layer numbers would otherwise read 0.
+that stops calling one of the traced per-frequency or vector-layer
+functions, whose per-layer numbers would otherwise read 0.
 """
 
 import importlib
@@ -22,6 +22,7 @@ import spans  # noqa: E402
 from oracles import labels_for  # noqa: E402
 from redunet.rate import Partition  # noqa: E402
 from redunet.spectral import construct, forward  # noqa: E402
+from redunet.vector import construct_vector_net, forward_vector  # noqa: E402
 
 
 def _current(target):
@@ -50,4 +51,20 @@ def test_layer_loop_calls_every_traced_frequency_function():
     recorded = {span.name for span in tracer.spans}
     wanted = [t.name for t in spans.TARGETS if t.name.startswith("freq.")]
     assert wanted
+    assert [name for name in wanted if name not in recorded] == []
+
+
+def test_vector_loop_calls_every_traced_layer_function():
+    # vector.soft_membership is left out on purpose: the loop estimates the
+    # membership inside vector._update_batch, from the class projections
+    # the step computes anyway, so that metric reads 0 by design.
+    rng = np.random.default_rng(0)
+    P = Partition(labels_for(6, 2, rng))
+    with spans.Tracer() as tracer:
+        model = construct_vector_net(rng.standard_normal((4, 6)), P, L=2, eta=0.3, eps=0.5,
+                                     carry=rng.standard_normal((4, 2)))
+        forward_vector(model, rng.standard_normal((4, 3)))
+    recorded = {span.name for span in tracer.spans}
+    wanted = ["vector.expansion_operator", "vector.compression_operators",
+              "vector._update_batch", "rate.rate_components"]
     assert [name for name in wanted if name not in recorded] == []
