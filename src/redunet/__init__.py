@@ -25,12 +25,12 @@ from .spectral import (SpectralReduNet, construct_shift1d, construct_translation
                        kernel_extract_2d, shift_rate_components, shift_rate_reduction,
                        spectral_gradient, spectral_gradient_2d,
                        translation_rate_components, translation_rate_reduction)
-from .vector import VectorReduNet, construct_vector_net, forward_vector
+from .vector import construct_vector_net, forward_vector
 
 __all__ = [
     "ConfigError", "DataError", "FeatureMatrix", "FilterBank", "LabeledDataset",
     "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
-    "SubspaceModel", "VectorReduNet", "class_rate",
+    "SubspaceModel", "class_rate",
     "coding_rate", "construct_shift1d", "construct_translation2d",
     "construct_vector_net", "evaluate", "exit_code_for", "fit_subspaces",
     "forward_shift1d", "forward_translation2d", "forward_vector",

@@ -50,7 +50,8 @@ class SpectralLayer:
 
     ``Ebar`` has shape (F, C, C) and ``Cbar`` (k, F, C, C), where F is the
     number of frequencies (T in 1-d, H*W in 2-d, recorded in
-    ``freq_shape``): the full spectrum, mirrors included.
+    ``freq_shape``): the full spectrum, mirrors included. The vector network
+    (``freq_shape = ()``, F = 1) holds the real operators of that one frequency.
     """
 
     Ebar: np.ndarray

@@ -9,11 +9,12 @@ Layout, all little-endian:
     L layer payloads    (f64 reals; complex as interleaved real, imag)
     u32 CRC32 over everything between the magic and this field
 
-Layer payloads: the vector kind stores E (n*n) then the k class operators
-(k*n*n); the spectral kinds (dims C, T for shift, C, H, W for
-translation) store Ebar (F*C*C complex) then Cbar (k*F*C*C complex) with
-F the full frequency count. The per-layer scalars (alpha, gamma, step
-size) are constant across a construction, so they are stored once in the
+The kind is the group rank, the dims (C, *G): (n,) for vector, (C, T)
+for shift, (C, H, W) for translation. Every layer stores Ebar (F*C*C)
+then Cbar (k*F*C*C), F the full frequency count; complex, except for the
+vector kind, the trivial group, whose real F = 1 stacks are E (n*n) and
+the k class operators. The per-layer scalars (alpha, gamma, step size)
+are constant across a construction, so they are stored once in the
 header.
 
 Neither direction copies the operators. ``save_model`` streams each
@@ -22,6 +23,7 @@ operator's own buffer to the file while the CRC runs over it;
 and hands out the operators as writable arrays viewing that buffer.
 """
 
+import math
 import os
 import struct
 import zlib
@@ -30,7 +32,6 @@ import numpy as np
 
 from ..errors import BadMagic, ChecksumFailure, VersionMismatch
 from ..spectral import SpectralReduNet
-from ..vector import LayerParams, VectorReduNet
 from .. import _freq
 
 MAGIC = b"REDUNET1"
@@ -67,12 +68,9 @@ def _shared_layer_scalars(layers):
 
 def save_model(model, path) -> str:
     """Serialize a constructed network; returns the path written."""
-    if isinstance(model, VectorReduNet):
-        kind, dims = KIND_VECTOR, (model.n,)
-    elif isinstance(model, SpectralReduNet) and len(model.freq_shape) in (1, 2):
-        kind, dims = len(model.freq_shape), (model.C, *model.freq_shape)
-    else:
+    if not (isinstance(model, SpectralReduNet) and len(model.freq_shape) <= 2):
         raise TypeError(f"cannot archive a {type(model).__name__}")
+    kind, dims = len(model.freq_shape), (model.C, *model.freq_shape)
 
     k = model.k
     trace = np.asarray(model.trace, dtype=np.float64)
@@ -95,8 +93,7 @@ def save_model(model, path) -> str:
     parts.append(_bytes(trace))
     dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
-        ops = (layer.E, layer.C) if kind == KIND_VECTOR else (layer.Ebar, layer.Cbar)
-        parts.extend(_bytes(op, dtype) for op in ops)
+        parts.extend(_bytes(op, dtype) for op in (layer.Ebar, layer.Cbar))
     crc = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -129,7 +126,7 @@ class _Cursor:
     def array(self, shape, dtype="<f8") -> np.ndarray:
         """Little-endian ``dtype`` values as a native array of ``shape``."""
         dtype = np.dtype(dtype)
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)  # a Python int: a huge declared shape overruns, never wraps
         out = np.frombuffer(self._take(dtype.itemsize * n), dtype=dtype)
         return out.astype(dtype.newbyteorder("="), copy=False).reshape(shape)
 
@@ -163,36 +160,32 @@ def load_model(path):
     depth = cur.u32()
     trace_rows = cur.u32()
     ndim = cur.u32()
+    if kind not in (KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D):
+        raise ChecksumFailure(f"{path}: unknown model kind {kind}")
+    if ndim != kind + 1:  # the channel count (or n), then the group grid
+        raise ChecksumFailure(f"{path}: kind {kind} expects {kind + 1} dims, got {ndim}")
     dims = tuple(cur.u32() for _ in range(ndim))
+    if 0 in dims:  # every layer must take payload bytes, or `depth` alone sets the work
+        raise ChecksumFailure(f"{path}: zero dimension in {dims}")
     eps, eta, lam = (cur.f64() for _ in range(3))
     gamma = cur.array((k,))
     alpha = cur.f64()
     alpha_class = cur.array((k,))
     trace = cur.array((trace_rows, 3))
 
-    if kind not in (KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D):
-        raise ChecksumFailure(f"{path}: unknown model kind {kind}")
-    if ndim != kind + 1:  # the channel count (or n), then the group grid
-        raise ChecksumFailure(f"{path}: kind {kind} expects {kind + 1} dims, got {ndim}")
-
-    # the vector kind is the trivial group: no frequency axis, real operators
+    # the vector kind is the trivial group: one frequency, real operators
     C, freq_shape = dims[0], dims[1:]
-    vector = kind == KIND_VECTOR
-    grid = () if vector else (int(np.prod(freq_shape, dtype=np.int64)),)
-    dtype = "<f8" if vector else "<c16"
+    grid = (math.prod(freq_shape),)
+    dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     layers = []
     for _ in range(depth):
-        E = cur.array(grid + (C, C), dtype)
-        Cs = cur.array((k,) + grid + (C, C), dtype)
-        scalars = dict(gamma=gamma.copy(), alpha=alpha, alpha_class=alpha_class.copy(),
-                       eta=eta, lam=lam)
-        layers.append(LayerParams(E=E, C=Cs, **scalars) if vector else
-                      _freq.SpectralLayer(Ebar=E, Cbar=Cs, freq_shape=freq_shape, **scalars))
-    common = dict(layers=layers, k=k, eps=eps, eta=eta, lam=lam, trace=trace, gamma=gamma)
-    if vector:
-        model = VectorReduNet(n=C, **common)
-    else:
-        model = SpectralReduNet(C=C, freq_shape=freq_shape, **common)
+        Ebar = cur.array(grid + (C, C), dtype)
+        Cbar = cur.array((k,) + grid + (C, C), dtype)
+        layers.append(_freq.SpectralLayer(
+            Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape, gamma=gamma.copy(), alpha=alpha,
+            alpha_class=alpha_class.copy(), eta=eta, lam=lam))
+    model = SpectralReduNet(layers=layers, C=C, freq_shape=freq_shape, k=k, eps=eps,
+                            eta=eta, lam=lam, trace=trace, gamma=gamma)
     if cur.off != len(buf) - 4:
         raise ChecksumFailure(f"{path}: {len(buf) - 4 - cur.off} unread payload bytes")
     return model

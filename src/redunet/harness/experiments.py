@@ -15,6 +15,8 @@ re-propagating every shifted copy.
 """
 
 import os
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from ..lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsif
 from ..rate import Partition
 from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
                         forward_translation2d, layer_kernel)
-from ..vector import VectorReduNet, construct_vector_net, forward_vector
+from ..vector import construct_vector_net, forward_vector
 from .archive import load_model, save_model
 from .csvio import emit_csv
 
@@ -182,10 +184,14 @@ def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:
 def _prepare_custom(cfg) -> Prepared:
     if not cfg.data:
         raise ConfigError("custom-vector needs a data = path/to/arrays.npz entry")
-    try:
-        arrays = np.load(cfg.data)
+    try:  # read every array now, so a damaged member fails here too
+        with open(cfg.data, "rb") as fh:
+            arrays = np.load(fh)
+            arrays = dict(arrays) if isinstance(arrays, np.lib.npyio.NpzFile) else {}
     except FileNotFoundError:
         raise DataError(f"data file {cfg.data} does not exist") from None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"{cfg.data}: not a readable .npz archive: {exc}") from None
     for key in ("X", "labels"):
         if key not in arrays:
             raise DataError(f"{cfg.data}: missing array {key!r}")
@@ -224,23 +230,18 @@ def _prepare(cfg, want_aug: bool = True) -> Prepared:
 
 _CONSTRUCT = {"vector": construct_vector_net, "shift1d": construct_shift1d,
               "translation2d": construct_translation2d}
-_SPECTRAL_KIND = {1: "shift1d", 2: "translation2d"}  # by group rank
+_MODEL_KIND = ("vector", "shift1d", "translation2d")  # by group rank
 
 
 def _forward(model, X):
-    if isinstance(model, VectorReduNet):
-        return forward_vector(model, X)
-    if len(model.freq_shape) == 1:
-        return forward_shift1d(model, X)
-    return forward_translation2d(model, X)
+    # by group rank, looked up per call (perfbench's tracer rebinds these names)
+    forward = (forward_vector, forward_shift1d, forward_translation2d)[len(model.freq_shape)]
+    return forward(model, X)
 
 
 def _check_model_matches(model, prep: Prepared, archive_path):
     shape = prep.train.shape[:-1]
-    if isinstance(model, VectorReduNet):
-        kind, dims = "vector", (model.n,)
-    else:
-        kind, dims = _SPECTRAL_KIND[len(model.freq_shape)], (model.C, *model.freq_shape)
+    kind, dims = _MODEL_KIND[len(model.freq_shape)], (model.C, *model.freq_shape)
     if kind != prep.model_kind or dims != shape:
         raise ConfigError(
             f"{archive_path}: archive holds a {kind} model of shape {dims}, "
@@ -388,7 +389,7 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
 def export_kernels(archive_path, out_dir) -> list:
     """Write the layer-0 convolution kernels of a spectral archive as CSVs."""
     model = load_model(archive_path)
-    if isinstance(model, VectorReduNet):
+    if not model.freq_shape:
         raise ConfigError("vector archives store no convolution kernels")
     if not model.layers:
         raise DataError(f"{archive_path}: archive has no stored layers")

@@ -18,7 +18,6 @@ The objective maximized by the networks in this package is the difference
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import EmptyClass, NotPositiveDefinite, NumericalError, ZeroVector
 
@@ -147,6 +146,11 @@ class RateParams:
         return n / (count * self.eps**2)
 
 
+def default_lambda(k: int) -> float:
+    """Softmax sharpness default: scales with the number of classes."""
+    return 10.0 * k
+
+
 def logdet_psd(M) -> float:
     """log det of a symmetric (or Hermitian) positive definite matrix.
 
@@ -174,12 +178,13 @@ def logdet_psd(M) -> float:
 
 def hermitian_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a real symmetric or complex Hermitian positive definite
-    matrix via Cholesky, symmetrized."""
+    matrix via Cholesky, A^-1 = L^-* L^-1 for A = L L*, symmetrized."""
     try:
-        c = cho_factor(A, lower=True, check_finite=False)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    inv = cho_solve(c, np.eye(A.shape[0], dtype=A.dtype), check_finite=False)
+    Li = np.linalg.inv(L)
+    inv = Li.conj().T @ Li
     return 0.5 * (inv + inv.conj().T)
 
 

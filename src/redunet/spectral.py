@@ -39,8 +39,7 @@ import numpy as np
 
 from . import _freq
 from .errors import ImaginaryResidue
-from .rate import Partition, rate_components, real_finite
-from .vector import default_lambda
+from .rate import Partition, default_lambda, rate_components, real_finite
 
 IMAG_TOL = 1e-6
 
@@ -211,7 +210,8 @@ class SpectralReduNet:
     """Constructed invariant network and its construction trace.
 
     ``freq_shape`` is the group grid G; inputs and features are
-    (C, *freq_shape, m) stacks.
+    (C, *freq_shape, m) stacks; ``freq_shape = ()`` is the vector network's
+    trivial group, with real (1, C, C) and (k, 1, C, C) layer stacks.
     """
 
     layers: list

@@ -20,15 +20,20 @@ projects back onto the unit sphere:
 
 Training-label updates (pihat replaced by the true one-hot membership)
 reproduce the per-sample slices of the exact objective gradient.
-"""
 
-from dataclasses import dataclass
+This is the invariant construction over the trivial group, whose one
+frequency carries the whole real operators: the model is a
+`SpectralReduNet` with C = n and ``freq_shape = ()``, its layers real
+`SpectralLayer` stacks Ebar = E[None] (1, n, n) and Cbar = C[:, None].
+"""
 
 import numpy as np
 
+from ._freq import SpectralLayer
 from .errors import ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, rate_components,
-                   real_finite, regularized_inverse)
+from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, default_lambda,
+                   rate_components, real_finite, regularized_inverse)
+from .spectral import SpectralReduNet
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
@@ -50,49 +55,6 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
         Zj = Z[:, partition.mask(j)]
         C[j] = regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))
     return C
-
-
-@dataclass
-class LayerParams:
-    """Operators and scalars of one constructed layer."""
-
-    E: np.ndarray          # (n, n)
-    C: np.ndarray          # (k, n, n)
-    gamma: np.ndarray      # (k,)
-    alpha: float           # coefficient of E
-    alpha_class: np.ndarray  # (k,) coefficients of the C_j
-    eta: float
-    lam: float
-
-
-@dataclass
-class VectorReduNet:
-    """A constructed stack of layers plus its construction trace.
-
-    ``trace`` has one row per recorded state, ``(L+1, 3)``: the objective
-    triple (rate_reduction, coding_rate, class_rate) of the initial
-    normalized features followed by one row per layer.
-    """
-
-    layers: list
-    n: int
-    k: int
-    eps: float
-    eta: float
-    lam: float
-    trace: np.ndarray
-    gamma: np.ndarray
-    features: np.ndarray | None = None
-    carry_features: np.ndarray | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-
-def default_lambda(k: int) -> float:
-    """Softmax sharpness default: scales with the number of classes."""
-    return 10.0 * k
 
 
 def normalize_columns(Z: np.ndarray) -> np.ndarray:
@@ -122,7 +84,8 @@ def _membership(Cz: np.ndarray, lam: float) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray | None = None) -> np.ndarray:
+def _update_batch(Z: np.ndarray, layer: SpectralLayer,
+                  pi: np.ndarray | None = None) -> np.ndarray:
     """One layer step for every column of Z with membership weights pi (k, b).
 
     With ``pi`` omitted the membership is estimated from the same class
@@ -130,8 +93,8 @@ def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray | None = Non
     operator products; passing a (k, b) array (e.g. the true one-hot
     labels) overrides it.
     """
-    EZ = layer.E @ Z
-    Cz = layer.C @ Z  # (k, n, b)
+    EZ = layer.Ebar[0] @ Z
+    Cz = layer.Cbar[:, 0] @ Z  # (k, n, b)
     if pi is None:
         pi = _membership(Cz, layer.lam)
     sigma = np.einsum("jnb,jb->nb", Cz, layer.gamma[:, None] * pi)
@@ -140,7 +103,7 @@ def _update_batch(Z: np.ndarray, layer: LayerParams, pi: np.ndarray | None = Non
 
 def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,
                          lam: float | None = None, use_labels: bool = False,
-                         keep_layers: bool = True, carry=None) -> VectorReduNet:
+                         keep_layers: bool = True, carry=None) -> SpectralReduNet:
     """Build an L-layer network from labeled features.
 
     The input columns are normalized to the unit sphere, then each layer's
@@ -161,25 +124,21 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
     if lam is None:
         lam = default_lambda(partition.k)
     params = RateParams(eps)
+    alpha_class = np.array([params.alpha_class(n, int(c)) for c in partition.counts])
 
     Z = normalize_columns(X)
-    Zc = None
-    if carry is not None:
-        Zc = normalize_columns(real_finite(as_matrix(carry), "carry features"))
+    Zc = (None if carry is None
+          else normalize_columns(real_finite(as_matrix(carry), "carry features")))
 
     onehot = partition.onehot()
     trace = [rate_components(Z, partition, eps)]
     layers = []
     for _ in range(int(L)):
-        layer = LayerParams(
-            E=expansion_operator(Z, eps),
-            C=compression_operators(Z, partition, eps),
-            gamma=partition.gamma.copy(),
-            alpha=params.alpha(n, m),
-            alpha_class=np.array([params.alpha_class(n, int(c)) for c in partition.counts]),
-            eta=eta,
-            lam=lam,
-        )
+        layer = SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
+                              Cbar=compression_operators(Z, partition, eps)[:, None],
+                              freq_shape=(), gamma=partition.gamma.copy(),
+                              alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
+                              eta=eta, lam=lam)
         Z = _update_batch(Z, layer, onehot if use_labels else None)
         if Zc is not None:
             Zc = _update_batch(Zc, layer)
@@ -187,12 +146,12 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
         if keep_layers:
             layers.append(layer)
 
-    return VectorReduNet(layers=layers, n=n, k=partition.k, eps=eps, eta=eta,
-                         lam=lam, trace=np.array(trace), gamma=partition.gamma.copy(),
-                         features=Z, carry_features=Zc)
+    return SpectralReduNet(layers=layers, C=n, freq_shape=(), k=partition.k, eps=eps,
+                           eta=eta, lam=lam, trace=np.array(trace),
+                           gamma=partition.gamma.copy(), features=Z, carry_features=Zc)
 
 
-def forward_vector(model: VectorReduNet, x: np.ndarray) -> np.ndarray:
+def forward_vector(model: SpectralReduNet, x: np.ndarray) -> np.ndarray:
     """Map a raw input (n,) or batch (n, b) through the constructed layers.
 
     The input is normalized first, so a zero-layer model returns the

@@ -15,9 +15,8 @@ from redunet.classify import SubspaceModel, _flatten
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
 from redunet.harness.experiments import ORTHO_COS, _flat
-from redunet.rate import NORM_FLOOR, RateParams, hermitian_inverse
+from redunet.rate import NORM_FLOOR, RateParams, default_lambda, hermitian_inverse
 from redunet.spectral import dft, idft, spectral_operators
-from redunet.vector import VectorReduNet, default_lambda
 
 
 def rng_for(seed):
@@ -301,9 +300,7 @@ def joined_save_model(model):
     def raw(arr, dtype="<f8"):
         return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
-    vector = isinstance(model, VectorReduNet)
-    kind, dims = ((KIND_VECTOR, (model.n,)) if vector
-                  else (len(model.freq_shape), (model.C, *model.freq_shape)))
+    kind, dims = len(model.freq_shape), (model.C, *model.freq_shape)
     trace = np.asarray(model.trace, dtype=np.float64)
     if model.layers:
         alpha, alpha_class = model.layers[0].alpha, model.layers[0].alpha_class
@@ -317,9 +314,21 @@ def joined_save_model(model):
     parts.append(struct.pack("<d", alpha))
     parts.append(raw(alpha_class))
     parts.append(raw(trace))
-    dtype = "<f8" if vector else "<c16"
+    dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
-        ops = (layer.E, layer.C) if vector else (layer.Ebar, layer.Cbar)
-        parts.extend(raw(op, dtype) for op in ops)
+        parts.extend(raw(op, dtype) for op in (layer.Ebar, layer.Cbar))
     body = b"".join(parts)
+    return MAGIC + body + u32(zlib.crc32(body))
+
+
+def with_header(blob, kind, k, L, trace_rows, ndim, dims):
+    """A copy of archive ``blob`` whose header u32 fields are replaced, and
+    whose CRC is recomputed so only the decoder's own checks can reject it."""
+    def u32(value):
+        return struct.pack("<I", int(value))
+
+    old_ndim = struct.unpack_from("<I", blob, 28)[0]
+    tail = blob[32 + 4 * old_ndim:-4]  # from eps up to the CRC
+    body = b"".join([u32(VERSION), u32(kind), u32(k), u32(L), u32(trace_rows), u32(ndim),
+                     *(u32(d) for d in dims), tail])
     return MAGIC + body + u32(zlib.crc32(body))

@@ -38,14 +38,14 @@ def test_vector_roundtrip_bit_identical(tmp_path):
     model, _ = vector_model()
     path = save_model(model, tmp_path / "m.rnet")
     back = load_model(path)
-    assert back.n == model.n and back.k == model.k
+    assert back.C == model.C and back.k == model.k
     assert (back.eps, back.eta, back.lam) == (model.eps, model.eta, model.lam)
     assert np.array_equal(back.trace, model.trace)
     assert np.array_equal(back.gamma, model.gamma)
     assert len(back.layers) == len(model.layers)
     for got, want in zip(back.layers, model.layers):
-        assert np.array_equal(got.E, want.E)
-        assert np.array_equal(got.C, want.C)
+        assert np.array_equal(got.Ebar, want.Ebar)
+        assert np.array_equal(got.Cbar, want.Cbar)
         assert got.alpha == want.alpha
         assert np.array_equal(got.alpha_class, want.alpha_class)
 
@@ -146,3 +146,4 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
 def test_unarchivable_object_rejected(tmp_path):
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "m.rnet")
+

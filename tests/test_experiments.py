@@ -54,7 +54,7 @@ def test_archive_written_when_requested(tmp_path):
     out = tmp_path / "run"
     run_experiment(gauss_cfg(save_model="true"), out)
     model = load_model(out / "model.rnet")
-    assert model.depth == 15 and model.n == 2
+    assert model.depth == 15 and model.C == 2
 
 
 def test_rerun_with_same_seed_is_byte_identical(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from redunet.harness.cli import main
 from redunet.harness.csvio import read_csv
 
-from oracles import rng_for
+from oracles import rng_for, with_header
 
 
 def gauss_ini(tmp_path, **kw):
@@ -184,6 +184,35 @@ def test_bad_custom_vector_npz_exits_three_before_any_layer(tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _unreadable_npz(path, case):
+    if case == "text":
+        path.write_text("1 2 3\n4 5 6\n")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "not_zip":
+        path.write_bytes(b"PK\x03\x04" + bytes(64))
+    elif case == "bad_member_crc":  # a valid zip layout whose array bytes were damaged
+        with open(path, "wb") as fh:
+            np.savez(fh, X=np.ones((3, 8)), labels=np.repeat([0, 1], 4))
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\x93NUMPY") + 100
+        raw[at:at + 8] = b"\xff" * 8
+        path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("case", ["text", "empty", "not_zip", "bad_member_crc"])
+def test_unreadable_custom_vector_data_exits_three(tmp_path, capsys, case):
+    data = tmp_path / "x.txt"
+    _unreadable_npz(data, case)
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 2\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and str(data) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("signals1d", "lambda", "inf"), ("signals1d", "eps", "inf"),
     ("signals1d", "noise", "nan"), ("signals1d", "eta", "inf"),
@@ -242,6 +271,16 @@ def test_eval_wrong_kind_exits_two(tmp_path):
 def test_export_kernel_on_vector_archive_exits_two(tmp_path):
     _, archive = _constructed(tmp_path)
     assert main(["export-kernel", str(archive), "--out", str(tmp_path / "k")]) == 2
+
+
+def test_export_kernel_on_archive_with_overflowing_sizes_exits_three(tmp_path, capsys):
+    _, archive = _constructed(tmp_path)
+    top = 2**32 - 1  # kind 2, k = 1, L = 1, three dims whose products wrap in int64
+    archive.write_bytes(with_header(archive.read_bytes(), 2, 1, 1, 3, 3, [top] * 3))
+    rc = main(["export-kernel", str(archive), "--out", str(tmp_path / "k")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_export_kernel_writes_per_operator_files(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from redunet.errors import DataError
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, regularized_inverse
@@ -19,7 +20,7 @@ from redunet.vector import (_update_batch, compression_operators, construct_vect
 
 from oracles import (dense_regularized_inverse, dft_matrix, full_spectrum_construct,
                      full_spectrum_forward, joined_save_model, labels_for, repeat_labels,
-                     roll_orthogonal_fraction)
+                     roll_orthogonal_fraction, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,7 +202,7 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
     Z = normalize_columns(rng.standard_normal((n, b)))
-    estimated = _update_batch(Z, layer, soft_membership(Z, layer.C, layer.lam))
+    estimated = _update_batch(Z, layer, soft_membership(Z, layer.Cbar[:, 0], layer.lam))
     assert np.array_equal(_update_batch(Z, layer), estimated)
 
 
@@ -226,3 +227,33 @@ def test_streamed_archive_equals_joined_blob_and_loads_writable(G, C, m, L, k, s
         for op in vars(layer).values():
             if isinstance(op, np.ndarray):
                 assert op.flags.writeable
+
+
+# ------------------------------------------------------ archive headers
+
+U32_MAX = 2**32 - 1
+# small values reach the decoder's consistency checks, large ones its size arithmetic
+u32s = st.one_of(st.integers(0, 4), st.sampled_from([2**31, U32_MAX]),
+                 st.integers(0, U32_MAX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=u32s, k=u32s, L=u32s, trace_rows=u32s, ndim=u32s,
+       dims=st.lists(u32s, max_size=4))
+@example(kind=2, k=1, L=1, trace_rows=3, ndim=3, dims=[U32_MAX] * 3)  # sizes past int64
+@example(kind=1, k=2, L=U32_MAX, trace_rows=3, ndim=2, dims=[0, 8])  # empty layers, 2^32 of them
+def test_any_header_with_a_valid_crc_loads_or_raises_data_error(kind, k, L, trace_rows,
+                                                                ndim, dims):
+    rng = np.random.default_rng(0)
+    model = construct(rng.standard_normal((2, 8, 5)), Partition([0, 1, 0, 1, 0]), L=2,
+                      eta=0.3, eps=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(model, os.path.join(tmp, "m.rnet"))
+        with open(path, "rb") as fh:
+            blob = with_header(fh.read(), kind, k, L, trace_rows, ndim, dims)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_model(path)
+        except DataError:
+            pass

@@ -116,9 +116,9 @@ def test_nonlinear_compression_matches_manual_sum():
     P = Partition(labels_for(8, 2, rng))
     layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
     z = rng.standard_normal((4, 1))
-    pi = soft_membership(z, layer.C, layer.lam)
-    sigma = sum(layer.gamma[j] * pi[j] * (layer.C[j] @ z) for j in range(2))
-    raw = z + layer.eta * layer.E @ z - layer.eta * sigma
+    pi = soft_membership(z, layer.Cbar[:, 0], layer.lam)
+    sigma = sum(layer.gamma[j] * pi[j] * (layer.Cbar[j, 0] @ z) for j in range(2))
+    raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * sigma
     assert np.linalg.norm(_update_batch(z, layer, pi) - raw / np.linalg.norm(raw)) < 1e-12
 
 
@@ -195,10 +195,10 @@ def test_apply_layer_single_matches_batch():
     model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     batch = rng.standard_normal((4, 5))
-    out = _update_batch(batch, layer, soft_membership(batch, layer.C, layer.lam))
+    out = _update_batch(batch, layer, soft_membership(batch, layer.Cbar[:, 0], layer.lam))
     for i in range(5):
         col = batch[:, i:i + 1]
-        single = _update_batch(col, layer, soft_membership(col, layer.C, layer.lam))
+        single = _update_batch(col, layer, soft_membership(col, layer.Cbar[:, 0], layer.lam))
         assert np.linalg.norm(single[:, 0] - out[:, i]) < 1e-12
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0)
 
@@ -211,7 +211,7 @@ def test_apply_layer_hard_label_variant():
     layer = model.layers[0]
     z = rng.standard_normal((4, 1))
     out = _update_batch(z, layer, np.array([[0.0], [1.0]]))  # true label 1
-    raw = z + layer.eta * layer.E @ z - layer.eta * layer.gamma[1] * layer.C[1] @ z
+    raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * layer.gamma[1] * layer.Cbar[1, 0] @ z
     assert np.linalg.norm(out - raw / np.linalg.norm(raw)) < 1e-12
 
 
