@@ -183,9 +183,20 @@ def hermitian_inverse(A: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    Li = np.linalg.inv(L)
+    Li = _lower_inverse(L)
     inv = Li.conj().T @ Li
     return 0.5 * (inv + inv.conj().T)
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L by halves, [[L11, 0], [L21, L22]]^-1 =
+    [[P, 0], [-R L21 P, R]] with P = L11^-1, R = L22^-1: mostly matrix
+    products, down to blocks of 64 rows that LAPACK inverts at once."""
+    n, h = L.shape[0], L.shape[0] // 2
+    if n <= 64:
+        return np.linalg.inv(L)
+    P, R = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    return np.block([[P, np.zeros((h, n - h), dtype=P.dtype)], [-(R @ L[h:, :h]) @ P, R]])
 
 
 def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
@@ -196,7 +207,7 @@ def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
 
         a (I_n + a Z Z*)^-1 = a (I_n - a Z (I_m + a Z* Z)^-1 Z*),
 
-    so the work is one m x m Cholesky inverse and two products rather
+    so the work is one m x m Hermitian inverse and two products rather
     than an n x n one. When m >= n the n x n side is inverted directly.
     """
     n, m = Z.shape

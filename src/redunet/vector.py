@@ -33,7 +33,7 @@ from ._freq import SpectralLayer
 from .errors import ZeroVector
 from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, default_lambda,
                    rate_components, real_finite, regularized_inverse)
-from .spectral import SpectralReduNet
+from .spectral import SpectralReduNet, _of_rank
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
@@ -161,6 +161,6 @@ def forward_vector(model: SpectralReduNet, x: np.ndarray) -> np.ndarray:
     x = real_finite(x)
     single = x.ndim == 1
     Z = normalize_columns(x[:, None] if single else x.copy())
-    for layer in model.layers:
+    for layer in _of_rank(model, 0).layers:
         Z = _update_batch(Z, layer)
     return Z[:, 0] if single else Z

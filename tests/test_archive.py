@@ -146,4 +146,3 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
 def test_unarchivable_object_rejected(tmp_path):
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "m.rnet")
-

@@ -3,7 +3,7 @@ import pytest
 
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.rate import (FeatureMatrix, Partition, RateParams, class_rate,
-                          coding_rate, logdet_psd, rate_components,
+                          coding_rate, hermitian_inverse, logdet_psd, rate_components,
                           rate_gradient, rate_reduction)
 
 from oracles import central_diff_grad, labels_for, rng_for, slogdet_rate
@@ -25,6 +25,32 @@ def test_logdet_rejects_indefinite():
 def test_logdet_rejects_asymmetric():
     with pytest.raises(ValueError):
         logdet_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def _hermitian_pd(n, complex_, seed):
+    rng = rng_for(seed)
+    B = rng.standard_normal((n, n))
+    if complex_:
+        B = B + 1j * rng.standard_normal((n, n))
+    return np.eye(n) + B @ B.conj().T / n
+
+
+# 5 and 64 invert the Cholesky factor at once; 65, 200 and 333 by halves.
+@pytest.mark.parametrize("n, complex_", [(5, True), (64, False), (65, False),
+                                         (200, True), (333, False)])
+def test_hermitian_inverse_matches_solve(n, complex_):
+    A = _hermitian_pd(n, complex_, n)
+    got = hermitian_inverse(A)
+    want = np.linalg.solve(A, np.eye(n))
+    assert np.array_equal(got, got.conj().T)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_hermitian_inverse_rejects_indefinite():
+    A = _hermitian_pd(200, False, 7)
+    A[-1, -1] = -1.0
+    with pytest.raises(NotPositiveDefinite):
+        hermitian_inverse(A)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

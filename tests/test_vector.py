@@ -3,6 +3,7 @@ import pytest
 
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, RateParams, rate_gradient, rate_reduction
+from redunet.spectral import construct_shift1d
 from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
                             expansion_operator, forward_vector,
                             normalize_columns, soft_membership)
@@ -213,6 +214,14 @@ def test_apply_layer_hard_label_variant():
     out = _update_batch(z, layer, np.array([[0.0], [1.0]]))  # true label 1
     raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * layer.gamma[1] * layer.Cbar[1, 0] @ z
     assert np.linalg.norm(out - raw / np.linalg.norm(raw)) < 1e-12
+
+
+def test_forward_rejects_a_shift_model():
+    rng = rng_for(22)
+    P = Partition(labels_for(6, 2, rng))
+    model = construct_shift1d(rng.standard_normal((3, 4, 6)), P, L=1, eta=0.5, eps=0.5)
+    with pytest.raises(ValueError, match="0-d group"):
+        forward_vector(model, rng.standard_normal((3, 2)))
 
 
 def test_construct_rejects_zero_column():
