@@ -14,6 +14,8 @@ are exactly equivariant, so the features are rolled directly instead of
 re-propagating every shifted copy.
 """
 
+import ctypes
+import functools
 import os
 import zipfile
 import zlib
@@ -39,6 +41,29 @@ _MNIST_FILES = {"train_images": "train-images-idx3-ubyte",
                 "train_labels": "train-labels-idx1-ubyte",
                 "test_images": "t10k-images-idx3-ubyte",
                 "test_labels": "t10k-labels-idx1-ubyte"}
+
+
+try:  # glibc only; other allocators keep their own policy
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _releases_freed_heap(stage):
+    """Hand the C heap's free pages back to the OS once ``stage`` returns.
+
+    glibc trims its heap only from the top, so whether a dropped model's
+    operators stay resident depends on where one small survivor landed;
+    the next stage in the process would then peak higher in some runs.
+    """
+    @functools.wraps(stage)
+    def run(*args, **kwargs):
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+    return run
 
 
 class Prepared:
@@ -348,6 +373,7 @@ def _split_carry(carry_features, prep: Prepared):
     return carry_features[..., :m_test], carry_features[..., m_test:]
 
 
+@_releases_freed_heap
 def run_experiment(cfg, out_dir) -> dict:
     """Construct, evaluate, and write one experiment's artifacts.
 
@@ -369,6 +395,7 @@ def run_experiment(cfg, out_dir) -> dict:
     return dict(rows)
 
 
+@_releases_freed_heap
 def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict:
     """Re-evaluate an archived model on the experiment's data.
 

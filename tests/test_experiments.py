@@ -91,6 +91,20 @@ def test_eval_rejects_mismatched_archive(tmp_path):
         eval_experiment(cfg3, out / "model.rnet", tmp_path / "redo")
 
 
+def test_each_stage_releases_the_freed_heap_even_when_it_fails(tmp_path, monkeypatch):
+    trims = []
+    monkeypatch.setattr(experiments, "_malloc_trim", trims.append)
+    out = tmp_path / "run"
+    run_experiment(gauss_cfg(save_model="true", layers=2), out)
+    assert trims == [0]
+    cfg3 = load_config("gauss3d", None, {"m_per_class": "6", "m_test_per_class": "4"})
+    with pytest.raises(ConfigError):
+        eval_experiment(cfg3, out / "model.rnet", tmp_path / "redo")
+    assert trims == [0, 0]
+    assert (run_experiment.__name__, eval_experiment.__name__) == (
+        "run_experiment", "eval_experiment")
+
+
 # ------------------------------------------------------------- custom vector
 
 def test_custom_vector_npz(tmp_path):
