@@ -33,6 +33,20 @@ kernels do not depend on this layout. Nothing inside the loop checks
 conjugate symmetry, because the loop only ever sees rfftn output; a full
 spectrum that enters from outside (`spectral.spectral_operators`) is
 checked once by `check_conjugate_symmetry`.
+
+Sample blocks. The layer step does little arithmetic per value (C x C
+blocks, C a few channels), so its cost is memory traffic. `update_batch`
+therefore walks the sample axis in blocks of `_UPDATE_BLOCK_VALUES`
+complex values per (F_h, C, b) slab. Once per call it stacks the layer's
+half-spectrum operators into [I + eta E; C_1; ...; C_k], (k+1, F_h, C, C)
+(`step_operator`); each block then takes one batched product with that
+stack, which yields the step and all k class projections together,
+estimates the membership from them (or slices the given one), subtracts
+the weighted projections in place and writes the renormalized block into
+the preallocated output. A step thus holds its input, its output, one
+(k+1)-block product buffer and a few block-sized temporaries, whatever
+the number of samples, where computing every intermediate for all m
+samples at once held about k+4 arrays the size of the input.
 """
 
 import math
@@ -42,6 +56,8 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, ZeroVector
 from .rate import NORM_FLOOR, Partition, RateParams, hermitian_inverse
+
+_UPDATE_BLOCK_VALUES = 2**18  # complex values per (F_h, C, b) sample block: 4 MB
 
 
 @dataclass
@@ -149,27 +165,46 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
                          alpha_class=alpha_class, eta=eta, lam=lam)
 
 
-def compressions(Vt: np.ndarray, layer: SpectralLayer) -> np.ndarray:
-    """All class projections C_j(p) v_i(p) on half spectra, shape (k, F_h, C, m)."""
-    return layer.Cbar[:, half_spectrum(layer.freq_shape)[0]] @ Vt
+def step_operator(layer: SpectralLayer) -> np.ndarray:
+    """The layer's half-spectrum operators stacked for one product per block.
+
+    Returns the (k+1, F_h, C, C) stack [I + eta E; C_1; ...; C_k]: entry 0
+    of ``stack @ V`` is the step v + eta E v, entries 1..k the class
+    projections C_j v.
+    """
+    half = half_spectrum(layer.freq_shape)[0]
+    k, _, C, _ = layer.Cbar.shape
+    stack = np.empty((k + 1, half.size, C, C), dtype=np.complex128)
+    stack[0] = np.eye(C) + layer.eta * layer.Ebar[half]
+    stack[1:] = layer.Cbar[:, half]
+    return stack
+
+
+def compressions(V: np.ndarray, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``stack @ V`` into ``out`` for a (F_h, C, b) block and a `step_operator` stack.
+
+    The product, (k+1, F_h, C, b), holds the step and all class projections.
+    """
+    return np.matmul(stack, V, out=out)
 
 
 def membership(CV: np.ndarray, lam: float, weight: np.ndarray) -> np.ndarray:
     """Softmax membership from the norms of the class projections.
 
-    CV has shape (k, F_h, C, m); the norm aggregates every frequency of the
+    CV has shape (k, F_h, C, b); the norm aggregates every frequency of the
     full spectrum, each half-spectrum slice weighted by ``weight`` (F_h,),
     and every channel of a sample. Largest logit is subtracted before exp.
     """
-    norms = np.sqrt(weight @ np.sum(np.abs(CV) ** 2, axis=2))  # (k, m)
+    norms = np.sqrt(weight @ np.sum(np.abs(CV) ** 2, axis=2))  # (k, b)
     logits = -lam * norms
     logits -= logits.max(axis=0, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=0, keepdims=True)
 
 
-def normalize_samples(Vt: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
-    """Scale every sample (last axis) to unit norm.
+def normalize_samples(Vt: np.ndarray, weight: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Scale every sample (last axis) to unit norm, into ``out`` if given.
 
     Without ``weight`` the norm is Frobenius over all other axes (signals).
     For (F_h, C, m) half spectra, ``weight`` (F_h,) weights the frequency
@@ -182,7 +217,7 @@ def normalize_samples(Vt: np.ndarray, weight: np.ndarray | None = None) -> np.nd
         norms = np.sqrt(weight @ np.sum(sq, axis=1))
     if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be normalized")
-    return Vt / norms
+    return np.divide(Vt, norms, out=out)
 
 
 def update_batch(Vt: np.ndarray, layer: SpectralLayer,
@@ -191,17 +226,26 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
 
     With ``pi`` omitted the membership is estimated from the projections;
     passing a (k, m) array (e.g. the true one-hot labels) overrides it.
+    The samples are stepped in blocks of `_UPDATE_BLOCK_VALUES` values.
     """
+    F_h, C, m = Vt.shape
+    k = layer.Cbar.shape[0]
     weight = half_weights(layer.freq_shape)
-    CV = compressions(Vt, layer)
-    if pi is None:
-        pi = membership(CV, layer.lam, weight)
-    step = np.eye(Vt.shape[1]) + layer.eta * layer.Ebar[half_spectrum(layer.freq_shape)[0]]
-    out = step @ Vt  # v + eta E v
-    coeff = layer.eta * layer.gamma[:, None] * pi
-    for j in range(CV.shape[0]):  # - eta sum_j gamma_j pi_j C_j v
-        out -= coeff[j] * CV[j]
-    return normalize_samples(out, weight)
+    stack = step_operator(layer)
+    out = np.empty((F_h, C, m), dtype=np.complex128)
+    b = max(1, _UPDATE_BLOCK_VALUES // (F_h * C))
+    buf = np.empty((k + 1, F_h, C, min(b, m)), dtype=np.complex128)
+    for s in range(0, m, b):
+        block = slice(s, s + b)
+        prod = compressions(Vt[:, :, block], stack, buf[..., :min(b, m - s)])
+        step, CV = prod[0], prod[1:]  # v + eta E v, and every C_j v
+        p = membership(CV, layer.lam, weight) if pi is None else pi[:, block]
+        coeff = layer.eta * layer.gamma[:, None] * p
+        for j in range(k):  # - eta sum_j gamma_j pi_j C_j v
+            CV[j] *= coeff[j]
+            step -= CV[j]
+        normalize_samples(step, weight, out=out[:, :, block])
+    return out
 
 
 def _stack_logdet_sum(Vt: np.ndarray, coeff: float, weight: np.ndarray) -> float:

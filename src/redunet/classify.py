@@ -8,6 +8,7 @@ from .errors import EmptyClass, LengthMismatch, NumericalError
 from .rate import Partition
 
 ORTHONORMAL_TOL = 1e-10
+_SQUARE_BLOCK_VALUES = 2**18  # feature values squared at a time in `predict`: 2 MB
 
 
 def _flatten(Z) -> np.ndarray:
@@ -98,7 +99,17 @@ def predict(z, model: SubspaceModel):
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     Zf = z[:, None] if single else _flatten(z)
-    sq = np.sum(Zf**2, axis=0)
+    # the squared norms over column blocks, without an (n, m) square; numpy
+    # sums a block of two or more columns row by row, like the whole stack,
+    # but one lone column pairwise, so no block is left with one column
+    n, m = Zf.shape
+    sq = np.empty(m)
+    step = max(2, _SQUARE_BLOCK_VALUES // max(1, n))
+    s = 0
+    while s < m:
+        e = s + step if m - s - step > 1 else m
+        sq[s:e] = np.sum(Zf[:, s:e] ** 2, axis=0)
+        s = e
     residuals = np.empty((model.k, Zf.shape[1]))
     for j, U in enumerate(model.bases):
         proj = U.T @ Zf

@@ -315,8 +315,10 @@ def _orthogonal_fraction_all_shifts(F_test, test_labels, F_train, labels) -> flo
 
 def _fit_classifier(cfg, prep: Prepared, F_train):
     if prep.fit_rolls:
-        feats = np.concatenate([np.roll(F_train, s, axis=ax)
-                                for s, ax in prep.fit_rolls], axis=-1)
+        m = F_train.shape[-1]
+        feats = np.empty(F_train.shape[:-1] + (m * len(prep.fit_rolls),), F_train.dtype)
+        for i, (s, ax) in enumerate(prep.fit_rolls):
+            feats[..., i * m:(i + 1) * m] = np.roll(F_train, s, axis=ax)
         labels = np.tile(prep.labels, len(prep.fit_rolls))
     else:
         feats, labels = F_train, prep.labels

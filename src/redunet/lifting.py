@@ -54,16 +54,16 @@ def lift_1d(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Circular convolution of a signal against every kernel in the bank.
 
     Accepts (T,) or (T, m); returns (C, T) or (C, T, m). Kernels are
-    zero-embedded to length T and applied through the transform domain.
+    zero-embedded to length T and applied through the real transform.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("expected a (T,) signal or (T, m) batch")
     T = x.shape[0]
-    kf = np.fft.fft(np.stack([_embed(k, (T,)) for k in bank.filters]), axis=1)
-    xf = np.fft.fft(x, axis=0)
+    kf = np.fft.rfft(np.stack([_embed(k, (T,)) for k in bank.filters]), axis=1)
+    xf = np.fft.rfft(x, axis=0)
     prod = kf[:, :, None] * xf[None, :, :] if x.ndim == 2 else kf * xf[None, :]
-    return np.fft.ifft(prod, axis=1).real
+    return np.fft.irfft(prod, n=T, axis=1)
 
 
 def lift_2d(img: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -72,10 +72,10 @@ def lift_2d(img: np.ndarray, bank: FilterBank) -> np.ndarray:
     if img.ndim not in (2, 3):
         raise ValueError("expected an (H, W) image or (H, W, m) batch")
     H, W = img.shape[0], img.shape[1]
-    kf = np.fft.fft2(np.stack([_embed(k, (H, W)) for k in bank.filters]), axes=(1, 2))
-    xf = np.fft.fft2(img, axes=(0, 1))
+    kf = np.fft.rfft2(np.stack([_embed(k, (H, W)) for k in bank.filters]), axes=(1, 2))
+    xf = np.fft.rfft2(img, axes=(0, 1))
     prod = kf[:, :, :, None] * xf[None, :, :, :] if img.ndim == 3 else kf * xf[None, :, :]
-    return np.fft.ifft2(prod, axes=(1, 2)).real
+    return np.fft.irfft2(prod, s=(H, W), axes=(1, 2))
 
 
 def sparsify(zbar: np.ndarray, mode: str = "relu", threshold: float = 0.0) -> np.ndarray:

@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 
+from redunet._freq import half_spectrum, half_weights
 from redunet.classify import SubspaceModel, _flatten
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
@@ -288,6 +289,52 @@ def full_spectrum_forward(layers, shape, xbar):
     for layer in layers:
         Vt = full_update_batch(Vt, layer)
     return _full_signals(Vt, shape)
+
+
+# ------------------------------------ unblocked half-spectrum layer step
+#
+# The half-spectrum layer step as it ran before the engine walked the
+# samples in blocks: every intermediate built for all m samples at once,
+# the expansion and the class projections taken as separate products.
+
+def _half_compressions(Vt, layer):
+    """All class projections C_j(p) v_i(p) on half spectra, shape (k, F_h, C, m)."""
+    return layer.Cbar[:, half_spectrum(layer.freq_shape)[0]] @ Vt
+
+
+def _half_membership(CV, lam, weight):
+    """Softmax membership from the weighted norms of (k, F_h, C, m) projections."""
+    norms = np.sqrt(weight @ np.sum(np.abs(CV) ** 2, axis=2))  # (k, m)
+    logits = -lam * norms
+    logits -= logits.max(axis=0, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def _half_normalize_samples(Vt, weight):
+    """Scale every (F_h, C) sample to the unit norm of its full spectrum."""
+    norms = np.sqrt(weight @ np.sum(np.abs(Vt) ** 2, axis=1))
+    if np.any(norms < NORM_FLOOR):
+        raise ZeroVector("zero-norm feature cannot be normalized")
+    return Vt / norms
+
+
+def unblocked_update_batch(Vt, layer, pi=None):
+    """One spectral layer step on (F_h, C, m) half spectra, then renormalize.
+
+    With ``pi`` omitted the membership is estimated from the projections;
+    passing a (k, m) array (e.g. the true one-hot labels) overrides it.
+    """
+    weight = half_weights(layer.freq_shape)
+    CV = _half_compressions(Vt, layer)
+    if pi is None:
+        pi = _half_membership(CV, layer.lam, weight)
+    step = np.eye(Vt.shape[1]) + layer.eta * layer.Ebar[half_spectrum(layer.freq_shape)[0]]
+    out = step @ Vt  # v + eta E v
+    coeff = layer.eta * layer.gamma[:, None] * pi
+    for j in range(CV.shape[0]):  # - eta sum_j gamma_j pi_j C_j v
+        out -= coeff[j] * CV[j]
+    return _half_normalize_samples(out, weight)
 
 
 # --------------------------------------------------------------- archive

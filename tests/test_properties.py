@@ -9,18 +9,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from redunet import _freq
 from redunet.errors import DataError
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, regularized_inverse
-from redunet.spectral import (SpectralReduNet, construct, dft, forward,
+from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
 from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
                             expansion_operator, normalize_columns, soft_membership)
 
 from oracles import (dense_regularized_inverse, dft_matrix, full_spectrum_construct,
                      full_spectrum_forward, joined_save_model, labels_for, repeat_labels,
-                     roll_orthogonal_fraction, with_header)
+                     roll_orthogonal_fraction, unblocked_update_batch, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,6 +103,32 @@ def test_half_spectrum_loop_equals_full_spectrum_oracle(G, C, m, L, use_labels, 
     assert np.max(np.abs(model.trace - trace)) < 1e-10
     x = rng.standard_normal((C, *G, 4))
     assert np.max(np.abs(forward(model, x) - full_spectrum_forward(layers, (C, *G), x))) < 1e-12
+
+
+# sample counts around a block of b samples: one, a block minus one, one
+# block, one past it, two blocks and three
+BLOCK_EDGES = {"one": lambda b: 1, "short": lambda b: max(b - 1, 1), "exact": lambda b: b,
+               "past": lambda b: b + 1, "two_plus_three": lambda b: 2 * b + 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(G=groups, C=st.integers(1, 3), b=st.integers(1, 5),
+       edge=st.sampled_from(sorted(BLOCK_EDGES)), k=st.integers(1, 3), labelled=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=(7,), C=2, b=3, edge="two_plus_three", k=2, labelled=False, seed=0)
+@example(G=(3, 4), C=3, b=4, edge="past", k=3, labelled=True, seed=1)
+@example(G=(1, 1), C=1, b=1, edge="one", k=1, labelled=False, seed=2)
+def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, labelled, seed):
+    rng, Zbar, P = random_stack(seed, C, G, 6, k)
+    layer = _freq.build_layer(_spectra(_freq.normalize_samples(Zbar)), P, 0.5, eta=0.3,
+                              lam=10.0, freq_shape=G)
+    m = BLOCK_EDGES[edge](b)
+    Vt = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, m))))
+    pi = rng.dirichlet(np.ones(k), size=m).T if labelled else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * Vt.shape[0] * C)
+        got = _freq.update_batch(Vt, layer, pi)
+    assert np.max(np.abs(got - unblocked_update_batch(Vt, layer, pi))) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

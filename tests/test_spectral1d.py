@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,45 @@ def test_spectral_layer_update_single_matches_batch():
     for i in range(Zbar.shape[2]):
         single = _freq.update_batch(Vt[:, :, i:i + 1], layer)
         assert np.max(np.abs(single[:, :, 0] - out[:, :, i])) < 1e-12
+
+
+def half_spectra(Zbar):
+    return np.fft.rfft(frob_normalize(Zbar), axis=1, norm="ortho").transpose(1, 0, 2)
+
+
+def block_case(seed, T, m, k=2):
+    """A layer factored from 6 samples and the half spectra of m more, (C=2, T)."""
+    Zbar, labels = sample_stack(seed, T=T, m=6, k=k)
+    layer = _freq.build_layer(half_spectra(Zbar), Partition(labels), 0.5, eta=0.3,
+                              lam=10.0, freq_shape=(T,))
+    return layer, half_spectra(rng_for(seed + 1).standard_normal((2, T, m)))
+
+
+def test_update_rejects_zero_sample_in_last_block(monkeypatch):
+    layer, Vt = block_case(24, T=8, m=2 * 3 + 3)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", 3 * Vt.shape[0] * Vt.shape[1])
+    _freq.update_batch(Vt, layer)
+    Vt[:, :, -1] = 0.0
+    with pytest.raises(ZeroVector):
+        _freq.update_batch(Vt, layer)
+
+
+def test_update_memory_is_bounded_by_blocks(monkeypatch):
+    # one step holds its output and a few blocks, whatever m is: the stacked
+    # product (k+1 blocks) and at most three blocks of squares and norms,
+    # where the unblocked step held about (k+4) arrays the size of its input
+    b, blocks, k = 256, 16, 2
+    layer, Vt = block_case(25, T=64, m=blocks * b, k=k)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * Vt.shape[0] * Vt.shape[1])
+    block_bytes = Vt.nbytes // blocks
+    for pi in (None, np.full((k, Vt.shape[2]), 1.0 / k)):
+        tracemalloc.start()
+        try:
+            out = _freq.update_batch(Vt, layer, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= (k + 4) * block_bytes
 
 
 def test_construct_rejects_zero_sample():
