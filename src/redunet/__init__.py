@@ -18,8 +18,8 @@ from .datasets import (LabeledDataset, gaussian_sphere, load_mnist,
 from .errors import (ConfigError, DataError, NumericalError, RedunetError,
                      exit_code_for)
 from .lifting import FilterBank, lift_1d, lift_2d, polar_transform, random_filters, sparsify
-from .rate import (FeatureMatrix, Partition, RateParams, class_rate, coding_rate,
-                   rate_components, rate_gradient, rate_reduction)
+from .rate import (Partition, RateParams, class_rate, coding_rate, rate_components,
+                   rate_gradient, rate_reduction)
 from .spectral import (SpectralReduNet, construct_shift1d, construct_translation2d,
                        forward_shift1d, forward_translation2d, kernel_extract,
                        kernel_extract_2d, shift_rate_components, shift_rate_reduction,
@@ -28,7 +28,7 @@ from .spectral import (SpectralReduNet, construct_shift1d, construct_translation
 from .vector import construct_vector_net, forward_vector
 
 __all__ = [
-    "ConfigError", "DataError", "FeatureMatrix", "FilterBank", "LabeledDataset",
+    "ConfigError", "DataError", "FilterBank", "LabeledDataset",
     "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
     "SubspaceModel", "class_rate",
     "coding_rate", "construct_shift1d", "construct_translation2d",

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, ZeroVector
-from .rate import NORM_FLOOR, Partition, RateParams, hermitian_inverse
+from .errors import ZeroVector
+from .rate import NORM_FLOOR, Partition, RateParams, gram_logdet, hermitian_inverse
 
 _UPDATE_BLOCK_VALUES = 2**18  # complex values per (F_h, C, b) sample block: 4 MB
 
@@ -188,15 +188,15 @@ def compressions(V: np.ndarray, stack: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.matmul(stack, V, out=out)
 
 
-def membership(CV: np.ndarray, lam: float, weight: np.ndarray) -> np.ndarray:
+def membership(CV: np.ndarray, lam: float, weight: np.ndarray | None = None) -> np.ndarray:
     """Softmax membership from the norms of the class projections.
 
-    CV has shape (k, F_h, C, b); the norm aggregates every frequency of the
-    full spectrum, each half-spectrum slice weighted by ``weight`` (F_h,),
-    and every channel of a sample. Largest logit is subtracted before exp.
+    CV has shape (k, ..., b): class, the axes of one sample, sample. The
+    norm aggregates every axis of a sample; for (k, F_h, C, b) half
+    spectra, ``weight`` (F_h,) weights the frequency axis so that the norm
+    is that of the full spectrum. Largest logit is subtracted before exp.
     """
-    norms = np.sqrt(weight @ np.sum(np.abs(CV) ** 2, axis=2))  # (k, b)
-    logits = -lam * norms
+    logits = -lam * np.sqrt(_squared_norms(CV, weight, first=1))  # (k, b)
     logits -= logits.max(axis=0, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=0, keepdims=True)
@@ -206,18 +206,25 @@ def normalize_samples(Vt: np.ndarray, weight: np.ndarray | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Scale every sample (last axis) to unit norm, into ``out`` if given.
 
-    Without ``weight`` the norm is Frobenius over all other axes (signals).
-    For (F_h, C, m) half spectra, ``weight`` (F_h,) weights the frequency
-    axis so the norm is that of the full spectrum, i.e. of the signal.
+    Without ``weight`` the norm is Frobenius over all other axes (signals,
+    vector features). For (F_h, C, m) half spectra, ``weight`` (F_h,)
+    weights the frequency axis so the norm is that of the full spectrum,
+    i.e. of the signal.
     """
-    sq = np.abs(Vt) ** 2
-    if weight is None:
-        norms = np.sqrt(np.sum(sq, axis=tuple(range(Vt.ndim - 1))))
-    else:
-        norms = np.sqrt(weight @ np.sum(sq, axis=1))
+    norms = np.sqrt(_squared_norms(Vt, weight, first=0))
     if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be normalized")
     return np.divide(Vt, norms, out=out)
+
+
+def _squared_norms(V: np.ndarray, weight: np.ndarray | None, first: int) -> np.ndarray:
+    """Squared sample norms over axes ``first``..-2 of V, axis ``first``
+    weighted if ``weight`` is given; squared in place, one temporary."""
+    sq = np.abs(V)
+    sq *= sq
+    if weight is None:
+        return np.sum(sq, axis=tuple(range(first, V.ndim - 1)))
+    return weight @ np.sum(sq, axis=first + 1)
 
 
 def update_batch(Vt: np.ndarray, layer: SpectralLayer,
@@ -248,19 +255,6 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     return out
 
 
-def _stack_logdet_sum(Vt: np.ndarray, coeff: float, weight: np.ndarray) -> float:
-    """sum_p w_p logdet(I + coeff V(p) V(p)*) with one batched factorization."""
-    G = Vt @ Vt.conj().transpose(0, 2, 1)
-    G = 0.5 * (G + G.conj().transpose(0, 2, 1))
-    A = np.eye(Vt.shape[1], dtype=np.complex128) + coeff * G
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    diags = np.real(np.diagonal(L, axis1=-2, axis2=-1))
-    return float(2.0 * weight @ np.sum(np.log(diags), axis=-1))
-
-
 def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
                         freq_shape: tuple) -> tuple[float, float, float]:
     """Objective triple (reduction, expand, compress) from (F_h, C, m) half spectra.
@@ -274,11 +268,11 @@ def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
     scale = float(math.prod(freq_shape))
     weight = half_weights(tuple(freq_shape))
     params = RateParams(eps)
-    R = _stack_logdet_sum(Vt, scale * params.alpha(C, m), weight) / (2.0 * scale)
+    R = gram_logdet(Vt, scale * params.alpha(C, m), weight) / (2.0 * scale)
     Rc = 0.0
     for j in range(partition.k):
         mask = partition.mask(j)
         aj = params.alpha_class(C, int(partition.counts[j]))
-        acc = _stack_logdet_sum(Vt[:, :, mask], scale * aj, weight)
+        acc = gram_logdet(Vt[:, :, mask], scale * aj, weight)
         Rc += partition.gamma[j] * acc / (2.0 * scale)
     return R - Rc, R, Rc

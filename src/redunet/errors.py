@@ -39,6 +39,10 @@ class ChecksumFailure(DataError):
     """A model archive's trailing checksum does not match its content."""
 
 
+class BadArchiveValue(DataError):
+    """A model archive's header holds a value outside its domain."""
+
+
 class NumericalError(RedunetError):
     """A numerical precondition was violated."""
 

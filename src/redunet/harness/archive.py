@@ -30,7 +30,7 @@ import zlib
 
 import numpy as np
 
-from ..errors import BadMagic, ChecksumFailure, VersionMismatch
+from ..errors import BadArchiveValue, BadMagic, ChecksumFailure, VersionMismatch
 from ..spectral import SpectralReduNet
 from .. import _freq
 
@@ -134,8 +134,9 @@ class _Cursor:
 def load_model(path):
     """Read an archive back into the matching model type.
 
-    Rejects wrong magic, unknown versions, and any payload whose trailing
-    CRC32 does not match (which covers truncation and corruption).
+    Rejects wrong magic, unknown versions, a trailing CRC32 mismatch
+    (truncation, corruption) and header values out of their domain. The
+    operator payloads go unscanned: that would be a pass over every layer.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -172,6 +173,13 @@ def load_model(path):
     alpha = cur.f64()
     alpha_class = cur.array((k,))
     trace = cur.array((trace_rows, 3))
+    for name, value in (("eps", eps), ("eta", eta), ("lam", lam), ("gamma", gamma),
+                        ("alpha", alpha), ("alpha_class", alpha_class), ("trace", trace)):
+        if not np.isfinite(value).all():
+            raise BadArchiveValue(f"{path}: non-finite {name} in the header")
+    if min(eps, eta, lam) <= 0:
+        raise BadArchiveValue(f"{path}: eps, eta and lam must be positive, "
+                              f"got {eps}, {eta}, {lam}")
 
     # the vector kind is the trivial group: one frequency, real operators
     C, freq_shape = dims[0], dims[1:]

@@ -42,28 +42,31 @@ def random_filters(C: int, size, seed: int) -> FilterBank:
     return FilterBank(filters=filters / norms, seed=seed, kind="random-gaussian")
 
 
-def _embed(kernel: np.ndarray, shape: tuple) -> np.ndarray:
-    if any(k > s for k, s in zip(kernel.shape, shape)):
-        raise ValueError(f"kernel {kernel.shape} does not fit into {shape}")
-    out = np.zeros(shape)
-    out[tuple(slice(0, k) for k in kernel.shape)] = kernel
-    return out
+def _circular(x: np.ndarray, bank: FilterBank, rank: int) -> np.ndarray:
+    """Circular convolution over the first ``rank`` axes of x (*G[, m]) with
+    every kernel of the bank, zero-embedded to G, through the real
+    transform; returns (C, *G[, m])."""
+    G, size = x.shape[:rank], bank.filters.shape[1:]
+    if any(k > g for k, g in zip(size, G)):
+        raise ValueError(f"kernel {size} does not fit into {G}")
+    kernels = np.zeros((bank.channels, *G))
+    kernels[(slice(None), *(slice(0, k) for k in size))] = bank.filters
+    axes = tuple(range(1, rank + 1))
+    kf = np.fft.rfftn(kernels, axes=axes)
+    xf = np.fft.rfftn(x, axes=tuple(range(rank)))
+    prod = kf[..., None] * xf[None] if x.ndim > rank else kf * xf[None]
+    return np.fft.irfftn(prod, s=G, axes=axes)
 
 
 def lift_1d(x: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Circular convolution of a signal against every kernel in the bank.
 
-    Accepts (T,) or (T, m); returns (C, T) or (C, T, m). Kernels are
-    zero-embedded to length T and applied through the real transform.
+    Accepts (T,) or (T, m); returns (C, T) or (C, T, m).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("expected a (T,) signal or (T, m) batch")
-    T = x.shape[0]
-    kf = np.fft.rfft(np.stack([_embed(k, (T,)) for k in bank.filters]), axis=1)
-    xf = np.fft.rfft(x, axis=0)
-    prod = kf[:, :, None] * xf[None, :, :] if x.ndim == 2 else kf * xf[None, :]
-    return np.fft.irfft(prod, n=T, axis=1)
+    return _circular(x, bank, 1)
 
 
 def lift_2d(img: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -71,11 +74,7 @@ def lift_2d(img: np.ndarray, bank: FilterBank) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ValueError("expected an (H, W) image or (H, W, m) batch")
-    H, W = img.shape[0], img.shape[1]
-    kf = np.fft.rfft2(np.stack([_embed(k, (H, W)) for k in bank.filters]), axes=(1, 2))
-    xf = np.fft.rfft2(img, axes=(0, 1))
-    prod = kf[:, :, :, None] * xf[None, :, :, :] if img.ndim == 3 else kf * xf[None, :, :]
-    return np.fft.irfft2(prod, s=(H, W), axes=(1, 2))
+    return _circular(img, bank, 2)
 
 
 def sparsify(zbar: np.ndarray, mode: str = "relu", threshold: float = 0.0) -> np.ndarray:

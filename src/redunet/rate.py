@@ -13,16 +13,16 @@ with ``tr(Pi_j) = m_j`` samples in class j, is
 
 The objective maximized by the networks in this package is the difference
 ``rate_reduction = R - Rc``. All logarithms are natural (rates in nats).
+Every log-det, of a vector feature set here or of the per-frequency stack
+of a spectral one (``_freq``), is one call of the kernel `gram_logdet`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, NotPositiveDefinite, NumericalError, ZeroVector
+from .errors import EmptyClass, NotPositiveDefinite, NumericalError
 
-# Relative tolerance for the Hermitian precondition of logdet_psd.
-HERMITIAN_TOL = 1e-10
 # Norm below which a feature counts as zero and cannot be normalized.
 NORM_FLOOR = 1e-12
 
@@ -44,44 +44,11 @@ def real_finite(X, what: str = "input") -> np.ndarray:
 
 
 def as_matrix(Z) -> np.ndarray:
-    """Accept a FeatureMatrix or a plain 2-d array, return the array."""
-    data = getattr(Z, "data", Z)
-    arr = np.asarray(data)
+    """``Z`` as an array, which must be a 2-d feature matrix."""
+    arr = np.asarray(Z)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {arr.shape}")
     return arr
-
-
-class FeatureMatrix:
-    """Validated (n, m) feature container.
-
-    Entries must be finite. With ``normalized=True`` every column must have
-    unit Euclidean norm (tolerance 1e-8).
-    """
-
-    def __init__(self, data, normalized: bool = False):
-        arr = np.array(data, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature matrix contains non-finite entries")
-        if normalized and arr.shape[1] > 0:
-            norms = np.linalg.norm(arr, axis=0)
-            if np.max(np.abs(norms - 1.0)) > 1e-8:
-                raise ValueError("normalized=True but some column norms differ from 1")
-        self.data = arr
-        self.normalized = normalized
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def normalize(self) -> "FeatureMatrix":
-        """Return a copy with unit-norm columns; zero columns are an error."""
-        norms = np.linalg.norm(self.data, axis=0)
-        if np.any(norms < 1e-300):
-            raise ZeroVector("cannot normalize a zero column")
-        return FeatureMatrix(self.data / norms, normalized=True)
 
 
 class Partition:
@@ -151,31 +118,6 @@ def default_lambda(k: int) -> float:
     return 10.0 * k
 
 
-def logdet_psd(M) -> float:
-    """log det of a symmetric (or Hermitian) positive definite matrix.
-
-    Uses a Cholesky factorization and fails loudly: a matrix that is not
-    positive definite raises NotPositiveDefinite instead of returning a
-    garbage value. The input must be Hermitian to within 1e-10 relative to
-    its largest entry.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(M))))
-    asym = float(np.max(np.abs(M - M.conj().T)))
-    if asym > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    H = 0.5 * (M + M.conj().T)
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diag(L)))))
-
-
 def hermitian_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a real symmetric or complex Hermitian positive definite
     matrix via Cholesky, A^-1 = L^-* L^-1 for A = L L*, symmetrized."""
@@ -203,7 +145,7 @@ def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
     """a (I_n + a Z Z*)^-1 for an (n, m) matrix Z, symmetrized.
 
     When m < n the m x m side is factored instead, by the push-through
-    identity (the one ``_gram_logdet`` relies on):
+    identity (the one ``gram_logdet`` relies on):
 
         a (I_n + a Z Z*)^-1 = a (I_n - a Z (I_m + a Z* Z)^-1 Z*),
 
@@ -221,21 +163,28 @@ def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
     return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))
 
 
-def _gram_logdet(Z: np.ndarray, alpha: float) -> float:
-    """logdet(I + alpha Z Z*) through whichever Gram side is smaller.
+def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -> float:
+    """sum_p w_p logdet(I + coeff V(p) V(p)*) over a (F, n, m) stack V.
 
-    logdet(I_n + alpha Z Z*) = logdet(I_m + alpha Z* Z), so an (n, m)
-    matrix only ever needs a min(n, m) sized factorization.
+    One batched Cholesky factorization in V's own dtype, real or complex;
+    a factor that fails (the matrix is not positive definite) raises
+    NotPositiveDefinite. Each Gram is taken on its smaller side, since
+    logdet(I_n + c V V*) = logdet(I_m + c V* V). ``weight`` (F,) weights
+    the slices, 1 each when omitted.
     """
-    n, m = Z.shape
+    _, n, m = V.shape
     if m == 0:
         return 0.0
-    if m < n:
-        G = Z.conj().T @ Z
-    else:
-        G = Z @ Z.conj().T
-    G = 0.5 * (G + G.conj().T)
-    return logdet_psd(np.eye(G.shape[0]) + alpha * G)
+    Vh = V.conj().transpose(0, 2, 1)
+    G = Vh @ V if m < n else V @ Vh
+    G = 0.5 * (G + G.conj().transpose(0, 2, 1))
+    A = np.eye(G.shape[-1], dtype=G.dtype) + coeff * G
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    logs = np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
+    return float(2.0 * (np.sum(logs) if weight is None else weight @ logs))
 
 
 def coding_rate(Z, eps: float) -> float:
@@ -245,7 +194,7 @@ def coding_rate(Z, eps: float) -> float:
     if m == 0:
         raise ValueError("coding rate needs at least one sample")
     params = RateParams(eps)
-    return 0.5 * _gram_logdet(Z, params.alpha(n, m))
+    return 0.5 * gram_logdet(Z[None], params.alpha(n, m))
 
 
 def class_rate(Z, partition: Partition, eps: float) -> float:
@@ -259,7 +208,7 @@ def class_rate(Z, partition: Partition, eps: float) -> float:
     for j in range(partition.k):
         Zj = Z[:, partition.mask(j)]
         aj = params.alpha_class(n, int(partition.counts[j]))
-        total += 0.5 * partition.gamma[j] * _gram_logdet(Zj, aj)
+        total += 0.5 * partition.gamma[j] * gram_logdet(Zj[None], aj)
     return total
 
 
@@ -289,22 +238,19 @@ def rate_gradient(Z, partition: Partition, eps: float) -> np.ndarray:
     params = RateParams(eps)
     alpha = params.alpha(n, m)
 
-    G = Z @ Z.conj().T
-    G = 0.5 * (G + G.conj().T)
-    A = np.eye(n) + alpha * G
-    try:
-        grad = alpha * np.linalg.solve(A, Z)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - A is PD by construction
-        raise NotPositiveDefinite(str(exc)) from exc
+    def solve(Zs, a, rhs):  # (I + a Zs Zs*)^-1 rhs, the Gram symmetrized
+        G = Zs @ Zs.conj().T
+        try:
+            return np.linalg.solve(np.eye(n) + a * (0.5 * (G + G.conj().T)), rhs)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
+            raise NotPositiveDefinite(str(exc)) from exc
 
+    grad = alpha * solve(Z, alpha, Z)
     for j in range(partition.k):
         mask = partition.mask(j)
         Zj = Z[:, mask]
         aj = params.alpha_class(n, int(partition.counts[j]))
-        Gj = Zj @ Zj.conj().T
-        Gj = 0.5 * (Gj + Gj.conj().T)
-        Aj = np.eye(n) + aj * Gj
         ZPi = np.zeros_like(Z)
         ZPi[:, mask] = Zj
-        grad -= partition.gamma[j] * aj * np.linalg.solve(Aj, ZPi)
+        grad -= partition.gamma[j] * aj * solve(Zj, aj, ZPi)
     return grad

@@ -287,6 +287,9 @@ def forward(model: SpectralReduNet, xbar) -> np.ndarray:
     the normalized input. Membership is estimated at every layer.
     """
     shape = (model.C, *model.freq_shape)
+    if not model.freq_shape:
+        raise ValueError(f"expected a model of (C, *G) signals, got a vector model of "
+                         f"({model.C},) features")
     Vt, single = _input_spectra(xbar, shape)
     for layer in model.layers:
         Vt = _freq.update_batch(Vt, layer)

@@ -29,10 +29,9 @@ frequency carries the whole real operators: the model is a
 
 import numpy as np
 
-from ._freq import SpectralLayer
-from .errors import ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, as_matrix, default_lambda,
-                   rate_components, real_finite, regularized_inverse)
+from . import _freq
+from .rate import (Partition, RateParams, as_matrix, default_lambda, rate_components,
+                   real_finite, regularized_inverse)
 from .spectral import SpectralReduNet, _of_rank
 
 
@@ -57,13 +56,6 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
     return C
 
 
-def normalize_columns(Z: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(Z, axis=0)
-    if np.any(norms < NORM_FLOOR):
-        raise ZeroVector("zero-norm feature cannot be projected to the sphere")
-    return Z / norms
-
-
 def soft_membership(z: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
     """Membership estimate pihat_j(z) = softmax_j(-lam ||C_j z||).
 
@@ -71,20 +63,10 @@ def soft_membership(z: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
     The largest logit is subtracted before exponentiation so the softmax
     cannot overflow.
     """
-    single = z.ndim == 1
-    pi = _membership(C @ (z[:, None] if single else z), lam)
-    return pi[:, 0] if single else pi
+    return _freq.membership(C @ z.reshape(len(z), -1), lam).reshape(-1, *z.shape[1:])
 
 
-def _membership(Cz: np.ndarray, lam: float) -> np.ndarray:
-    """(k, b) softmax_j(-lam ||C_j z||) from the (k, n, b) class projections."""
-    logits = -lam * np.linalg.norm(Cz, axis=1)
-    logits -= logits.max(axis=0, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=0, keepdims=True)
-
-
-def _update_batch(Z: np.ndarray, layer: SpectralLayer,
+def _update_batch(Z: np.ndarray, layer: _freq.SpectralLayer,
                   pi: np.ndarray | None = None) -> np.ndarray:
     """One layer step for every column of Z with membership weights pi (k, b).
 
@@ -96,9 +78,9 @@ def _update_batch(Z: np.ndarray, layer: SpectralLayer,
     EZ = layer.Ebar[0] @ Z
     Cz = layer.Cbar[:, 0] @ Z  # (k, n, b)
     if pi is None:
-        pi = _membership(Cz, layer.lam)
+        pi = _freq.membership(Cz, layer.lam)
     sigma = np.einsum("jnb,jb->nb", Cz, layer.gamma[:, None] * pi)
-    return normalize_columns(Z + layer.eta * EZ - layer.eta * sigma)
+    return _freq.normalize_samples(Z + layer.eta * EZ - layer.eta * sigma)
 
 
 def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,
@@ -126,19 +108,19 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
     params = RateParams(eps)
     alpha_class = np.array([params.alpha_class(n, int(c)) for c in partition.counts])
 
-    Z = normalize_columns(X)
+    Z = _freq.normalize_samples(X)
     Zc = (None if carry is None
-          else normalize_columns(real_finite(as_matrix(carry), "carry features")))
+          else _freq.normalize_samples(real_finite(as_matrix(carry), "carry features")))
 
     onehot = partition.onehot()
     trace = [rate_components(Z, partition, eps)]
     layers = []
     for _ in range(int(L)):
-        layer = SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
-                              Cbar=compression_operators(Z, partition, eps)[:, None],
-                              freq_shape=(), gamma=partition.gamma.copy(),
-                              alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
-                              eta=eta, lam=lam)
+        layer = _freq.SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
+                                    Cbar=compression_operators(Z, partition, eps)[:, None],
+                                    freq_shape=(), gamma=partition.gamma.copy(),
+                                    alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
+                                    eta=eta, lam=lam)
         Z = _update_batch(Z, layer, onehot if use_labels else None)
         if Zc is not None:
             Zc = _update_batch(Zc, layer)
@@ -159,8 +141,12 @@ def forward_vector(model: SpectralReduNet, x: np.ndarray) -> np.ndarray:
     at inference time).
     """
     x = real_finite(x)
+    layers = _of_rank(model, 0).layers
     single = x.ndim == 1
-    Z = normalize_columns(x[:, None] if single else x.copy())
-    for layer in _of_rank(model, 0).layers:
+    if x.ndim not in (1, 2) or x.shape[0] != model.C:
+        raise ValueError(f"expected input of shape ({model.C},) or ({model.C}, b), got {x.shape}")
+    # row-major, as construction's features are, so the products take the same BLAS path
+    Z = _freq.normalize_samples(x[:, None] if single else np.ascontiguousarray(x))
+    for layer in layers:
         Z = _update_batch(Z, layer)
     return Z[:, 0] if single else Z

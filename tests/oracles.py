@@ -379,3 +379,15 @@ def with_header(blob, kind, k, L, trace_rows, ndim, dims):
     body = b"".join([u32(VERSION), u32(kind), u32(k), u32(L), u32(trace_rows), u32(ndim),
                      *(u32(d) for d in dims), tail])
     return MAGIC + body + u32(zlib.crc32(body))
+
+
+def with_header_value(blob, field, value):
+    """A copy of archive ``blob`` whose header float ``field`` (eps, eta, lam,
+    alpha, or the first entry of gamma, alpha_class or trace) is ``value``,
+    with the CRC recomputed so only the decoder's own checks can reject it."""
+    k, ndim = struct.unpack_from("<I", blob, 16)[0], struct.unpack_from("<I", blob, 28)[0]
+    index = {"eps": 0, "eta": 1, "lam": 2, "gamma": 3, "alpha": 3 + k,
+             "alpha_class": 4 + k, "trace": 4 + 2 * k}[field]
+    body = bytearray(blob[len(MAGIC):-4])
+    struct.pack_into("<d", body, 32 + 4 * ndim + 8 * index - len(MAGIC), value)
+    return MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(body))

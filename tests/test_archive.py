@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from redunet.errors import BadMagic, ChecksumFailure, VersionMismatch
+from redunet.errors import BadArchiveValue, BadMagic, ChecksumFailure, VersionMismatch
 from redunet.harness.archive import load_model, save_model
 from redunet.rate import Partition
 from redunet.spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
                               forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
-from oracles import labels_for, rng_for
+from oracles import labels_for, rng_for, with_header_value
 
 
 def vector_model(L=3):
@@ -146,3 +146,27 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
 def test_unarchivable_object_rejected(tmp_path):
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "m.rnet")
+
+
+HEADER_FLOATS = ("eps", "eta", "lam", "gamma", "alpha", "alpha_class", "trace")
+
+
+@pytest.mark.parametrize("field", HEADER_FLOATS)
+def test_non_finite_header_value_rejected(tmp_path, field):
+    model, _ = vector_model(L=1)
+    path = tmp_path / "m.rnet"
+    save_model(model, path)
+    path.write_bytes(with_header_value(path.read_bytes(), field, np.nan))
+    with pytest.raises(BadArchiveValue, match=f"non-finite {field} "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", ["eps", "eta", "lam"])
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_non_positive_header_scale_rejected(tmp_path, field, value):
+    model, _ = vector_model(L=1)
+    path = tmp_path / "m.rnet"
+    save_model(model, path)
+    path.write_bytes(with_header_value(path.read_bytes(), field, value))
+    with pytest.raises(BadArchiveValue, match="must be positive"):
+        load_model(path)

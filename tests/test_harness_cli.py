@@ -4,7 +4,7 @@ import pytest
 from redunet.harness.cli import main
 from redunet.harness.csvio import read_csv
 
-from oracles import rng_for, with_header
+from oracles import rng_for, with_header, with_header_value
 
 
 def gauss_ini(tmp_path, **kw):
@@ -266,6 +266,16 @@ def test_eval_wrong_kind_exits_two(tmp_path):
     rc = main(["eval", "signals1d", str(archive), "--config", str(sig),
                "--out", str(tmp_path / "redo")])
     assert rc == 2
+
+
+def test_eval_of_archive_with_nan_trace_exits_three(tmp_path, capsys):
+    ini, archive = _constructed(tmp_path)
+    archive.write_bytes(with_header_value(archive.read_bytes(), "trace", np.nan))
+    rc = main(["eval", "gauss2d", str(archive), "--config", ini,
+               "--out", str(tmp_path / "redo")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_export_kernel_on_vector_archive_exits_two(tmp_path):

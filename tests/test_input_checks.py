@@ -1,12 +1,13 @@
-"""Every construct and forward entry point rejects NaN, inf and complex input."""
+"""Every construct and forward entry point rejects NaN, inf and complex input,
+and forward rejects input of the wrong shape for its model."""
 
 import numpy as np
 import pytest
 
 from redunet.errors import NumericalError
 from redunet.rate import Partition
-from redunet.spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
-                              forward_translation2d)
+from redunet.spectral import (construct_shift1d, construct_translation2d, forward,
+                              forward_shift1d, forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
 from oracles import rng_for
@@ -52,3 +53,15 @@ def test_forward_rejects_bad_input(kind, bad, error):
     model = CONSTRUCT[kind](stack(kind, 4), PARTITION, 1, 0.5, 0.1)
     with pytest.raises(error):
         FORWARD[kind](model, spoil(stack(kind, 3, seed=4), bad))
+
+
+def test_forward_vector_names_the_feature_count_it_expects():
+    model = construct_vector_net(stack("vector", 4), PARTITION, 1, 0.5, 0.1)
+    with pytest.raises(ValueError, match=r"expected input of shape \(5,\) or \(5, b\)"):
+        forward_vector(model, rng_for(4).standard_normal((6, 3)))
+
+
+def test_spectral_forward_rejects_a_vector_model():
+    model = construct_vector_net(stack("vector", 4), PARTITION, 1, 0.5, 0.1)
+    with pytest.raises(ValueError, match=r"expected a model of \(C, \*G\) signals"):
+        forward(model, stack("vector", 3, seed=4))

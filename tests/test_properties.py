@@ -10,14 +10,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from redunet import _freq
-from redunet.errors import DataError
+from redunet.errors import DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
-from redunet.rate import Partition, RateParams, regularized_inverse
+from redunet.rate import Partition, RateParams, gram_logdet, regularized_inverse
 from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
 from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
-                            expansion_operator, normalize_columns, soft_membership)
+                            expansion_operator, soft_membership)
 
 from oracles import (dense_regularized_inverse, dft_matrix, full_spectrum_construct,
                      full_spectrum_forward, joined_save_model, labels_for, repeat_labels,
@@ -200,9 +200,44 @@ def assert_matches_dense(got, Z, a):
 @example(n=5, m=5, eps=0.3, seed=1)
 @example(n=3, m=8, eps=0.5, seed=2)
 def test_regularized_inverse_equals_dense_oracle(n, m, eps, seed):
-    Z = normalize_columns(np.random.default_rng(seed).standard_normal((n, m)))
+    Z = _freq.normalize_samples(np.random.default_rng(seed).standard_normal((n, m)))
     a = RateParams(eps).alpha(n, m)
     assert_matches_dense(regularized_inverse(Z, a), Z, a)
+
+
+def random_gram_stack(seed, F, n, m, complex_):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((F, n, m))
+    return V + 1j * rng.standard_normal((F, n, m)) if complex_ else V
+
+
+# m < n, m = n and m > n: each side of the Gram gets factored
+@settings(max_examples=80, deadline=None)
+@given(F=st.integers(1, 4), n=st.integers(1, 6), m=st.integers(0, 8),
+       complex_=st.booleans(), weighted=st.booleans(), coeff=st.floats(0.01, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(F=1, n=5, m=2, complex_=False, weighted=False, coeff=2.0, seed=0)
+@example(F=3, n=4, m=4, complex_=True, weighted=True, coeff=0.5, seed=1)
+@example(F=2, n=2, m=7, complex_=True, weighted=False, coeff=5.0, seed=2)
+@example(F=4, n=6, m=3, complex_=False, weighted=True, coeff=1.0, seed=3)
+def test_gram_logdet_equals_slogdet(F, n, m, complex_, weighted, coeff, seed):
+    V = random_gram_stack(seed, F, n, m, complex_)
+    weight = np.random.default_rng(seed + 1).uniform(0.5, 2.0, F) if weighted else np.ones(F)
+    want = sum(w * np.linalg.slogdet(np.eye(n) + coeff * (Vp @ Vp.conj().T))[1]
+               for w, Vp in zip(weight, V))
+    got = gram_logdet(V, coeff, weight if weighted else None)
+    assert isinstance(got, float)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=st.integers(1, 4), n=st.integers(1, 6), m=st.integers(1, 8),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gram_logdet_rejects_an_indefinite_matrix(F, n, m, complex_, seed):
+    V = random_gram_stack(seed, F, n, m, complex_)
+    top = np.linalg.eigvalsh(V[-1] @ V[-1].conj().T).max()
+    with pytest.raises(NotPositiveDefinite):  # I - 2 G / top has eigenvalue -1
+        gram_logdet(V, -2.0 / top)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,7 +248,7 @@ def test_regularized_inverse_equals_dense_oracle(n, m, eps, seed):
 def test_vector_operators_equal_dense_oracle(n, m, lone, seed):
     # lone: class 0 holds a single sample
     rng = np.random.default_rng(seed)
-    Z = normalize_columns(rng.standard_normal((n, m)))
+    Z = _freq.normalize_samples(rng.standard_normal((n, m)))
     labels = np.array([0] + [1] * (m - 1)) if lone else labels_for(m, 2, rng)
     P, params = Partition(labels), RateParams(0.5)
     assert_matches_dense(expansion_operator(Z, 0.5), Z, params.alpha(n, m))
@@ -228,7 +263,7 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     rng = np.random.default_rng(seed)
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
-    Z = normalize_columns(rng.standard_normal((n, b)))
+    Z = _freq.normalize_samples(rng.standard_normal((n, b)))
     estimated = _update_batch(Z, layer, soft_membership(Z, layer.Cbar[:, 0], layer.lam))
     assert np.array_equal(_update_batch(Z, layer), estimated)
 

@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
-from redunet.rate import (FeatureMatrix, Partition, RateParams, class_rate,
-                          coding_rate, hermitian_inverse, logdet_psd, rate_components,
-                          rate_gradient, rate_reduction)
+from redunet.errors import EmptyClass, NotPositiveDefinite
+from redunet.rate import (Partition, RateParams, class_rate, coding_rate, gram_logdet,
+                          hermitian_inverse, rate_components, rate_gradient, rate_reduction)
 
 from oracles import central_diff_grad, labels_for, rng_for, slogdet_rate
 
 
 def test_logdet_diagonal():
-    assert abs(logdet_psd(np.diag([2.0, 8.0])) - np.log(16.0)) < 1e-12
+    V = np.diag([1.0, np.sqrt(7.0)])[None]  # I + V V* = diag(2, 8)
+    assert abs(gram_logdet(V, 1.0) - np.log(16.0)) < 1e-12
 
 
 def test_logdet_empty_matrix():
-    assert logdet_psd(np.zeros((0, 0))) == 0.0
+    assert gram_logdet(np.zeros((1, 0, 0)), 1.0) == 0.0
 
 
 def test_logdet_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        logdet_psd(np.diag([1.0, -1.0]))
-
-
-def test_logdet_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        logdet_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        gram_logdet(np.eye(2)[None], -2.0)  # I - 2 I = -I
 
 
 def _hermitian_pd(n, complex_, seed):
@@ -59,7 +54,7 @@ def test_logdet_matches_slogdet(seed):
     B = rng.standard_normal((6, 6))
     A = B @ B.T + np.eye(6)
     _, expected = np.linalg.slogdet(A)
-    assert abs(logdet_psd(A) - expected) < 1e-10
+    assert abs(gram_logdet(B[None], 1.0) - expected) < 1e-10
 
 
 def test_logdet_complex_hermitian():
@@ -67,7 +62,7 @@ def test_logdet_complex_hermitian():
     B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     A = B @ B.conj().T + np.eye(5)
     _, expected = np.linalg.slogdet(A)
-    assert abs(logdet_psd(A) - expected) < 1e-10
+    assert abs(gram_logdet(B[None], 1.0) - expected) < 1e-10
 
 
 def test_coding_rate_identity_features():
@@ -159,18 +154,6 @@ def test_rate_params_coefficients():
     assert abs(p.alpha_class(4, 3) - 4 / (3 * 0.25)) < 1e-15
     with pytest.raises(ValueError):
         RateParams(0.0)
-
-
-def test_feature_matrix_validation():
-    with pytest.raises(ValueError):
-        FeatureMatrix(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        FeatureMatrix(np.array([[2.0], [0.0]]), normalized=True)
-    fm = FeatureMatrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    normed = fm.normalize()
-    assert np.allclose(np.linalg.norm(normed.data, axis=0), 1.0)
-    with pytest.raises(ZeroVector):
-        FeatureMatrix(np.zeros((3, 2))).normalize()
 
 
 def test_class_rate_checks_sample_count():

@@ -57,7 +57,8 @@ def test_layer_loop_calls_every_traced_frequency_function():
 def test_vector_loop_calls_every_traced_layer_function():
     # vector.soft_membership is left out on purpose: the loop estimates the
     # membership inside vector._update_batch, from the class projections
-    # the step computes anyway, so that metric reads 0 by design.
+    # the step computes anyway, so that metric reads 0 by design. The step
+    # shares the spectral engine's membership softmax and sphere projection.
     rng = np.random.default_rng(0)
     P = Partition(labels_for(6, 2, rng))
     with spans.Tracer() as tracer:
@@ -66,5 +67,6 @@ def test_vector_loop_calls_every_traced_layer_function():
         forward_vector(model, rng.standard_normal((4, 3)))
     recorded = {span.name for span in tracer.spans}
     wanted = ["vector.expansion_operator", "vector.compression_operators",
-              "vector._update_batch", "rate.rate_components"]
+              "vector._update_batch", "rate.rate_components", "freq.membership",
+              "freq.normalize_samples"]
     assert [name for name in wanted if name not in recorded] == []

@@ -4,9 +4,9 @@ import pytest
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, RateParams, rate_gradient, rate_reduction
 from redunet.spectral import construct_shift1d
+from redunet._freq import normalize_samples
 from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
-                            expansion_operator, forward_vector,
-                            normalize_columns, soft_membership)
+                            expansion_operator, forward_vector, soft_membership)
 
 from oracles import labels_for, rng_for
 
@@ -60,7 +60,7 @@ def test_compression_equals_expansion_of_class_columns():
 def test_operator_spectra_bounded():
     # E / alpha = (I + alpha Z Z*)^-1 has eigenvalues in (0, 1].
     rng = rng_for(6)
-    Z = normalize_columns(rng.standard_normal((5, 20)))
+    Z = normalize_samples(rng.standard_normal((5, 20)))
     P = Partition(labels_for(20, 2, rng))
     eps = 0.4
     params = RateParams(eps)
@@ -132,8 +132,8 @@ def test_hard_label_layer_equals_gradient_ascent_step():
     P = Partition(labels)
     eta, eps = 0.25, 0.5
     model = construct_vector_net(X, P, L=1, eta=eta, eps=eps, use_labels=True)
-    Z0 = normalize_columns(X)
-    expected = normalize_columns(Z0 + eta * rate_gradient(Z0, P, eps))
+    Z0 = normalize_samples(X)
+    expected = normalize_samples(Z0 + eta * rate_gradient(Z0, P, eps))
     assert np.linalg.norm(model.features - expected) < 1e-10
 
 
@@ -145,7 +145,7 @@ def test_construct_zero_layers():
     assert model.depth == 0
     assert model.trace.shape == (1, 3)
     out = forward_vector(model, X)
-    assert np.allclose(out, normalize_columns(X))
+    assert np.allclose(out, normalize_samples(X))
 
 
 def test_construct_trace_has_initial_plus_per_layer_rows():
