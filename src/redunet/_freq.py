@@ -27,12 +27,12 @@ norms, membership norms, the log-det objective) becomes a sum over the
 half with weight 2 per slice, for the slice and its mirror, except the
 last-axis columns 0 and G[-1]/2 (the latter for even G[-1] only), whose
 mirrors lie inside the half themselves and get weight 1 (`half_weights`).
-A layer's operator stacks stay full, (F, C, C): `build_layer` factors the
-half and fills in the conjugate mirrors, so the stored model and its
-kernels do not depend on this layout. Nothing inside the loop checks
-conjugate symmetry, because the loop only ever sees rfftn output; a full
-spectrum that enters from outside (`spectral.spectral_operators`) is
-checked once by `check_conjugate_symmetry`.
+A layer stores only that half too: its operator stacks are (F_h, C, C),
+the conjugate mirrors implied, so the model, its archive and its kernels
+(`irfftn`) all work on the half. Nothing inside the loop checks conjugate
+symmetry, because the loop only ever sees rfftn output; a full spectrum
+that enters from outside (`spectral.spectral_operators`, a version-1
+archive) is checked once by `check_conjugate_symmetry`.
 
 Sample blocks. The layer step does little arithmetic per value (C x C
 blocks, C a few channels), so its cost is memory traffic. `update_batch`
@@ -64,10 +64,11 @@ _UPDATE_BLOCK_VALUES = 2**18  # complex values per (F_h, C, b) sample block: 4 M
 class SpectralLayer:
     """Per-frequency operators of one layer, frequency axes flattened.
 
-    ``Ebar`` has shape (F, C, C) and ``Cbar`` (k, F, C, C), where F is the
-    number of frequencies (T in 1-d, H*W in 2-d, recorded in
-    ``freq_shape``): the full spectrum, mirrors included. The vector network
-    (``freq_shape = ()``, F = 1) holds the real operators of that one frequency.
+    ``Ebar`` has shape (F_h, C, C) and ``Cbar`` (k, F_h, C, C): the rfftn
+    half of the spectrum over the grid ``freq_shape``, in `half_spectrum`
+    order (F_h = prod(G[:-1]) * (G[-1]//2 + 1)); every other frequency is
+    the conjugate of its mirror. The vector network (``freq_shape = ()``) is
+    its own half, F_h = 1: real operators of that one frequency.
     """
 
     Ebar: np.ndarray
@@ -80,18 +81,11 @@ class SpectralLayer:
     lam: float
 
 
-def half_spectrum(freq_shape: tuple):
-    """Flat indices of the half spectrum and of the conjugate mirrors.
-
-    Indices run row-major over ``freq_shape``. Returns ``(half, other,
-    mirror)``: the F_h frequencies of the rfftn half of the last axis, in
-    rfftn order, the remaining frequencies, and for each of those its
-    mirror (-p mod n on every axis), which lies in the half.
-    """
+def half_spectrum(freq_shape: tuple) -> np.ndarray:
+    """Flat row-major indices over ``freq_shape`` of the F_h frequencies of
+    the rfftn half of the last axis, in rfftn order."""
     index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
-    mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
-    h = freq_shape[-1] // 2 + 1
-    return index[..., :h].ravel(), index[..., h:].ravel(), mirror_of[..., h:].ravel()
+    return index[..., :freq_shape[-1] // 2 + 1].ravel()
 
 
 def half_weights(freq_shape: tuple) -> np.ndarray:
@@ -105,17 +99,22 @@ def half_weights(freq_shape: tuple) -> np.ndarray:
 
 
 def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-8):
-    """Reject a full (F, C, m) spectrum whose mirrors are not conjugates.
+    """Reject a full spectrum (F, ...) whose mirrors are not conjugates.
 
     Only spectra of real signals have a half spectrum that stands for the
-    whole; every frequency outside the half must be its mirror's conjugate.
+    whole; every frequency outside the half must be the conjugate of its
+    mirror (-p mod n on every axis), which lies in the half. ``tol = 0``
+    asks for exact conjugates.
     """
-    _, other, mirror = half_spectrum(freq_shape)
+    index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
+    mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
+    h = freq_shape[-1] // 2 + 1
+    other, mirror = index[..., h:].ravel(), mirror_of[..., h:].ravel()
     if not other.size:
         return
     scale = max(1.0, float(np.max(np.abs(Vt))))
     err = float(np.max(np.abs(Vt[other] - Vt[mirror].conj())))
-    if err > tol * scale:
+    if not err <= tol * scale:
         raise ValueError(
             "the layer needs the conjugate-symmetric spectrum of real signals "
             f"(max violation {err:.3e})")
@@ -125,20 +124,16 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
                 lam: float, freq_shape: tuple) -> SpectralLayer:
     """Factor the per-frequency operators from half spectra Vt (F_h, C, m).
 
-    Every half-spectrum frequency is factored; the rest of the full stacks
-    is the conjugate mirror. The Grams are scaled by the frequency count
-    F = prod(freq_shape); see the module docstring for why the Grams of
-    unitary spectra carry it.
+    The Grams are scaled by the frequency count F = prod(freq_shape); see
+    the module docstring for why the Grams of unitary spectra carry it.
     """
     freq_shape = tuple(freq_shape)
-    half, other, mirror = half_spectrum(freq_shape)
     F_h, C, m = Vt.shape
-    if F_h != half.size:
-        raise ValueError(f"expected the {half.size} half-spectrum frequencies of "
-                         f"{freq_shape}, got {F_h}")
+    F = math.prod(freq_shape)
+    if F_h != F // freq_shape[-1] * (freq_shape[-1] // 2 + 1):
+        raise ValueError(f"expected the half-spectrum frequencies of {freq_shape}, got {F_h}")
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
-    F = math.prod(freq_shape)
     gram_scale = float(F)
     params = RateParams(eps)
     alpha = params.alpha(C, m)
@@ -150,15 +145,13 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
         G = gram_scale * (Vs @ Vs.conj().T)
         return a * hermitian_inverse(eye + a * 0.5 * (G + G.conj().T))
 
-    Ebar = np.empty((F, C, C), dtype=np.complex128)
-    Cbar = np.empty((k, F, C, C), dtype=np.complex128)
+    Ebar = np.empty((F_h, C, C), dtype=np.complex128)
+    Cbar = np.empty((k, F_h, C, C), dtype=np.complex128)
     classes = [Vt[:, :, partition.mask(j)] for j in range(k)]
-    for p, full in enumerate(half.tolist()):
-        Ebar[full] = operator(Vt[p], alpha)
+    for p in range(F_h):
+        Ebar[p] = operator(Vt[p], alpha)
         for j in range(k):
-            Cbar[j, full] = operator(classes[j][p], alpha_class[j])
-    Ebar[other] = Ebar[mirror].conj()
-    Cbar[:, other] = Cbar[:, mirror].conj()
+            Cbar[j, p] = operator(classes[j][p], alpha_class[j])
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
@@ -166,17 +159,16 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
 
 def step_operator(layer: SpectralLayer) -> np.ndarray:
-    """The layer's half-spectrum operators stacked for one product per block.
+    """The layer's operators stacked for one product per block.
 
     Returns the (k+1, F_h, C, C) stack [I + eta E; C_1; ...; C_k]: entry 0
     of ``stack @ V`` is the step v + eta E v, entries 1..k the class
     projections C_j v.
     """
-    half = half_spectrum(layer.freq_shape)[0]
-    k, _, C, _ = layer.Cbar.shape
-    stack = np.empty((k + 1, half.size, C, C), dtype=np.complex128)
-    stack[0] = np.eye(C) + layer.eta * layer.Ebar[half]
-    stack[1:] = layer.Cbar[:, half]
+    k, F_h, C, _ = layer.Cbar.shape
+    stack = np.empty((k + 1, F_h, C, C), dtype=np.complex128)
+    stack[0] = np.eye(C) + layer.eta * layer.Ebar
+    stack[1:] = layer.Cbar
     return stack
 
 

@@ -1,28 +1,37 @@
-"""Binary model archives.
+"""Binary model archives, written one layer at a time.
 
-Layout, all little-endian:
+Layout of version 2, all little-endian:
 
-    magic "REDUNET1" | u32 version | u32 kind | u32 k | u32 L
-    u32 trace_rows | u32 ndim | ndim x u32 dims
+    magic "REDUNET1" | u32 version (2) | u32 kind | u32 k | u32 ndim | ndim x u32 dims
     f64 eps, eta, lam | k x f64 gamma | f64 alpha | k x f64 alpha_class
-    trace_rows x 3 f64 trace
     L layer payloads    (f64 reals; complex as interleaved real, imag)
+    trace_rows x 3 f64 trace | u32 L | u32 trace_rows
     u32 CRC32 over everything between the magic and this field
 
 The kind is the group rank, the dims (C, *G): (n,) for vector, (C, T)
-for shift, (C, H, W) for translation. Every layer stores Ebar (F*C*C)
-then Cbar (k*F*C*C), F the full frequency count; complex, except for the
-vector kind, the trivial group, whose real F = 1 stacks are E (n*n) and
-the k class operators. The per-layer scalars (alpha, gamma, step size)
-are constant across a construction, so they are stored once in the
-header.
+for shift, (C, H, W) for translation. Every layer stores Ebar (F_h*C*C)
+then Cbar (k*F_h*C*C): the rfftn half spectrum of the layer's stacks,
+F_h = prod(G[:-1]) * (G[-1]//2 + 1), complex; the vector kind is the
+trivial group, whose real F_h = 1 stacks are E (n*n) and the k class
+operators. The per-layer scalars (alpha, gamma, step size) are constant
+across a construction, so they are stored once in the header.
 
-Neither direction copies the operators. ``save_model`` streams each
-operator's own buffer to the file while the CRC runs over it;
-``load_model`` reads the file into one buffer, checks the CRC on a view,
-and hands out the operators as writable arrays viewing that buffer.
+The header holds only what is known before the first layer, so an
+`ArchiveWriter` can append each layer as the construction builds it and
+drop it; the depth and the trace follow in a trailer, whose two counts
+sit at a fixed distance from the end. The file is written under a
+temporary name next to its target and moved into place only once it is
+complete.
+
+``load_model`` reads the whole file into one buffer, checks the CRC on a
+view, and hands out the operators as writable arrays viewing that buffer,
+after checking that every layer holds finite values only. It still reads
+version 1, whose header carries the depth and the trace and whose layers
+store the full (F, C, C) stacks: there it checks that every mirror is
+the exact conjugate of its half-spectrum frequency and keeps the half.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -35,13 +44,15 @@ from ..spectral import SpectralReduNet
 from .. import _freq
 
 MAGIC = b"REDUNET1"
-VERSION = 1
+VERSION = 2
+READABLE_VERSIONS = (1, 2)
 # a model's kind is the rank of its symmetry group: none, shifts, translations
 KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D = 0, 1, 2
+TRAILER_COUNTS = 8  # u32 depth, u32 trace_rows
 
 
-def _u32(value) -> bytes:
-    return struct.pack("<I", int(value))
+def _u32(*values) -> bytes:
+    return struct.pack("<" + "I" * len(values), *(int(v) for v in values))
 
 
 def _f64(*values) -> bytes:
@@ -53,54 +64,93 @@ def _bytes(arr, dtype="<f8") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8)
 
 
-def _shared_layer_scalars(layers):
-    """Alpha / alpha_class are per-layer fields but constant per model."""
-    first = layers[0]
-    for layer in layers[1:]:
-        same = (layer.alpha == first.alpha
-                and np.array_equal(layer.alpha_class, first.alpha_class)
-                and np.array_equal(layer.gamma, first.gamma)
-                and layer.eta == first.eta and layer.lam == first.lam)
-        if not same:
+def _header(freq_shape, C, k, eps, eta, lam, gamma, alpha, alpha_class) -> bytes:
+    if len(freq_shape) > KIND_TRANSLATION2D:
+        raise TypeError(f"cannot archive a model over a rank-{len(freq_shape)} group")
+    dims = (C, *freq_shape)
+    return b"".join([_u32(len(freq_shape), k, len(dims), *dims), _f64(eps, eta, lam),
+                     _f64(*gamma), _f64(alpha), _f64(*alpha_class)])
+
+
+class ArchiveWriter:
+    """A version-2 archive at ``path``, written one layer at a time.
+
+    ``append`` writes a layer's stacks as soon as it gets them (the header
+    goes out with the first), so it can be a construction's layer sink.
+    ``close(model)`` writes the model's trace and depth and the CRC, then
+    moves the file from ``path + ".tmp"`` to ``path``. Leaving a ``with``
+    block without `close`, by an exception or otherwise, removes the
+    temporary file, so a failed run leaves neither an archive nor a part
+    of one.
+    """
+
+    def __init__(self, path, eps: float):
+        self.path = os.fspath(path)
+        self.eps = float(eps)
+        self.depth = 0
+        self._tmp = self.path + ".tmp"
+        self._fh = open(self._tmp, "wb")
+        self._fh.write(MAGIC)
+        self._crc = 0
+        self._header = None
+        self._write(_u32(VERSION))
+
+    def _write(self, part):
+        self._fh.write(part)
+        self._crc = zlib.crc32(part, self._crc)
+
+    def _start(self, header: bytes):
+        if self._header is None:
+            self._header = header
+            self._write(header)
+        elif header != self._header:
             raise ValueError("layers disagree on shared scalars; cannot archive")
-    return float(first.alpha), np.asarray(first.alpha_class, dtype=np.float64)
+
+    def append(self, layer: _freq.SpectralLayer):
+        k, _, C, _ = layer.Cbar.shape
+        self._start(_header(layer.freq_shape, C, k, self.eps, layer.eta, layer.lam,
+                            layer.gamma, layer.alpha, layer.alpha_class))
+        dtype = "<c16" if layer.freq_shape else "<f8"
+        for op in (layer.Ebar, layer.Cbar):
+            self._write(_bytes(op, dtype))
+        self.depth += 1
+
+    def close(self, model: SpectralReduNet) -> str:
+        """Finish the archive with ``model``'s trace; returns the path written."""
+        trace = np.asarray(model.trace, dtype=np.float64)
+        if trace.ndim != 2 or trace.shape[1] != 3:
+            raise ValueError("model trace must be (rows, 3)")
+        if not self.depth:  # no layer brought the header
+            self._start(_header(model.freq_shape, model.C, model.k, self.eps, model.eta,
+                                model.lam, model.gamma, 0.0, np.zeros(model.k)))
+        self._write(_bytes(trace))
+        self._write(_u32(self.depth, trace.shape[0]))
+        self._fh.write(_u32(self._crc))
+        self._fh.close()
+        os.replace(self._tmp, self.path)
+        return self.path
+
+    def discard(self):
+        """Remove the temporary file; nothing left to do after `close`."""
+        self._fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.discard()
 
 
 def save_model(model, path) -> str:
     """Serialize a constructed network; returns the path written."""
-    if not (isinstance(model, SpectralReduNet) and len(model.freq_shape) <= 2):
+    if not isinstance(model, SpectralReduNet):
         raise TypeError(f"cannot archive a {type(model).__name__}")
-    kind, dims = len(model.freq_shape), (model.C, *model.freq_shape)
-
-    k = model.k
-    trace = np.asarray(model.trace, dtype=np.float64)
-    if trace.ndim != 2 or trace.shape[1] != 3:
-        raise ValueError("model trace must be (rows, 3)")
-    if model.layers:
-        alpha, alpha_class = _shared_layer_scalars(model.layers)
-    else:
-        alpha, alpha_class = 0.0, np.zeros(k)
-
-    parts = [
-        _u32(VERSION), _u32(kind), _u32(k), _u32(len(model.layers)),
-        _u32(trace.shape[0]), _u32(len(dims)),
-    ]
-    parts.extend(_u32(d) for d in dims)
-    parts.append(_f64(model.eps, model.eta, model.lam))
-    parts.append(_bytes(model.gamma))
-    parts.append(_f64(alpha))
-    parts.append(_bytes(alpha_class))
-    parts.append(_bytes(trace))
-    dtype = "<f8" if kind == KIND_VECTOR else "<c16"
-    for layer in model.layers:
-        parts.extend(_bytes(op, dtype) for op in (layer.Ebar, layer.Cbar))
-    crc = 0
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for part in parts:
-            fh.write(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(_u32(crc))
+    with ArchiveWriter(path, model.eps) as writer:
+        for layer in model.layers:
+            writer.append(layer)
+        writer.close(model)
     return str(path)
 
 
@@ -132,11 +182,12 @@ class _Cursor:
 
 
 def load_model(path):
-    """Read an archive back into the matching model type.
+    """Read an archive, version 1 or 2, back into a model of half-spectrum layers.
 
     Rejects wrong magic, unknown versions, a trailing CRC32 mismatch
-    (truncation, corruption) and header values out of their domain. The
-    operator payloads go unscanned: that would be a pass over every layer.
+    (truncation, corruption), header values out of their domain, and
+    operator payloads that hold a non-finite value or, in version 1, a
+    mirror that is not the conjugate of its frequency.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -148,19 +199,29 @@ def load_model(path):
     if len(buf) < len(MAGIC) + 8:
         raise ChecksumFailure(f"{path}: truncated archive")
     version = struct.unpack_from("<I", buf, len(MAGIC))[0]
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: archive version {version}, expected {VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise VersionMismatch(f"{path}: archive version {version}, expected one of "
+                              f"{READABLE_VERSIONS}")
     stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
     actual = zlib.crc32(buf[len(MAGIC):len(buf) - 4])
     if stored != actual:
         raise ChecksumFailure(f"{path}: CRC32 {actual:#010x} != stored {stored:#010x}")
 
-    cur = _Cursor(buf, len(MAGIC) + 4, len(buf) - 4)
-    kind = cur.u32()
-    k = cur.u32()
-    depth = cur.u32()
-    trace_rows = cur.u32()
-    ndim = cur.u32()
+    start, end = len(MAGIC) + 4, len(buf) - 4
+    if version == 1:
+        cur = _Cursor(buf, start, end)
+        kind, k, depth, trace_rows, ndim = (cur.u32() for _ in range(5))
+    else:  # the trailer's counts sit just before the CRC, the trace before them
+        if end - TRAILER_COUNTS < start:
+            raise ChecksumFailure(f"{path}: truncated archive")
+        end -= TRAILER_COUNTS
+        depth, trace_rows = struct.unpack_from("<II", buf, end)
+        if end - 24 * trace_rows < start:
+            raise ChecksumFailure(f"{path}: declared trace exceeds the payload size")
+        end -= 24 * trace_rows
+        trace = _Cursor(buf, end, end + 24 * trace_rows).array((trace_rows, 3))
+        cur = _Cursor(buf, start, end)
+        kind, k, ndim = (cur.u32() for _ in range(3))
     if kind not in (KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D):
         raise ChecksumFailure(f"{path}: unknown model kind {kind}")
     if ndim != kind + 1:  # the channel count (or n), then the group grid
@@ -172,28 +233,45 @@ def load_model(path):
     gamma = cur.array((k,))
     alpha = cur.f64()
     alpha_class = cur.array((k,))
-    trace = cur.array((trace_rows, 3))
+    if version == 1:
+        trace = cur.array((trace_rows, 3))
     for name, value in (("eps", eps), ("eta", eta), ("lam", lam), ("gamma", gamma),
                         ("alpha", alpha), ("alpha_class", alpha_class), ("trace", trace)):
         if not np.isfinite(value).all():
-            raise BadArchiveValue(f"{path}: non-finite {name} in the header")
+            raise BadArchiveValue(f"{path}: non-finite {name} value")
     if min(eps, eta, lam) <= 0:
         raise BadArchiveValue(f"{path}: eps, eta and lam must be positive, "
                               f"got {eps}, {eta}, {lam}")
 
     # the vector kind is the trivial group: one frequency, real operators
     C, freq_shape = dims[0], dims[1:]
-    grid = (math.prod(freq_shape),)
-    dtype = "<f8" if kind == KIND_VECTOR else "<c16"
+    if not freq_shape:
+        grid, dtype = 1, "<f8"
+    elif version == 1:
+        grid, dtype = math.prod(freq_shape), "<c16"
+    else:
+        grid, dtype = math.prod(freq_shape[:-1]) * (freq_shape[-1] // 2 + 1), "<c16"
     layers = []
-    for _ in range(depth):
-        Ebar = cur.array(grid + (C, C), dtype)
-        Cbar = cur.array((k,) + grid + (C, C), dtype)
+    for index in range(depth):
+        Ebar = cur.array((grid, C, C), dtype)
+        Cbar = cur.array((k, grid, C, C), dtype)
+        if not (np.isfinite(Ebar).all() and np.isfinite(Cbar).all()):
+            raise BadArchiveValue(f"{path}: non-finite operator in layer {index}")
+        if version == 1 and freq_shape:  # keep the half of exactly conjugate mirrors
+            try:
+                for op in (Ebar, Cbar.swapaxes(0, 1)):
+                    _freq.check_conjugate_symmetry(op, freq_shape, tol=0.0)
+            except ValueError:
+                raise BadArchiveValue(f"{path}: layer {index} has a mirror frequency that "
+                                      "is not the conjugate of its half-spectrum "
+                                      "frequency") from None
+            half = _freq.half_spectrum(freq_shape)
+            Ebar, Cbar = Ebar[half], Cbar[:, half]
         layers.append(_freq.SpectralLayer(
             Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape, gamma=gamma.copy(), alpha=alpha,
             alpha_class=alpha_class.copy(), eta=eta, lam=lam))
     model = SpectralReduNet(layers=layers, C=C, freq_shape=freq_shape, k=k, eps=eps,
                             eta=eta, lam=lam, trace=trace, gamma=gamma)
-    if cur.off != len(buf) - 4:
-        raise ChecksumFailure(f"{path}: {len(buf) - 4 - cur.off} unread payload bytes")
+    if cur.off != cur.end:
+        raise ChecksumFailure(f"{path}: {cur.end - cur.off} unread payload bytes")
     return model

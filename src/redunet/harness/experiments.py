@@ -5,7 +5,9 @@ Every experiment follows the same shape: prepare a labeled training stack
 input space, construct the network with label-driven updates while
 co-propagating the test data, fit the nearest-subspace classifier on the
 training features, and emit loss_curve.csv, cosine_train.csv,
-cosine_test.csv, accuracy.csv, and (optionally) a model archive.
+cosine_test.csv, accuracy.csv, and (optionally) a model archive. The
+construction streams each layer to that archive as it builds it, so a
+saved run holds one layer at a time, not all of them.
 
 For the shift- and translation-invariant models the classifier is fitted
 on the orbit of the training features under the configured shift grid;
@@ -14,6 +16,7 @@ are exactly equivariant, so the features are rolled directly instead of
 re-propagating every shifted copy.
 """
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -31,7 +34,7 @@ from ..rate import Partition
 from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
                         forward_translation2d, layer_kernel)
 from ..vector import construct_vector_net, forward_vector
-from .archive import load_model, save_model
+from .archive import ArchiveWriter, load_model, save_model
 from .csvio import emit_csv
 
 ORTHO_COS = 0.1  # |cos| at or below this counts as orthogonal
@@ -362,8 +365,6 @@ def _emit_artifacts(cfg, prep: Prepared, model, F_train, F_test, rows, out_dir):
         emit_csv(np.abs(_flat(F_test).T @ flat_tr),
                  os.path.join(out_dir, "cosine_test.csv"), names)
     emit_csv(rows, os.path.join(out_dir, "accuracy.csv"), ["metric", "value"])
-    if cfg.save_model:
-        save_model(model, os.path.join(out_dir, "model.rnet"))
 
 
 def _split_carry(carry_features, prep: Prepared):
@@ -381,19 +382,26 @@ def run_experiment(cfg, out_dir) -> dict:
 
     Returns the accuracy.csv rows as a dict. Deterministic for a fixed
     config: every random draw derives from cfg.seed (test data uses
-    seed+1, filter banks seed+2).
+    seed+1, filter banks seed+2). With ``save_model`` the layers go to
+    ``model.rnet`` as they are built; the archive appears only after the
+    other artifacts, and not at all if the run fails.
     """
     prep = _prepare(cfg)
     carry = prep.test
     if prep.aug is not None:
         carry = np.concatenate([prep.test, prep.aug], axis=-1)
     construct = _CONSTRUCT[prep.model_kind]
-    model = construct(prep.train, Partition(prep.labels), cfg.layers, cfg.eta,
-                      cfg.eps, lam=cfg.lam, use_labels=True,
-                      keep_layers=cfg.save_model, carry=carry)
-    F_test, F_aug = _split_carry(model.carry_features, prep)
-    rows = _metric_rows(cfg, prep, model.features, F_test, F_aug)
-    _emit_artifacts(cfg, prep, model, model.features, F_test, rows, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    with (ArchiveWriter(os.path.join(out_dir, "model.rnet"), cfg.eps) if cfg.save_model
+          else contextlib.nullcontext()) as archive:
+        model = construct(prep.train, Partition(prep.labels), cfg.layers, cfg.eta,
+                          cfg.eps, lam=cfg.lam, use_labels=True, carry=carry,
+                          sink=archive.append if archive else lambda layer: None)
+        F_test, F_aug = _split_carry(model.carry_features, prep)
+        rows = _metric_rows(cfg, prep, model.features, F_test, F_aug)
+        _emit_artifacts(cfg, prep, model, model.features, F_test, rows, out_dir)
+        if archive:
+            archive.close(model)
     return dict(rows)
 
 
@@ -412,6 +420,8 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     F_aug = _forward(model, prep.aug) if (augmented and prep.aug is not None) else None
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)
+    if cfg.save_model:
+        save_model(model, os.path.join(out_dir, "model.rnet"))
     return dict(rows)
 
 

@@ -18,13 +18,13 @@ translations are flattened row-major (last group axis fastest), and
 [1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. The public transforms
 (`dft`, `idft`) and `spectral_operators` use the full spectrum;
 `spectral_operators` rejects one that is not conjugate-symmetric, and
-`idft` and `layer_kernel` reject an inverse transform with more than
-rounding left in its imaginary part. Internally, construction, forward
-and the objective carry only the rfftn half spectrum of the last group
-axis, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies, weighted as the
-`_freq` docstring describes, and return to signals with `irfftn`, whose
-output is real by construction. A layer still stores the full (F, C, C)
-operator stacks.
+`idft` rejects an inverse transform with more than rounding left in its
+imaginary part. Everything else carries only the rfftn half spectrum of
+the last group axis, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies,
+weighted as the `_freq` docstring describes: construction, forward, the
+objective and the layers themselves, whose (F_h, C, C) operator stacks
+imply their conjugate mirrors. Signals and kernels return from it with
+`irfftn`, whose output is real by construction.
 
 The rank-generic functions read the group rank off the stack (its number
 of axes minus two) or off the model. The 1-d and 2-d entry points
@@ -164,8 +164,8 @@ def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
     are exactly the frequency blocks of the dense operators on the
     circulant stacks, whose eigenvalue data is sqrt(F) larger (the Grams
     are scaled accordingly). Only the half spectrum of the last group axis
-    is factored and the rest is mirror-filled by conjugation, which is
-    exact for spectra of real signals; other spectra are rejected.
+    is factored and kept, which stands for the whole exactly for spectra of
+    real signals; other spectra are rejected.
     """
     Vbar = np.asarray(Vbar, dtype=np.complex128)
     if Vbar.ndim < 3:
@@ -175,7 +175,7 @@ def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
     G = Vbar.shape[1:-1]
     Vt = _freq_major(Vbar)
     _freq.check_conjugate_symmetry(Vt, G)
-    return _freq.build_layer(Vt[_freq.half_spectrum(G)[0]], partition, eps, eta=eta,
+    return _freq.build_layer(Vt[_freq.half_spectrum(G)], partition, eps, eta=eta,
                              lam=lam, freq_shape=G)
 
 
@@ -193,11 +193,10 @@ def group_gradient(Zbar, partition: Partition, eps: float):
     Vt = _spectra(Zbar)
     layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
                               freq_shape=shape[1:])
-    half = _freq.half_spectrum(shape[1:])[0]
-    expand = _signals(layer.Ebar[half] @ Vt, shape)
+    expand = _signals(layer.Ebar @ Vt, shape)
     compress = np.empty((partition.k,) + Zbar.shape)
     for j in range(partition.k):
-        Wj = layer.Cbar[j, half] @ Vt
+        Wj = layer.Cbar[j] @ Vt
         Wj[:, :, ~partition.mask(j)] = 0.0
         compress[j] = partition.gamma[j] * _signals(Wj, shape)
     return expand, compress
@@ -232,7 +231,7 @@ class SpectralReduNet:
 
 
 def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
-              lam: float | None = None, keep_layers: bool = True, carry=None,
+              lam: float | None = None, sink=None, carry=None,
               use_labels: bool = False) -> SpectralReduNet:
     """Build an L-layer invariant network from labeled (C, *G, m) signals.
 
@@ -242,10 +241,14 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     training updates with the true one-hot memberships (the exact ascent
     step) instead of the estimated ones. The trace records the objective
     triple (reduction, expand, compress) of the initial features and after
-    every layer. ``carry`` propagates an optional unlabeled sample (C, *G)
-    or batch (C, *G, b) through the same layers with estimated membership
-    (identical to running `forward` afterwards), for use with
-    ``keep_layers=False``.
+    every layer. ``sink``, if given, receives each layer as soon as it is
+    built, and the model keeps none (its depth is 0): an
+    `archive.ArchiveWriter`'s ``append`` streams them to disk, so the
+    construction holds one layer at a time. ``carry`` propagates an
+    optional unlabeled sample (C, *G) or batch (C, *G, b) through the same
+    layers with estimated membership (identical to running `forward`
+    afterwards), which is how a model whose layers went to a sink is
+    evaluated.
     """
     Zbar = real_finite(Zbar, "training stack")
     if Zbar.ndim < 3:
@@ -265,14 +268,14 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     G = shape[1:]
     trace = [_freq.spectral_components(Vt, partition, eps, G)]
     layers = []
+    keep = layers.append if sink is None else sink
     for _ in range(int(L)):
         layer = _freq.build_layer(Vt, partition, eps, eta=eta, lam=lam, freq_shape=G)
+        keep(layer)
         Vt = _freq.update_batch(Vt, layer, pi=onehot)
         if Vc is not None:
             Vc = _freq.update_batch(Vc, layer)
         trace.append(_freq.spectral_components(Vt, partition, eps, G))
-        if keep_layers:
-            layers.append(layer)
 
     return SpectralReduNet(layers=layers, C=shape[0], freq_shape=G, k=partition.k,
                            eps=eps, eta=eta, lam=lam, trace=np.array(trace),
@@ -301,10 +304,10 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
                  class_index: int = 0) -> np.ndarray:
     """Signal-domain convolution kernel of a layer operator, shape (C, C, *G).
 
-    The per-frequency stacks are diagonalized group-circulant blocks; the
-    inverse transform of each (c, c') frequency sequence is the first
-    column of that block, i.e. the kernel whose multichannel circular
-    convolution applies the operator.
+    The per-frequency stacks are the half spectra of diagonalized
+    group-circulant blocks; the inverse transform of each (c, c')
+    frequency sequence is the first column of that block, i.e. the kernel
+    whose multichannel circular convolution applies the operator.
     """
     if which == "expand":
         stack = layer.Ebar
@@ -314,7 +317,8 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
         raise ValueError(f"unknown operator kind {which!r}")
     G, C = tuple(layer.freq_shape), stack.shape[1]
     axes = tuple(range(len(G)))
-    kern = _real(np.fft.ifftn(stack.reshape(*G, C, C), axes=axes), "operator kernel")
+    half = stack.reshape(*G[:-1], G[-1] // 2 + 1, C, C)
+    kern = np.fft.irfftn(half, s=G, axes=axes)
     return kern.transpose(len(G), len(G) + 1, *axes)
 
 

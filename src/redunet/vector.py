@@ -85,17 +85,18 @@ def _update_batch(Z: np.ndarray, layer: _freq.SpectralLayer,
 
 def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,
                          lam: float | None = None, use_labels: bool = False,
-                         keep_layers: bool = True, carry=None) -> SpectralReduNet:
+                         sink=None, carry=None) -> SpectralReduNet:
     """Build an L-layer network from labeled features.
 
     The input columns are normalized to the unit sphere, then each layer's
     operators are computed from the current features and every feature is
     updated in place (operators stay fixed within a layer). Updates use the
     estimated membership; ``use_labels=True`` switches to the true class
-    labels. ``carry`` is an optional unlabeled feature batch propagated
-    through the same layers (exactly what forward_vector would compute),
-    useful with ``keep_layers=False`` when the operator stack would not fit
-    in memory.
+    labels. ``sink``, if given, receives each layer as soon as it is built
+    and the model keeps none, as in `spectral.construct`. ``carry`` is an
+    optional unlabeled feature batch propagated through the same layers
+    (exactly what forward_vector would compute), which evaluates a model
+    whose layers went to a sink.
     """
     X = real_finite(as_matrix(X), "training features")
     n, m = X.shape
@@ -115,18 +116,18 @@ def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float
     onehot = partition.onehot()
     trace = [rate_components(Z, partition, eps)]
     layers = []
+    keep = layers.append if sink is None else sink
     for _ in range(int(L)):
         layer = _freq.SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
                                     Cbar=compression_operators(Z, partition, eps)[:, None],
                                     freq_shape=(), gamma=partition.gamma.copy(),
                                     alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
                                     eta=eta, lam=lam)
+        keep(layer)
         Z = _update_batch(Z, layer, onehot if use_labels else None)
         if Zc is not None:
             Zc = _update_batch(Zc, layer)
         trace.append(rate_components(Z, partition, eps))
-        if keep_layers:
-            layers.append(layer)
 
     return SpectralReduNet(layers=layers, C=n, freq_shape=(), k=partition.k, eps=eps,
                            eta=eta, lam=lam, trace=np.array(trace),

@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-from redunet._freq import half_spectrum, half_weights
+from redunet._freq import half_weights
 from redunet.classify import SubspaceModel, _flatten
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
@@ -178,12 +178,37 @@ def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
 #
 # The layer loop as it ran on the full fftn spectrum, every frequency
 # carried and updated, before the engine moved to the rfftn half. Layers
-# come from the public `spectral_operators`, which factors the same
-# (full, mirror-filled) stacks.
+# come from the public `spectral_operators`, and their half-spectrum
+# stacks are mirror-filled to the full spectrum by `full_stack`.
+
+def full_stack(stack, freq_shape):
+    """The full (F, ...) spectrum of a half-spectrum (F_h, ...) stack.
+
+    The half holds the frequencies p of the grid ``freq_shape`` whose last
+    index is at most G[-1]//2, row-major; every other p is the conjugate
+    of its mirror -p (mod the grid), which lies in the half.
+    """
+    stack = np.asarray(stack)
+    h = freq_shape[-1] // 2 + 1
+    half = stack.reshape(*freq_shape[:-1], h, *stack.shape[1:])
+    full = np.empty((*freq_shape, *stack.shape[1:]), dtype=stack.dtype)
+    for p in np.ndindex(*freq_shape):
+        if p[-1] < h:
+            full[p] = half[p]
+        else:
+            full[p] = half[tuple(-i % n for i, n in zip(p, freq_shape))].conj()
+    return full.reshape(-1, *stack.shape[1:])
+
+
+def full_operators(layer):
+    """(E, C): a layer's (F, C, C) and (k, F, C, C) full-spectrum stacks."""
+    return (full_stack(layer.Ebar, layer.freq_shape),
+            np.stack([full_stack(Cj, layer.freq_shape) for Cj in layer.Cbar]))
+
 
 def full_compressions(Vt, layer):
     """All class projections C_j(p) v_i(p), shape (k, F, C, m)."""
-    return layer.Cbar @ Vt
+    return full_operators(layer)[1] @ Vt
 
 
 def full_membership(CV, lam):
@@ -213,7 +238,7 @@ def full_update_batch(Vt, layer, pi=None):
     With ``pi`` omitted the membership is estimated from the projections;
     passing a (k, m) array (e.g. the true one-hot labels) overrides it.
     """
-    EV = layer.Ebar @ Vt
+    EV = full_operators(layer)[0] @ Vt
     CV = full_compressions(Vt, layer)
     if pi is None:
         pi = full_membership(CV, layer.lam)
@@ -299,7 +324,7 @@ def full_spectrum_forward(layers, shape, xbar):
 
 def _half_compressions(Vt, layer):
     """All class projections C_j(p) v_i(p) on half spectra, shape (k, F_h, C, m)."""
-    return layer.Cbar[:, half_spectrum(layer.freq_shape)[0]] @ Vt
+    return layer.Cbar @ Vt
 
 
 def _half_membership(CV, lam, weight):
@@ -329,7 +354,7 @@ def unblocked_update_batch(Vt, layer, pi=None):
     CV = _half_compressions(Vt, layer)
     if pi is None:
         pi = _half_membership(CV, layer.lam, weight)
-    step = np.eye(Vt.shape[1]) + layer.eta * layer.Ebar[half_spectrum(layer.freq_shape)[0]]
+    step = np.eye(Vt.shape[1]) + layer.eta * layer.Ebar
     out = step @ Vt  # v + eta E v
     coeff = layer.eta * layer.gamma[:, None] * pi
     for j in range(CV.shape[0]):  # - eta sum_j gamma_j pi_j C_j v
@@ -338,12 +363,22 @@ def unblocked_update_batch(Vt, layer, pi=None):
 
 
 # --------------------------------------------------------------- archive
+#
+# Version-2 archives: the header u32s kind, k and ndim sit at bytes 12, 16
+# and 20, the dims from 24 on; the trailer's depth and trace_rows are the
+# eight bytes before the CRC, with the trace before them.
+
+def _u32(value):
+    return struct.pack("<I", int(value))
+
+
+def _sealed(body):
+    """The archive of ``body`` (everything between the magic and the CRC)."""
+    return MAGIC + bytes(body) + _u32(zlib.crc32(body))
+
 
 def joined_save_model(model):
     """The archive bytes, assembled as one joined blob with a CRC over it."""
-    def u32(value):
-        return struct.pack("<I", int(value))
-
     def raw(arr, dtype="<f8"):
         return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
@@ -353,41 +388,53 @@ def joined_save_model(model):
         alpha, alpha_class = model.layers[0].alpha, model.layers[0].alpha_class
     else:
         alpha, alpha_class = 0.0, np.zeros(model.k)
-    parts = [u32(VERSION), u32(kind), u32(model.k), u32(len(model.layers)),
-             u32(trace.shape[0]), u32(len(dims))]
-    parts.extend(u32(d) for d in dims)
+    parts = [_u32(VERSION), _u32(kind), _u32(model.k), _u32(len(dims))]
+    parts.extend(_u32(d) for d in dims)
     parts.append(struct.pack("<ddd", model.eps, model.eta, model.lam))
     parts.append(raw(model.gamma))
     parts.append(struct.pack("<d", alpha))
     parts.append(raw(alpha_class))
-    parts.append(raw(trace))
     dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
         parts.extend(raw(op, dtype) for op in (layer.Ebar, layer.Cbar))
-    body = b"".join(parts)
-    return MAGIC + body + u32(zlib.crc32(body))
+    parts.extend([raw(trace), _u32(len(model.layers)), _u32(trace.shape[0])])
+    return _sealed(b"".join(parts))
 
 
 def with_header(blob, kind, k, L, trace_rows, ndim, dims):
-    """A copy of archive ``blob`` whose header u32 fields are replaced, and
-    whose CRC is recomputed so only the decoder's own checks can reject it."""
-    def u32(value):
-        return struct.pack("<I", int(value))
+    """A copy of archive ``blob`` whose u32 fields, the header's and the
+    trailer's depth and trace_rows, are replaced, and whose CRC is
+    recomputed so only the decoder's own checks can reject it."""
+    old_ndim = struct.unpack_from("<I", blob, 20)[0]
+    middle = blob[24 + 4 * old_ndim:-12]  # from eps up to the trailer's counts
+    return _sealed(b"".join([_u32(VERSION), _u32(kind), _u32(k), _u32(ndim),
+                             *(_u32(d) for d in dims), middle, _u32(L), _u32(trace_rows)]))
 
-    old_ndim = struct.unpack_from("<I", blob, 28)[0]
-    tail = blob[32 + 4 * old_ndim:-4]  # from eps up to the CRC
-    body = b"".join([u32(VERSION), u32(kind), u32(k), u32(L), u32(trace_rows), u32(ndim),
-                     *(u32(d) for d in dims), tail])
-    return MAGIC + body + u32(zlib.crc32(body))
+
+def _with_float(blob, offset, value):
+    body = bytearray(blob[len(MAGIC):-4])
+    struct.pack_into("<d", body, offset - len(MAGIC), value)
+    return _sealed(body)
+
+
+def _trace_offset(blob):
+    return len(blob) - 12 - 24 * struct.unpack_from("<I", blob, len(blob) - 8)[0]
 
 
 def with_header_value(blob, field, value):
-    """A copy of archive ``blob`` whose header float ``field`` (eps, eta, lam,
-    alpha, or the first entry of gamma, alpha_class or trace) is ``value``,
-    with the CRC recomputed so only the decoder's own checks can reject it."""
-    k, ndim = struct.unpack_from("<I", blob, 16)[0], struct.unpack_from("<I", blob, 28)[0]
+    """A copy of archive ``blob`` whose float ``field`` (eps, eta, lam,
+    alpha, or the first entry of gamma, alpha_class or the trailer's trace)
+    is ``value``, with the CRC recomputed so only the decoder's own checks
+    can reject it."""
+    if field == "trace":
+        return _with_float(blob, _trace_offset(blob), value)
+    k, ndim = struct.unpack_from("<I", blob, 16)[0], struct.unpack_from("<I", blob, 20)[0]
     index = {"eps": 0, "eta": 1, "lam": 2, "gamma": 3, "alpha": 3 + k,
-             "alpha_class": 4 + k, "trace": 4 + 2 * k}[field]
-    body = bytearray(blob[len(MAGIC):-4])
-    struct.pack_into("<d", body, 32 + 4 * ndim + 8 * index - len(MAGIC), value)
-    return MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(body))
+             "alpha_class": 4 + k}[field]
+    return _with_float(blob, 24 + 4 * ndim + 8 * index, value)
+
+
+def with_last_operator_value(blob, value):
+    """A copy of archive ``blob`` whose last operator float (the last layer's
+    last Cbar entry) is ``value``, with the CRC recomputed."""
+    return _with_float(blob, _trace_offset(blob) - 8, value)

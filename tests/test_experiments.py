@@ -57,6 +57,32 @@ def test_archive_written_when_requested(tmp_path):
     assert model.depth == 15 and model.C == 2
 
 
+def _fail_on_call(original, n):
+    calls = []
+
+    def fn(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError(f"call {n} failed")
+        return original(*args, **kwargs)
+    return fn
+
+
+@pytest.mark.parametrize("target", ["build_layer", "_metric_rows"])
+def test_failed_run_leaves_no_archive_and_no_temporary_file(tmp_path, monkeypatch, target):
+    # the layers stream to a temporary file that only a finished run renames
+    from redunet import _freq
+    module, n = (_freq, 2) if target == "build_layer" else (experiments, 1)
+    monkeypatch.setattr(module, target, _fail_on_call(getattr(module, target), n))
+    cfg = load_config("signals1d", None, {"m_per_class": "4", "m_test_per_class": "3",
+                                          "n": "12", "channels": "2", "layers": "3",
+                                          "save_model": "true"})
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match=f"call {n} failed"):
+        run_experiment(cfg, out)
+    assert artifact_names(out) == []
+
+
 def test_rerun_with_same_seed_is_byte_identical(tmp_path):
     cfg = gauss_cfg(save_model="true")
     a, b = tmp_path / "a", tmp_path / "b"

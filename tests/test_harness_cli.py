@@ -4,7 +4,7 @@ import pytest
 from redunet.harness.cli import main
 from redunet.harness.csvio import read_csv
 
-from oracles import rng_for, with_header, with_header_value
+from oracles import rng_for, with_header, with_header_value, with_last_operator_value
 
 
 def gauss_ini(tmp_path, **kw):
@@ -276,6 +276,16 @@ def test_eval_of_archive_with_nan_trace_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_of_archive_with_nan_operator_exits_three(tmp_path, capsys):
+    ini, archive = _constructed(tmp_path)
+    archive.write_bytes(with_last_operator_value(archive.read_bytes(), np.nan))
+    rc = main(["eval", "gauss2d", str(archive), "--config", ini,
+               "--out", str(tmp_path / "redo")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "non-finite operator" in err
 
 
 def test_export_kernel_on_vector_archive_exits_two(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests over random small shapes; skipped when hypothesis is absent."""
 
 import os
+import struct
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward
 from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
                             expansion_operator, soft_membership)
 
-from oracles import (dense_regularized_inverse, dft_matrix, full_spectrum_construct,
-                     full_spectrum_forward, joined_save_model, labels_for, repeat_labels,
-                     roll_orthogonal_fraction, unblocked_update_batch, with_header)
+from oracles import (dense_regularized_inverse, dft_matrix, full_operators,
+                     full_spectrum_construct, full_spectrum_forward, joined_save_model,
+                     labels_for, repeat_labels, roll_orthogonal_fraction,
+                     unblocked_update_batch, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +174,8 @@ def test_half_spectrum_operators_equal_dense_operators(G, C, m, seed):
         unitary = np.kron(unitary, dft_matrix(n))
     blocks = np.kron(np.eye(C), unitary)
     labels = repeat_labels(P.labels, F)
-    for j, stack in [(None, layer.Ebar)] + list(enumerate(layer.Cbar)):
+    E, Cs = full_operators(layer)
+    for j, stack in [(None, E)] + list(enumerate(Cs)):
         cols = big if j is None else big[:, labels == j]
         a = C / (cols.shape[1] / F * 0.25)
         dense = a * np.linalg.inv(np.eye(C * F) + a * cols @ cols.T)
@@ -319,3 +323,41 @@ def test_any_header_with_a_valid_crc_loads_or_raises_data_error(kind, k, L, trac
             load_model(path)
         except DataError:
             pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=st.one_of(st.just(()), groups), L=st.integers(0, 3), cut=st.integers(0, 3),
+       honest=st.booleans(), depth=u32s, trace_rows=u32s, seed=st.integers(0, 2**32 - 1))
+@example(G=(5,), L=3, cut=1, honest=True, depth=0, trace_rows=0, seed=0)
+@example(G=(2, 3), L=2, cut=0, honest=False, depth=2, trace_rows=3, seed=1)
+@example(G=(), L=3, cut=2, honest=False, depth=U32_MAX, trace_rows=4, seed=2)
+def test_archive_cut_at_a_layer_boundary_loads_those_layers_or_raises_data_error(
+        G, L, cut, honest, depth, trace_rows, seed):
+    # keep the first `cut` layers and a resealed trailer: with the honest
+    # counts that is a valid shorter archive, with any others a DataError
+    _, Zbar, P = random_stack(seed, 2, G, 4, 2)
+    make = construct_vector_net if G == () else construct
+    model = make(Zbar, P, L, eta=0.3, eps=0.5)
+    cut = min(cut, L)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(model, os.path.join(tmp, "m.rnet"))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        rows = len(model.trace)
+        trace_at = len(blob) - 12 - 24 * rows
+        layer_bytes = 0 if L == 0 else (trace_at - 8 - 4 * (5 + len(G)) - 8 * 8) // L
+        kept = blob[8:trace_at - (L - cut) * layer_bytes]
+        if honest:
+            depth, trace_rows = cut, rows
+        body = kept + blob[trace_at:-12] + struct.pack("<II", depth, trace_rows)
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
+        try:
+            back = load_model(path)
+        except DataError:
+            assert not honest
+            return
+    if honest:
+        assert back.depth == cut and np.array_equal(back.trace, model.trace)
+        for got, want in zip(back.layers, model.layers):
+            assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)

@@ -153,7 +153,8 @@ def dense_ops(Zbar, labels, eps):
 
 
 def assemble_dense(stack, T):
-    """Dense (C*T, C*T) matrix from per-frequency (T, C, C) blocks."""
+    """Dense (C*T, C*T) matrix from half-spectrum (T//2 + 1, C, C) blocks."""
+    stack = oracles.full_stack(stack, (T,))
     C = stack.shape[1]
     F = dft_matrix(T)
     out = np.zeros((C * T, C * T), dtype=complex)
@@ -193,8 +194,9 @@ def test_half_spectrum_equals_full():
 def test_operator_slices_hermitian_pd():
     Zbar, labels = sample_stack(11)
     layer = spectral_operators(dft(Zbar, 1), Partition(labels), 0.5)
+    E, Cs = oracles.full_operators(layer)
     for p in range(Zbar.shape[1]):
-        for M in [layer.Ebar[p]] + [layer.Cbar[j, p] for j in range(2)]:
+        for M in [E[p]] + [Cs[j, p] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(M)) > 0
 
@@ -309,9 +311,12 @@ def test_streaming_mode():
     Y = rng.standard_normal((2, 8, 3))
     P = Partition(labels)
     full = construct_shift1d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
-    slim = construct_shift1d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, keep_layers=False)
+    sunk = []
+    slim = construct_shift1d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
     assert np.allclose(slim.carry_features, full.carry_features)
+    for got, want in zip(sunk, full.layers, strict=True):
+        assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
 
 
 def test_forward_is_shift_equivariant():

@@ -154,7 +154,8 @@ def dense_ops(Zbar, labels, eps):
 
 
 def assemble_dense(stack, H, W):
-    """Dense (C*HW, C*HW) matrix from per-frequency (HW, C, C) blocks."""
+    """Dense (C*HW, C*HW) matrix from half-spectrum (H*(W//2 + 1), C, C) blocks."""
+    stack = oracles.full_stack(stack, (H, W))
     C = stack.shape[1]
     Fk = np.kron(dft_matrix(H), dft_matrix(W))
     n = H * W
@@ -198,8 +199,9 @@ def test_half_spectrum_equals_full(H, W):
 def test_operator_slices_hermitian_pd():
     Zbar, labels = image_stack(11)
     layer = spectral_operators(dft(Zbar, 2), Partition(labels), 0.5)
+    E, Cs = oracles.full_operators(layer)
     for f in range(Zbar.shape[1] * Zbar.shape[2]):
-        for M in [layer.Ebar[f]] + [layer.Cbar[j, f] for j in range(2)]:
+        for M in [E[f]] + [Cs[j, f] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(M)) > 0
 
@@ -306,9 +308,12 @@ def test_streaming_mode():
     Y = rng.standard_normal((2, 3, 3, 3))
     P = Partition(labels)
     full = construct_translation2d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
-    slim = construct_translation2d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, keep_layers=False)
+    sunk = []
+    slim = construct_translation2d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
     assert np.allclose(slim.carry_features, full.carry_features)
+    for got, want in zip(sunk, full.layers, strict=True):
+        assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
 
 
 def test_forward_is_translation_equivariant():

@@ -183,8 +183,11 @@ def test_streaming_mode_discards_layers_keeps_carry():
     Y = rng.standard_normal((4, 6))
     P = Partition(labels_for(16, 2, rng))
     full = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y)
-    slim = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y, keep_layers=False)
+    sunk = []
+    slim = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
+    for got, want in zip(sunk, full.layers, strict=True):
+        assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
     assert np.allclose(slim.carry_features, full.carry_features)
     assert np.allclose(slim.features, full.features)
 
