@@ -170,7 +170,7 @@ def load_mnist(image_path, label_path, digits=None, seed=None) -> LabeledDataset
 def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     """Replace every sample by its cyclic shifts at multiples of stride.
 
-    1-d signals (m, n) get floor(n/stride) shifts; images (m, H, W) get
+    1-d signals (m, n) get ceil(n/stride) shifts; images (m, H, W) get
     the product grid of row and column shifts, row-major. A sample's
     augmentations stay contiguous.
     """

@@ -154,6 +154,15 @@ def save_model(model, path) -> str:
     return str(path)
 
 
+def archive_version(path) -> int:
+    """The format version in the header of the archive at ``path``."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC) + 4)
+    if len(head) < len(MAGIC) + 4 or head[:len(MAGIC)] != MAGIC:
+        raise BadMagic(f"{path}: not a model archive")
+    return struct.unpack_from("<I", head, len(MAGIC))[0]
+
+
 class _Cursor:
     """Sequential reader raising ChecksumFailure on overruns."""
 

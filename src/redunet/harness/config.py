@@ -203,9 +203,14 @@ def _cross_validate(kind, values):
         if radii is not None and len(radii) != values["channels"]:
             raise ConfigError(
                 f"{len(radii)} radii given for {values['channels']} channels")
-    if kind == "signals1d" and values["kernel_size"] > values["n"]:
-        raise ConfigError(
-            f"kernel_size {values['kernel_size']} exceeds signal length {values['n']}")
+    if kind == "signals1d":
+        if values["kernel_size"] > values["n"]:
+            raise ConfigError(
+                f"kernel_size {values['kernel_size']} exceeds signal length {values['n']}")
+        # the shifts by multiples of stride must form a subgroup of the rolls
+        if values["stride"] < values["n"] and values["n"] % values["stride"]:
+            raise ConfigError(f"stride {values['stride']} must divide the signal length "
+                              f"{values['n']} or be at least that long")
     if kind == "mnist-translation" and values["kernel_size"] > 28:
         raise ConfigError(
             f"kernel_size {values['kernel_size']} exceeds the 28x28 image size")

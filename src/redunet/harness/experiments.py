@@ -10,16 +10,22 @@ construction streams each layer to that archive as it builds it, so a
 saved run holds one layer at a time, not all of them.
 
 For the shift- and translation-invariant models the classifier is fitted
-on the orbit of the training features under the configured shift grid;
-those rolls equal forwarding shifted inputs because the constructed maps
-are exactly equivariant, so the features are rolled directly instead of
-re-propagating every shifted copy.
+to the orbit of the training features under the subgroup of rolls by
+multiples of the configured ``stride`` along each group axis. Those rolls
+equal forwarding shifted inputs because the constructed maps are exactly
+equivariant, and `fit_subspaces` fits the orbit from the unrolled features
+on one block per character of the subgroup, so no shifted copy is ever
+propagated or formed. The kept subspaces are exactly invariant under the
+subgroup (a conjugate pair of characters is kept whole). The stride must
+therefore divide each rolled axis, or be at least as long (the identity
+alone); any other stride is a ConfigError.
 """
 
 import contextlib
 import ctypes
 import functools
 import os
+import shutil
 import zipfile
 import zlib
 
@@ -34,7 +40,7 @@ from ..rate import Partition
 from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
                         forward_translation2d, layer_kernel)
 from ..vector import construct_vector_net, forward_vector
-from .archive import ArchiveWriter, load_model, save_model
+from .archive import VERSION, ArchiveWriter, archive_version, load_model, save_model
 from .csvio import emit_csv
 
 ORTHO_COS = 0.1  # |cos| at or below this counts as orthogonal
@@ -73,12 +79,12 @@ class Prepared:
     """Model-space data for one experiment (sample axis last)."""
 
     def __init__(self, model_kind, train, labels, test, test_labels,
-                 aug=None, aug_labels=None, fit_rolls=None):
+                 aug=None, aug_labels=None, fit_stride=None):
         self.model_kind = model_kind
         self.train, self.labels = train, labels
         self.test, self.test_labels = test, test_labels
         self.aug, self.aug_labels = aug, aug_labels
-        self.fit_rolls = fit_rolls
+        self.fit_stride = fit_stride
 
 
 def _flat(F) -> np.ndarray:
@@ -143,11 +149,11 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
                     test.samples.T, test.labels)
 
 
-def _mapped(kind, as_input, train, test, aug=None, rolls=None) -> Prepared:
+def _mapped(kind, as_input, train, test, aug=None, stride=None) -> Prepared:
     """The datasets mapped into model space by ``as_input``."""
     return Prepared(kind, as_input(train), train.labels, as_input(test), test.labels,
                     None if aug is None else as_input(aug),
-                    None if aug is None else aug.labels, rolls)
+                    None if aug is None else aug.labels, stride)
 
 
 def _flat_samples(ds) -> np.ndarray:
@@ -159,9 +165,8 @@ def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
     aug = shift_augment(test, cfg.stride) if want_aug else None
-    rolls = [((s,), (1,)) for s in range(0, cfg.n, cfg.stride)]
     return _mapped("shift1d", lambda ds: sparsify(lift_1d(ds.samples.T, bank)),
-                   train, test, aug, rolls)
+                   train, test, aug, (cfg.stride,))
 
 
 def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
@@ -178,23 +183,23 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
     aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
     if cfg.variant == "vector":
         return _mapped("vector", _flat_samples, train_p, test_p, aug_p)
-    rolls = [((s,), (1,)) for s in range(0, cfg.gamma, cfg.stride)]
     return _mapped("shift1d", lambda ds: ds.samples.transpose(2, 1, 0),  # (C, gamma, m)
-                   train_p, test_p, aug_p, rolls)
+                   train_p, test_p, aug_p, (cfg.stride,))
 
 
 def _prepare_translation(cfg, want_aug: bool) -> Prepared:
     train, test = _load_mnist_pair(cfg)
-    H, W = train.samples.shape[1:]
     aug = shift_augment(test, cfg.stride) if want_aug else None
     if cfg.variant == "vector":
         return _mapped("vector", _flat_samples, train, test, aug)
+    for size in train.samples.shape[1:]:
+        if cfg.stride < size and size % cfg.stride:
+            raise ConfigError(f"stride {cfg.stride} must divide the image size {size} "
+                              "or be at least that size")
     bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
-    rolls = [((p, q), (1, 2)) for p in range(0, H, cfg.stride)
-             for q in range(0, W, cfg.stride)]
     return _mapped("translation2d",
                    lambda ds: sparsify(lift_2d(ds.samples.transpose(1, 2, 0), bank)),
-                   train, test, aug, rolls)
+                   train, test, aug, (cfg.stride, cfg.stride))
 
 
 def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:
@@ -316,20 +321,8 @@ def _orthogonal_fraction_all_shifts(F_test, test_labels, F_train, labels) -> flo
     return hits / total
 
 
-def _fit_classifier(cfg, prep: Prepared, F_train):
-    if prep.fit_rolls:
-        m = F_train.shape[-1]
-        feats = np.empty(F_train.shape[:-1] + (m * len(prep.fit_rolls),), F_train.dtype)
-        for i, (s, ax) in enumerate(prep.fit_rolls):
-            feats[..., i * m:(i + 1) * m] = np.roll(F_train, s, axis=ax)
-        labels = np.tile(prep.labels, len(prep.fit_rolls))
-    else:
-        feats, labels = F_train, prep.labels
-    return fit_subspaces(feats, Partition(labels), cfg.energy)
-
-
 def _metric_rows(cfg, prep: Prepared, F_train, F_test, F_aug) -> list:
-    clf = _fit_classifier(cfg, prep, F_train)
+    clf = fit_subspaces(F_train, Partition(prep.labels), cfg.energy, stride=prep.fit_stride)
     rows = [("train_accuracy", evaluate(predict(F_train, clf), prep.labels))]
     if F_test is not None:
         rows.append(("test_accuracy", evaluate(predict(F_test, clf), prep.test_labels)))
@@ -410,7 +403,8 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     """Re-evaluate an archived model on the experiment's data.
 
     Features come from forwarding (estimated membership at every layer).
-    ``augmented`` adds the augmented test stack and its accuracy row.
+    ``augmented`` adds the augmented test stack and its accuracy row. With
+    ``save_model`` the archive is kept as ``model.rnet`` (see `_keep_archive`).
     """
     prep = _prepare(cfg, want_aug=augmented)
     model = load_model(archive_path)
@@ -421,8 +415,29 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)
     if cfg.save_model:
-        save_model(model, os.path.join(out_dir, "model.rnet"))
+        _keep_archive(model, archive_path, os.path.join(out_dir, "model.rnet"))
     return dict(rows)
+
+
+def _keep_archive(model, archive_path, path):
+    """Put the evaluated model's archive at ``path``.
+
+    A current-version input is copied as it is, which is byte for byte what
+    re-serializing the loaded model would write; an older one is converted
+    by `save_model`. Like the writer, the copy appears only once complete.
+    """
+    if archive_version(archive_path) != VERSION:
+        save_model(model, path)
+        return
+    if os.path.exists(path) and os.path.samefile(archive_path, path):
+        return
+    tmp = path + ".tmp"
+    try:
+        shutil.copyfile(archive_path, tmp)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def export_kernels(archive_path, out_dir) -> list:

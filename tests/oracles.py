@@ -6,17 +6,19 @@ column with np.roll, entrywise central finite differences. The package is
 considered correct when its fast paths agree with these.
 """
 
+import itertools
 import struct
 import zlib
 
 import numpy as np
 
 from redunet._freq import half_weights
-from redunet.classify import SubspaceModel, _flatten
+from redunet.classify import SubspaceModel, _flatten, fit_subspaces
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
 from redunet.harness.experiments import ORTHO_COS, _flat
-from redunet.rate import NORM_FLOOR, RateParams, default_lambda, hermitian_inverse
+from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
+                          hermitian_inverse)
 from redunet.spectral import dft, idft, spectral_operators
 
 
@@ -156,6 +158,23 @@ def svd_subspaces(Z, partition, energy=0.95):
         r = min(max(r, 1), U.shape[1])
         bases.append(U[:, :r].copy())
     return SubspaceModel(bases=tuple(bases))
+
+
+def roll_orbit(F, stride):
+    """The (C, *G, |H| m) stack of every roll of (C, *G, m) features by
+    multiples of ``stride`` along the group axes, a roll's copies together."""
+    shifts = list(itertools.product(*(range(0, g, s) for g, s in zip(F.shape[1:-1], stride))))
+    axes = tuple(range(1, F.ndim - 1))
+    return np.concatenate([np.roll(F, s, axis=axes) for s in shifts], axis=-1)
+
+
+def orbit_subspaces(F, partition, energy, stride):
+    """The strided fit as it ran before it worked on subgroup blocks: the
+    orbit materialized, each copy with its sample's label, and fitted as
+    plain features."""
+    orbit = roll_orbit(F, stride)
+    copies = orbit.shape[-1] // F.shape[-1]
+    return fit_subspaces(orbit, Partition(np.tile(partition.labels, copies)), energy)
 
 
 # ------------------------------------------------------ shift sweep

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import struct
@@ -10,6 +11,7 @@ import pytest
 from redunet.errors import BadArchiveValue, BadMagic, ChecksumFailure, VersionMismatch
 from redunet.harness.archive import VERSION, ArchiveWriter, load_model, save_model
 from redunet.harness.config import load_config
+from redunet.harness import experiments
 from redunet.harness.experiments import eval_experiment, run_experiment
 from redunet.rate import Partition
 from redunet.spectral import (construct, construct_shift1d, construct_translation2d,
@@ -310,6 +312,48 @@ def test_eval_of_v1_and_v2_archive_writes_identical_bytes(tmp_path, name, run):
     for name in names:
         assert ((tmp_path / "from_v1" / name).read_bytes()
                 == (tmp_path / "from_v2" / name).read_bytes()), name
+
+
+def refuse_to_serialize(model, path):
+    raise AssertionError(f"re-serialized a current-version archive to {path}")
+
+
+@pytest.mark.parametrize("run", [SHIFT_RUN, VECTOR_RUN], ids=["shift", "vector"])
+def test_eval_copies_a_v2_archive_byte_for_byte(tmp_path, monkeypatch, run):
+    archive = run_archive(run, tmp_path / "built")
+    monkeypatch.setattr(experiments, "save_model", refuse_to_serialize)
+    cfg = load_config(run[0], None, run[1])
+    eval_experiment(cfg, archive, tmp_path / "eval", augmented=True)
+    assert (tmp_path / "eval" / "model.rnet").read_bytes() == archive.read_bytes()
+    assert sorted(os.listdir(tmp_path / "eval")) == [
+        "accuracy.csv", "cosine_test.csv", "cosine_train.csv", "loss_curve.csv", "model.rnet"]
+    before = archive.read_bytes()  # evaluated into its own directory: left as it is
+    eval_experiment(cfg, archive, tmp_path / "built", augmented=True)
+    assert archive.read_bytes() == before
+
+
+# SHA-256 of the version-2 archive that `save_model` writes for each v1
+# fixture (by `eval_experiment` with `save_model` on, for the two runs)
+V1_RESAVED = {
+    "v1_shift.rnet": "e78e10ef833b3ef4b9b8ee0b8a921ace43efe88911fa1d02fc87d044162a31f2",
+    "v1_vector.rnet": "92f9cf1d32939a30bce88f6515556dd4b075f726f0200f96ba2d7d4d79da4bf2",
+    "v1_translation.rnet": "76cb9bfa566d193df57ce97cd3a1920e46b2f07412338f461f5ebcb6f225b16f",
+}
+
+
+@pytest.mark.parametrize("name, run", [("v1_shift.rnet", SHIFT_RUN),
+                                       ("v1_vector.rnet", VECTOR_RUN),
+                                       ("v1_translation.rnet", None)])
+def test_v1_fixture_resaves_to_pinned_bytes(tmp_path, name, run):
+    if run is None:
+        written = save_model(load_model(FIXTURES / name), tmp_path / "m.rnet")
+    else:
+        eval_experiment(load_config(run[0], None, run[1]), FIXTURES / name, tmp_path,
+                        augmented=True)
+        written = tmp_path / "model.rnet"
+    data = pathlib.Path(written).read_bytes()
+    assert struct.unpack_from("<I", data, 8)[0] == VERSION
+    assert hashlib.sha256(data).hexdigest() == V1_RESAVED[name]
 
 
 def test_v1_archive_with_a_non_conjugate_mirror_rejected(tmp_path):

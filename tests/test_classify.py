@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from redunet.classify import SubspaceModel, evaluate, fit_subspaces, predict
-from redunet.errors import LengthMismatch, NumericalError
+from redunet.errors import EmptyClass, LengthMismatch, NumericalError
 from redunet.rate import Partition
 from redunet.spectral import construct_shift1d, forward_shift1d
 
@@ -132,6 +132,59 @@ def test_fit_rejects_non_finite_features():
             fit_subspaces(Z, Partition(np.zeros(6, dtype=int)))
 
 
+# ---------------------------------------------------- strided (orbit) fit
+
+def _stack(seed, shape, m):
+    rng = rng_for(seed)
+    return rng, rng.standard_normal(shape + (m,)), Partition(labels_for(m, 2, rng))
+
+
+@pytest.mark.parametrize("shape, stride", [((3, 12), (12,)), ((2, 12), (15,)),
+                                           ((2, 6, 8), (6, 9))])
+def test_trivial_subgroup_is_the_plain_fit_bit_for_bit(shape, stride):
+    # a stride at least as long as its axis rolls by the identity alone
+    _, Z, P = _stack(13, shape, 15)
+    a = fit_subspaces(Z, P, 0.9, stride=stride)
+    b = fit_subspaces(Z, P, 0.9)
+    for U, W in zip(a.bases, b.bases):
+        assert np.array_equal(U, W)
+
+
+@pytest.mark.parametrize("shape, stride", [((3, 12), (3,)), ((2, 12), (1,)),
+                                           ((2, 6, 8), (2, 2)), ((2, 6, 8), (3, 4))])
+def test_strided_fit_predicts_the_same_on_every_subgroup_roll(shape, stride):
+    rng, Z, P = _stack(14, shape, 16)
+    model = fit_subspaces(Z, P, 0.9, stride=stride)
+    Q = rng.standard_normal(shape + (40,))
+    base = predict(Q, model)
+    axes = tuple(range(1, len(shape)))
+    grids = [range(0, g, s) for g, s in zip(shape[1:], stride)]
+    for shift in np.array(np.meshgrid(*grids, indexing="ij")).reshape(len(axes), -1).T:
+        assert np.array_equal(predict(np.roll(Q, tuple(shift), axis=axes), model), base)
+
+
+def test_strided_fit_rejects_non_finite_features():
+    _, Z, P = _stack(15, (2, 12), 8)
+    for bad in (np.nan, np.inf):
+        Z[1, 3, 2] = bad
+        with pytest.raises(NumericalError):
+            fit_subspaces(Z, P, stride=(4,))
+
+
+def test_strided_fit_rejects_an_all_zero_class():
+    _, Z, P = _stack(16, (2, 6, 4), 8)
+    Z[..., P.mask(1)] = 0.0
+    with pytest.raises(EmptyClass, match="class 1"):
+        fit_subspaces(Z, P, stride=(2, 2))
+
+
+@pytest.mark.parametrize("stride", [(5,), (0,), (4, 4)])
+def test_strided_fit_rejects_a_stride_that_is_no_subgroup(stride):
+    _, Z, P = _stack(17, (2, 12), 8)  # 5 neither divides nor covers 12
+    with pytest.raises(ValueError):
+        fit_subspaces(Z, P, stride=stride)
+
+
 # ------------------------------------------------------------- prediction
 
 def two_axis_model():
@@ -226,11 +279,9 @@ def test_shift_augmented_fit_gives_shift_invariant_predictions():
             else:
                 Zbar[c, :, i] = amp * np.cos(6 * np.pi * t / T + phase)
     net = construct_shift1d(Zbar, Partition(labels), L=5, eta=0.3, eps=0.5)
-    feats = net.features
-    # augment the training features with every cyclic shift; equivariance
-    # makes this identical to forwarding shifted raw inputs
-    aug = np.concatenate([np.roll(feats, s, axis=1) for s in range(T)], axis=2)
-    model = fit_subspaces(aug, Partition(np.tile(labels, T)))
+    # fit to the orbit of the training features under every cyclic shift;
+    # equivariance makes this identical to forwarding shifted raw inputs
+    model = fit_subspaces(net.features, Partition(labels), stride=(1,))
     base = predict(forward_shift1d(net, Zbar), model)
     assert np.array_equal(base, labels)
     for s in range(T):

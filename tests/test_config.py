@@ -123,6 +123,15 @@ def test_stride_must_divide_gamma():
         load_config("mnist-rotation", None, {"stride": "3"})
 
 
+def test_signals_stride_must_divide_or_cover_the_length():
+    assert load_config("signals1d", None, {"stride": "50"}).stride == 50  # n 150
+    assert load_config("signals1d", None, {"n": "12", "stride": "15"}).stride == 15
+    assert load_config("signals1d", None, {"n": "12", "stride": "12"}).stride == 12
+    for n, stride in (("150", "7"), ("12", "5"), ("12", "11")):
+        with pytest.raises(ConfigError, match="stride"):
+            load_config("signals1d", None, {"n": n, "stride": stride})
+
+
 def test_kernel_size_bounded_by_signal_length(tmp_path):
     path = write(tmp_path, "[signals1d]\nn = 8\nkernel_size = 9\n")
     with pytest.raises(ConfigError):

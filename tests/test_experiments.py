@@ -6,6 +6,7 @@ from redunet.harness.archive import load_model
 from redunet.harness.config import load_config
 from redunet.harness import experiments
 from redunet.harness.csvio import read_csv, read_matrix
+from redunet.harness.cli import main
 from redunet.harness.experiments import eval_experiment, run_experiment
 
 from oracles import roll_orthogonal_fraction
@@ -329,6 +330,23 @@ def test_translation_pipeline_on_synthetic_digits(tmp_path, glyph_dir, variant):
     assert {"train_accuracy", "test_accuracy",
             "augmented_test_accuracy"} <= set(metrics)
     assert all(0.0 <= v <= 1.0 for v in metrics.values())
+
+
+def test_translation_stride_must_divide_or_cover_the_image(tmp_path, glyph_dir, capsys):
+    # 5 neither divides nor covers the 12 x 12 glyphs; the vector variant
+    # only augments with it and fits no orbit
+    vector = _digit_cfg("mnist-translation", glyph_dir, tmp_path, "vector",
+                        stride=5, kernel_size=3, channels=2, layers=0)
+    run_experiment(vector, tmp_path / "vector")
+    invariant = _digit_cfg("mnist-translation", glyph_dir, tmp_path, "invariant",
+                           stride=5, kernel_size=3, channels=2, layers=0)
+    with pytest.raises(ConfigError, match="stride 5"):
+        run_experiment(invariant, tmp_path / "invariant")
+    for stride, code in (("5", 2), ("12", 0), ("13", 0)):
+        rc = main(["construct", "mnist-translation", "--config", str(tmp_path / "d.ini"),
+                   "--stride", stride, "--out", str(tmp_path / f"cli{stride}")])
+        assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_translation_invariant_model_kind(tmp_path, glyph_dir):

@@ -75,6 +75,14 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+def test_stride_that_is_no_subgroup_exits_two(tmp_path, capsys):
+    rc = main(["construct", "signals1d", "--stride", "7", "--layers", "1",
+               "--out", str(tmp_path / "run")])  # n 150
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "stride 7" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert main(["construct", "gauss2d", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "run")]) == 2

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from redunet import _freq
+from redunet.classify import fit_subspaces, predict
 from redunet.errors import DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
@@ -23,8 +24,8 @@ from redunet.vector import (_update_batch, compression_operators, construct_vect
 
 from oracles import (dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
-                     labels_for, repeat_labels, roll_orthogonal_fraction,
-                     unblocked_update_batch, with_header)
+                     labels_for, orbit_subspaces, repeat_labels, roll_orbit,
+                     roll_orthogonal_fraction, unblocked_update_batch, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,6 +294,60 @@ def test_streamed_archive_equals_joined_blob_and_loads_writable(G, C, m, L, k, s
         for op in vars(layer).values():
             if isinstance(op, np.ndarray):
                 assert op.flags.writeable
+
+
+# ------------------------------------------------ the strided classifier
+
+@st.composite
+def subgroups(draw):
+    """(G, stride) on 1 or 2 axes: per axis N cosets of d positions, where
+    N <= 2 has only real characters and N >= 3 complex pairs too; an axis
+    of one coset gets a stride equal to its length or a longer one."""
+    G, stride = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        N, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        G.append(N * d)
+        stride.append(d if N > 1 else draw(st.sampled_from([d, d + 2])))
+    return tuple(G), tuple(stride)
+
+
+def decided(Q, model, margin=1e-8):
+    """Columns of Q whose two least class residuals differ by more than rounding."""
+    Qf = Q.reshape(-1, Q.shape[-1])
+    sq = np.sum(Qf**2, axis=0)
+    res = np.sort([sq - np.sum((U.T @ Qf) ** 2, axis=0) for U in model.bases], axis=0)
+    return res[1] - res[0] > margin * sq
+
+
+@settings(max_examples=80, deadline=None)
+@given(group=subgroups(), C=st.integers(1, 2), m=st.integers(2, 14),
+       energy=st.one_of(st.just(1.0), st.floats(0.05, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(group=((12,), (3,)), C=1, m=10, energy=0.9, seed=0)      # complex pairs, wide
+@example(group=((4, 6), (2, 3)), C=2, m=4, energy=0.8, seed=1)    # real characters, tall
+@example(group=((6,), (8,)), C=2, m=5, energy=0.95, seed=2)       # stride past the axis
+def test_strided_fit_equals_materialized_orbit_oracle(group, C, m, energy, seed):
+    G, stride = group
+    rng, F, P = random_stack(seed, C, G, m, 2)
+    model = fit_subspaces(F, P, energy, stride=stride)
+    oracle = orbit_subspaces(F, P, energy, stride)
+    split = False
+    for j, (U, W) in enumerate(zip(model.bases, oracle.bases)):
+        assert U.dtype == np.float64
+        orbit = roll_orbit(F[..., P.mask(j)], stride)
+        lam = np.linalg.svd(orbit.reshape(-1, orbit.shape[-1]), compute_uv=False) ** 2
+        r = W.shape[1]
+        if r < lam.size and lam[r - 1] - lam[r] <= 1e-9 * lam[0]:
+            # the dense cut halves a conjugate pair, which this fit keeps whole
+            split = True
+            assert U.shape[1] == r + 1
+            assert np.max(np.abs(U @ (U.T @ W) - W)) < 1e-8
+        else:
+            assert U.shape[1] == r
+            assert np.max(np.abs(U @ U.T - W @ W.T)) < 1e-10
+    if not split:
+        for X in (rng.standard_normal(F.shape[:-1] + (30,)), F):
+            keep = decided(X, oracle)
+            assert np.array_equal(predict(X, model)[keep], predict(X, oracle)[keep])
 
 
 # ------------------------------------------------------ archive headers
