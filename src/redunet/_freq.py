@@ -37,16 +37,22 @@ archive) is checked once by `check_conjugate_symmetry`.
 Sample blocks. The layer step does little arithmetic per value (C x C
 blocks, C a few channels), so its cost is memory traffic. `update_batch`
 therefore walks the sample axis in blocks of `_UPDATE_BLOCK_VALUES`
-complex values per (F_h, C, b) slab. Once per call it stacks the layer's
-half-spectrum operators into [I + eta E; C_1; ...; C_k], (k+1, F_h, C, C)
-(`step_operator`); each block then takes one batched product with that
-stack, which yields the step and all k class projections together,
-estimates the membership from them (or slices the given one), subtracts
-the weighted projections in place and writes the renormalized block into
-the preallocated output. A step thus holds its input, its output, one
+values per (F_h, C, b) slab. Each block takes its products with the
+layer's own stacks, read in place, into one preallocated (k+1)-block
+buffer: entry 0 holds E v, which becomes the step v + eta E v, entries
+1..k the class projections C_j v. It then estimates the membership from
+the projections (or slices the given one), subtracts the weighted
+projections in place and writes the renormalized block into the
+preallocated output. A step thus holds its input, its output, one
 (k+1)-block product buffer and a few block-sized temporaries, whatever
 the number of samples, where computing every intermediate for all m
 samples at once held about k+4 arrays the size of the input.
+
+The trivial group. The vector network is the same computation over no
+group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
+1, the identity as its transform, so its stacks stay real. Its slices are
+wide (C = n features, say 784, against a few hundred samples), so every
+operator factors the smaller Gram side (`regularized_inverse`).
 """
 
 import math
@@ -57,7 +63,7 @@ import numpy as np
 from .errors import ZeroVector
 from .rate import NORM_FLOOR, Partition, RateParams, gram_logdet, hermitian_inverse
 
-_UPDATE_BLOCK_VALUES = 2**18  # complex values per (F_h, C, b) sample block: 4 MB
+_UPDATE_BLOCK_VALUES = 2**18  # values per (F_h, C, b) sample block: 4 MB complex
 
 
 @dataclass
@@ -88,8 +94,17 @@ def half_spectrum(freq_shape: tuple) -> np.ndarray:
     return index[..., :freq_shape[-1] // 2 + 1].ravel()
 
 
+def half_count(freq_shape: tuple) -> int:
+    """F_h, the number of half-spectrum frequencies over ``freq_shape``."""
+    if not freq_shape:  # the trivial group
+        return 1
+    return math.prod(freq_shape[:-1]) * (freq_shape[-1] // 2 + 1)
+
+
 def half_weights(freq_shape: tuple) -> np.ndarray:
     """(F_h,) weight of each half-spectrum slice in a sum over all F frequencies."""
+    if not freq_shape:
+        return np.ones(1)
     n = freq_shape[-1]
     w = np.full(n // 2 + 1, 2.0)
     w[0] = 1.0
@@ -120,64 +135,72 @@ def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-
             f"(max violation {err:.3e})")
 
 
+def regularized_inverse(Vs: np.ndarray, a: float, scale: float = 1.0) -> np.ndarray:
+    """a (I + a scale Vs Vs*)^-1 for one (C, m) slice, its Gram symmetrized.
+
+    When m < C the m x m side is factored instead, by the push-through
+    identity (the one ``rate.gram_logdet`` relies on):
+
+        a (I_C + a s Vs Vs*)^-1 = a (I_C - a s Vs (I_m + a s Vs* Vs)^-1 Vs*),
+
+    so the work is one m x m Hermitian inverse and two products rather
+    than a C x C one. The result keeps the dtype of ``Vs``.
+    """
+    C, m = Vs.shape
+    Vh = Vs.conj().T
+    if m < C:
+        G = scale * (Vh @ Vs)
+        K = hermitian_inverse(np.eye(m, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))
+        out = (-a * a * scale) * ((Vs @ K) @ Vh)
+        out[np.diag_indices(C)] += a
+        return 0.5 * (out + out.conj().T)
+    G = scale * (Vs @ Vh)
+    return a * hermitian_inverse(np.eye(C, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))
+
+
 def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
                 lam: float, freq_shape: tuple) -> SpectralLayer:
     """Factor the per-frequency operators from half spectra Vt (F_h, C, m).
 
     The Grams are scaled by the frequency count F = prod(freq_shape); see
     the module docstring for why the Grams of unitary spectra carry it.
+    The stacks keep the dtype of ``Vt``: real for the trivial group.
     """
     freq_shape = tuple(freq_shape)
     F_h, C, m = Vt.shape
-    F = math.prod(freq_shape)
-    if F_h != F // freq_shape[-1] * (freq_shape[-1] // 2 + 1):
+    if F_h != half_count(freq_shape):
         raise ValueError(f"expected the half-spectrum frequencies of {freq_shape}, got {F_h}")
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
-    gram_scale = float(F)
+    gram_scale = float(math.prod(freq_shape))
     params = RateParams(eps)
     alpha = params.alpha(C, m)
     alpha_class = np.array([params.alpha_class(C, int(c)) for c in partition.counts])
     k = partition.k
-    eye = np.eye(C, dtype=np.complex128)
 
-    def operator(Vs, a):  # a (I + a F Vs Vs*)^-1, its Gram symmetrized
-        G = gram_scale * (Vs @ Vs.conj().T)
-        return a * hermitian_inverse(eye + a * 0.5 * (G + G.conj().T))
-
-    Ebar = np.empty((F_h, C, C), dtype=np.complex128)
-    Cbar = np.empty((k, F_h, C, C), dtype=np.complex128)
-    classes = [Vt[:, :, partition.mask(j)] for j in range(k)]
+    Ebar = np.empty((F_h, C, C), dtype=Vt.dtype)
+    Cbar = np.empty((k, F_h, C, C), dtype=Vt.dtype)
     for p in range(F_h):
-        Ebar[p] = operator(Vt[p], alpha)
-        for j in range(k):
-            Cbar[j, p] = operator(classes[j][p], alpha_class[j])
+        Ebar[p] = regularized_inverse(Vt[p], alpha, gram_scale)
+    for j in range(k):
+        Vj = Vt[:, :, partition.mask(j)]
+        for p in range(F_h):
+            Cbar[j, p] = regularized_inverse(Vj[p], alpha_class[j], gram_scale)
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
                          alpha_class=alpha_class, eta=eta, lam=lam)
 
 
-def step_operator(layer: SpectralLayer) -> np.ndarray:
-    """The layer's operators stacked for one product per block.
+def compressions(V: np.ndarray, layer: SpectralLayer, out: np.ndarray) -> np.ndarray:
+    """E V and every C_j V of a (F_h, C, b) block into ``out`` (k+1, F_h, C, b).
 
-    Returns the (k+1, F_h, C, C) stack [I + eta E; C_1; ...; C_k]: entry 0
-    of ``stack @ V`` is the step v + eta E v, entries 1..k the class
-    projections C_j v.
+    Both products read the layer's stacks in place; entry 0 of ``out``
+    holds E v, entries 1..k the class projections C_j v.
     """
-    k, F_h, C, _ = layer.Cbar.shape
-    stack = np.empty((k + 1, F_h, C, C), dtype=np.complex128)
-    stack[0] = np.eye(C) + layer.eta * layer.Ebar
-    stack[1:] = layer.Cbar
-    return stack
-
-
-def compressions(V: np.ndarray, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``stack @ V`` into ``out`` for a (F_h, C, b) block and a `step_operator` stack.
-
-    The product, (k+1, F_h, C, b), holds the step and all class projections.
-    """
-    return np.matmul(stack, V, out=out)
+    np.matmul(layer.Ebar, V, out=out[0])
+    np.matmul(layer.Cbar, V, out=out[1:])
+    return out
 
 
 def membership(CV: np.ndarray, lam: float, weight: np.ndarray | None = None) -> np.ndarray:
@@ -230,14 +253,17 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     F_h, C, m = Vt.shape
     k = layer.Cbar.shape[0]
     weight = half_weights(layer.freq_shape)
-    stack = step_operator(layer)
-    out = np.empty((F_h, C, m), dtype=np.complex128)
+    dtype = np.result_type(Vt, layer.Ebar)
+    out = np.empty((F_h, C, m), dtype=dtype)
     b = max(1, _UPDATE_BLOCK_VALUES // (F_h * C))
-    buf = np.empty((k + 1, F_h, C, min(b, m)), dtype=np.complex128)
+    buf = np.empty((k + 1, F_h, C, min(b, m)), dtype=dtype)
     for s in range(0, m, b):
         block = slice(s, s + b)
-        prod = compressions(Vt[:, :, block], stack, buf[..., :min(b, m - s)])
-        step, CV = prod[0], prod[1:]  # v + eta E v, and every C_j v
+        V = Vt[:, :, block]
+        prod = compressions(V, layer, buf[..., :min(b, m - s)])
+        step, CV = prod[0], prod[1:]  # E v, and every C_j v
+        step *= layer.eta
+        step += V  # v + eta E v
         p = membership(CV, layer.lam, weight) if pi is None else pi[:, block]
         coeff = layer.eta * layer.gamma[:, None] * p
         for j in range(k):  # - eta sum_j gamma_j pi_j C_j v

@@ -251,15 +251,13 @@ def load_model(path):
     if min(eps, eta, lam) <= 0:
         raise BadArchiveValue(f"{path}: eps, eta and lam must be positive, "
                               f"got {eps}, {eta}, {lam}")
+    if k == 0:  # no class to steer a layer step or to classify into
+        raise BadArchiveValue(f"{path}: the model has no classes (k = 0)")
 
     # the vector kind is the trivial group: one frequency, real operators
     C, freq_shape = dims[0], dims[1:]
-    if not freq_shape:
-        grid, dtype = 1, "<f8"
-    elif version == 1:
-        grid, dtype = math.prod(freq_shape), "<c16"
-    else:
-        grid, dtype = math.prod(freq_shape[:-1]) * (freq_shape[-1] // 2 + 1), "<c16"
+    dtype = "<c16" if freq_shape else "<f8"
+    grid = math.prod(freq_shape) if version == 1 else _freq.half_count(freq_shape)
     layers = []
     for index in range(depth):
         Ebar = cur.array((grid, C, C), dtype)

@@ -141,28 +141,6 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return np.block([[P, np.zeros((h, n - h), dtype=P.dtype)], [-(R @ L[h:, :h]) @ P, R]])
 
 
-def regularized_inverse(Z: np.ndarray, a: float) -> np.ndarray:
-    """a (I_n + a Z Z*)^-1 for an (n, m) matrix Z, symmetrized.
-
-    When m < n the m x m side is factored instead, by the push-through
-    identity (the one ``gram_logdet`` relies on):
-
-        a (I_n + a Z Z*)^-1 = a (I_n - a Z (I_m + a Z* Z)^-1 Z*),
-
-    so the work is one m x m Hermitian inverse and two products rather
-    than an n x n one. When m >= n the n x n side is inverted directly.
-    """
-    n, m = Z.shape
-    if m < n:
-        G = Z.conj().T @ Z
-        K = hermitian_inverse(np.eye(m) + a * 0.5 * (G + G.conj().T))
-        out = (-a * a) * ((Z @ K) @ Z.conj().T)
-        out[np.diag_indices(n)] += a
-        return 0.5 * (out + out.conj().T)
-    G = Z @ Z.conj().T
-    return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))
-
-
 def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -> float:
     """sum_p w_p logdet(I + coeff V(p) V(p)*) over a (F, n, m) stack V.
 

@@ -26,10 +26,17 @@ objective and the layers themselves, whose (F_h, C, C) operator stacks
 imply their conjugate mirrors. Signals and kernels return from it with
 `irfftn`, whose output is real by construction.
 
+Rank 0 is the trivial group: an (n, m) stack of n-dimensional vector
+features, G = (), whose one frequency carries the features themselves
+(the transform is the identity, and the layers stay real). `construct`
+and `forward` serve it as they do the others, so the vector network
+(`vector.construct_vector_net`, `vector.forward_vector`) runs the same
+loop and the same layer step.
+
 The rank-generic functions read the group rank off the stack (its number
-of axes minus two) or off the model. The 1-d and 2-d entry points
-(`construct_shift1d`, `forward_translation2d`, ...) fix the rank, check
-it, and call them.
+of axes minus two) or off the model. The 0-d, 1-d and 2-d entry points
+(`construct_vector_net`, `construct_shift1d`, `forward_translation2d`,
+...) fix the rank, check it, and call them.
 """
 
 import math
@@ -83,6 +90,8 @@ def _freq_major(V: np.ndarray) -> np.ndarray:
 
 def _spectra(Z: np.ndarray) -> np.ndarray:
     """(F_h, C, m) unitary half spectra of a real (C, *G, m) stack."""
+    if Z.ndim == 2:  # the trivial group: the identity transform
+        return Z[None]
     axes = tuple(range(1, Z.ndim - 1))
     return _freq_major(np.fft.rfftn(Z, axes=axes) / np.sqrt(math.prod(Z.shape[1:-1])))
 
@@ -94,13 +103,16 @@ def _input_spectra(x, shape: tuple, what: str = "input"):
     single = x.ndim == len(shape)
     X = x[..., None] if single else x
     if X.shape[:-1] != shape:
-        raise ValueError(f"expected {what} samples of shape {shape}, got {X.shape[:-1]}")
+        batch = "(" + ", ".join([*map(str, shape), "b"]) + ")"
+        raise ValueError(f"expected {what} of shape {shape} or {batch}, got {x.shape}")
     return _spectra(_freq.normalize_samples(X)), single
 
 
 def _signals(Vt: np.ndarray, shape: tuple) -> np.ndarray:
     """Real (C, *G, m) signals of (F_h, C, m) half spectra, ``shape`` = (C, *G)."""
     G = shape[1:]
+    if not G:
+        return Vt[0]
     half = Vt.transpose(1, 0, 2).reshape(*shape[:-1], G[-1] // 2 + 1, Vt.shape[-1])
     axes = tuple(range(1, len(shape)))
     return np.fft.irfftn(half, s=G, axes=axes) * np.sqrt(math.prod(G))
@@ -251,7 +263,7 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     evaluated.
     """
     Zbar = real_finite(Zbar, "training stack")
-    if Zbar.ndim < 3:
+    if Zbar.ndim < 2:
         raise ValueError("expected a (C, *G, m) sample stack")
     shape, m = Zbar.shape[:-1], Zbar.shape[-1]
     if m != partition.m:
@@ -290,9 +302,6 @@ def forward(model: SpectralReduNet, xbar) -> np.ndarray:
     the normalized input. Membership is estimated at every layer.
     """
     shape = (model.C, *model.freq_shape)
-    if not model.freq_shape:
-        raise ValueError(f"expected a model of (C, *G) signals, got a vector model of "
-                         f"({model.C},) features")
     Vt, single = _input_spectra(xbar, shape)
     for layer in model.layers:
         Vt = _freq.update_batch(Vt, layer)
@@ -322,9 +331,9 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     return kern.transpose(len(G), len(G) + 1, *axes)
 
 
-# ------------------------------------------- 1-d and 2-d entry points
+# -------------------------------------- 0-d, 1-d and 2-d entry points
 
-_LAYOUTS = {1: "(C, T, m)", 2: "(C, H, W, m)"}
+_LAYOUTS = {0: "(n, m)", 1: "(C, T, m)", 2: "(C, H, W, m)"}
 
 
 def _stack_of_rank(Zbar, rank: int) -> np.ndarray:

@@ -12,14 +12,16 @@ import zlib
 
 import numpy as np
 
-from redunet._freq import half_weights
+from redunet import _freq
+from redunet._freq import SpectralLayer, half_weights
 from redunet.classify import SubspaceModel, _flatten, fit_subspaces
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
 from redunet.harness.experiments import ORTHO_COS, _flat
 from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
-                          hermitian_inverse)
-from redunet.spectral import dft, idft, spectral_operators
+                          hermitian_inverse, rate_components)
+from redunet.spectral import SpectralReduNet, dft, idft, spectral_operators
+from redunet.vector import compression_operators, expansion_operator
 
 
 def rng_for(seed):
@@ -381,6 +383,53 @@ def unblocked_update_batch(Vt, layer, pi=None):
     return _half_normalize_samples(out, weight)
 
 
+# --------------------------------------------------- vector layer loop
+#
+# The vector network as it ran before the spectral engine took the trivial
+# group: its own loop over (n, m) feature matrices, the dense operators of
+# `redunet.vector`, every step one product per operator over all samples,
+# and the objective from `rate.rate_components`.
+
+def vector_update_batch(Z, layer, pi=None):
+    """One layer step for every column of Z with membership weights pi (k, b),
+    estimated from the class projections when omitted."""
+    EZ = layer.Ebar[0] @ Z
+    Cz = layer.Cbar[:, 0] @ Z  # (k, n, b)
+    if pi is None:
+        pi = _freq.membership(Cz, layer.lam)
+    sigma = np.einsum("jnb,jb->nb", Cz, layer.gamma[:, None] * pi)
+    return _freq.normalize_samples(Z + layer.eta * EZ - layer.eta * sigma)
+
+
+def vector_loop_construct(X, partition, L, eta, eps, lam=None, use_labels=False,
+                          carry=None):
+    """An L-layer vector network built by the vector loop, with its carry."""
+    n, m = X.shape
+    if lam is None:
+        lam = default_lambda(partition.k)
+    params = RateParams(eps)
+    alpha_class = np.array([params.alpha_class(n, int(c)) for c in partition.counts])
+    Z = _freq.normalize_samples(X)
+    Zc = None if carry is None else _freq.normalize_samples(np.ascontiguousarray(carry))
+    onehot = partition.onehot()
+    trace = [rate_components(Z, partition, eps)]
+    layers = []
+    for _ in range(int(L)):
+        layer = SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
+                              Cbar=compression_operators(Z, partition, eps)[:, None],
+                              freq_shape=(), gamma=partition.gamma.copy(),
+                              alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
+                              eta=eta, lam=lam)
+        layers.append(layer)
+        Z = vector_update_batch(Z, layer, onehot if use_labels else None)
+        if Zc is not None:
+            Zc = vector_update_batch(Zc, layer)
+        trace.append(rate_components(Z, partition, eps))
+    return SpectralReduNet(layers=layers, C=n, freq_shape=(), k=partition.k, eps=eps,
+                           eta=eta, lam=lam, trace=np.array(trace),
+                           gamma=partition.gamma.copy(), features=Z, carry_features=Zc)
+
+
 # --------------------------------------------------------------- archive
 #
 # Version-2 archives: the header u32s kind, k and ndim sit at bytes 12, 16
@@ -457,3 +506,13 @@ def with_last_operator_value(blob, value):
     """A copy of archive ``blob`` whose last operator float (the last layer's
     last Cbar entry) is ``value``, with the CRC recomputed."""
     return _with_float(blob, _trace_offset(blob) - 8, value)
+
+
+def no_class_model(n):
+    """A one-layer vector model on n features with k = 0 classes, which no
+    construction builds but `save_model` writes."""
+    layer = SpectralLayer(Ebar=np.eye(n)[None], Cbar=np.empty((0, 1, n, n)), freq_shape=(),
+                          gamma=np.empty(0), alpha=1.0, alpha_class=np.empty(0), eta=0.5,
+                          lam=1.0)
+    return SpectralReduNet(layers=[layer], C=n, freq_shape=(), k=0, eps=0.5, eta=0.5,
+                           lam=1.0, trace=np.zeros((2, 3)), gamma=np.empty(0))

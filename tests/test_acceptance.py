@@ -25,8 +25,8 @@ from redunet import (Partition, construct_shift1d, construct_translation2d,
                      translation_rate_components, translation_rate_reduction)
 from redunet.harness import read_csv
 from redunet.harness.cli import main as cli_main
+from redunet.rate import default_lambda
 from redunet.spectral import dft, spectral_operators
-from redunet.vector import default_lambda
 
 import oracles
 import test_spectral1d as s1

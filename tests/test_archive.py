@@ -18,7 +18,8 @@ from redunet.spectral import (construct, construct_shift1d, construct_translatio
                               forward_shift1d, forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
-from oracles import labels_for, rng_for, with_header_value, with_last_operator_value
+from oracles import (labels_for, no_class_model, rng_for, with_header_value,
+                     with_last_operator_value)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -181,6 +182,13 @@ def test_non_positive_header_scale_rejected(tmp_path, field, value):
     save_model(model, path)
     path.write_bytes(with_header_value(path.read_bytes(), field, value))
     with pytest.raises(BadArchiveValue, match="must be positive"):
+        load_model(path)
+
+
+def test_model_of_no_classes_rejected(tmp_path):
+    # forwarding through it would fail on an empty membership softmax
+    path = save_model(no_class_model(4), tmp_path / "m.rnet")
+    with pytest.raises(BadArchiveValue, match=r"no classes \(k = 0\)"):
         load_model(path)
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from redunet.harness.archive import save_model
 from redunet.harness.cli import main
 from redunet.harness.csvio import read_csv
 
-from oracles import rng_for, with_header, with_header_value, with_last_operator_value
+from oracles import (no_class_model, rng_for, with_header, with_header_value,
+                     with_last_operator_value)
 
 
 def gauss_ini(tmp_path, **kw):
@@ -127,12 +129,12 @@ def test_non_finite_custom_vector_exits_four(tmp_path, capsys):
 
 
 def test_non_finite_custom_vector_exits_four_before_any_layer(tmp_path, capsys, monkeypatch):
-    import redunet.vector
+    import redunet._freq
 
     def fail(*args, **kwargs):
         pytest.fail("a layer was built from non-finite input")
 
-    monkeypatch.setattr(redunet.vector, "expansion_operator", fail)
+    monkeypatch.setattr(redunet._freq, "build_layer", fail)
     X = rng_for(1).standard_normal((3, 8))
     X[1, 4] = np.nan
     data = tmp_path / "bad.npz"
@@ -175,12 +177,12 @@ def _bad_npz(case):
                                   "label_count"])
 def test_bad_custom_vector_npz_exits_three_before_any_layer(tmp_path, capsys,
                                                             monkeypatch, case):
-    import redunet.vector
+    import redunet._freq
 
     def fail(*args, **kwargs):
         pytest.fail("a layer was built from an inconsistent .npz")
 
-    monkeypatch.setattr(redunet.vector, "expansion_operator", fail)
+    monkeypatch.setattr(redunet._freq, "build_layer", fail)
     data = tmp_path / "bad.npz"
     np.savez(data, **_bad_npz(case))
     ini = tmp_path / "c.ini"
@@ -294,6 +296,15 @@ def test_eval_of_archive_with_nan_operator_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error:") and "non-finite operator" in err
+
+
+def test_eval_of_archive_with_no_classes_exits_three(tmp_path, capsys):
+    archive = save_model(no_class_model(2), tmp_path / "k0.rnet")
+    rc = main(["eval", "gauss2d", archive, "--config", gauss_ini(tmp_path),
+               "--out", str(tmp_path / "redo")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "no classes" in err
 
 
 def test_export_kernel_on_vector_archive_exits_two(tmp_path):

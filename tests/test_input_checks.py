@@ -61,7 +61,10 @@ def test_forward_vector_names_the_feature_count_it_expects():
         forward_vector(model, rng_for(4).standard_normal((6, 3)))
 
 
-def test_spectral_forward_rejects_a_vector_model():
+def test_spectral_forward_takes_a_vector_model():
     model = construct_vector_net(stack("vector", 4), PARTITION, 1, 0.5, 0.1)
-    with pytest.raises(ValueError, match=r"expected a model of \(C, \*G\) signals"):
-        forward(model, stack("vector", 3, seed=4))
+    x = stack("vector", 3, seed=4)
+    assert np.array_equal(forward(model, x), forward_vector(model, x))
+    single = forward(model, x[:, 0])
+    assert single.shape == (5,)
+    assert np.max(np.abs(single - forward_vector(model, x)[:, 0])) < 1e-12

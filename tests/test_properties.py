@@ -16,11 +16,10 @@ from redunet.classify import fit_subspaces, predict
 from redunet.errors import DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
-from redunet.rate import Partition, RateParams, gram_logdet, regularized_inverse
+from redunet.rate import Partition, RateParams, gram_logdet
 from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
-from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
-                            expansion_operator, soft_membership)
+from redunet.vector import compression_operators, construct_vector_net, expansion_operator
 
 from oracles import (dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
@@ -207,7 +206,7 @@ def assert_matches_dense(got, Z, a):
 def test_regularized_inverse_equals_dense_oracle(n, m, eps, seed):
     Z = _freq.normalize_samples(np.random.default_rng(seed).standard_normal((n, m)))
     a = RateParams(eps).alpha(n, m)
-    assert_matches_dense(regularized_inverse(Z, a), Z, a)
+    assert_matches_dense(_freq.regularized_inverse(Z, a), Z, a)
 
 
 def random_gram_stack(seed, F, n, m, complex_):
@@ -268,9 +267,9 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     rng = np.random.default_rng(seed)
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
-    Z = _freq.normalize_samples(rng.standard_normal((n, b)))
-    estimated = _update_batch(Z, layer, soft_membership(Z, layer.Cbar[:, 0], layer.lam))
-    assert np.array_equal(_update_batch(Z, layer), estimated)
+    Z = _freq.normalize_samples(rng.standard_normal((n, b)))[None]
+    pi = _freq.membership(layer.Cbar @ Z, layer.lam, _freq.half_weights(()))
+    assert np.array_equal(_freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi))
 
 
 @settings(max_examples=30, deadline=None)
@@ -283,8 +282,7 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
 def test_streamed_archive_equals_joined_blob_and_loads_writable(G, C, m, L, k, seed):
     # G = () is the vector network on C-dimensional features
     _, Zbar, P = random_stack(seed, C, G, m, k)
-    make = construct_vector_net if G == () else construct
-    model = make(Zbar, P, L, eta=0.3, eps=0.5)
+    model = construct(Zbar, P, L, eta=0.3, eps=0.5)
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(model, os.path.join(tmp, "m.rnet"))
         with open(path, "rb") as fh:
@@ -391,8 +389,7 @@ def test_archive_cut_at_a_layer_boundary_loads_those_layers_or_raises_data_error
     # keep the first `cut` layers and a resealed trailer: with the honest
     # counts that is a valid shorter archive, with any others a DataError
     _, Zbar, P = random_stack(seed, 2, G, 4, 2)
-    make = construct_vector_net if G == () else construct
-    model = make(Zbar, P, L, eta=0.3, eps=0.5)
+    model = construct(Zbar, P, L, eta=0.3, eps=0.5)
     cut = min(cut, L)
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(model, os.path.join(tmp, "m.rnet"))

@@ -5,12 +5,11 @@ import pytest
 
 from redunet import _freq
 from redunet.errors import ImaginaryResidue, ZeroVector
-from redunet.rate import Partition
+from redunet.rate import Partition, default_lambda
 from redunet.spectral import (augmented_partition, construct_shift1d, dft,
                               forward_shift1d, group_circulant, idft, kernel_extract,
                               shift_rate_components, shift_rate_reduction,
                               spectral_gradient, spectral_operators, stacked_circulant)
-from redunet.vector import default_lambda
 
 import oracles
 from oracles import (central_diff_grad, dft_matrix, labels_for, repeat_labels,

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from redunet.errors import ImaginaryResidue, ZeroVector
-from redunet.rate import Partition
+from redunet.rate import Partition, default_lambda
 from redunet.spectral import (augmented_partition, construct_shift1d,
                               construct_translation2d, dft, forward_translation2d,
                               group_circulant, idft, kernel_extract_2d,
                               spectral_gradient_2d, spectral_operators, stacked_circulant,
                               translation_rate_components, translation_rate_reduction)
-from redunet.vector import default_lambda
 
 import oracles
 from oracles import central_diff_grad, dft_matrix, labels_for, repeat_labels, rng_for, slogdet_rate

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from redunet.classify import fit_subspaces, predict
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, RateParams, rate_gradient, rate_reduction
 from redunet.spectral import construct_shift1d
-from redunet._freq import normalize_samples
-from redunet.vector import (_update_batch, compression_operators, construct_vector_net,
-                            expansion_operator, forward_vector, soft_membership)
+from redunet._freq import membership, normalize_samples, update_batch
+from redunet.vector import (compression_operators, construct_vector_net, expansion_operator,
+                            forward_vector)
 
-from oracles import labels_for, rng_for
+from oracles import labels_for, rng_for, vector_loop_construct
+
+
+def step(Z, layer, pi=None):
+    """The engine's layer step on an (n, b) feature batch, a rank-0 stack."""
+    return update_batch(Z[None], layer, pi)[0]
 
 
 def test_expansion_identity_features():
@@ -79,12 +85,12 @@ def test_soft_membership_is_a_distribution():
     Z = rng.standard_normal((4, 9))
     P = Partition(labels_for(9, 3, rng))
     C = compression_operators(Z, P, 0.5)
-    pi = soft_membership(Z, C, lam=30.0)
+    pi = membership(C @ Z, lam=30.0)
     assert pi.shape == (3, 9)
     assert np.all(pi >= 0) and np.all(pi <= 1)
     assert np.max(np.abs(pi.sum(axis=0) - 1)) < 1e-12
-    single = soft_membership(Z[:, 0], C, lam=30.0)
-    assert np.allclose(single, pi[:, 0])
+    single = membership(C @ Z[:, :1], lam=30.0)
+    assert np.allclose(single[:, 0], pi[:, 0])
 
 
 def test_soft_membership_sharp_limit_picks_smallest_norm():
@@ -94,7 +100,7 @@ def test_soft_membership_sharp_limit_picks_smallest_norm():
     C = compression_operators(Z, P, 0.5)
     z = rng.standard_normal(4)
     norms = np.array([np.linalg.norm(C[j] @ z) for j in range(3)])
-    pi = soft_membership(z, C, lam=1e6)
+    pi = membership((C @ z)[..., None], lam=1e6)[:, 0]
     hard = np.zeros(3)
     hard[np.argmin(norms)] = 1.0
     assert np.linalg.norm(pi - hard) < 1e-6
@@ -105,7 +111,7 @@ def test_soft_membership_large_lambda_does_not_overflow():
     Z = rng.standard_normal((3, 6))
     P = Partition(labels_for(6, 2, rng))
     C = compression_operators(Z, P, 0.5)
-    pi = soft_membership(rng.standard_normal(3) * 100, C, lam=1e12)
+    pi = membership(C @ (rng.standard_normal((3, 1)) * 100), lam=1e12)
     assert np.all(np.isfinite(pi))
     assert abs(pi.sum() - 1) < 1e-12
 
@@ -117,10 +123,10 @@ def test_nonlinear_compression_matches_manual_sum():
     P = Partition(labels_for(8, 2, rng))
     layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
     z = rng.standard_normal((4, 1))
-    pi = soft_membership(z, layer.Cbar[:, 0], layer.lam)
+    pi = membership(layer.Cbar[:, 0] @ z, layer.lam)
     sigma = sum(layer.gamma[j] * pi[j] * (layer.Cbar[j, 0] @ z) for j in range(2))
     raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * sigma
-    assert np.linalg.norm(_update_batch(z, layer, pi) - raw / np.linalg.norm(raw)) < 1e-12
+    assert np.linalg.norm(step(z, layer, pi) - raw / np.linalg.norm(raw)) < 1e-12
 
 
 def test_hard_label_layer_equals_gradient_ascent_step():
@@ -199,10 +205,10 @@ def test_apply_layer_single_matches_batch():
     model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     batch = rng.standard_normal((4, 5))
-    out = _update_batch(batch, layer, soft_membership(batch, layer.Cbar[:, 0], layer.lam))
+    out = step(batch, layer, membership(layer.Cbar[:, 0] @ batch, layer.lam))
     for i in range(5):
         col = batch[:, i:i + 1]
-        single = _update_batch(col, layer, soft_membership(col, layer.Cbar[:, 0], layer.lam))
+        single = step(col, layer, membership(layer.Cbar[:, 0] @ col, layer.lam))
         assert np.linalg.norm(single[:, 0] - out[:, i]) < 1e-12
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0)
 
@@ -214,7 +220,7 @@ def test_apply_layer_hard_label_variant():
     model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     z = rng.standard_normal((4, 1))
-    out = _update_batch(z, layer, np.array([[0.0], [1.0]]))  # true label 1
+    out = step(z, layer, np.array([[0.0], [1.0]]))  # true label 1
     raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * layer.gamma[1] * layer.Cbar[1, 0] @ z
     assert np.linalg.norm(out - raw / np.linalg.norm(raw)) < 1e-12
 
@@ -248,3 +254,23 @@ def test_two_separated_classes_increase_rate_reduction():
     labels = np.array([0] * m + [1] * m)
     model = construct_vector_net(X, Partition(labels), L=30, eta=0.5, eps=0.1)
     assert model.trace[-1, 0] > model.trace[0, 0]
+
+
+@pytest.mark.parametrize("n, m", [(9, 6), (4, 12)])  # the m x m and the n x n Gram side
+@pytest.mark.parametrize("use_labels", [False, True])
+def test_engine_equals_vector_loop_oracle(n, m, use_labels):
+    rng = rng_for(23)
+    X, Y = rng.standard_normal((n, m)), rng.standard_normal((n, 5))
+    P = Partition(labels_for(m, 2, rng))
+    model = construct_vector_net(X, P, L=4, eta=0.5, eps=0.5, carry=Y, use_labels=use_labels)
+    want = vector_loop_construct(X, P, L=4, eta=0.5, eps=0.5, carry=Y, use_labels=use_labels)
+    for got, ref in [(model.features, want.features),
+                     (model.carry_features, want.carry_features), (model.trace, want.trace)]:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    fitted = fit_subspaces(model.features, P)
+    assert np.array_equal(predict(model.carry_features, fitted),
+                          predict(want.carry_features, fit_subspaces(want.features, P)))
+    # the Gram scale is F = 1, so layer 0 factors exactly the dense operators
+    Z0 = normalize_samples(X)
+    assert np.array_equal(model.layers[0].Ebar[0], expansion_operator(Z0, 0.5))
+    assert np.array_equal(model.layers[0].Cbar[:, 0], compression_operators(Z0, P, 0.5))
