@@ -4,8 +4,10 @@ import os as _os
 
 # REDUNET_THREADS caps BLAS parallelism; it must land in the environment
 # before numpy first loads, which is why it sits above every import here.
-_threads = _os.environ.get("REDUNET_THREADS")
-if _threads:
+# A value that is not a positive integer is not passed on: the layer step
+# (`_freq.thread_count`) and the command line reject it.
+_threads = _os.environ.get("REDUNET_THREADS", "")
+if _threads.isdecimal() and int(_threads) > 0:
     for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)

@@ -37,16 +37,40 @@ archive) is checked once by `check_conjugate_symmetry`.
 Sample blocks. The layer step does little arithmetic per value (C x C
 blocks, C a few channels), so its cost is memory traffic. `update_batch`
 therefore walks the sample axis in blocks of `_UPDATE_BLOCK_VALUES`
-values per (F_h, C, b) slab. Each block takes its products with the
-layer's own stacks, read in place, into one preallocated (k+1)-block
-buffer: entry 0 holds E v, which becomes the step v + eta E v, entries
-1..k the class projections C_j v. It then estimates the membership from
-the projections (or slices the given one), subtracts the weighted
-projections in place and writes the renormalized block into the
-preallocated output. A step thus holds its input, its output, one
-(k+1)-block product buffer and a few block-sized temporaries, whatever
-the number of samples, where computing every intermediate for all m
-samples at once held about k+4 arrays the size of the input.
+values per (F_h, C, b) slab, 1 MB of complex values, or, for the trivial
+group, of `_TRIVIAL_BLOCK_VALUES`: its steps run on the calling thread
+alone (see Workers), and its wide operators (784 x 784, say) are read
+once per block, so fewer, larger blocks serve it better. Each block takes
+its products with the layer's own stacks, read in place, into a
+(k+1)-block buffer: entry 0 holds E v, which becomes the step
+v + eta E v, entries 1..k the class projections C_j v. It then estimates
+the membership from the projections (or slices the given one), subtracts
+the weighted projections in place and writes the renormalized block into
+the preallocated output. A step thus holds its input, its output, and per
+worker one (k+1)-block product buffer and a few block-sized temporaries,
+whatever the number of samples, where computing every intermediate for
+all m samples at once held about k+4 arrays the size of the input.
+
+Workers. The blocks are independent, so `update_batch` shares them out
+over W = `thread_count()` workers (``REDUNET_THREADS``, else the usable
+CPUs): the calling thread and W - 1 threads of a module-level pool, made
+on first use and made again in a forked child. Worker w steps blocks w,
+w + W, ... The block partition depends on m, F_h and C only, never on W,
+and every block is computed the same way on any thread, so the output has
+the same bytes for any worker count. The caller allocates every worker's
+product buffer before dispatch, so the largest allocations do not land in
+the malloc arenas of the pool's threads. A step of the trivial group,
+whose wide products BLAS already spreads over the cores, and a step of
+one block run on the calling thread alone. An error in a worker (a
+zero-norm sample) reaches the caller unchanged.
+
+Factorization. Every operator is factored for all F_h frequencies at
+once: `build_layer` makes k+1 batched calls of `rate.hermitian_inverse`,
+one per operator, each one Cholesky factorization over the stack. The
+factors' log-determinants are those of the objective of the features the
+layer is built from, so the layer carries that objective triple too
+(`SpectralLayer.components`), and the construction loop factors no Gram a
+second time.
 
 The trivial group. The vector network is the same computation over no
 group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
@@ -56,14 +80,19 @@ operator factors the smaller Gram side (`regularized_inverse`).
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
-from .rate import NORM_FLOOR, Partition, RateParams, gram_logdet, hermitian_inverse
+from .errors import ConfigError, ZeroVector
+from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, gram_logdet,
+                   hermitian_inverse)
 
-_UPDATE_BLOCK_VALUES = 2**18  # values per (F_h, C, b) sample block: 4 MB complex
+_UPDATE_BLOCK_VALUES = 2**16  # values per (F_h, C, b) sample block: 1 MB complex
+_TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group: 2 MB real
+_WORKERS = None  # workers of the layer step; None: `thread_count()`
+_POOL = None  # (threads, ThreadPoolExecutor) of `_pool`, made on first use
 
 
 @dataclass
@@ -75,6 +104,9 @@ class SpectralLayer:
     order (F_h = prod(G[:-1]) * (G[-1]//2 + 1)); every other frequency is
     the conjugate of its mirror. The vector network (``freq_shape = ()``) is
     its own half, F_h = 1: real operators of that one frequency.
+    ``components`` is the objective triple (reduction, expand, compress)
+    of the features the layer was factored from, which `build_layer`
+    reads off its factorizations; archives do not store it.
     """
 
     Ebar: np.ndarray
@@ -85,6 +117,7 @@ class SpectralLayer:
     alpha_class: np.ndarray
     eta: float
     lam: float
+    components: tuple | None = None
 
 
 def half_spectrum(freq_shape: tuple) -> np.ndarray:
@@ -135,8 +168,10 @@ def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-
             f"(max violation {err:.3e})")
 
 
-def regularized_inverse(Vs: np.ndarray, a: float, scale: float = 1.0) -> np.ndarray:
-    """a (I + a scale Vs Vs*)^-1 for one (C, m) slice, its Gram symmetrized.
+def regularized_inverse(Vs: np.ndarray, a: float,
+                        scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """a (I + a scale Vs Vs*)^-1 for every (C, m) slice of a stack Vs
+    (..., C, m), its Gram symmetrized, and logdet(I + a scale Vs Vs*).
 
     When m < C the m x m side is factored instead, by the push-through
     identity (the one ``rate.gram_logdet`` relies on):
@@ -144,18 +179,21 @@ def regularized_inverse(Vs: np.ndarray, a: float, scale: float = 1.0) -> np.ndar
         a (I_C + a s Vs Vs*)^-1 = a (I_C - a s Vs (I_m + a s Vs* Vs)^-1 Vs*),
 
     so the work is one m x m Hermitian inverse and two products rather
-    than a C x C one. The result keeps the dtype of ``Vs``.
+    than a C x C one; both sides have the same log-determinant. The whole
+    stack is factored at once (`rate.hermitian_inverse`), and every slice
+    gets the bytes it would get alone. The result keeps the dtype of ``Vs``.
     """
-    C, m = Vs.shape
-    Vh = Vs.conj().T
+    C, m = Vs.shape[-2:]
+    Vh = _adjoint(Vs)
     if m < C:
         G = scale * (Vh @ Vs)
-        K = hermitian_inverse(np.eye(m, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))
+        K, logdet = hermitian_inverse(np.eye(m, dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
         out = (-a * a * scale) * ((Vs @ K) @ Vh)
-        out[np.diag_indices(C)] += a
-        return 0.5 * (out + out.conj().T)
+        out[..., np.arange(C), np.arange(C)] += a
+        return 0.5 * (out + _adjoint(out)), logdet
     G = scale * (Vs @ Vh)
-    return a * hermitian_inverse(np.eye(C, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))
+    inv, logdet = hermitian_inverse(np.eye(C, dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
+    return a * inv, logdet
 
 
 def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
@@ -164,7 +202,11 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
     The Grams are scaled by the frequency count F = prod(freq_shape); see
     the module docstring for why the Grams of unitary spectra carry it.
-    The stacks keep the dtype of ``Vt``: real for the trivial group.
+    The stacks keep the dtype of ``Vt``: real for the trivial group. Each
+    operator is one batched factorization over the frequency axis, whose
+    log-determinants give the objective triple of ``Vt`` as well
+    (`SpectralLayer.components`, equal to `spectral_components` up to
+    rounding).
     """
     freq_shape = tuple(freq_shape)
     F_h, C, m = Vt.shape
@@ -173,23 +215,24 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
     gram_scale = float(math.prod(freq_shape))
+    weight = half_weights(freq_shape)
     params = RateParams(eps)
     alpha = params.alpha(C, m)
     alpha_class = np.array([params.alpha_class(C, int(c)) for c in partition.counts])
-    k = partition.k
 
-    Ebar = np.empty((F_h, C, C), dtype=Vt.dtype)
-    Cbar = np.empty((k, F_h, C, C), dtype=Vt.dtype)
-    for p in range(F_h):
-        Ebar[p] = regularized_inverse(Vt[p], alpha, gram_scale)
-    for j in range(k):
-        Vj = Vt[:, :, partition.mask(j)]
-        for p in range(F_h):
-            Cbar[j, p] = regularized_inverse(Vj[p], alpha_class[j], gram_scale)
+    Ebar, logdet = regularized_inverse(Vt, alpha, gram_scale)
+    expand = float(weight @ logdet)
+    Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
+    compress = []
+    for j in range(partition.k):
+        Cbar[j], logdet = regularized_inverse(Vt[:, :, partition.mask(j)], alpha_class[j],
+                                              gram_scale)
+        compress.append(float(weight @ logdet))
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
-                         alpha_class=alpha_class, eta=eta, lam=lam)
+                         alpha_class=alpha_class, eta=eta, lam=lam,
+                         components=_triple(expand, compress, partition.gamma, gram_scale))
 
 
 def compressions(V: np.ndarray, layer: SpectralLayer, out: np.ndarray) -> np.ndarray:
@@ -248,29 +291,98 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
 
     With ``pi`` omitted the membership is estimated from the projections;
     passing a (k, m) array (e.g. the true one-hot labels) overrides it.
-    The samples are stepped in blocks of `_UPDATE_BLOCK_VALUES` values.
+    The samples are stepped in blocks of `_UPDATE_BLOCK_VALUES` values
+    (`_TRIVIAL_BLOCK_VALUES` for the trivial group), shared out over the
+    workers (module docstring); the result does not depend on how many
+    there are.
     """
     F_h, C, m = Vt.shape
     k = layer.Cbar.shape[0]
     weight = half_weights(layer.freq_shape)
     dtype = np.result_type(Vt, layer.Ebar)
     out = np.empty((F_h, C, m), dtype=dtype)
-    b = max(1, _UPDATE_BLOCK_VALUES // (F_h * C))
-    buf = np.empty((k + 1, F_h, C, min(b, m)), dtype=dtype)
-    for s in range(0, m, b):
-        block = slice(s, s + b)
-        V = Vt[:, :, block]
-        prod = compressions(V, layer, buf[..., :min(b, m - s)])
-        step, CV = prod[0], prod[1:]  # E v, and every C_j v
-        step *= layer.eta
-        step += V  # v + eta E v
-        p = membership(CV, layer.lam, weight) if pi is None else pi[:, block]
-        coeff = layer.eta * layer.gamma[:, None] * p
-        for j in range(k):  # - eta sum_j gamma_j pi_j C_j v
-            CV[j] *= coeff[j]
-            step -= CV[j]
-        normalize_samples(step, weight, out=out[:, :, block])
+    values = _UPDATE_BLOCK_VALUES if layer.freq_shape else _TRIVIAL_BLOCK_VALUES
+    b = max(1, values // (F_h * C))
+    blocks = [slice(s, s + b) for s in range(0, m, b)]
+    workers = 1 if not layer.freq_shape or len(blocks) == 1 else min(_workers(), len(blocks))
+    bufs = np.empty((workers, k + 1, F_h, C, min(b, m)), dtype=dtype)
+
+    def run(w):  # worker w steps blocks w, w + workers, ... in its own buffer
+        for block in blocks[w::workers]:
+            _step_block(Vt, layer, pi, weight, block, bufs[w], out)
+
+    helpers = []
+    if workers > 1:
+        pool = _pool()
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
+    try:
+        run(0)  # the calling thread is worker 0
+    finally:  # no helper outlives the step, even when worker 0 failed
+        errors = [task.exception() for task in helpers]
+    for error in errors:
+        if error is not None:
+            raise error
     return out
+
+
+def _step_block(Vt, layer, pi, weight, block, buf, out):
+    """The layer step of the samples ``block`` of Vt into the same samples
+    of ``out``, its products taken into the (k+1)-block buffer ``buf``."""
+    V = Vt[:, :, block]
+    prod = compressions(V, layer, buf[..., :V.shape[-1]])
+    step, CV = prod[0], prod[1:]  # E v, and every C_j v
+    step *= layer.eta
+    step += V  # v + eta E v
+    p = membership(CV, layer.lam, weight) if pi is None else pi[:, block]
+    coeff = layer.eta * layer.gamma[:, None] * p
+    for j in range(CV.shape[0]):  # - eta sum_j gamma_j pi_j C_j v
+        CV[j] *= coeff[j]
+        step -= CV[j]
+    normalize_samples(step, weight, out=out[:, :, block])
+
+
+def thread_count() -> int:
+    """Workers of the layer step: ``REDUNET_THREADS`` if set, else the CPUs
+    this process may run on, and never more than those.
+
+    A value that is not a positive integer raises ConfigError.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    raw = os.environ.get("REDUNET_THREADS", "")
+    if not raw:
+        return cpus
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise ConfigError(f"REDUNET_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), cpus)
+
+
+def _workers() -> int:
+    return thread_count() if _WORKERS is None else _WORKERS
+
+
+def _pool():
+    """The module's pool of the `_workers` - 1 threads that work beside the
+    calling thread, made on first use."""
+    # imported here, so that a process that never shares out a step (the
+    # vector network's) does not load the module
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _POOL
+    n = _workers() - 1
+    if _POOL is None or _POOL[0] != n:
+        if _POOL is not None:
+            _POOL[1].shutdown(wait=False)
+        _POOL = (n, ThreadPoolExecutor(n, thread_name_prefix="redunet-step"))
+    return _POOL[1]
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
@@ -286,11 +398,19 @@ def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
     scale = float(math.prod(freq_shape))
     weight = half_weights(tuple(freq_shape))
     params = RateParams(eps)
-    R = gram_logdet(Vt, scale * params.alpha(C, m), weight) / (2.0 * scale)
+    expand = gram_logdet(Vt, scale * params.alpha(C, m), weight)
+    compress = [gram_logdet(Vt[:, :, partition.mask(j)],
+                            scale * params.alpha_class(C, int(partition.counts[j])), weight)
+                for j in range(partition.k)]
+    return _triple(expand, compress, partition.gamma, scale)
+
+
+def _triple(expand: float, compress: list, gamma: np.ndarray,
+            scale: float) -> tuple[float, float, float]:
+    """(reduction, expand, compress) rates from the weighted log-det sums of
+    the whole set and of each class, over F = ``scale`` frequencies."""
+    R = expand / (2.0 * scale)
     Rc = 0.0
-    for j in range(partition.k):
-        mask = partition.mask(j)
-        aj = params.alpha_class(C, int(partition.counts[j]))
-        acc = gram_logdet(Vt[:, :, mask], scale * aj, weight)
-        Rc += partition.gamma[j] * acc / (2.0 * scale)
+    for g, acc in zip(gamma, compress):
+        Rc += g * acc / (2.0 * scale)
     return R - Rc, R, Rc

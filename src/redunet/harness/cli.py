@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .._freq import thread_count
 from ..errors import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, RedunetError, exit_code_for
 from .config import KINDS, load_config
 from .experiments import eval_experiment, export_kernels, run_experiment
@@ -76,6 +77,7 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        thread_count()  # a bad REDUNET_THREADS exits before any work
         if args.command in _EXPERIMENT_COMMANDS:
             cfg = load_config(args.kind, args.config, _overrides(args))
             if args.command == "construct":

@@ -48,10 +48,11 @@ def emit_csv(data, path, header):
         if float_matrix:
             # a formatted finite double never needs quoting, so rows skip
             # csv.writer and the per-value dispatch of _format: same bytes,
-            # written one row at a time to keep memory flat
-            fmt = "{:.17g}".format
+            # each row one % on a row format, written one row at a time to
+            # keep memory flat
+            fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
             for row in data:
-                fh.write(",".join(map(fmt, row.tolist())) + "\n")
+                fh.write(fmt % tuple(row.tolist()))
         else:
             for row in rows:
                 writer.writerow([_format(v) for v in row])

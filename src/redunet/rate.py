@@ -14,7 +14,10 @@ with ``tr(Pi_j) = m_j`` samples in class j, is
 The objective maximized by the networks in this package is the difference
 ``rate_reduction = R - Rc``. All logarithms are natural (rates in nats).
 Every log-det, of a vector feature set here or of the per-frequency stack
-of a spectral one (``_freq``), is one call of the kernel `gram_logdet`.
+of a spectral one (``_freq``), is read off a Cholesky factor: `gram_logdet`
+factors for the objective alone, and `hermitian_inverse` returns the
+log-dets of the stack it inverts, which is how a spectral layer gets the
+objective of its features from its own factorizations.
 """
 
 from dataclasses import dataclass
@@ -118,27 +121,45 @@ def default_lambda(k: int) -> float:
     return 10.0 * k
 
 
-def hermitian_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a real symmetric or complex Hermitian positive definite
-    matrix via Cholesky, A^-1 = L^-* L^-1 for A = L L*, symmetrized."""
+def hermitian_inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and log-determinants of a stack (..., n, n) of real symmetric
+    or complex Hermitian positive definite matrices.
+
+    One batched Cholesky factorization A = L L* serves both: the inverse
+    A^-1 = L^-* L^-1, symmetrized, and logdet A = 2 sum_i log L_ii, of
+    shape A.shape[:-2]. Each matrix of the stack gets the same bytes as it
+    would alone. A factor that fails raises NotPositiveDefinite.
+    """
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     Li = _lower_inverse(L)
-    inv = Li.conj().T @ Li
-    return 0.5 * (inv + inv.conj().T)
+    inv = _adjoint(Li) @ Li
+    return 0.5 * (inv + _adjoint(inv)), 2.0 * _log_diagonal_sum(L)
+
+
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack (..., n, n')."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def _log_diagonal_sum(L: np.ndarray) -> np.ndarray:
+    """sum_i log L_ii of each Cholesky factor of a stack (..., n, n)."""
+    return np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L by halves, [[L11, 0], [L21, L22]]^-1 =
-    [[P, 0], [-R L21 P, R]] with P = L11^-1, R = L22^-1: mostly matrix
-    products, down to blocks of 64 rows that LAPACK inverts at once."""
-    n, h = L.shape[0], L.shape[0] // 2
+    """Inverses of a stack (..., n, n) of lower-triangular L by halves,
+    [[L11, 0], [L21, L22]]^-1 = [[P, 0], [-R L21 P, R]] with P = L11^-1,
+    R = L22^-1: mostly matrix products, down to blocks of 64 rows that
+    LAPACK inverts at once."""
+    n, h = L.shape[-1], L.shape[-1] // 2
     if n <= 64:
         return np.linalg.inv(L)
-    P, R = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
-    return np.block([[P, np.zeros((h, n - h), dtype=P.dtype)], [-(R @ L[h:, :h]) @ P, R]])
+    P, R = _lower_inverse(L[..., :h, :h]), _lower_inverse(L[..., h:, h:])
+    zeros = np.zeros((*L.shape[:-2], h, n - h), dtype=P.dtype)
+    return np.block([[P, zeros], [-(R @ L[..., h:, :h]) @ P, R]])
 
 
 def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -> float:
@@ -153,15 +174,15 @@ def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -
     _, n, m = V.shape
     if m == 0:
         return 0.0
-    Vh = V.conj().transpose(0, 2, 1)
+    Vh = _adjoint(V)
     G = Vh @ V if m < n else V @ Vh
-    G = 0.5 * (G + G.conj().transpose(0, 2, 1))
+    G = 0.5 * (G + _adjoint(G))
     A = np.eye(G.shape[-1], dtype=G.dtype) + coeff * G
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    logs = np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
+    logs = _log_diagonal_sum(L)
     return float(2.0 * (np.sum(logs) if weight is None else weight @ logs))
 
 

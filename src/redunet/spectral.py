@@ -253,7 +253,11 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     training updates with the true one-hot memberships (the exact ascent
     step) instead of the estimated ones. The trace records the objective
     triple (reduction, expand, compress) of the initial features and after
-    every layer. ``sink``, if given, receives each layer as soon as it is
+    every layer: row l < L comes from the factorizations of layer l, whose
+    Grams are those of the features it is built from
+    (`SpectralLayer.components`), and only the last row, of the final
+    features, takes a factorization of its own (`_freq.spectral_components`).
+    ``sink``, if given, receives each layer as soon as it is
     built, and the model keeps none (its depth is 0): an
     `archive.ArchiveWriter`'s ``append`` streams them to disk, so the
     construction holds one layer at a time. ``carry`` propagates an
@@ -278,16 +282,16 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
 
     onehot = partition.onehot() if use_labels else None
     G = shape[1:]
-    trace = [_freq.spectral_components(Vt, partition, eps, G)]
-    layers = []
+    trace, layers = [], []
     keep = layers.append if sink is None else sink
     for _ in range(int(L)):
         layer = _freq.build_layer(Vt, partition, eps, eta=eta, lam=lam, freq_shape=G)
+        trace.append(layer.components)
         keep(layer)
         Vt = _freq.update_batch(Vt, layer, pi=onehot)
         if Vc is not None:
             Vc = _freq.update_batch(Vc, layer)
-        trace.append(_freq.spectral_components(Vt, partition, eps, G))
+    trace.append(_freq.spectral_components(Vt, partition, eps, G))
 
     return SpectralReduNet(layers=layers, C=shape[0], freq_shape=G, k=partition.k,
                            eps=eps, eta=eta, lam=lam, trace=np.array(trace),

@@ -41,7 +41,7 @@ def expansion_operator(Z, eps: float) -> np.ndarray:
     """E = alpha (I + alpha Z Z*)^-1 for the full feature set."""
     Z = as_matrix(Z)
     n, m = Z.shape
-    return _freq.regularized_inverse(Z, RateParams(eps).alpha(n, m))
+    return _freq.regularized_inverse(Z, RateParams(eps).alpha(n, m))[0]
 
 
 def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
@@ -54,7 +54,7 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
     C = np.empty((partition.k, n, n))
     for j in range(partition.k):
         Zj = Z[:, partition.mask(j)]
-        C[j] = _freq.regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))
+        C[j] = _freq.regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))[0]
     return C
 
 

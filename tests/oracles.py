@@ -78,7 +78,7 @@ def dense_regularized_inverse(Z, a):
     """a (I_n + a Z Z*)^-1 by a Cholesky inverse of the n x n side, whatever m is."""
     n = Z.shape[0]
     G = Z @ Z.conj().T
-    return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))
+    return a * hermitian_inverse(np.eye(n) + a * 0.5 * (G + G.conj().T))[0]
 
 
 # ----------------------------------------------- dense circulant algebra
@@ -193,6 +193,46 @@ def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
         cos = np.abs(_flat(np.roll(F_test, s, axis=1)).T @ flat_tr)
         hits += int((cos[cross] <= ORTHO_COS).sum())
     return hits / total
+
+
+# ----------------------------------------- per-slice operator factoring
+#
+# The layer factoring as it ran before each operator was one batched
+# factorization over the frequency axis: every (C, m) slice of every
+# operator its own Hermitian inverse.
+
+def slice_regularized_inverse(Vs, a, scale=1.0):
+    """a (I + a scale Vs Vs*)^-1 for one (C, m) slice, on its smaller Gram side."""
+    C, m = Vs.shape
+    Vh = Vs.conj().T
+    if m < C:
+        G = scale * (Vh @ Vs)
+        K = hermitian_inverse(np.eye(m, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))[0]
+        out = (-a * a * scale) * ((Vs @ K) @ Vh)
+        out[np.diag_indices(C)] += a
+        return 0.5 * (out + out.conj().T)
+    G = scale * (Vs @ Vh)
+    return a * hermitian_inverse(np.eye(C, dtype=Vs.dtype) + a * 0.5 * (G + G.conj().T))[0]
+
+
+def slice_build_layer(Vt, partition, eps, eta, lam, freq_shape):
+    """The operators of half spectra Vt (F_h, C, m), factored slice by slice."""
+    F_h, C, m = Vt.shape
+    gram_scale = float(np.prod(freq_shape))
+    params = RateParams(eps)
+    alpha = params.alpha(C, m)
+    alpha_class = np.array([params.alpha_class(C, int(c)) for c in partition.counts])
+    Ebar = np.empty((F_h, C, C), dtype=Vt.dtype)
+    Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
+    for p in range(F_h):
+        Ebar[p] = slice_regularized_inverse(Vt[p], alpha, gram_scale)
+    for j in range(partition.k):
+        Vj = Vt[:, :, partition.mask(j)]
+        for p in range(F_h):
+            Cbar[j, p] = slice_regularized_inverse(Vj[p], alpha_class[j], gram_scale)
+    return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=tuple(freq_shape),
+                         gamma=partition.gamma.copy(), alpha=alpha, alpha_class=alpha_class,
+                         eta=eta, lam=lam)
 
 
 # ------------------------------------- full-spectrum spectral layer loop

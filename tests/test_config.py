@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from redunet._freq import thread_count
 from redunet.errors import ConfigError
 from redunet.harness.config import load_config
 
@@ -150,3 +155,39 @@ def test_malformed_ini_rejected(tmp_path):
     path = write(tmp_path, "layers = 5\n")  # key before any section
     with pytest.raises(ConfigError):
         load_config("gauss2d", path)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5", " "])
+def test_thread_count_rejects_a_value_that_is_no_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("REDUNET_THREADS", raw)
+    with pytest.raises(ConfigError):
+        thread_count()
+
+
+def test_thread_count_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("REDUNET_THREADS", raising=False)
+    assert thread_count() == _cpus()
+
+
+def test_thread_count_is_capped_at_the_usable_cpus(monkeypatch):
+    # only the count is computed here; no thread is started
+    monkeypatch.setenv("REDUNET_THREADS", "1")
+    assert thread_count() == 1
+    monkeypatch.setenv("REDUNET_THREADS", str(10**9))
+    assert thread_count() == _cpus()
+
+
+@pytest.mark.parametrize("raw, passed_on", [("abc", "None"), ("0", "None"), ("2", "2")])
+def test_only_a_positive_thread_count_reaches_blas(raw, passed_on):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env.update(REDUNET_THREADS=raw, PYTHONPATH=src)
+    code = "import os, redunet; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == passed_on

@@ -70,6 +70,16 @@ def test_bad_flag_value_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_bad_thread_count_exits_two(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("REDUNET_THREADS", threads)
+    rc = main(["construct", "gauss2d", "--config", gauss_ini(tmp_path), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: REDUNET_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[gauss2d]\nlayerz = 3\n")

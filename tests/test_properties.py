@@ -24,7 +24,8 @@ from redunet.vector import compression_operators, construct_vector_net, expansio
 from oracles import (dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
                      labels_for, orbit_subspaces, repeat_labels, roll_orbit,
-                     roll_orthogonal_fraction, unblocked_update_batch, with_header)
+                     roll_orthogonal_fraction, slice_build_layer, unblocked_update_batch,
+                     with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,6 +135,87 @@ def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, labelled, 
     assert np.max(np.abs(got - unblocked_update_batch(Vt, layer, pi))) < 1e-12
 
 
+# ------------------------------------------------- the batched layer loop
+
+# the trivial group of the vector network as well as the cyclic ones
+any_group = st.one_of(st.just(()), groups)
+
+
+def stack_of_counts(seed, C, G, counts):
+    """A (C, *G, m) stack whose class j holds counts[j] samples, shuffled."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    return rng.standard_normal((C, *G, labels.size)), Partition(labels)
+
+
+# C = 4 with classes of 2 and 6 samples factors the expansion and class 1 on
+# the C x C side and class 0 on its m_j x m_j side; C = 6 with 2 and 3
+# samples factors every operator on the sample side
+@pytest.mark.parametrize("G", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("C, counts", [(4, (2, 6)), (6, (2, 3))])
+def test_batched_build_layer_equals_per_slice_oracle(G, C, counts):
+    Zbar, P = stack_of_counts(sum(counts) + len(G), C, G, counts)
+    Vt = _spectra(_freq.normalize_samples(Zbar))
+    got = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
+    want = slice_build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
+    assert np.array_equal(got.Ebar, want.Ebar)
+    assert np.array_equal(got.Cbar, want.Cbar)
+    objective = np.array(_freq.spectral_components(Vt, P, 0.5, G))
+    assert np.max(np.abs(np.array(got.components) - objective)) <= 1e-12 * np.max(
+        np.abs(objective))
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=any_group, C=st.integers(1, 4), m=st.integers(2, 9), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=(), C=4, m=3, k=2, seed=0)
+@example(G=(1, 1), C=1, m=2, k=1, seed=1)
+@example(G=(6,), C=3, m=9, k=3, seed=2)
+def test_layer_objective_is_the_objective_of_its_features(G, C, m, k, seed):
+    # the log-dets of the layer's own factors give the triple that a
+    # separate factorization of the same features gives
+    k = min(k, m)
+    _, Zbar, P = random_stack(seed, C, G, m, k)
+    Vt = _spectra(_freq.normalize_samples(Zbar))
+    got = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G).components
+    want = _freq.spectral_components(Vt, P, 0.5, G)
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12 * max(1.0, abs(want[1]))
+
+
+def run_on_workers(workers, b, F_h, C, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with blocks of b samples on ``workers`` workers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * F_h * C)
+        mp.setattr(_freq, "_TRIVIAL_BLOCK_VALUES", b * F_h * C)
+        mp.setattr(_freq, "_WORKERS", workers)
+        return fn(*args, **kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=any_group, C=st.integers(1, 3), b=st.integers(1, 4),
+       edge=st.sampled_from(sorted(BLOCK_EDGES)), k=st.integers(1, 2),
+       use_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(G=(7,), C=2, b=2, edge="two_plus_three", k=2, use_labels=False, seed=0)
+@example(G=(3, 4), C=2, b=3, edge="past", k=2, use_labels=True, seed=1)
+@example(G=(), C=3, b=1, edge="two_plus_three", k=2, use_labels=False, seed=2)
+def test_worker_count_leaves_construct_and_forward_bytes_alone(G, C, b, edge, k, use_labels,
+                                                              seed):
+    m = BLOCK_EDGES[edge](b)
+    rng, Zbar, P = random_stack(seed, C, G, max(m, k), k)
+    carry, x = rng.standard_normal((2, C, *G, m))
+    F_h = _freq.half_count(G)
+    models = [run_on_workers(w, b, F_h, C, construct, Zbar, P, 2, eta=0.3, eps=0.5,
+                             carry=carry, use_labels=use_labels) for w in (1, 3)]
+    one, many = models
+    assert np.array_equal(one.features, many.features)
+    assert np.array_equal(one.carry_features, many.carry_features)
+    assert np.array_equal(one.trace, many.trace)
+    for a, c in zip(one.layers, many.layers):
+        assert np.array_equal(a.Ebar, c.Ebar) and np.array_equal(a.Cbar, c.Cbar)
+    outs = [run_on_workers(w, b, F_h, C, forward, one, x) for w in (1, 3)]
+    assert np.array_equal(*outs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(G=groups, C=st.integers(1, 3), m=st.integers(2, 5), L=st.integers(0, 2),
        k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
@@ -206,7 +288,10 @@ def assert_matches_dense(got, Z, a):
 def test_regularized_inverse_equals_dense_oracle(n, m, eps, seed):
     Z = _freq.normalize_samples(np.random.default_rng(seed).standard_normal((n, m)))
     a = RateParams(eps).alpha(n, m)
-    assert_matches_dense(_freq.regularized_inverse(Z, a), Z, a)
+    got, logdet = _freq.regularized_inverse(Z, a)
+    assert_matches_dense(got, Z, a)
+    sign, want = np.linalg.slogdet(np.eye(n) + a * (Z @ Z.T))
+    assert sign == 1.0 and abs(logdet - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def random_gram_stack(seed, F, n, m, complex_):

@@ -35,10 +35,26 @@ def _hermitian_pd(n, complex_, seed):
                                          (200, True), (333, False)])
 def test_hermitian_inverse_matches_solve(n, complex_):
     A = _hermitian_pd(n, complex_, n)
-    got = hermitian_inverse(A)
+    got, logdet = hermitian_inverse(A)
     want = np.linalg.solve(A, np.eye(n))
     assert np.array_equal(got, got.conj().T)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    sign, want_logdet = np.linalg.slogdet(A)
+    assert abs(sign - 1.0) < 1e-12 and abs(logdet - want_logdet) < 1e-10 * max(1.0, abs(want_logdet))
+
+
+# a stack gets, matrix by matrix, the bytes of separate calls: 1, 5 and 64
+# rows invert the factor at once, 65 and 130 by halves
+@pytest.mark.parametrize("n", [1, 5, 64, 65, 130])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_batched_hermitian_inverse_equals_per_matrix_calls(n, complex_):
+    A = np.stack([_hermitian_pd(n, complex_, seed) for seed in range(6)]).reshape(2, 3, n, n)
+    inv, logdet = hermitian_inverse(A)
+    assert inv.shape == A.shape and logdet.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        want_inv, want_logdet = hermitian_inverse(A[index])
+        assert np.array_equal(inv[index], want_inv)
+        assert logdet[index] == want_logdet
 
 
 def test_hermitian_inverse_rejects_indefinite():

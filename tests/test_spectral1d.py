@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -368,22 +370,99 @@ def test_update_rejects_zero_sample_in_last_block(monkeypatch):
         _freq.update_batch(Vt, layer)
 
 
-def test_update_memory_is_bounded_by_blocks(monkeypatch):
-    # one step holds its output and a few blocks, whatever m is: the stacked
-    # product (k+1 blocks) and at most three blocks of squares and norms,
-    # where the unblocked step held about (k+4) arrays the size of its input
-    b, blocks, k = 256, 16, 2
+def test_update_rejects_zero_sample_in_another_workers_block(monkeypatch):
+    # three blocks of 3 samples on two workers: worker 1 steps the middle
+    # block, worker 0 the first and the last; each error reaches the caller
+    layer, Vt = block_case(26, T=8, m=3 * 3)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", 3 * Vt.shape[0] * Vt.shape[1])
+    monkeypatch.setattr(_freq, "_WORKERS", 2)
+    for sample in (4, 8):
+        bad = Vt.copy()
+        bad[:, :, sample] = 0.0
+        with pytest.raises(ZeroVector, match="zero-norm"):
+            _freq.update_batch(bad, layer)
+
+
+def test_layer_step_shares_blocks_with_the_pool_unless_it_cannot(monkeypatch):
+    # two workers step four blocks of a cyclic group: the calling thread
+    # two, a pool thread the other two; one block, and any step of the
+    # trivial group, stay on the calling thread
+    seen = []
+    real = _freq.compressions
+
+    def compressions(*args):
+        seen.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(_freq, "compressions", compressions)
+    monkeypatch.setattr(_freq, "_WORKERS", 2)
+    layer, Vt = block_case(27, T=8, m=4 * 3)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", 3 * Vt.shape[0] * Vt.shape[1])
+    _freq.update_batch(Vt, layer)
+    caller = threading.current_thread().name
+    assert seen.count(caller) == 2
+    assert len([name for name in seen if name.startswith("redunet-step")]) == 2
+    seen.clear()
+    _freq.update_batch(Vt[:, :, :3], layer)
+    assert seen == [caller]
+    seen.clear()
+    Z = _freq.normalize_samples(rng_for(28).standard_normal((3, 12)))
+    P = Partition(np.array([0, 1] * 6))
+    vector = _freq.build_layer(Z[None], P, 0.5, eta=0.3, lam=10.0, freq_shape=())
+    monkeypatch.setattr(_freq, "_TRIVIAL_BLOCK_VALUES", 3 * 3)
+    _freq.update_batch(Z[None], vector)
+    assert seen == [caller] * 4
+
+
+def test_more_workers_than_cores_switching_often_give_the_bytes_of_one(monkeypatch):
+    # eight workers on one-sample blocks, the interpreter switching threads
+    # every microsecond: a block lost or written by two workers would show
+    layer, Vt = block_case(29, T=8, m=40)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", Vt.shape[0] * Vt.shape[1])
+    monkeypatch.setattr(_freq, "_WORKERS", 1)
+    want = _freq.update_batch(Vt, layer)
+    monkeypatch.setattr(_freq, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(_freq.update_batch(Vt, layer), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _update_peak_over_output(monkeypatch, workers, b=256, blocks=16, k=2):
+    """(peak traced bytes of one step less its output, bytes of one block)
+    for both memberships, on ``workers`` worker threads."""
     layer, Vt = block_case(25, T=64, m=blocks * b, k=k)
     monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * Vt.shape[0] * Vt.shape[1])
-    block_bytes = Vt.nbytes // blocks
+    monkeypatch.setattr(_freq, "_WORKERS", workers)
+    peaks = []
     for pi in (None, np.full((k, Vt.shape[2]), 1.0 / k)):
         tracemalloc.start()
         try:
             out = _freq.update_batch(Vt, layer, pi)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= (k + 4) * block_bytes
+    return max(peaks), Vt.nbytes // blocks
+
+
+def test_update_memory_is_bounded_by_blocks(monkeypatch):
+    # one step holds its output and a few blocks, whatever m is: the stacked
+    # product (k+1 blocks) and at most three blocks of squares and norms,
+    # where the unblocked step held about (k+4) arrays the size of its input
+    k = 2
+    peak, block_bytes = _update_peak_over_output(monkeypatch, workers=1, k=k)
+    assert peak <= (k + 4) * block_bytes
+
+
+def test_update_memory_is_bounded_by_blocks_per_worker(monkeypatch):
+    # the same (k+4) blocks for each worker, whatever m is: every worker has
+    # its own product buffer and steps one block at a time
+    k, workers = 2, 2
+    peak, block_bytes = _update_peak_over_output(monkeypatch, workers=workers, k=k)
+    assert peak <= workers * (k + 4) * block_bytes
 
 
 def test_construct_rejects_zero_sample():
