@@ -39,7 +39,7 @@ blocks, C a few channels), so its cost is memory traffic. `update_batch`
 therefore walks the sample axis in blocks of `_UPDATE_BLOCK_VALUES`
 values per (F_h, C, b) slab, 1 MB of complex values, or, for the trivial
 group, of `_TRIVIAL_BLOCK_VALUES`: its steps run on the calling thread
-alone (see Workers), and its wide operators (784 x 784, say) are read
+alone (see Workers), and its wide factors (784 x 400, say) are read
 once per block, so fewer, larger blocks serve it better. Each block takes
 its products with the layer's own stacks, read in place, into a
 (k+1)-block buffer: entry 0 holds E v, which becomes the step
@@ -70,13 +70,24 @@ one per operator, each one Cholesky factorization over the stack. The
 factors' log-determinants are those of the objective of the features the
 layer is built from, so the layer carries that objective triple too
 (`SpectralLayer.components`), and the construction loop factors no Gram a
-second time.
+second time. An operator built from fewer columns m_op than it has rows
+C is factored on its m_op x m_op Gram side (`regularized_inverse`), and
+the layer keeps it that way (`Factored`): a scaled identity minus a rank
+m_op correction, a (I - a s V K V*), held as the layer's features V,
+shared by all of its factored operators, and the m_op x m_op inverse K.
+It is never formed as C x C stacks: the layer step applies it as
+a v - a^2 s V (K (V* v)), with V* v taken once per block for every
+factored operator, and the archive stores V once and each K. Only the
+kernels, the gradient and the dense oracles ask for the C x C stacks,
+which `Factored.dense` multiplies back, to the bytes `regularized_inverse`
+gives. Operators on C or more columns (the shift and translation
+networks, C a few channels) are the dense stacks a (I + a s V V*)^-1.
 
 The trivial group. The vector network is the same computation over no
 group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
 1, the identity as its transform, so its stacks stay real. Its slices are
 wide (C = n features, say 784, against a few hundred samples), so every
-operator factors the smaller Gram side (`regularized_inverse`).
+one of its operators is usually factored.
 """
 
 import math
@@ -107,10 +118,20 @@ class SpectralLayer:
     ``components`` is the objective triple (reduction, expand, compress)
     of the features the layer was factored from, which `build_layer`
     reads off its factorizations; archives do not store it.
+
+    An operator built from fewer columns than C is `Factored` (module
+    docstring): ``Ebar`` is then a `Factored`, and ``Cbar`` an
+    `OperatorStack` once any class operator is. Both stand for their dense
+    stacks where one is asked for (``np.asarray``, indexing), and report
+    in ``nbytes`` the bytes the layer holds. ``features`` (F_h, C, m) are
+    then the features the layer was built from, its samples in class
+    order, shared by the factored operators, and ``labels`` (m,) the
+    class of each sample in its original order; both are None when every
+    operator is dense.
     """
 
-    Ebar: np.ndarray
-    Cbar: np.ndarray
+    Ebar: "np.ndarray | Factored"
+    Cbar: "np.ndarray | OperatorStack"
     freq_shape: tuple
     gamma: np.ndarray
     alpha: float
@@ -118,6 +139,100 @@ class SpectralLayer:
     eta: float
     lam: float
     components: tuple | None = None
+    features: np.ndarray | None = None
+    labels: np.ndarray | None = None
+
+
+class Factored:
+    """The operator a (I - a s V K V*) of every frequency, held as its factors.
+
+    ``features`` (F_h, C, m) are the layer's, in class order; ``cols``
+    selects the columns V the operator was built from (all of them for E,
+    one class's for C_j), and K (F_h, m_op, m_op) is the inverse
+    (I + a s V* V)^-1 of those columns, in the same order; s is the Gram
+    scale. ``restore`` puts the columns back in sample order (None when
+    they already are). ``holds_features`` marks the one operator of a
+    layer whose ``nbytes`` counts the shared features.
+    """
+
+    def __init__(self, features, cols, K, a, scale, restore=None, holds_features=False):
+        self.features, self.cols, self.K = features, cols, K
+        self.a, self.scale, self.restore = float(a), float(scale), restore
+        self.holds_features = holds_features
+
+    @property
+    def shape(self) -> tuple:
+        F_h, C, _ = self.features.shape
+        return (F_h, C, C)
+
+    @property
+    def dtype(self):
+        return self.K.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return self.K.nbytes + (self.features.nbytes if self.holds_features else 0)
+
+    def apply(self, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """a v - a^2 s V (K w) into ``out``, for a (F_h, C, b) block v and
+        w = V* v, the (F_h, m_op, b) rows of this operator's columns."""
+        np.matmul(self.features[..., self.cols], self.K @ w, out=out)
+        out *= -self.a * self.scale
+        out += v
+        out *= self.a
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (F_h, C, C) stacks, the bytes `regularized_inverse` gives."""
+        V, K = self.features[..., self.cols], self.K
+        if self.restore is not None:
+            V, K = V[..., self.restore], K[..., self.restore[:, None], self.restore]
+        return _expand(np.ascontiguousarray(V), K, self.a, self.scale)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a factored operator has no dense array to view")
+        return np.asarray(self.dense(), dtype=dtype)
+
+    def __getitem__(self, index):
+        return self.dense()[index]
+
+
+class OperatorStack:
+    """The k class operators of a layer when some are `Factored`, each
+    member a `Factored` or a dense (F_h, C, C) stack; it stands for the
+    dense (k, F_h, C, C) stack where one is asked for."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.members), *self.members[0].shape)
+
+    @property
+    def dtype(self):
+        return self.members[0].dtype
+
+    @property
+    def nbytes(self) -> int:
+        return sum(op.nbytes for op in self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a factored operator has no dense array to view")
+        return np.stack([np.asarray(op, dtype=dtype) for op in self.members])
+
+    def __getitem__(self, index):
+        return np.asarray(self)[index]
+
+
+def operators(layer: SpectralLayer) -> list:
+    """E, then every C_j, of a layer: each a `Factored` or a dense (F_h, C, C) stack."""
+    return [layer.Ebar, *layer.Cbar]
 
 
 def half_spectrum(freq_shape: tuple) -> np.ndarray:
@@ -183,17 +298,29 @@ def regularized_inverse(Vs: np.ndarray, a: float,
     stack is factored at once (`rate.hermitian_inverse`), and every slice
     gets the bytes it would get alone. The result keeps the dtype of ``Vs``.
     """
+    K, logdet = _factor(Vs, a, scale)
+    if K.shape[-1] < Vs.shape[-2]:
+        return _expand(Vs, K, a, scale), logdet
+    return a * K, logdet
+
+
+def _factor(Vs: np.ndarray, a: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of I + a s G on the smaller Gram side of a stack Vs
+    (..., C, m), G = Vs* Vs when m < C and Vs Vs* otherwise, symmetrized;
+    and its log-determinants."""
     C, m = Vs.shape[-2:]
     Vh = _adjoint(Vs)
-    if m < C:
-        G = scale * (Vh @ Vs)
-        K, logdet = hermitian_inverse(np.eye(m, dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
-        out = (-a * a * scale) * ((Vs @ K) @ Vh)
-        out[..., np.arange(C), np.arange(C)] += a
-        return 0.5 * (out + _adjoint(out)), logdet
-    G = scale * (Vs @ Vh)
-    inv, logdet = hermitian_inverse(np.eye(C, dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
-    return a * inv, logdet
+    G = scale * (Vh @ Vs if m < C else Vs @ Vh)
+    return hermitian_inverse(np.eye(min(C, m), dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
+
+
+def _expand(Vs: np.ndarray, K: np.ndarray, a: float, scale: float) -> np.ndarray:
+    """a (I - a s Vs K Vs*) of a stack Vs (..., C, m) and its m x m inverses K,
+    symmetrized: the C x C stacks of a factored operator."""
+    C = Vs.shape[-2]
+    out = (-a * a * scale) * ((Vs @ K) @ _adjoint(Vs))
+    out[..., np.arange(C), np.arange(C)] += a
+    return 0.5 * (out + _adjoint(out))
 
 
 def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
@@ -206,7 +333,9 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
     operator is one batched factorization over the frequency axis, whose
     log-determinants give the objective triple of ``Vt`` as well
     (`SpectralLayer.components`, equal to `spectral_components` up to
-    rounding).
+    rounding). An operator of fewer columns than C stays `Factored`, on
+    the features in class order; every operator's dense stack has the
+    bytes of `regularized_inverse`.
     """
     freq_shape = tuple(freq_shape)
     F_h, C, m = Vt.shape
@@ -220,29 +349,88 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
     alpha = params.alpha(C, m)
     alpha_class = np.array([params.alpha_class(C, int(c)) for c in partition.counts])
 
-    Ebar, logdet = regularized_inverse(Vt, alpha, gram_scale)
-    expand = float(weight @ logdet)
-    Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
-    compress = []
-    for j in range(partition.k):
-        Cbar[j], logdet = regularized_inverse(Vt[:, :, partition.mask(j)], alpha_class[j],
-                                              gram_scale)
-        compress.append(float(weight @ logdet))
+    logdets = []
+
+    def part(mask, a):  # an operator's dense stack, or its K when it has m_op < C columns
+        K, logdet = _factor(Vt[:, :, mask], a, gram_scale)
+        logdets.append(float(weight @ logdet))
+        return K if K.shape[-1] < C else a * K
+
+    features = labels = None
+    Ebar = part(slice(None), alpha)
+    if partition.counts.min() >= C:  # every operator dense
+        Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
+        for j in range(partition.k):
+            Cbar[j] = part(partition.mask(j), alpha_class[j])
+    else:  # keep the features, in class order, for the factored operators
+        parts = [Ebar] + [part(partition.mask(j), alpha_class[j]) for j in range(partition.k)]
+        labels = partition.labels.copy()
+        order, restore = class_order(labels)
+        features = Vt if restore is None else Vt[..., order]
+        if m < C and restore is not None:
+            parts[0] = parts[0][..., order[:, None], order]
+        Ebar, Cbar = factored_operators(features, labels, parts, [alpha, *alpha_class],
+                                        gram_scale)
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
                          alpha_class=alpha_class, eta=eta, lam=lam,
-                         components=_triple(expand, compress, partition.gamma, gram_scale))
+                         components=_triple(logdets[0], logdets[1:], partition.gamma,
+                                            gram_scale),
+                         features=features, labels=labels)
+
+
+def class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The stable order that puts samples in class order, and the order that
+    puts them back (None when they already are in class order)."""
+    order = np.argsort(labels, kind="stable")
+    if np.array_equal(order, np.arange(labels.size)):
+        return order, None
+    return order, np.argsort(order)
+
+
+def factored_operators(features: np.ndarray, labels: np.ndarray, parts: list, coeffs: list,
+                       scale: float) -> tuple:
+    """(Ebar, Cbar) of a layer that keeps its ``features`` (F_h, C, m), their
+    samples in class order (`class_order` of ``labels``).
+
+    ``parts`` holds E's part, then every C_j's: a dense (F_h, C, C) stack, or
+    the (F_h, m_op, m_op) inverse K, in class order, of an operator of
+    m_op < C columns, which becomes `Factored`; ``coeffs`` are the
+    operators' a, ``scale`` the Gram scale.
+    """
+    C, m = features.shape[-2:]
+    _, restore = class_order(labels)
+    bounds = np.cumsum([0, *np.bincount(labels, minlength=len(parts) - 1)])
+    ops, holds = [], True
+    for i, (part, a) in enumerate(zip(parts, coeffs)):
+        if part.shape[-1] == C:
+            ops.append(part)
+            continue
+        cols = slice(0, m) if i == 0 else slice(bounds[i - 1], bounds[i])
+        ops.append(Factored(features, cols, part, a, scale, restore if i == 0 else None,
+                            holds_features=holds))
+        holds = False
+    return ops[0], OperatorStack(ops[1:])
 
 
 def compressions(V: np.ndarray, layer: SpectralLayer, out: np.ndarray) -> np.ndarray:
     """E V and every C_j V of a (F_h, C, b) block into ``out`` (k+1, F_h, C, b).
 
-    Both products read the layer's stacks in place; entry 0 of ``out``
-    holds E v, entries 1..k the class projections C_j v.
+    The products read the layer's stacks in place; entry 0 of ``out``
+    holds E v, entries 1..k the class projections C_j v. A `Factored`
+    operator reads its rows of V* v, which is taken once for all of them.
     """
-    np.matmul(layer.Ebar, V, out=out[0])
-    np.matmul(layer.Cbar, V, out=out[1:])
+    if layer.features is None:
+        np.matmul(layer.Ebar, V, out=out[0])
+        np.matmul(layer.Cbar, V, out=out[1:])
+        return out
+    W = _adjoint(layer.features) @ V
+    for op, dest in zip(operators(layer), out):
+        if isinstance(op, Factored):
+            op.apply(V, W[:, op.cols], dest)
+        else:
+            np.matmul(op, V, out=dest)
     return out
 
 
@@ -299,7 +487,7 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     F_h, C, m = Vt.shape
     k = layer.Cbar.shape[0]
     weight = half_weights(layer.freq_shape)
-    dtype = np.result_type(Vt, layer.Ebar)
+    dtype = np.result_type(Vt.dtype, layer.Ebar.dtype)
     out = np.empty((F_h, C, m), dtype=dtype)
     values = _UPDATE_BLOCK_VALUES if layer.freq_shape else _TRIVIAL_BLOCK_VALUES
     b = max(1, values // (F_h * C))

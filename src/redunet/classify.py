@@ -91,15 +91,19 @@ def _character(chi, N: tuple, paired: bool) -> np.ndarray:
     return np.exp(2j * np.pi * turns / order)
 
 
-def _class_basis(Zj: np.ndarray, energy: float, j: int) -> np.ndarray:
+def _class_basis(Zc: np.ndarray, samples: np.ndarray, energy: float, j: int) -> np.ndarray:
     """Orthonormal (n, r) basis of the top principal directions of one class's
     orbit under a roll subgroup H, with the orbit never formed.
 
-    ``Zj`` is (C, N1, d1, ..., Nr, dr, m_j): each group axis split into its
-    cosets. The orbit's Gram commutes with H, so a DFT over the coset axes
-    splits it into |H| blocks B_chi B_chi^*, one per character chi of H,
-    where B_chi is the (C*d1*...*dr, m_j) slice of the transform at chi;
-    the blocks hold the orbit Gram's eigenvalues. Each block is decomposed
+    ``Zc`` is (N1, ..., Nr, C, d1, ..., dr, m), every sample's features with
+    each group axis split into its cosets and the coset axes first (a view),
+    and ``samples`` the indices of the class's m_j samples. The class is
+    copied once, into that cosets-first order, one coset at a time, and the
+    copy is dropped once its transform exists. The orbit's Gram commutes
+    with H, so a DFT over the coset axes splits it into |H| blocks
+    B_chi B_chi^*, one per character chi of H, where B_chi is the
+    (C*d1*...*dr, m_j) slice of the transform at chi; the blocks hold the
+    orbit Gram's eigenvalues. Each block is decomposed
     on its smaller side, and the eigenvalues of all blocks are ranked
     together with the dense fit's energy cut and rounding floor. A block's
     eigenvector u maps back to the orbit direction exp(2 pi i chi.a)/sqrt(|H|)
@@ -110,22 +114,26 @@ def _class_basis(Zj: np.ndarray, energy: float, j: int) -> np.ndarray:
     than a dense fit's, whose choice in that degenerate eigenspace is
     arbitrary, and the kept span is exactly H-invariant.
 
-    Plain features are the order-1 subgroup: ``Zj`` is (n, m_j), one real
+    Plain features are the order-1 subgroup: ``Zc`` is (n, m), one real
     block, the dense fit itself. Eigenvalues at the Gram's rounding level
     count as exact zeros, so `energy = 1.0` keeps the true rank.
     """
-    N = tuple(Zj.shape[1:-1:2])
-    order, n, mj = math.prod(N), Zj[..., 0].size, Zj.shape[-1]
-    coset_axes = tuple(range(1, Zj.ndim - 1, 2))
+    rank = (Zc.ndim - 2) // 2
+    N, grid_shape = Zc.shape[:rank], Zc.shape[rank:-1]  # grid_shape: (C, d1, ..., dr)
+    order, n, mj = math.prod(N), math.prod(Zc.shape[:-1]), samples.size
+    coset_axes = tuple(range(1, 2 * rank, 2))  # of (C, N1, d1, ..., Nr, dr)
     chars = list(_characters(N))
     pairing = [paired for _, paired in chars]
     table = np.stack([_character(chi, N, paired) for chi, paired in chars])
-    if order == 1:
-        spectra = Zj.reshape(1, n, mj)
+    if order == 1:  # Zc is contiguous, so np.take copies the class alone
+        spectra = np.take(Zc, samples, axis=-1).reshape(1, n, mj)
     else:  # the DFT over the cosets, at one character of each conjugate pair
-        cosets_first = np.moveaxis(Zj, coset_axes, range(len(N))).reshape(order, -1)
-        spectra = (table.conj().reshape(len(pairing), order) @ cosets_first).reshape(
+        Zj = np.empty(Zc.shape[:-1] + (mj,))
+        for coset in np.ndindex(*N):  # np.take would copy all of Zc first
+            Zj[coset] = Zc[coset][..., samples]
+        spectra = (table.conj().reshape(len(pairing), order) @ Zj.reshape(order, -1)).reshape(
             len(pairing), n // order, mj)
+        del Zj
     blocks = []  # (paired, block, wide, descending eigenvalues and vectors)
     for paired, B in zip(pairing, spectra):
         if not paired and np.iscomplexobj(B):
@@ -167,7 +175,7 @@ def _class_basis(Zj: np.ndarray, energy: float, j: int) -> np.ndarray:
         if order == 1:
             columns.append(U.reshape(n, rb))
             continue
-        grid = U.reshape(Zj.shape[:1] + Zj.shape[2:-1:2] + (rb,))
+        grid = U.reshape(grid_shape + (rb,))
         grid = np.expand_dims(grid, coset_axes)
         phase = (character if paired else character.real).reshape(
             (1,) + sum(((size, 1) for size in N), ()) + (1,))
@@ -200,6 +208,7 @@ def fit_subspaces(Z, partition: Partition, energy: float = 0.95,
             raise ValueError(f"strided features must be (C, *G, m), got shape {Z.shape}")
         cosets = _cosets(Z.shape[1:-1], stride)
         Zs = Z.reshape(Z.shape[:1] + sum(cosets, ()) + Z.shape[-1:])
+        Zs = np.moveaxis(Zs, range(1, 2 * len(cosets), 2), range(len(cosets)))
     if Zs.shape[-1] != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {Zs.shape[-1]}")
     if not np.isfinite(Zs).all():
@@ -209,7 +218,7 @@ def fit_subspaces(Z, partition: Partition, energy: float = 0.95,
         mask = partition.mask(j)
         if not mask.any():
             raise EmptyClass(f"class {j} has no samples")
-        bases.append(_class_basis(Zs[..., mask], energy, j))
+        bases.append(_class_basis(Zs, np.flatnonzero(mask), energy, j))
     return SubspaceModel(bases=tuple(bases))
 
 

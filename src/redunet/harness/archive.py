@@ -1,20 +1,28 @@
 """Binary model archives, written one layer at a time.
 
-Layout of version 2, all little-endian:
+Layout of version 3, all little-endian:
 
-    magic "REDUNET1" | u32 version (2) | u32 kind | u32 k | u32 ndim | ndim x u32 dims
+    magic "REDUNET1" | u32 version (3) | u32 kind | u32 k | u32 ndim | ndim x u32 dims
     f64 eps, eta, lam | k x f64 gamma | f64 alpha | k x f64 alpha_class
+    (k+1) x u32 form    (per operator E, C_1, ..., C_k: 0 dense, 1 factored)
+    [u32 m | m x u32 labels]    (only when some operator is factored)
     L layer payloads    (f64 reals; complex as interleaved real, imag)
     trace_rows x 3 f64 trace | u32 L | u32 trace_rows
     u32 CRC32 over everything between the magic and this field
 
 The kind is the group rank, the dims (C, *G): (n,) for vector, (C, T)
-for shift, (C, H, W) for translation. Every layer stores Ebar (F_h*C*C)
-then Cbar (k*F_h*C*C): the rfftn half spectrum of the layer's stacks,
-F_h = prod(G[:-1]) * (G[-1]//2 + 1), complex; the vector kind is the
-trivial group, whose real F_h = 1 stacks are E (n*n) and the k class
-operators. The per-layer scalars (alpha, gamma, step size) are constant
-across a construction, so they are stored once in the header.
+for shift, (C, H, W) for translation. A layer's stacks are the rfftn
+half spectrum, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies, complex;
+the vector kind is the trivial group, real, F_h = 1. A layer stores, when
+some operator is factored, the features V (F_h*C*m) it was built from,
+its samples in class order (`_freq.Factored`), then each operator in
+turn, E first: a dense one as its stacks (F_h*C*C), a factored one as its
+inverse K (F_h*m_op*m_op, m_op = m for E, the class count for C_j). An
+operator is factored only when m_op < C, so no layer outweighs its dense
+form; the labels (each in [0, k), every class present) give the class
+order and the counts. The per-layer scalars (alpha, gamma, step size) and
+the forms are constant across a construction, so they are stored once in
+the header.
 
 The header holds only what is known before the first layer, so an
 `ArchiveWriter` can append each layer as the construction builds it and
@@ -26,9 +34,11 @@ complete.
 ``load_model`` reads the whole file into one buffer, checks the CRC on a
 view, and hands out the operators as writable arrays viewing that buffer,
 after checking that every layer holds finite values only. It still reads
-version 1, whose header carries the depth and the trace and whose layers
-store the full (F, C, C) stacks: there it checks that every mirror is
-the exact conjugate of its half-spectrum frequency and keeps the half.
+versions 1 and 2, whose layers store every operator dense: version 2 is
+version 3 without the forms and labels, and version 1's header carries
+the depth and the trace and its layers the full (F, C, C) stacks, where
+it checks that every mirror is the exact conjugate of its half-spectrum
+frequency and keeps the half.
 """
 
 import contextlib
@@ -44,11 +54,12 @@ from ..spectral import SpectralReduNet
 from .. import _freq
 
 MAGIC = b"REDUNET1"
-VERSION = 2
-READABLE_VERSIONS = (1, 2)
+VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 # a model's kind is the rank of its symmetry group: none, shifts, translations
 KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D = 0, 1, 2
 TRAILER_COUNTS = 8  # u32 depth, u32 trace_rows
+DENSE, FACTORED = 0, 1  # the form of an operator
 
 
 def _u32(*values) -> bytes:
@@ -64,16 +75,20 @@ def _bytes(arr, dtype="<f8") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8)
 
 
-def _header(freq_shape, C, k, eps, eta, lam, gamma, alpha, alpha_class) -> bytes:
+def _header(freq_shape, C, k, eps, eta, lam, gamma, alpha, alpha_class, forms,
+            labels=None) -> bytes:
     if len(freq_shape) > KIND_TRANSLATION2D:
         raise TypeError(f"cannot archive a model over a rank-{len(freq_shape)} group")
     dims = (C, *freq_shape)
-    return b"".join([_u32(len(freq_shape), k, len(dims), *dims), _f64(eps, eta, lam),
-                     _f64(*gamma), _f64(alpha), _f64(*alpha_class)])
+    parts = [_u32(len(freq_shape), k, len(dims), *dims), _f64(eps, eta, lam),
+             _f64(*gamma), _f64(alpha), _f64(*alpha_class), _u32(*forms)]
+    if labels is not None:
+        parts.append(_u32(len(labels), *labels))
+    return b"".join(parts)
 
 
 class ArchiveWriter:
-    """A version-2 archive at ``path``, written one layer at a time.
+    """A version-3 archive at ``path``, written one layer at a time.
 
     ``append`` writes a layer's stacks as soon as it gets them (the header
     goes out with the first), so it can be a construction's layer sink.
@@ -104,15 +119,21 @@ class ArchiveWriter:
             self._header = header
             self._write(header)
         elif header != self._header:
-            raise ValueError("layers disagree on shared scalars; cannot archive")
+            raise ValueError("layers disagree on shared scalars or operator forms; "
+                             "cannot archive")
 
     def append(self, layer: _freq.SpectralLayer):
         k, _, C, _ = layer.Cbar.shape
+        ops = _freq.operators(layer)
+        forms = [FACTORED if isinstance(op, _freq.Factored) else DENSE for op in ops]
         self._start(_header(layer.freq_shape, C, k, self.eps, layer.eta, layer.lam,
-                            layer.gamma, layer.alpha, layer.alpha_class))
+                            layer.gamma, layer.alpha, layer.alpha_class, forms,
+                            layer.labels))
         dtype = "<c16" if layer.freq_shape else "<f8"
-        for op in (layer.Ebar, layer.Cbar):
-            self._write(_bytes(op, dtype))
+        if layer.features is not None:
+            self._write(_bytes(layer.features, dtype))
+        for op in ops:
+            self._write(_bytes(op.K if isinstance(op, _freq.Factored) else op, dtype))
         self.depth += 1
 
     def close(self, model: SpectralReduNet) -> str:
@@ -122,7 +143,8 @@ class ArchiveWriter:
             raise ValueError("model trace must be (rows, 3)")
         if not self.depth:  # no layer brought the header
             self._start(_header(model.freq_shape, model.C, model.k, self.eps, model.eta,
-                                model.lam, model.gamma, 0.0, np.zeros(model.k)))
+                                model.lam, model.gamma, 0.0, np.zeros(model.k),
+                                [DENSE] * (model.k + 1)))
         self._write(_bytes(trace))
         self._write(_u32(self.depth, trace.shape[0]))
         self._fh.write(_u32(self._crc))
@@ -191,12 +213,13 @@ class _Cursor:
 
 
 def load_model(path):
-    """Read an archive, version 1 or 2, back into a model of half-spectrum layers.
+    """Read an archive, version 1, 2 or 3, back into a model of half-spectrum layers.
 
     Rejects wrong magic, unknown versions, a trailing CRC32 mismatch
-    (truncation, corruption), header values out of their domain, and
-    operator payloads that hold a non-finite value or, in version 1, a
-    mirror that is not the conjugate of its frequency.
+    (truncation, corruption), header values out of their domain (among
+    them operator forms, labels and class counts that disagree with each
+    other or with C), and operator payloads that hold a non-finite value
+    or, in version 1, a mirror that is not the conjugate of its frequency.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -253,17 +276,27 @@ def load_model(path):
                               f"got {eps}, {eta}, {lam}")
     if k == 0:  # no class to steer a layer step or to classify into
         raise BadArchiveValue(f"{path}: the model has no classes (k = 0)")
+    C, freq_shape = dims[0], dims[1:]
+    forms, labels = [DENSE] * (k + 1), None
+    if version >= 3:
+        forms, labels = _forms(path, cur, k, C)
 
     # the vector kind is the trivial group: one frequency, real operators
-    C, freq_shape = dims[0], dims[1:]
     dtype = "<c16" if freq_shape else "<f8"
     grid = math.prod(freq_shape) if version == 1 else _freq.half_count(freq_shape)
+    read_layer = _dense_layers(k) if labels is None else _factored_layers(
+        labels, k, float(math.prod(freq_shape)), alpha, alpha_class, forms)
     layers = []
     for index in range(depth):
-        Ebar = cur.array((grid, C, C), dtype)
-        Cbar = cur.array((k, grid, C, C), dtype)
-        if not (np.isfinite(Ebar).all() and np.isfinite(Cbar).all()):
+        Ebar, Cbar, features, held = read_layer(cur, grid, C, dtype)
+        if not all(np.isfinite(arr).all() for arr in held):
             raise BadArchiveValue(f"{path}: non-finite operator in layer {index}")
+        # a factored inverse is exactly Hermitian; one read with the wrong
+        # class counts (of the right total size) is not
+        if not all(np.array_equal(op.K, op.K.conj().swapaxes(-1, -2))
+                   for op in (Ebar, *Cbar) if isinstance(op, _freq.Factored)):
+            raise BadArchiveValue(f"{path}: layer {index} holds a factored inverse that "
+                                  "is not Hermitian")
         if version == 1 and freq_shape:  # keep the half of exactly conjugate mirrors
             try:
                 for op in (Ebar, Cbar.swapaxes(0, 1)):
@@ -276,9 +309,59 @@ def load_model(path):
             Ebar, Cbar = Ebar[half], Cbar[:, half]
         layers.append(_freq.SpectralLayer(
             Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape, gamma=gamma.copy(), alpha=alpha,
-            alpha_class=alpha_class.copy(), eta=eta, lam=lam))
+            alpha_class=alpha_class.copy(), eta=eta, lam=lam, features=features,
+            labels=None if labels is None else labels.copy()))
     model = SpectralReduNet(layers=layers, C=C, freq_shape=freq_shape, k=k, eps=eps,
                             eta=eta, lam=lam, trace=trace, gamma=gamma)
     if cur.off != cur.end:
         raise ChecksumFailure(f"{path}: {cur.end - cur.off} unread payload bytes")
     return model
+
+
+def _forms(path, cur, k: int, C: int):
+    """The operator forms of a version-3 header, and its labels (None when
+    every operator is dense), each checked against k, C and the others."""
+    forms = cur.array((k + 1,), "<u4")
+    unknown = forms[~np.isin(forms, (DENSE, FACTORED))]
+    if unknown.size:
+        raise BadArchiveValue(f"{path}: unknown operator form {unknown[0]}")
+    if not forms.any():
+        return forms, None
+    m = cur.u32()
+    if m == 0:
+        raise BadArchiveValue(f"{path}: factored operators over m = 0 samples")
+    labels = cur.array((m,), "<u4").astype(np.int64)
+    if labels.max() >= k:
+        raise BadArchiveValue(f"{path}: label {labels.max()} out of range for k = {k}")
+    counts = np.bincount(labels, minlength=k)
+    if counts.min() == 0:
+        raise BadArchiveValue(f"{path}: class {int(np.argmin(counts))} has no samples")
+    for i, (form, m_op) in enumerate(zip(forms, [m, *counts])):
+        if form == FACTORED and m_op >= C:
+            raise BadArchiveValue(f"{path}: operator {i} is factored over {m_op} columns; "
+                                  f"a factored operator has fewer columns than C = {C}")
+    return forms, labels
+
+
+def _dense_layers(k):
+    """A reader of layers whose operators are all dense: (Ebar, Cbar,
+    features, the arrays read) of the next layer."""
+    def read(cur, grid, C, dtype):
+        Ebar = cur.array((grid, C, C), dtype)
+        Cbar = cur.array((k, grid, C, C), dtype)
+        return Ebar, Cbar, None, (Ebar, Cbar)
+    return read
+
+
+def _factored_layers(labels, k, scale, alpha, alpha_class, forms):
+    """A reader of version-3 layers with factored operators, like `_dense_layers`."""
+    sizes = [labels.size, *np.bincount(labels, minlength=k)]
+
+    def read(cur, grid, C, dtype):
+        features = cur.array((grid, C, labels.size), dtype)
+        parts = [cur.array((grid, n, n) if form == FACTORED else (grid, C, C), dtype)
+                 for form, n in zip(forms, sizes)]
+        Ebar, Cbar = _freq.factored_operators(features, labels, parts, [alpha, *alpha_class],
+                                              scale)
+        return Ebar, Cbar, features, [features, *parts]
+    return read

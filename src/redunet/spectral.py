@@ -205,7 +205,7 @@ def group_gradient(Zbar, partition: Partition, eps: float):
     Vt = _spectra(Zbar)
     layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
                               freq_shape=shape[1:])
-    expand = _signals(layer.Ebar @ Vt, shape)
+    expand = _signals(np.asarray(layer.Ebar) @ Vt, shape)
     compress = np.empty((partition.k,) + Zbar.shape)
     for j in range(partition.k):
         Wj = layer.Cbar[j] @ Vt
@@ -320,12 +320,13 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     The per-frequency stacks are the half spectra of diagonalized
     group-circulant blocks; the inverse transform of each (c, c')
     frequency sequence is the first column of that block, i.e. the kernel
-    whose multichannel circular convolution applies the operator.
+    whose multichannel circular convolution applies the operator. A
+    `_freq.Factored` operator is multiplied back into its stacks first.
     """
     if which == "expand":
-        stack = layer.Ebar
+        stack = np.asarray(layer.Ebar)
     elif which == "compress":
-        stack = layer.Cbar[class_index]
+        stack = np.asarray(layer.Cbar[class_index])
     else:
         raise ValueError(f"unknown operator kind {which!r}")
     G, C = tuple(layer.freq_shape), stack.shape[1]

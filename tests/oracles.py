@@ -472,7 +472,8 @@ def vector_loop_construct(X, partition, L, eta, eps, lam=None, use_labels=False,
 
 # --------------------------------------------------------------- archive
 #
-# Version-2 archives: the header u32s kind, k and ndim sit at bytes 12, 16
+# Version-3 archives (and version 2, which lacks only the forms and labels
+# after alpha_class): the header u32s kind, k and ndim sit at bytes 12, 16
 # and 20, the dims from 24 on; the trailer's depth and trace_rows are the
 # eight bytes before the CRC, with the trace before them.
 
@@ -502,9 +503,18 @@ def joined_save_model(model):
     parts.append(raw(model.gamma))
     parts.append(struct.pack("<d", alpha))
     parts.append(raw(alpha_class))
+    factored = ([isinstance(op, _freq.Factored) for op in _freq.operators(model.layers[0])]
+                if model.layers else [False] * (model.k + 1))
+    parts.extend(_u32(form) for form in factored)
+    if any(factored):
+        labels = model.layers[0].labels
+        parts.extend([_u32(labels.size), raw(labels, "<u4")])
     dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
-        parts.extend(raw(op, dtype) for op in (layer.Ebar, layer.Cbar))
+        if any(factored):
+            parts.append(raw(layer.features, dtype))
+        parts.extend(raw(op.K if isinstance(op, _freq.Factored) else op, dtype)
+                     for op in _freq.operators(layer))
     parts.extend([raw(trace), _u32(len(model.layers)), _u32(trace.shape[0])])
     return _sealed(b"".join(parts))
 

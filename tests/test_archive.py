@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from redunet.errors import BadArchiveValue, BadMagic, ChecksumFailure, VersionMismatch
+from redunet._freq import Factored, operators
 from redunet.harness.archive import VERSION, ArchiveWriter, load_model, save_model
+from redunet.harness.cli import main
 from redunet.harness.config import load_config
 from redunet.harness import experiments
 from redunet.harness.experiments import eval_experiment, run_experiment
@@ -201,21 +203,33 @@ def test_non_finite_operator_rejected(tmp_path):
         load_model(path)
 
 
-# -------------------------------------------------------- version 2 layout
+# -------------------------------------------------------- version 3 layout
 
 @pytest.mark.parametrize("maker, half", [(shift_model, 5), (translation_model, 9),
                                          (vector_model, 1)])
 def test_archive_holds_half_spectrum_stacks(tmp_path, maker, half):
-    # T = 8 keeps 5 of 8 frequencies, 3 x 4 keeps 3 x 3 of 12; vectors have one
+    # T = 8 keeps 5 of 8 frequencies, 3 x 4 keeps 3 x 3 of 12; vectors have
+    # one, and the vector model (4 dimensions, classes of 1 and 5 samples)
+    # stores its 6 features and its one-sample class operator factored, as a
+    # 1 x 1 inverse, and E and the other class as 4 x 4 stacks
     model, _ = maker()
     with open(save_model(model, tmp_path / "m.rnet"), "rb") as fh:
         blob = fh.read()
-    assert struct.unpack_from("<I", blob, 8)[0] == VERSION == 2
+    assert struct.unpack_from("<I", blob, 8)[0] == VERSION == 3
     C, k = model.C, model.k
     itemsize = 16 if model.freq_shape else 8
-    layer_bytes = (1 + k) * half * C * C * itemsize
     assert all(layer.Ebar.shape == (half, C, C) for layer in model.layers)
+    labels = model.layers[0].labels
+    if maker is vector_model:
+        assert np.bincount(labels).tolist() == [1, 5]
+        labels_bytes = 4 * (1 + 6)
+        layer_bytes = (half * C * 6 + 2 * half * C * C + half * 1 * 1) * itemsize
+    else:
+        assert labels is None
+        labels_bytes = 0
+        layer_bytes = (1 + k) * half * C * C * itemsize
     assert len(blob) == (8 + 4 * (4 + 1 + len(model.freq_shape)) + 8 * (4 + 2 * k)
+                         + 4 * (k + 1) + labels_bytes
                          + model.depth * layer_bytes + 24 * len(model.trace) + 8 + 4)
 
 
@@ -310,6 +324,7 @@ def test_v1_fixture_loads_into_the_half_stacks_of_a_v2_roundtrip(tmp_path, name,
 @pytest.mark.parametrize("name, run", [("v1_shift.rnet", SHIFT_RUN),
                                        ("v1_vector.rnet", VECTOR_RUN)])
 def test_eval_of_v1_and_v2_archive_writes_identical_bytes(tmp_path, name, run):
+    # "v2" is the current version (3 now), as when this test was written
     v2 = save_model(load_model(FIXTURES / name), tmp_path / "v2.rnet")
     cfg = load_config(run[0], None, run[1])
     eval_experiment(cfg, FIXTURES / name, tmp_path / "from_v1", augmented=True)
@@ -328,6 +343,7 @@ def refuse_to_serialize(model, path):
 
 @pytest.mark.parametrize("run", [SHIFT_RUN, VECTOR_RUN], ids=["shift", "vector"])
 def test_eval_copies_a_v2_archive_byte_for_byte(tmp_path, monkeypatch, run):
+    # a current-version archive (version 3 now; the name dates from version 2)
     archive = run_archive(run, tmp_path / "built")
     monkeypatch.setattr(experiments, "save_model", refuse_to_serialize)
     cfg = load_config(run[0], None, run[1])
@@ -340,8 +356,10 @@ def test_eval_copies_a_v2_archive_byte_for_byte(tmp_path, monkeypatch, run):
     assert archive.read_bytes() == before
 
 
-# SHA-256 of the version-2 archive that `save_model` writes for each v1
+# SHA-256 of the version-2 archive that `save_model` wrote for each v1
 # fixture (by `eval_experiment` with `save_model` on, for the two runs)
+# before version 3; a version-3 resave of these dense layers is the same
+# archive with its operator forms added (`as_version_2`)
 V1_RESAVED = {
     "v1_shift.rnet": "e78e10ef833b3ef4b9b8ee0b8a921ace43efe88911fa1d02fc87d044162a31f2",
     "v1_vector.rnet": "92f9cf1d32939a30bce88f6515556dd4b075f726f0200f96ba2d7d4d79da4bf2",
@@ -361,7 +379,17 @@ def test_v1_fixture_resaves_to_pinned_bytes(tmp_path, name, run):
         written = tmp_path / "model.rnet"
     data = pathlib.Path(written).read_bytes()
     assert struct.unpack_from("<I", data, 8)[0] == VERSION
-    assert hashlib.sha256(data).hexdigest() == V1_RESAVED[name]
+    assert hashlib.sha256(as_version_2(data)).hexdigest() == V1_RESAVED[name]
+
+
+def as_version_2(blob):
+    """The version-2 archive of a version-3 archive whose operators are all
+    dense: the same bytes without the k+1 forms, resealed."""
+    k, ndim = struct.unpack_from("<II", blob, 16)
+    forms_at = 24 + 4 * ndim + 8 * (4 + 2 * k)
+    assert blob[forms_at:forms_at + 4 * (k + 1)] == bytes(4 * (k + 1))  # all dense
+    body = struct.pack("<I", 2) + blob[12:forms_at] + blob[forms_at + 4 * (k + 1):-4]
+    return blob[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_v1_archive_with_a_non_conjugate_mirror_rejected(tmp_path):
@@ -376,3 +404,192 @@ def test_v1_archive_with_a_non_conjugate_mirror_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(BadArchiveValue, match="layer 0 has a mirror frequency"):
         load_model(path)
+
+
+# ------------------------------------------------------ version 2 archives
+#
+# Written by the version-2 writer: v2_shift.rnet and v2_vector.rnet by
+# `run_experiment` of SHIFT_RUN and WIDE_RUN, v2_translation.rnet by
+# `save_model(translation_model()[0])`. WIDE_RUN's 16-dimensional features
+# (tests/fixtures/wide_vector.npz, classes of 4 training samples) make
+# every operator one that version 3 stores factored; version 2 stored it
+# dense, and so does a version-3 archive converted from it.
+
+WIDE_RUN = ("custom-vector", {"data": str(FIXTURES / "wide_vector.npz"), "layers": "2",
+                              "save_model": "true"})
+FIXTURE_RUNS = {"v1_shift": SHIFT_RUN, "v2_shift": SHIFT_RUN, "v1_vector": VECTOR_RUN,
+                "v2_vector": WIDE_RUN, "v1_translation": None, "v2_translation": None}
+
+# SHA-256 of what each fixture gave before version 3: the `augment-eval`
+# artifacts of its run (its archive aside), the layer-0 kernels of a
+# spectral model, and the bytes of `forward` on the translation model's
+# stack where no run matches the model
+FIXTURE_ARTIFACTS = {
+    "v1_shift": {
+        "accuracy.csv": "9c3929884822b138300d9f1201fd9ce3c6ede61107718970c8316d646aa64115",
+        "cosine_test.csv": "1d30713f12bac8c8047969daf10cffacc143268c3dd5d84d536fb3a75dcc1eaa",
+        "cosine_train.csv": "5c43fc3a079af569d6a4ac082bcdb50a0d1b36b80a9eeebed16b67981ea0fd29",
+        "kernel_compress_class0.csv": "a19fec07452a6e48f8f68ffbba52cc89bad648dba8695f8e6256e4a55801b6e4",
+        "kernel_compress_class1.csv": "7df13494022a0945cc3c4fda93e23fbf16f3da175882888d4e2399820c420323",
+        "kernel_expand.csv": "c001b18e72b469bb424989f689cab6e019236562bde18adc9d342322b69ae52b",
+        "loss_curve.csv": "69b1e40a0ebb872f7c2da42652a9848015e9b695c922ad2db40786577fe942ec",
+    },
+    "v2_shift": {
+        "accuracy.csv": "9c3929884822b138300d9f1201fd9ce3c6ede61107718970c8316d646aa64115",
+        "cosine_test.csv": "85555c7a62f287cc28e2b3d2425497f57e00a4f5544112ef7b012491a3878f7f",
+        "cosine_train.csv": "92fe0669b06363742601d77a99d4dbffb5cf3c3a5508e05327c298a9a4f4d22a",
+        "kernel_compress_class0.csv": "a19fec07452a6e48f8f68ffbba52cc89bad648dba8695f8e6256e4a55801b6e4",
+        "kernel_compress_class1.csv": "7df13494022a0945cc3c4fda93e23fbf16f3da175882888d4e2399820c420323",
+        "kernel_expand.csv": "c001b18e72b469bb424989f689cab6e019236562bde18adc9d342322b69ae52b",
+        "loss_curve.csv": "314ff0ea0f4c6cca868c4b5af44c4014097a2930c081415abc0343c46802a63a",
+    },
+    "v1_vector": {
+        "accuracy.csv": "17c0ee16bf17d37fc9195dd15c78b1cb26d603d42a184db66696d78ff5240012",
+        "cosine_test.csv": "bd3371c561acc2718fbb0c26f4e69c8449b8d320d4f659d7a36f3dd800d394c2",
+        "cosine_train.csv": "eff4edfdbf95bcd9673ae65adf922a41b44120720bd4e37595fbda5b119d112f",
+        "loss_curve.csv": "2030403e6fff3b877df9452275a6b8b238079d159b46db7047ed2be0bdadd471",
+    },
+    "v2_vector": {
+        "accuracy.csv": "ba414d527145f49bfae6d1cb4c7eaf16db64ce11d8b9e542a454c7d72fb8af89",
+        "cosine_test.csv": "0ef2bd1118eec02c7c675a81e878df1ec460b3c14dd300dfa72fde834acd344b",
+        "cosine_train.csv": "4ddb487d6c4ddcf97b57b54202456ae0f4da819291d057f0a7ca55a3db5c04f2",
+        "loss_curve.csv": "52f7b33b3b4929e86b252c3fb4d7b6b125299339b576300137f7fdb6f7e61279",
+    },
+    "v1_translation": {
+        "forward.bin": "2a9ef88642d07bde89683fe8b32350775e868507c051a603e252aacbac139f7c",
+        "kernel_compress_class0.csv": "c1a772a85a36e800a6559bdf87c3a4d5b4f11d852691d5da7f22360818bcbbcc",
+        "kernel_compress_class1.csv": "14464fc390ce00a36440c1e99fdad6c64c5989b9ea0459306a17e734ef1b8e9e",
+        "kernel_expand.csv": "9356b3186eee8eee6fbb3293799fa5bf5f3231711b974e97938dde728979729e",
+    },
+    "v2_translation": {
+        "forward.bin": "0cae49349662ba9cfe425882383215e2646fb10c22b848ec717af37d05d2af1b",
+        "kernel_compress_class0.csv": "c1a772a85a36e800a6559bdf87c3a4d5b4f11d852691d5da7f22360818bcbbcc",
+        "kernel_compress_class1.csv": "14464fc390ce00a36440c1e99fdad6c64c5989b9ea0459306a17e734ef1b8e9e",
+        "kernel_expand.csv": "9356b3186eee8eee6fbb3293799fa5bf5f3231711b974e97938dde728979729e",
+    },
+}
+
+
+def fixture_artifacts(archive, name, out):
+    """SHA-256 of every artifact `FIXTURE_ARTIFACTS` lists for fixture ``name``,
+    made from ``archive`` into ``out``."""
+    run = FIXTURE_RUNS[name]
+    if run is None:
+        out.mkdir(parents=True)
+        Z = translation_model()[1]
+        (out / "forward.bin").write_bytes(forward_translation2d(load_model(archive), Z).tobytes())
+    else:
+        eval_experiment(load_config(run[0], None, run[1]), archive, out, augmented=True)
+    if "vector" not in name:
+        experiments.export_kernels(archive, out)
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in sorted(os.listdir(out)) if f != "model.rnet"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_fixture_evaluates_and_exports_kernels_as_before_version_3(tmp_path, name):
+    path = FIXTURES / f"{name}.rnet"
+    assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == int(name[1])
+    assert fixture_artifacts(path, name, tmp_path / "out") == FIXTURE_ARTIFACTS[name]
+
+
+@pytest.mark.parametrize("name", ["v2_shift", "v2_translation", "v2_vector"])
+def test_v2_archive_converts_to_a_v3_archive_of_the_same_artifacts(tmp_path, name):
+    source = FIXTURES / f"{name}.rnet"
+    run = FIXTURE_RUNS[name]
+    if run is None:
+        converted = save_model(load_model(source), tmp_path / "m.rnet")
+    else:  # augment-eval with save_model converts its input
+        eval_experiment(load_config(run[0], None, run[1]), source, tmp_path / "first",
+                        augmented=True)
+        converted = tmp_path / "first" / "model.rnet"
+    data = pathlib.Path(converted).read_bytes()
+    assert struct.unpack_from("<I", data, 8)[0] == VERSION == 3
+    back = load_model(converted)
+    assert all(layer.features is None for layer in back.layers)  # stored dense, as read
+    assert_same_layers(back, load_model(source))
+    assert (fixture_artifacts(converted, name, tmp_path / "again")
+            == FIXTURE_ARTIFACTS[name])
+
+
+# ------------------------------------------------- version 3 header fields
+#
+# The v3 vector model: 6 features, classes of 2 and 3 samples in shuffled
+# order, so every operator is factored and E's inverse is stored in class
+# order; its forms start at byte 24 + 4 * ndim + 8 * (4 + 2k) = 92, then
+# m at 104 and the labels from 108.
+
+def factored_vector_blob(tmp_path):
+    rng = rng_for(36)
+    model = construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
+                                 L=2, eta=0.3, eps=0.5)
+    return pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
+
+
+def with_u32s(blob, offset, *values):
+    """``blob`` with u32 ``values`` from ``offset`` on, resealed."""
+    body = bytearray(blob[8:-4])
+    struct.pack_into("<" + "I" * len(values), body, offset - 8, *values)
+    return blob[:8] + bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def test_v3_vector_archive_stores_its_operators_factored(tmp_path):
+    blob = factored_vector_blob(tmp_path)
+    assert struct.unpack_from("<3I", blob, 92) == (1, 1, 1)
+    assert struct.unpack_from("<6I", blob, 104) == (5, 0, 1, 0, 1, 1)
+    path = tmp_path / "m.rnet"
+    back = load_model(path)
+    for layer in back.layers:
+        assert all(isinstance(op, Factored) for op in operators(layer))
+        assert layer.features.shape == (1, 6, 5) and layer.features.flags.writeable
+
+
+@pytest.mark.parametrize("offset, values, message", [
+    (92, (2,), "unknown operator form 2"),
+    (100, (7,), "unknown operator form 7"),
+    (104, (0,), "m = 0"),
+    (112, (2,), "label 2 out of range for k = 2"),
+    (108, (0, 0, 0, 0, 0), "class 1 has no samples"),
+])
+def test_inconsistent_v3_header_field_rejected(tmp_path, offset, values, message):
+    path = tmp_path / "m.rnet"
+    path.write_bytes(with_u32s(factored_vector_blob(tmp_path), offset, *values))
+    with pytest.raises(BadArchiveValue, match=message):
+        load_model(path)
+
+
+def test_v3_factored_form_of_an_operator_with_c_columns_rejected(tmp_path):
+    # vector_model's E (6 samples in 4 dimensions) is dense; claiming it
+    # factored asks for a 6 x 6 inverse of an operator of 4 x 4 stacks
+    model, _ = vector_model()
+    blob = pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
+    assert struct.unpack_from("<3I", blob, 92) == (0, 1, 0)
+    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 92, 1))
+    with pytest.raises(BadArchiveValue, match="operator 0 is factored over 6 columns; a factored operator "
+                                              "has fewer columns than C = 4"):
+        load_model(tmp_path / "m.rnet")
+
+
+def test_v3_labels_that_disagree_with_the_stored_factors_rejected(tmp_path):
+    # moving a sample from class 1 to class 0 keeps every header check and
+    # the payload size, but reads the classes' inverses as 3 x 3 and 2 x 2
+    # from the bytes of a 2 x 2 and a 3 x 3 one
+    path = tmp_path / "m.rnet"
+    path.write_bytes(with_u32s(factored_vector_blob(tmp_path), 112, 0))
+    with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
+                                              "not Hermitian"):
+        load_model(path)
+
+
+def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
+    # a shift model of 6 channels and 5 samples: every operator factored
+    rng = rng_for(37)
+    model = construct_shift1d(rng.standard_normal((6, 4, 5)), Partition([0, 1, 0, 1, 1]),
+                              L=1, eta=0.3, eps=0.5)
+    blob = pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
+    forms_at = 24 + 4 * 2 + 8 * (4 + 2 * 2)
+    assert struct.unpack_from("<3I", blob, forms_at) == (1, 1, 1)
+    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, forms_at, 3))
+    assert main(["export-kernel", str(tmp_path / "m.rnet"), "--out", str(tmp_path / "k")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown operator form 3" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,29 @@ def test_shift_augmented_fit_gives_shift_invariant_predictions():
     for s in range(T):
         shifted = forward_shift1d(net, np.roll(Zbar, s, axis=1))
         assert np.array_equal(predict(shifted, model), base)
+
+
+def test_strided_fit_holds_one_copy_of_a_class():
+    # translation2d's shape: 5 channels of 28 x 28, two classes of 200
+    # samples, fitted at stride 14 (an orbit of 4 rolls). A fit holds at
+    # most the features' own size and one dense class Gram of the orbit
+    # above its entry: a class is copied once, into cosets-first order,
+    # and its transform replaces that copy
+    rng = rng_for(39)
+    C, H, W, per = 5, 28, 28, 200
+    labels = np.repeat([0, 1], per)
+    Z = np.empty((C, H, W, 2 * per))
+    for j in range(2):  # a few directions per class, as constructed features have
+        basis = rng.standard_normal((C * H * W, 12))
+        Z[..., labels == j] = (basis @ rng.standard_normal((12, per))
+                               + 0.05 * rng.standard_normal((C * H * W, per))).reshape(
+                                   C, H, W, per)
+    gram_bytes = (4 * per) ** 2 * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fit_subspaces(Z, Partition(labels), 0.95, stride=(14, 14))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes + gram_bytes

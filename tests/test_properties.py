@@ -3,6 +3,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -353,7 +354,8 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
     Z = _freq.normalize_samples(rng.standard_normal((n, b)))[None]
-    pi = _freq.membership(layer.Cbar @ Z, layer.lam, _freq.half_weights(()))
+    CZ = _freq.compressions(Z, layer, np.empty((k + 1, 1, n, b)))[1:]  # its own projections
+    pi = _freq.membership(CZ, layer.lam, _freq.half_weights(()))
     assert np.array_equal(_freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi))
 
 
@@ -463,6 +465,53 @@ def test_any_header_with_a_valid_crc_loads_or_raises_data_error(kind, k, L, trac
             pass
 
 
+def factored_vector_archive():
+    """A two-layer v3 vector archive whose operators are all factored (6
+    features, classes of 2 and 3 samples, shuffled)."""
+    rng = np.random.default_rng(38)
+    model = construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
+                                 L=2, eta=0.3, eps=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(save_model(model, os.path.join(tmp, "m.rnet")), "rb") as fh:
+            return fh.read()
+
+
+FACTORED_BLOB = factored_vector_archive()
+# magic, version, kind, k, ndim and the dim, eight f64s: the forms, then m,
+# the five labels and the first layer's features
+V3_FIELDS = 24 + 4 + 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, len(FACTORED_BLOB) - 5), st.integers(1, 255)),
+                      max_size=3),
+       cut=st.integers(8, len(FACTORED_BLOB) - 4), header=st.booleans())
+@example(flips=[(V3_FIELDS, 2)], cut=len(FACTORED_BLOB) - 4, header=False)  # a form of 3
+@example(flips=[(V3_FIELDS + 16, 1)], cut=len(FACTORED_BLOB) - 4, header=False)  # label 1
+@example(flips=[(V3_FIELDS + 12, 5)], cut=len(FACTORED_BLOB) - 4, header=False)  # m = 0
+@example(flips=[], cut=V3_FIELDS + 20, header=False)  # cut inside the labels
+def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(flips, cut, header):
+    # resealed, so the decoder's own checks must catch what the CRC would;
+    # ``header`` moves every flip into the fields before the first layer
+    blob = bytearray(FACTORED_BLOB[:-4])
+    for at, mask in flips:
+        blob[at % (V3_FIELDS + 36) if header else at] ^= mask
+    body = bytes(blob[8:cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.rnet")
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
+        tracemalloc.start()
+        try:
+            load_model(path)
+        except DataError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < 2**20  # no allocation sized by a damaged field
+
+
 @settings(max_examples=60, deadline=None)
 @given(G=st.one_of(st.just(()), groups), L=st.integers(0, 3), cut=st.integers(0, 3),
        honest=st.booleans(), depth=u32s, trace_rows=u32s, seed=st.integers(0, 2**32 - 1))
@@ -482,7 +531,11 @@ def test_archive_cut_at_a_layer_boundary_loads_those_layers_or_raises_data_error
             blob = fh.read()
         rows = len(model.trace)
         trace_at = len(blob) - 12 - 24 * rows
-        layer_bytes = 0 if L == 0 else (trace_at - 8 - 4 * (5 + len(G)) - 8 * 8) // L
+        # magic, five u32s and the dims, eight f64s, three operator forms, and
+        # the labels when some operator is factored
+        labels = model.layers[0].labels if L else None
+        header = 8 + 4 * (5 + len(G)) + 8 * 8 + 4 * 3 + (0 if labels is None else 4 * (1 + 4))
+        layer_bytes = 0 if L == 0 else (trace_at - header) // L
         kept = blob[8:trace_at - (L - cut) * layer_bytes]
         if honest:
             depth, trace_rows = cut, rows

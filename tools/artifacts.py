@@ -15,7 +15,8 @@ package in that checkout's ``src/``. Per seed it writes, under
 ``diff`` prints one line per file found under A or B: ``identical`` when
 the bytes agree, else the largest |difference| over the largest |entry|
 of the numbers the file holds (CSV cells, or an archive's trace and
-operators). It exits 0 when every file is identical and 1 otherwise.
+operators, factored ones as their dense stacks, so archives of any
+version compare). It exits 0 when every file is identical and 1 otherwise.
 """
 
 import argparse
@@ -92,7 +93,8 @@ def _numbers(path):
         model = load_model(path)
         parts = [np.asarray(model.trace, dtype=np.float64).ravel()]
         for layer in model.layers:
-            for op in (layer.Ebar, layer.Cbar):
+            for op in (layer.Ebar, layer.Cbar):  # factored operators multiplied back
+                op = np.asarray(op)
                 parts.append(op.ravel().view(np.float64) if np.iscomplexobj(op)
                              else op.ravel())
         return np.concatenate(parts)
