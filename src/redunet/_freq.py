@@ -34,22 +34,53 @@ symmetry, because the loop only ever sees rfftn output; a full spectrum
 that enters from outside (`spectral.spectral_operators`, a version-1
 archive) is checked once by `check_conjugate_symmetry`.
 
-Sample blocks. The layer step does little arithmetic per value (C x C
-blocks, C a few channels), so its cost is memory traffic. `update_batch`
-therefore walks the sample axis in blocks of `_UPDATE_BLOCK_VALUES`
-values per (F_h, C, b) slab, 1 MB of complex values, or, for the trivial
-group, of `_TRIVIAL_BLOCK_VALUES`: its steps run on the calling thread
-alone (see Workers), and its wide factors (784 x 400, say) are read
-once per block, so fewer, larger blocks serve it better. Each block takes
-its products with the layer's own stacks, read in place, into a
-(k+1)-block buffer: entry 0 holds E v, which becomes the step
-v + eta E v, entries 1..k the class projections C_j v. It then estimates
-the membership from the projections (or slices the given one), subtracts
-the weighted projections in place and writes the renormalized block into
-the preallocated output. A step thus holds its input, its output, and per
-worker one (k+1)-block product buffer and a few block-sized temporaries,
-whatever the number of samples, where computing every intermediate for
-all m samples at once held about k+4 arrays the size of the input.
+Sample blocks. The layer step
+
+    v  <-  normalize( v + eta E v - eta sum_j gamma_j pi_j C_j v )
+
+does little arithmetic per value (C x C blocks, C a few channels), so its
+cost is memory traffic. `update_batch` therefore walks the sample axis in
+blocks of `_UPDATE_BLOCK_VALUES` values per (F_h, C, b) slab, 1 MB of
+complex values, or, for the trivial group, of `_TRIVIAL_BLOCK_VALUES`: its
+steps run on the calling thread alone (see Workers), and its wide factors
+(784 x 400, say) are read once per block, so fewer, larger blocks serve it
+better. Each block is stepped by one of three kernels, picked once per call
+from the layer's operator form and the membership it is given (`_kernel`),
+and written renormalized into the preallocated output:
+
+- All-factored layers (E factored, hence every C_j; see Factorization)
+  step on the sample side. The push-through identity gives E V = a V K and
+  C_j V_j = a_j V_j K_j for the features V the layer was built from, so
+  their labelled step (``construct``'s, on the stack it keeps as the
+  layer's features) is one product V T with the m x m matrix
+  T = I + eta a K - eta (+)_j gamma_j a_j K_j (`_built_step`). Any other
+  block takes W = V* v once and finishes as s0 v + V c, s0 a scalar per
+  sample and c (m, b) read off K W and the K_j W_j: two wide products and
+  no buffer (`_factored_step`). Its estimated membership reads each class
+  norm off the m side as well (`_class_norms`),
+
+      ||C_j v||^2 = a_j^2 (||v||^2 - 2 a_j s Re<W_j, y_j> + a_j^2 s y_j* (s G_j) y_j),
+
+  y_j = K_j W_j and s G_j the class Gram. That sum cancels; where its
+  cancellation ratio, weighted by how much the membership moves with that
+  norm, exceeds `_NORM_CANCELLATION` for a sample of the block, the class's
+  norms of the block are taken from C_j v itself.
+- All-dense layers of k > 1 classes given a one-hot membership (every
+  labelled step of the shift and translation networks): a block splits
+  into runs of one class, and a run of class j takes one product with
+  M_j = I + eta E - eta gamma_j C_j, the k stacks formed once per call
+  (`_labelled_step`). ``construct`` holds its training samples in class
+  order, so a block meets at most a few runs.
+- Everything else, the estimated and soft steps of dense layers and every
+  step of a mixed layer, takes its k+1 products with the layer's stacks,
+  read in place, into a (k+1)-block buffer (`_step_block`): entry 0 holds
+  E v, which becomes v + eta E v, entries 1..k the class projections
+  C_j v; it estimates the membership from the projections (or slices the
+  given one) and subtracts the weighted projections in place.
+
+A step thus holds its input, its output, and per worker at most one
+(k+1)-block product buffer and a few block-sized temporaries, whatever the
+number of samples.
 
 Workers. The blocks are independent, so `update_batch` shares them out
 over W = `thread_count()` workers (``REDUNET_THREADS``, else the usable
@@ -74,20 +105,26 @@ second time. An operator built from fewer columns m_op than it has rows
 C is factored on its m_op x m_op Gram side (`regularized_inverse`), and
 the layer keeps it that way (`Factored`): a scaled identity minus a rank
 m_op correction, a (I - a s V K V*), held as the layer's features V,
-shared by all of its factored operators, and the m_op x m_op inverse K.
-It is never formed as C x C stacks: the layer step applies it as
-a v - a^2 s V (K (V* v)), with V* v taken once per block for every
-factored operator, and the archive stores V once and each K. Only the
-kernels, the gradient and the dense oracles ask for the C x C stacks,
-which `Factored.dense` multiplies back, to the bytes `regularized_inverse`
-gives. Operators on C or more columns (the shift and translation
-networks, C a few channels) are the dense stacks a (I + a s V V*)^-1.
+shared by all of its factored operators, and the m_op x m_op inverse K;
+a class operator keeps its scaled Gram s G_j = s V_j* V_j too, which the
+factorization forms anyway and a loaded archive forms again from its
+features. It is never formed as C x C stacks: an all-factored layer steps
+on the sample side (Sample blocks), and a mixed layer, factored class
+operators beside a dense E, applies each as a v - a^2 s V (K (V* v)),
+with V* v taken once per block for every factored operator. The archive
+stores V once and each K. Only the kernels, the gradient and the dense
+oracles ask for the C x C stacks, which `Factored.dense` multiplies back,
+to the bytes `regularized_inverse` gives. Operators on C or more columns
+(the shift and translation networks, C a few channels) are the dense
+stacks a (I + a s V V*)^-1.
 
 The trivial group. The vector network is the same computation over no
 group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
 1, the identity as its transform, so its stacks stay real. Its slices are
 wide (C = n features, say 784, against a few hundred samples), so every
-one of its operators is usually factored.
+one of its operators is usually factored, and its steps are the two
+sample-side kernels: a 784-d layer of 400 labelled samples in two classes
+steps them in one 784 x 400 x 400 product, and any other block in two.
 """
 
 import math
@@ -102,6 +139,11 @@ from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, gram_logdet,
 
 _UPDATE_BLOCK_VALUES = 2**16  # values per (F_h, C, b) sample block: 1 MB complex
 _TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group: 2 MB real
+# the largest cancellation ratio of a class norm read off the m side, weighted
+# by the membership's sensitivity to that norm (`_class_norms`): its sum
+# rounds to about 6e-16 of its terms, so this keeps the membership within
+# 1e-12 of the one from C_j v itself
+_NORM_CANCELLATION = 3e3
 _WORKERS = None  # workers of the layer step; None: `thread_count()`
 _POOL = None  # (threads, ThreadPoolExecutor) of `_pool`, made on first use
 
@@ -152,13 +194,17 @@ class Factored:
     (I + a s V* V)^-1 of those columns, in the same order; s is the Gram
     scale. ``restore`` puts the columns back in sample order (None when
     they already are). ``holds_features`` marks the one operator of a
-    layer whose ``nbytes`` counts the shared features.
+    layer whose ``nbytes`` counts the shared features. A class operator
+    also keeps ``gram``, s V* V of its columns, from which the layer step
+    reads its norms (`_class_norms`); like the objective triple, it is
+    derived from the factors, so ``nbytes`` leaves it out.
     """
 
-    def __init__(self, features, cols, K, a, scale, restore=None, holds_features=False):
+    def __init__(self, features, cols, K, a, scale, restore=None, holds_features=False,
+                 gram=None):
         self.features, self.cols, self.K = features, cols, K
         self.a, self.scale, self.restore = float(a), float(scale), restore
-        self.holds_features = holds_features
+        self.holds_features, self.gram = holds_features, gram
 
     @property
     def shape(self) -> tuple:
@@ -298,20 +344,24 @@ def regularized_inverse(Vs: np.ndarray, a: float,
     stack is factored at once (`rate.hermitian_inverse`), and every slice
     gets the bytes it would get alone. The result keeps the dtype of ``Vs``.
     """
-    K, logdet = _factor(Vs, a, scale)
+    K, logdet = _factor(_gram(Vs, scale), a)
     if K.shape[-1] < Vs.shape[-2]:
         return _expand(Vs, K, a, scale), logdet
     return a * K, logdet
 
 
-def _factor(Vs: np.ndarray, a: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of I + a s G on the smaller Gram side of a stack Vs
-    (..., C, m), G = Vs* Vs when m < C and Vs Vs* otherwise, symmetrized;
-    and its log-determinants."""
+def _gram(Vs: np.ndarray, scale: float) -> np.ndarray:
+    """s G on the smaller Gram side of a stack Vs (..., C, m): G = Vs* Vs
+    when m < C, Vs Vs* otherwise."""
     C, m = Vs.shape[-2:]
     Vh = _adjoint(Vs)
-    G = scale * (Vh @ Vs if m < C else Vs @ Vh)
-    return hermitian_inverse(np.eye(min(C, m), dtype=Vs.dtype) + a * 0.5 * (G + _adjoint(G)))
+    return scale * (Vh @ Vs if m < C else Vs @ Vh)
+
+
+def _factor(G: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of I + a G of scaled Grams G (`_gram`), symmetrized, and
+    its log-determinants."""
+    return hermitian_inverse(np.eye(G.shape[-1], dtype=G.dtype) + a * 0.5 * (G + _adjoint(G)))
 
 
 def _expand(Vs: np.ndarray, K: np.ndarray, a: float, scale: float) -> np.ndarray:
@@ -351,26 +401,32 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
     logdets = []
 
-    def part(mask, a):  # an operator's dense stack, or its K when it has m_op < C columns
-        K, logdet = _factor(Vt[:, :, mask], a, gram_scale)
+    def factor(mask, a):  # an operator's K and the scaled Gram it inverts
+        G = _gram(Vt[:, :, mask], gram_scale)
+        K, logdet = _factor(G, a)
         logdets.append(float(weight @ logdet))
+        return K, G
+
+    def part(K, a):  # an operator's dense stack, or its K when it has m_op < C columns
         return K if K.shape[-1] < C else a * K
 
     features = labels = None
-    Ebar = part(slice(None), alpha)
+    Ebar = part(factor(slice(None), alpha)[0], alpha)
     if partition.counts.min() >= C:  # every operator dense
         Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
         for j in range(partition.k):
-            Cbar[j] = part(partition.mask(j), alpha_class[j])
+            Cbar[j] = part(factor(partition.mask(j), alpha_class[j])[0], alpha_class[j])
     else:  # keep the features, in class order, for the factored operators
-        parts = [Ebar] + [part(partition.mask(j), alpha_class[j]) for j in range(partition.k)]
+        factors = [factor(partition.mask(j), alpha_class[j]) for j in range(partition.k)]
+        parts = [Ebar] + [part(K, a) for (K, _), a in zip(factors, alpha_class)]
+        grams = [G for _, G in factors]
         labels = partition.labels.copy()
         order, restore = class_order(labels)
         features = Vt if restore is None else Vt[..., order]
         if m < C and restore is not None:
             parts[0] = parts[0][..., order[:, None], order]
         Ebar, Cbar = factored_operators(features, labels, parts, [alpha, *alpha_class],
-                                        gram_scale)
+                                        gram_scale, grams)
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
@@ -390,14 +446,17 @@ def class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def factored_operators(features: np.ndarray, labels: np.ndarray, parts: list, coeffs: list,
-                       scale: float) -> tuple:
+                       scale: float, grams: list | None = None) -> tuple:
     """(Ebar, Cbar) of a layer that keeps its ``features`` (F_h, C, m), their
     samples in class order (`class_order` of ``labels``).
 
     ``parts`` holds E's part, then every C_j's: a dense (F_h, C, C) stack, or
     the (F_h, m_op, m_op) inverse K, in class order, of an operator of
     m_op < C columns, which becomes `Factored`; ``coeffs`` are the
-    operators' a, ``scale`` the Gram scale.
+    operators' a, ``scale`` the Gram scale. ``grams`` are the class
+    operators' scaled Grams (`_gram`) where the caller formed them; a
+    factored class operator without one has it formed from its columns,
+    to the same bytes.
     """
     C, m = features.shape[-2:]
     _, restore = class_order(labels)
@@ -407,9 +466,15 @@ def factored_operators(features: np.ndarray, labels: np.ndarray, parts: list, co
         if part.shape[-1] == C:
             ops.append(part)
             continue
-        cols = slice(0, m) if i == 0 else slice(bounds[i - 1], bounds[i])
-        ops.append(Factored(features, cols, part, a, scale, restore if i == 0 else None,
-                            holds_features=holds))
+        if i == 0:
+            ops.append(Factored(features, slice(0, m), part, a, scale, restore,
+                                holds_features=holds))
+        else:
+            cols = slice(bounds[i - 1], bounds[i])
+            gram = (_gram(np.ascontiguousarray(features[..., cols]), scale) if grams is None
+                    else grams[i - 1])
+            ops.append(Factored(features, cols, part, a, scale, holds_features=holds,
+                                gram=gram))
         holds = False
     return ops[0], OperatorStack(ops[1:])
 
@@ -442,7 +507,12 @@ def membership(CV: np.ndarray, lam: float, weight: np.ndarray | None = None) -> 
     spectra, ``weight`` (F_h,) weights the frequency axis so that the norm
     is that of the full spectrum. Largest logit is subtracted before exp.
     """
-    logits = -lam * np.sqrt(_squared_norms(CV, weight, first=1))  # (k, b)
+    return _softmax(_squared_norms(CV, weight, first=1), lam)
+
+
+def _softmax(squared: np.ndarray, lam: float) -> np.ndarray:
+    """Membership (k, b) from the squared class norms (k, b)."""
+    logits = -lam * np.sqrt(squared)
     logits -= logits.max(axis=0, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=0, keepdims=True)
@@ -481,11 +551,11 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     passing a (k, m) array (e.g. the true one-hot labels) overrides it.
     The samples are stepped in blocks of `_UPDATE_BLOCK_VALUES` values
     (`_TRIVIAL_BLOCK_VALUES` for the trivial group), shared out over the
-    workers (module docstring); the result does not depend on how many
-    there are.
+    workers, by the kernel that the layer's operator form and ``pi`` pick
+    (`_kernel`; module docstring); the result does not depend on how many
+    workers there are.
     """
     F_h, C, m = Vt.shape
-    k = layer.Cbar.shape[0]
     weight = half_weights(layer.freq_shape)
     dtype = np.result_type(Vt.dtype, layer.Ebar.dtype)
     out = np.empty((F_h, C, m), dtype=dtype)
@@ -493,11 +563,12 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     b = max(1, values // (F_h * C))
     blocks = [slice(s, s + b) for s in range(0, m, b)]
     workers = 1 if not layer.freq_shape or len(blocks) == 1 else min(_workers(), len(blocks))
-    bufs = np.empty((workers, k + 1, F_h, C, min(b, m)), dtype=dtype)
+    step, held = _kernel(Vt, layer, pi, weight)
+    bufs = np.empty((workers, held, F_h, C, min(b, m)), dtype=dtype)
 
     def run(w):  # worker w steps blocks w, w + workers, ... in its own buffer
         for block in blocks[w::workers]:
-            _step_block(Vt, layer, pi, weight, block, bufs[w], out)
+            step(block, bufs[w], out)
 
     helpers = []
     if workers > 1:
@@ -511,6 +582,44 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
         if error is not None:
             raise error
     return out
+
+
+def _kernel(Vt, layer, pi, weight):
+    """The block step of one `update_batch` call, ``step(block, buf, out)``,
+    and the blocks of buffer ``buf`` it takes per worker.
+
+    All-factored layers (E factored, hence every C_j) step on the sample
+    side: the labelled step of the stack the layer was built from in one
+    product (`_built_step`), every other step in two (`_factored_step`).
+    All-dense layers given a one-hot ``pi`` take one product per run of one
+    class (`_labelled_step`). Everything else, estimated and soft steps of
+    dense layers and every step of a mixed layer, takes the k+1 products of
+    `_step_block`.
+    """
+    classes = _one_hot_classes(pi)
+    if isinstance(layer.Ebar, Factored):
+        if (classes is not None and Vt is layer.features
+                and np.array_equal(classes, np.sort(layer.labels))):
+            return _built_step(Vt, layer, weight), 0
+        return _factored_step(Vt, layer, pi, weight), 0
+    # one class (k = 1) estimates a one-hot membership as well, and stays on
+    # the kernel of its estimated steps
+    if classes is not None and layer.features is None and layer.Cbar.shape[0] > 1:
+        return _labelled_step(Vt, layer, classes, weight), 1
+
+    def step(block, buf, out):
+        _step_block(Vt, layer, pi, weight, block, buf, out)
+    return step, layer.Cbar.shape[0] + 1
+
+
+def _one_hot_classes(pi: np.ndarray | None) -> np.ndarray | None:
+    """The class of every sample when ``pi`` (k, m) is one-hot, else None."""
+    if pi is None:
+        return None
+    hot = pi == 1
+    if not (np.all(hot | (pi == 0)) and np.all(hot.sum(axis=0) == 1)):
+        return None
+    return np.argmax(hot, axis=0)
 
 
 def _step_block(Vt, layer, pi, weight, block, buf, out):
@@ -527,6 +636,108 @@ def _step_block(Vt, layer, pi, weight, block, buf, out):
         CV[j] *= coeff[j]
         step -= CV[j]
     normalize_samples(step, weight, out=out[:, :, block])
+
+
+def _labelled_step(Vt, layer, classes, weight):
+    """Dense layer, one-hot membership: a sample of class j moves by
+    M_j = I + eta E - eta gamma_j C_j, one product per run of one class in
+    a block, into the block of buffer it is given."""
+    C = Vt.shape[1]
+    M = (np.eye(C) + layer.eta * layer.Ebar
+         - (layer.eta * layer.gamma)[:, None, None, None] * layer.Cbar)  # (k, F_h, C, C)
+
+    def step(block, buf, out):
+        V, c = Vt[:, :, block], classes[block]
+        stepped = buf[0, ..., :V.shape[-1]]
+        cuts = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1), c.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            np.matmul(M[c[lo]], V[:, :, lo:hi], out=stepped[..., lo:hi])
+        normalize_samples(stepped, weight, out=out[:, :, block])
+    return step
+
+
+def _built_step(V, layer, weight):
+    """All-factored layer, the labelled step of its own features V (class
+    order): E V = a V K and C_j V_j = a_j V_j K_j, so the step is V T with
+    T = I + eta a K - eta (+)_j gamma_j a_j K_j, block diagonal in the
+    classes, one product per block."""
+    E = layer.Ebar
+    T = (layer.eta * E.a) * E.K
+    T[:, np.arange(T.shape[-1]), np.arange(T.shape[-1])] += 1.0
+    for g, op in zip(layer.gamma, layer.Cbar):
+        T[:, op.cols, op.cols] -= (layer.eta * g * op.a) * op.K
+
+    def step(block, buf, out):
+        normalize_samples(V @ T[:, :, block], weight, out=out[:, :, block])
+    return step
+
+
+def _factored_step(Vt, layer, pi, weight):
+    """All-factored layer, any block: with W = V* v, every operator acts
+    through its m_op-side rows, and the step is
+
+        v + eta E v - eta sum_j gamma_j pi_j C_j v = s0 v + V c,
+
+    s0 = 1 + eta a - eta sum_j gamma_j pi_j a_j per sample and c (m, b) the
+    m-side coefficients: one product for W and one for V c. Estimated
+    memberships read each class norm off the m side too (`_class_norms`)."""
+    E, ops, eta = layer.Ebar, list(layer.Cbar), layer.eta
+    V = E.features
+    Vh = _adjoint(V)
+
+    def step(block, buf, out):
+        v = Vt[:, :, block]
+        W = Vh @ v
+        ys = [op.K @ W[:, op.cols] for op in ops]  # K_j W_j
+        p = (_softmax(_class_norms(v, W, ys, ops, weight, layer.lam), layer.lam)
+             if pi is None else pi[:, block])
+        coeff = eta * layer.gamma[:, None] * p  # (k, b)
+        c = E.K @ W
+        c *= -eta * E.a * E.a * E.scale
+        for op, y, cj in zip(ops, ys, coeff):
+            c[:, op.cols] += (cj * (op.a * op.a * op.scale)) * y
+        stepped = V @ c
+        stepped += (1.0 + eta * E.a - np.array([op.a for op in ops]) @ coeff) * v
+        normalize_samples(stepped, weight, out=out[:, :, block])
+    return step
+
+
+def _class_norms(v, W, ys, ops, weight, lam):
+    """Squared norms (k, b) of every C_j v of a block v of an all-factored
+    layer, from W = V* v and y_j = K_j W_j:
+
+        ||C_j v||^2 = a^2 (||v||^2 - 2 a s Re<W_j, y_j> + a^2 s y_j* (s G_j) y_j),
+
+    s G_j the class Gram (``Factored.gram``). The sum cancels: its rounding
+    is the rounding of its terms' magnitudes, so relative to the norm it
+    grows with the cancellation ratio (terms over value). What that moves
+    is the membership, by the ratio times lam pi_j (1 - pi_j) ||C_j v||;
+    where that weighted ratio exceeds `_NORM_CANCELLATION` for any sample
+    of the block, or the sum is not positive, class j's norms of the block
+    are taken from C_j v itself."""
+    vv = _squared_norms(v, weight, first=0)
+    squared, terms = np.empty((2, len(ops), v.shape[-1]))
+    for j, (op, y) in enumerate(zip(ops, ys)):
+        a, s = op.a, op.scale
+        cross = (a * s) * _inner(W[:, op.cols], y, weight)
+        quad = (a * a * s) * _inner(y, op.gram @ y, weight)
+        squared[j] = (a * a) * (vv - 2.0 * cross + quad)
+        terms[j] = (a * a) * (vv + 2.0 * np.abs(cross) + quad)
+    positive = np.maximum(squared, 0.0)
+    p = _softmax(positive, lam)
+    thin = (squared <= 0.0) | (lam * p * (1.0 - p) * terms
+                               > _NORM_CANCELLATION * np.sqrt(positive))
+    for j in np.flatnonzero(thin.any(axis=1)):
+        op = ops[j]
+        direct = np.empty(v.shape, dtype=np.result_type(v.dtype, op.K.dtype))
+        squared[j] = _squared_norms(op.apply(v, W[:, op.cols], direct), weight, first=0)
+    return squared
+
+
+def _inner(X: np.ndarray, Y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Re<x, y> of every sample (last axis) of (F_h, r, b) stacks, the
+    frequency axis weighted."""
+    return weight @ np.einsum("frb,frb->fb", X.conj(), Y).real
 
 
 def thread_count() -> int:

@@ -251,7 +251,11 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     every layer factors its operators from the current spectral features,
     then updates all samples and renormalizes. ``use_labels`` drives the
     training updates with the true one-hot memberships (the exact ascent
-    step) instead of the estimated ones. The trace records the objective
+    step) instead of the estimated ones. The loop holds the training
+    samples in class order (`_freq.class_order`), so that every layer keeps
+    them as its features without a copy and a labelled step meets each
+    class in one run; the features return in the input's order. The trace
+    records the objective
     triple (reduction, expand, compress) of the initial features and after
     every layer: row l < L comes from the factorizations of layer l, whose
     Grams are those of the features it is built from
@@ -278,6 +282,9 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
         lam = default_lambda(partition.k)
 
     Vt = _spectra(_freq.normalize_samples(Zbar))
+    order, restore = _freq.class_order(partition.labels)
+    if restore is not None:  # the loop holds the training samples in class order
+        Vt, partition = Vt[..., order], Partition(partition.labels[order], k=partition.k)
     Vc = None if carry is None else _input_spectra(carry, shape, "carry stack")[0]
 
     onehot = partition.onehot() if use_labels else None
@@ -292,6 +299,8 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
         if Vc is not None:
             Vc = _freq.update_batch(Vc, layer)
     trace.append(_freq.spectral_components(Vt, partition, eps, G))
+    if restore is not None:
+        Vt = Vt[..., restore]
 
     return SpectralReduNet(layers=layers, C=shape[0], freq_shape=G, k=partition.k,
                            eps=eps, eta=eta, lam=lam, trace=np.array(trace),

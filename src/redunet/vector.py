@@ -26,10 +26,10 @@ than dimensions (say 400 samples of 784-d digits, or one class of them)
 that is the m x m matrix I + alpha Z* Z, by the push-through identity.
 Such an operator is kept in that form, never as an n x n matrix
 (`_freq.Factored`): the layer holds Z once, in class order, and each
-operator's m x m inverse, it applies E z as alpha (z - alpha Z (K (Z* z))),
-and its archive stores the same factors (a 784-d layer of 400 samples in
-two classes holds 4.4 MB, not the 14.7 MB of its three 784 x 784
-matrices). With at least as many columns as dimensions an operator is the
+operator's m x m inverse, it steps samples on the sample side (E Z =
+alpha Z K, so the labelled step of Z is one product Z T), and its archive
+stores the same factors (a 784-d layer of 400 samples in two classes holds
+4.4 MB, not the 14.7 MB of its three 784 x 784 matrices). With at least as many columns as dimensions an operator is the
 dense n x n matrix.
 
 The dense `expansion_operator` and `compression_operators` build the same

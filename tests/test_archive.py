@@ -63,6 +63,10 @@ def test_vector_roundtrip_bit_identical(tmp_path):
         assert np.array_equal(got.Cbar, want.Cbar)
         assert got.alpha == want.alpha
         assert np.array_equal(got.alpha_class, want.alpha_class)
+        # the class Grams the step reads its norms from, formed again on load
+        for a, b in zip(got.Cbar, want.Cbar):
+            if isinstance(b, Factored):
+                assert np.array_equal(a.gram, b.gram)
 
 
 @pytest.mark.parametrize("maker", [shift_model, translation_model])
@@ -536,7 +540,8 @@ def with_u32s(blob, offset, *values):
 def test_v3_vector_archive_stores_its_operators_factored(tmp_path):
     blob = factored_vector_blob(tmp_path)
     assert struct.unpack_from("<3I", blob, 92) == (1, 1, 1)
-    assert struct.unpack_from("<6I", blob, 104) == (5, 0, 1, 0, 1, 1)
+    # construct holds the samples in class order, so the layers' labels are sorted
+    assert struct.unpack_from("<6I", blob, 104) == (5, 0, 0, 1, 1, 1)
     path = tmp_path / "m.rnet"
     back = load_model(path)
     for layer in back.layers:
@@ -575,7 +580,7 @@ def test_v3_labels_that_disagree_with_the_stored_factors_rejected(tmp_path):
     # the payload size, but reads the classes' inverses as 3 x 3 and 2 x 2
     # from the bytes of a 2 x 2 and a 3 x 3 one
     path = tmp_path / "m.rnet"
-    path.write_bytes(with_u32s(factored_vector_blob(tmp_path), 112, 0))
+    path.write_bytes(with_u32s(factored_vector_blob(tmp_path), 116, 0))
     with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
                                               "not Hermitian"):
         load_model(path)

@@ -4,7 +4,9 @@ An operator built from fewer columns than C is held as the layer's
 features and an m_op x m_op inverse (`_freq.Factored`); these tests check
 that the layer step applies it as its dense stack would, that the stack it
 stands for has the exact bytes of `_freq.regularized_inverse`, and that it
-costs the step a bounded number of blocks.
+costs the step a bounded number of blocks; and that the sample-side
+kernels of all-factored layers (`_freq._built_step`, `_freq._factored_step`)
+and their norm fallback agree with the dense oracle.
 """
 
 import dataclasses
@@ -14,8 +16,11 @@ import numpy as np
 import pytest
 
 from redunet import _freq
+from redunet.errors import ZeroVector
 from redunet.rate import Partition
 from redunet.spectral import _spectra
+
+from oracles import unblocked_update_batch
 
 # (G, C, class counts): every operator factored (real, then complex), and
 # layers that mix both forms: E and class 1 on their C x C side, class 0
@@ -106,3 +111,73 @@ def test_factored_step_holds_a_few_blocks_whatever_m_is(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= (k + 6) * block_bytes
+
+
+def digit_like_layer(seed, n=784, per_class=200, eps=0.1):
+    """A vector784-shaped layer: two classes of ``per_class`` non-negative
+    n-d samples around their own class pattern, built in class order as
+    `construct` holds them, and those features."""
+    rng = np.random.default_rng(seed)
+    patterns = rng.random((n, 2)) ** 4
+    X = np.repeat(patterns, per_class, axis=1) + 0.3 * rng.random((n, 2 * per_class)) ** 4
+    P = Partition(np.repeat([0, 1], per_class))
+    Vt = _freq.normalize_samples(X)[None]
+    return _freq.build_layer(Vt, P, eps, eta=0.5, lam=20.0, freq_shape=()), Vt, P, rng
+
+
+def test_sample_side_kernels_of_a_vector784_shaped_layer_equal_the_dense_oracle():
+    layer, Vt, P, rng = digit_like_layer(45)
+    assert all(isinstance(op, _freq.Factored) for op in _freq.operators(layer))
+    dense = dense_copy(layer)
+    # the labelled step of its own features, and an estimated step of 500 others
+    assert relative(_freq.update_batch(Vt, layer, P.onehot()),
+                    unblocked_update_batch(Vt, dense, P.onehot())) <= 1e-10
+    carry = _freq.normalize_samples(Vt[0][:, rng.integers(0, P.m, 500)]
+                                    + 0.1 * rng.random((Vt.shape[1], 500)))[None]
+    assert relative(_freq.update_batch(carry, layer),
+                    unblocked_update_batch(carry, dense)) <= 1e-10
+
+
+def test_class_norm_past_the_cancellation_bound_is_taken_directly(monkeypatch):
+    # two classes of nearly the same samples, and samples near their span:
+    # both class norms cancel, and neither class wins the membership outright
+    rng = np.random.default_rng(46)
+    A = rng.standard_normal((64, 16))
+    X = np.hstack([A, A + 0.05 * rng.standard_normal((64, 16))])
+    P = Partition(np.repeat([0, 1], 16))
+    layer = _freq.build_layer(_freq.normalize_samples(X)[None], P, 0.1, eta=0.5, lam=20.0,
+                              freq_shape=())
+    v = _freq.normalize_samples(X @ rng.standard_normal((32, 8)) / 10
+                                + 0.1 * rng.standard_normal((64, 8)))[None]
+    direct = []
+    apply = _freq.Factored.apply
+    monkeypatch.setattr(_freq.Factored, "apply",
+                        lambda op, *args: direct.append(op) or apply(op, *args))
+    got = _freq.update_batch(v, layer)
+    assert direct  # some class of the block took its norms from C_j v
+    assert np.max(np.abs(got - unblocked_update_batch(v, dense_copy(layer)))) < 1e-12
+
+
+def test_zero_sample_raises_from_every_kernel():
+    # a zero sample steps to zero under every kernel; the built step meets
+    # it in the features themselves, which its factors then map to zero
+    dense, _, P, rng = factored_case(47, (3,), 2, (3, 4), sort=True)
+    mixed, _, _, _ = factored_case(47, (), 5, (2, 6), sort=True)
+    wide, _, _, _ = factored_case(47, (), 9, (2, 4), sort=True)
+    for layer in (dense, mixed, wide):
+        F_h, C = layer.Ebar.shape[:2]
+        V = _spectra(_freq.normalize_samples(rng.standard_normal((C, *layer.freq_shape, 5))))
+        V[..., 3] = 0.0
+        k = layer.Cbar.shape[0]
+        for pi in (None, np.full((k, 5), 1.0 / k), np.eye(k)[:, [0, 0, 1, 1, 1]]):
+            with pytest.raises(ZeroVector):
+                _freq.update_batch(V, layer, pi)
+    rng = np.random.default_rng(48)
+    X = rng.standard_normal((9, 6))
+    X[:, 4] = 0.0
+    P = Partition([0, 0, 1, 1, 1, 1])
+    Vt = X[None]
+    layer = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=())
+    assert layer.features is Vt
+    with pytest.raises(ZeroVector):
+        _freq.update_batch(Vt, layer, P.onehot())

@@ -1,5 +1,6 @@
 """Property tests over random small shapes; skipped when hypothesis is absent."""
 
+import dataclasses
 import os
 import struct
 import tempfile
@@ -17,7 +18,7 @@ from redunet.classify import fit_subspaces, predict
 from redunet.errors import DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
-from redunet.rate import Partition, RateParams, gram_logdet
+from redunet.rate import Partition, RateParams, _adjoint, gram_logdet
 from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
 from redunet.vector import compression_operators, construct_vector_net, expansion_operator
@@ -116,24 +117,75 @@ BLOCK_EDGES = {"one": lambda b: 1, "short": lambda b: max(b - 1, 1), "exact": la
                "past": lambda b: b + 1, "two_plus_three": lambda b: 2 * b + 3}
 
 
-@settings(max_examples=40, deadline=None)
-@given(G=groups, C=st.integers(1, 3), b=st.integers(1, 5),
-       edge=st.sampled_from(sorted(BLOCK_EDGES)), k=st.integers(1, 3), labelled=st.booleans(),
+# operator forms of a layer, as (C, class counts) from a draw of k classes:
+# every operator dense (each class of at least C samples), every one
+# factored (fewer samples than C in all), or mixed (E dense, class 0 of one
+# sample factored)
+LAYER_FORMS = {
+    "dense": lambda C, k: (C, [C + j % 2 for j in range(k)]),
+    "factored": lambda C, k: (2 * k + C, [1 + j % 2 for j in range(k)]),
+    "mixed": lambda C, k: (C + 1, [1] + [C + 1] * max(k - 1, 1)),
+}
+# memberships of a step: estimated, soft, one-hot in class order or shuffled
+MEMBERSHIPS = ("estimated", "soft", "onehot_sorted", "onehot_shuffled")
+
+
+def membership_of(kind, k, m, rng):
+    if kind == "estimated":
+        return None
+    if kind == "soft":
+        return rng.dirichlet(np.ones(k), size=m).T
+    labels = np.sort(rng.integers(0, k, m))
+    if kind == "onehot_shuffled":
+        labels = rng.permutation(labels)
+    return np.eye(k)[:, labels]
+
+
+def dense_layer(layer):
+    """The same layer with every operator as its dense stack: the oracle's input."""
+    return dataclasses.replace(layer, Ebar=np.asarray(layer.Ebar), Cbar=np.asarray(layer.Cbar),
+                               features=None, labels=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=st.one_of(st.just(()), groups), C=st.integers(1, 3), b=st.integers(1, 5),
+       edge=st.sampled_from(sorted(BLOCK_EDGES)), k=st.integers(1, 3),
+       form=st.sampled_from(sorted(LAYER_FORMS)), kind=st.sampled_from(MEMBERSHIPS),
        seed=st.integers(0, 2**32 - 1))
-@example(G=(7,), C=2, b=3, edge="two_plus_three", k=2, labelled=False, seed=0)
-@example(G=(3, 4), C=3, b=4, edge="past", k=3, labelled=True, seed=1)
-@example(G=(1, 1), C=1, b=1, edge="one", k=1, labelled=False, seed=2)
-def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, labelled, seed):
-    rng, Zbar, P = random_stack(seed, C, G, 6, k)
-    layer = _freq.build_layer(_spectra(_freq.normalize_samples(Zbar)), P, 0.5, eta=0.3,
-                              lam=10.0, freq_shape=G)
+@example(G=(7,), C=2, b=3, edge="two_plus_three", k=2, form="dense", kind="estimated", seed=0)
+@example(G=(3, 4), C=3, b=4, edge="past", k=3, form="dense", kind="soft", seed=1)
+@example(G=(1, 1), C=1, b=1, edge="one", k=1, form="dense", kind="estimated", seed=2)
+@example(G=(5,), C=2, b=2, edge="two_plus_three", k=2, form="dense", kind="onehot_sorted",
+         seed=3)
+@example(G=(), C=3, b=2, edge="two_plus_three", k=3, form="dense", kind="onehot_shuffled",
+         seed=4)
+@example(G=(), C=2, b=3, edge="past", k=2, form="factored", kind="estimated", seed=5)
+@example(G=(2, 3), C=1, b=2, edge="two_plus_three", k=2, form="factored", kind="soft", seed=6)
+@example(G=(4,), C=2, b=1, edge="short", k=3, form="factored", kind="onehot_shuffled", seed=7)
+@example(G=(), C=2, b=2, edge="exact", k=2, form="mixed", kind="onehot_sorted", seed=8)
+@example(G=(3,), C=3, b=3, edge="two_plus_three", k=3, form="mixed", kind="estimated", seed=9)
+def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, form, kind, seed):
+    C, counts = LAYER_FORMS[form](C, k)
+    k = len(counts)
+    rng = np.random.default_rng(seed)
+    P = Partition(np.repeat(np.arange(k), counts))  # in class order, as `construct` holds it
+    Vt0 = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, P.m))))
+    layer = _freq.build_layer(Vt0, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
+    forms = [isinstance(op, _freq.Factored) for op in _freq.operators(layer)]
+    assert forms == {"dense": [False] * (k + 1), "factored": [True] * (k + 1),
+                     "mixed": [False, True] + [False] * (k - 1)}[form]
     m = BLOCK_EDGES[edge](b)
     Vt = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, m))))
-    pi = rng.dirichlet(np.ones(k), size=m).T if labelled else None
+    pi = membership_of(kind, k, m, rng)
+    F_h = Vt.shape[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * Vt.shape[0] * C)
+        mp.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * F_h * C)
+        mp.setattr(_freq, "_TRIVIAL_BLOCK_VALUES", b * F_h * C)
         got = _freq.update_batch(Vt, layer, pi)
-    assert np.max(np.abs(got - unblocked_update_batch(Vt, layer, pi))) < 1e-12
+        own = _freq.update_batch(Vt0, layer, P.onehot())  # the stack it was built from
+    dense = dense_layer(layer)
+    assert np.max(np.abs(got - unblocked_update_batch(Vt, dense, pi)), initial=0.0) < 1e-12
+    assert np.max(np.abs(own - unblocked_update_batch(Vt0, dense, P.onehot()))) < 1e-12
 
 
 # ------------------------------------------------- the batched layer loop
@@ -199,6 +251,10 @@ def run_on_workers(workers, b, F_h, C, fn, *args, **kwargs):
 @example(G=(7,), C=2, b=2, edge="two_plus_three", k=2, use_labels=False, seed=0)
 @example(G=(3, 4), C=2, b=3, edge="past", k=2, use_labels=True, seed=1)
 @example(G=(), C=3, b=1, edge="two_plus_three", k=2, use_labels=False, seed=2)
+# all-factored layers (2 training samples, C = 3) with labels on: one-sample
+# blocks over three workers, the trivial group and a 1-d one
+@example(G=(5,), C=3, b=1, edge="exact", k=2, use_labels=True, seed=3)
+@example(G=(), C=3, b=1, edge="one", k=2, use_labels=True, seed=4)
 def test_worker_count_leaves_construct_and_forward_bytes_alone(G, C, b, edge, k, use_labels,
                                                               seed):
     m = BLOCK_EDGES[edge](b)
@@ -354,8 +410,16 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
     Z = _freq.normalize_samples(rng.standard_normal((n, b)))[None]
-    CZ = _freq.compressions(Z, layer, np.empty((k + 1, 1, n, b)))[1:]  # its own projections
-    pi = _freq.membership(CZ, layer.lam, _freq.half_weights(()))
+    weight = _freq.half_weights(())
+    if isinstance(layer.Ebar, _freq.Factored):  # all factored: norms off the sample side
+        W = _adjoint(layer.features) @ Z
+        ops = list(layer.Cbar)
+        squared = _freq._class_norms(Z, W, [op.K @ W[:, op.cols] for op in ops], ops, weight,
+                                       layer.lam)
+        pi = _freq._softmax(squared, layer.lam)
+    else:
+        CZ = _freq.compressions(Z, layer, np.empty((k + 1, 1, n, b)))[1:]  # its own projections
+        pi = _freq.membership(CZ, layer.lam, weight)
     assert np.array_equal(_freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi))
 
 

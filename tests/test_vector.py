@@ -271,6 +271,8 @@ def test_engine_equals_vector_loop_oracle(n, m, use_labels):
     assert np.array_equal(predict(model.carry_features, fitted),
                           predict(want.carry_features, fit_subspaces(want.features, P)))
     # the Gram scale is F = 1, so layer 0 factors exactly the dense operators
-    Z0 = normalize_samples(X)
+    # of the samples, which the loop holds in class order
+    order = np.argsort(P.labels, kind="stable")
+    Z0, P0 = normalize_samples(X)[:, order], Partition(P.labels[order])
     assert np.array_equal(model.layers[0].Ebar[0], expansion_operator(Z0, 0.5))
-    assert np.array_equal(model.layers[0].Cbar[:, 0], compression_operators(Z0, P, 0.5))
+    assert np.array_equal(model.layers[0].Cbar[:, 0], compression_operators(Z0, P0, 0.5))
