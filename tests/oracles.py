@@ -6,6 +6,7 @@ column with np.roll, entrywise central finite differences. The package is
 considered correct when its fast paths agree with these.
 """
 
+import dataclasses
 import itertools
 import struct
 import zlib
@@ -403,6 +404,13 @@ def _half_normalize_samples(Vt, weight):
     if np.any(norms < NORM_FLOOR):
         raise ZeroVector("zero-norm feature cannot be normalized")
     return Vt / norms
+
+
+def dense_layer(layer):
+    """The same layer with every operator as its dense stack, as the
+    unblocked step takes it."""
+    return dataclasses.replace(layer, Ebar=np.asarray(layer.Ebar), Cbar=np.asarray(layer.Cbar),
+                               features=None, labels=None)
 
 
 def unblocked_update_batch(Vt, layer, pi=None):

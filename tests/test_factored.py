@@ -9,7 +9,6 @@ kernels of all-factored layers (`_freq._built_step`, `_freq._factored_step`)
 and their norm fallback agree with the dense oracle.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ from redunet.errors import ZeroVector
 from redunet.rate import Partition
 from redunet.spectral import _spectra
 
-from oracles import unblocked_update_batch
+from oracles import dense_layer, unblocked_update_batch
 
 # (G, C, class counts): every operator factored (real, then complex), and
 # layers that mix both forms: E and class 1 on their C x C side, class 0
@@ -40,12 +39,6 @@ def factored_case(seed, G, C, counts, sort=False):
     return _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G), Vt, P, rng
 
 
-def dense_copy(layer):
-    """The same layer with every operator as its dense stack."""
-    return dataclasses.replace(layer, Ebar=np.asarray(layer.Ebar),
-                               Cbar=np.asarray(layer.Cbar), features=None, labels=None)
-
-
 def relative(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -54,7 +47,7 @@ def relative(got, want):
 def test_factored_apply_equals_dense_apply(G, C, counts):
     layer, _, P, rng = factored_case(41, G, C, counts)
     assert isinstance(layer.Cbar, _freq.OperatorStack)
-    dense = dense_copy(layer)
+    dense = dense_layer(layer)
     V = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, 7))))
     shape = (P.k + 1, *V.shape)
     got = _freq.compressions(V, layer, np.empty(shape, dtype=V.dtype))
@@ -128,7 +121,7 @@ def digit_like_layer(seed, n=784, per_class=200, eps=0.1):
 def test_sample_side_kernels_of_a_vector784_shaped_layer_equal_the_dense_oracle():
     layer, Vt, P, rng = digit_like_layer(45)
     assert all(isinstance(op, _freq.Factored) for op in _freq.operators(layer))
-    dense = dense_copy(layer)
+    dense = dense_layer(layer)
     # the labelled step of its own features, and an estimated step of 500 others
     assert relative(_freq.update_batch(Vt, layer, P.onehot()),
                     unblocked_update_batch(Vt, dense, P.onehot())) <= 1e-10
@@ -155,7 +148,7 @@ def test_class_norm_past_the_cancellation_bound_is_taken_directly(monkeypatch):
                         lambda op, *args: direct.append(op) or apply(op, *args))
     got = _freq.update_batch(v, layer)
     assert direct  # some class of the block took its norms from C_j v
-    assert np.max(np.abs(got - unblocked_update_batch(v, dense_copy(layer)))) < 1e-12
+    assert np.max(np.abs(got - unblocked_update_batch(v, dense_layer(layer)))) < 1e-12
 
 
 def test_zero_sample_raises_from_every_kernel():

@@ -1,6 +1,5 @@
 """Property tests over random small shapes; skipped when hypothesis is absent."""
 
-import dataclasses
 import os
 import struct
 import tempfile
@@ -23,7 +22,7 @@ from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward
                               group_rate_components, spectral_operators, stacked_circulant)
 from redunet.vector import compression_operators, construct_vector_net, expansion_operator
 
-from oracles import (dense_regularized_inverse, dft_matrix, full_operators,
+from oracles import (dense_layer, dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
                      labels_for, orbit_subspaces, repeat_labels, roll_orbit,
                      roll_orthogonal_fraction, slice_build_layer, unblocked_update_batch,
@@ -139,12 +138,6 @@ def membership_of(kind, k, m, rng):
     if kind == "onehot_shuffled":
         labels = rng.permutation(labels)
     return np.eye(k)[:, labels]
-
-
-def dense_layer(layer):
-    """The same layer with every operator as its dense stack: the oracle's input."""
-    return dataclasses.replace(layer, Ebar=np.asarray(layer.Ebar), Cbar=np.asarray(layer.Cbar),
-                               features=None, labels=None)
 
 
 @settings(max_examples=60, deadline=None)
