@@ -44,20 +44,20 @@ blocks of `_UPDATE_BLOCK_VALUES` values per (F_h, C, b) slab, 1 MB of
 complex values, or, for the trivial group, of `_TRIVIAL_BLOCK_VALUES`: its
 steps run on the calling thread alone (see Workers), and its wide factors
 (784 x 400, say) are read once per block, so fewer, larger blocks serve it
-better. Each block is stepped by one of three kernels, picked once per call
-from the layer's operator form and the membership it is given (`_kernel`),
-and written renormalized into the preallocated output:
+better. Each block is stepped by one of two kernels, picked once per call
+from the layer's operator form (`_kernel`), and written renormalized into
+the preallocated output:
 
 - All-factored layers (E factored, hence every C_j; see Factorization)
   step on the sample side. The push-through identity gives E V = a V K and
   C_j V_j = a_j V_j K_j for the features V the layer was built from, so
   their labelled step (``construct``'s, on the stack it keeps as the
-  layer's features) is one product V T with the m x m matrix
-  T = I + eta a K - eta (+)_j gamma_j a_j K_j (`_built_step`). Any other
-  block takes W = V* v once and finishes as s0 v + V c, s0 a scalar per
-  sample and c (m, b) read off K W and the K_j W_j: two wide products and
-  no buffer (`_factored_step`). Its estimated membership reads each class
-  norm off the m side as well (`_class_norms`),
+  layer's features, in class order) is one product V T with the m x m
+  matrix T = I + eta a K - eta (+)_j gamma_j a_j K_j (`_built_step`). Any
+  other block takes W = V* v once and finishes as s0 v + V c, s0 a scalar
+  per sample and c (m, b) read off K W and the K_j W_j: two wide products
+  and no buffer (`_factored_step`). Its estimated membership reads each
+  class norm off the m side as well (`_class_norms`),
 
       ||C_j v||^2 = a_j^2 (||v||^2 - 2 a_j s Re<W_j, y_j> + a_j^2 s y_j* (s G_j) y_j),
 
@@ -65,18 +65,11 @@ and written renormalized into the preallocated output:
   cancellation ratio, weighted by how much the membership moves with that
   norm, exceeds `_NORM_CANCELLATION` for a sample of the block, the class's
   norms of the block are taken from C_j v itself.
-- All-dense layers of k > 1 classes given a one-hot membership (every
-  labelled step of the shift and translation networks): a block splits
-  into runs of one class, and a run of class j takes one product with
-  M_j = I + eta E - eta gamma_j C_j, the k stacks formed once per call
-  (`_labelled_step`). ``construct`` holds its training samples in class
-  order, so a block meets at most a few runs.
-- Everything else, the estimated and soft steps of dense layers and every
-  step of a mixed layer, takes its k+1 products with the layer's stacks,
-  read in place, into a (k+1)-block buffer (`_step_block`): entry 0 holds
-  E v, which becomes v + eta E v, entries 1..k the class projections
-  C_j v; it estimates the membership from the projections (or slices the
-  given one) and subtracts the weighted projections in place.
+- Every other layer, all dense or mixed, takes its k+1 products with the
+  layer's stacks, read in place, into a (k+1)-block buffer (`_step_block`):
+  entry 0 holds E v, which becomes v + eta E v, entries 1..k the class
+  projections C_j v; it estimates the membership from the projections (or
+  slices the given one) and subtracts the weighted projections in place.
 
 A step thus holds its input, its output, and per worker at most one
 (k+1)-block product buffer and a few block-sized temporaries, whatever the
@@ -196,8 +189,7 @@ class Factored:
     they already are). ``holds_features`` marks the one operator of a
     layer whose ``nbytes`` counts the shared features. A class operator
     also keeps ``gram``, s V* V of its columns, from which the layer step
-    reads its norms (`_class_norms`); like the objective triple, it is
-    derived from the factors, so ``nbytes`` leaves it out.
+    reads its norms (`_class_norms`); ``nbytes`` counts it too.
     """
 
     def __init__(self, features, cols, K, a, scale, restore=None, holds_features=False,
@@ -217,7 +209,8 @@ class Factored:
 
     @property
     def nbytes(self) -> int:
-        return self.K.nbytes + (self.features.nbytes if self.holds_features else 0)
+        return (self.K.nbytes + (0 if self.gram is None else self.gram.nbytes)
+                + (self.features.nbytes if self.holds_features else 0))
 
     def apply(self, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """a v - a^2 s V (K w) into ``out``, for a (F_h, C, b) block v and
@@ -591,35 +584,18 @@ def _kernel(Vt, layer, pi, weight):
     All-factored layers (E factored, hence every C_j) step on the sample
     side: the labelled step of the stack the layer was built from in one
     product (`_built_step`), every other step in two (`_factored_step`).
-    All-dense layers given a one-hot ``pi`` take one product per run of one
-    class (`_labelled_step`). Everything else, estimated and soft steps of
-    dense layers and every step of a mixed layer, takes the k+1 products of
-    `_step_block`.
+    Dense and mixed layers take the k+1 products of `_step_block`.
     """
-    classes = _one_hot_classes(pi)
+    k = layer.Cbar.shape[0]
     if isinstance(layer.Ebar, Factored):
-        if (classes is not None and Vt is layer.features
-                and np.array_equal(classes, np.sort(layer.labels))):
+        if (pi is not None and Vt is layer.features
+                and np.array_equal(pi, np.eye(k)[:, np.sort(layer.labels)])):
             return _built_step(Vt, layer, weight), 0
         return _factored_step(Vt, layer, pi, weight), 0
-    # one class (k = 1) estimates a one-hot membership as well, and stays on
-    # the kernel of its estimated steps
-    if classes is not None and layer.features is None and layer.Cbar.shape[0] > 1:
-        return _labelled_step(Vt, layer, classes, weight), 1
 
     def step(block, buf, out):
         _step_block(Vt, layer, pi, weight, block, buf, out)
-    return step, layer.Cbar.shape[0] + 1
-
-
-def _one_hot_classes(pi: np.ndarray | None) -> np.ndarray | None:
-    """The class of every sample when ``pi`` (k, m) is one-hot, else None."""
-    if pi is None:
-        return None
-    hot = pi == 1
-    if not (np.all(hot | (pi == 0)) and np.all(hot.sum(axis=0) == 1)):
-        return None
-    return np.argmax(hot, axis=0)
+    return step, k + 1
 
 
 def _step_block(Vt, layer, pi, weight, block, buf, out):
@@ -636,24 +612,6 @@ def _step_block(Vt, layer, pi, weight, block, buf, out):
         CV[j] *= coeff[j]
         step -= CV[j]
     normalize_samples(step, weight, out=out[:, :, block])
-
-
-def _labelled_step(Vt, layer, classes, weight):
-    """Dense layer, one-hot membership: a sample of class j moves by
-    M_j = I + eta E - eta gamma_j C_j, one product per run of one class in
-    a block, into the block of buffer it is given."""
-    C = Vt.shape[1]
-    M = (np.eye(C) + layer.eta * layer.Ebar
-         - (layer.eta * layer.gamma)[:, None, None, None] * layer.Cbar)  # (k, F_h, C, C)
-
-    def step(block, buf, out):
-        V, c = Vt[:, :, block], classes[block]
-        stepped = buf[0, ..., :V.shape[-1]]
-        cuts = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1), c.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            np.matmul(M[c[lo]], V[:, :, lo:hi], out=stepped[..., lo:hi])
-        normalize_samples(stepped, weight, out=out[:, :, block])
-    return step
 
 
 def _built_step(V, layer, weight):

@@ -253,14 +253,14 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     training updates with the true one-hot memberships (the exact ascent
     step) instead of the estimated ones. The loop holds the training
     samples in class order (`_freq.class_order`), so that every layer keeps
-    them as its features without a copy and a labelled step meets each
-    class in one run; the features return in the input's order. The trace
-    records the objective
-    triple (reduction, expand, compress) of the initial features and after
-    every layer: row l < L comes from the factorizations of layer l, whose
-    Grams are those of the features it is built from
-    (`SpectralLayer.components`), and only the last row, of the final
-    features, takes a factorization of its own (`_freq.spectral_components`).
+    them as its features without a copy, and an all-factored layer steps
+    them in one product; the features return in the input's order. The
+    trace records the objective triple (reduction, expand, compress) of the
+    initial features and after every layer: row l < L comes from the
+    factorizations of layer l, whose Grams are those of the features it is
+    built from (`SpectralLayer.components`), and only the last row, of the
+    final features, takes a factorization of its own
+    (`_freq.spectral_components`).
     ``sink``, if given, receives each layer as soon as it is
     built, and the model keeps none (its depth is 0): an
     `archive.ArchiveWriter`'s ``append`` streams them to disk, so the

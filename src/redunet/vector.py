@@ -28,9 +28,10 @@ Such an operator is kept in that form, never as an n x n matrix
 (`_freq.Factored`): the layer holds Z once, in class order, and each
 operator's m x m inverse, it steps samples on the sample side (E Z =
 alpha Z K, so the labelled step of Z is one product Z T), and its archive
-stores the same factors (a 784-d layer of 400 samples in two classes holds
-4.4 MB, not the 14.7 MB of its three 784 x 784 matrices). With at least as many columns as dimensions an operator is the
-dense n x n matrix.
+stores the same factors (a 784-d layer of 400 samples in two classes
+stores 4.4 MB and, with the class Grams its step reads, holds 5.1 MB, not
+the 14.7 MB of its three 784 x 784 matrices). With at least as many
+columns as dimensions an operator is the dense n x n matrix.
 
 The dense `expansion_operator` and `compression_operators` build the same
 operators one feature matrix at a time; the tests and the selftest keep

@@ -1,13 +1,14 @@
 """`tools/bench.py` against a stub of the benchmark runner: the schema of the
 BENCH_<label>.json it writes, and the runs it asks for."""
 
+import importlib.util
 import json
 import os
-import subprocess
-import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "tools", "bench.py")
+_SPEC = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "tools", "bench.py"))
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
 
 # prints what perfbench/run.py prints last (details, then result), with
 # three repetitions and a traced per-layer split, and logs its options
@@ -38,22 +39,23 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": metri
 """
 
 
-def test_bench_writes_the_schema_from_the_runner_output(tmp_path):
+def test_bench_writes_the_schema_from_the_runner_output(tmp_path, monkeypatch, capsys):
     stub = tmp_path / "run.py"
     stub.write_text(STUB)
-    proc = subprocess.run(
-        [sys.executable, BENCH, "--label", "stub", "--seconds", "1", "--workload", "signals1d",
-         "--runner", str(stub), "--deep-layers", "1", "--deep-repetitions", "1",
-         "--out-dir", str(tmp_path)],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # one shallow deep-workload repetition, for time
+    monkeypatch.setattr(bench, "DEEP_LAYERS", 1)
+    monkeypatch.setattr(bench, "DEEP_REPETITIONS", 1)
+    assert bench.main(["--label", "stub", "--seconds", "1", "--workload", "signals1d",
+                       "--runner", str(stub), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == str(tmp_path / "BENCH_stub.json")
     record = json.loads((tmp_path / "BENCH_stub.json").read_text())
 
     calls = (tmp_path / "run.py.log").read_text().splitlines()
     assert calls == [f"--workload signals1d --seed 1 --seconds 1.0 --trace {t}" for t in (0, 1)]
     assert set(record) == {"label", "commit", "created", "settings", "machine", "workloads",
                            "deep"}
-    assert record["label"] == "stub" and record["settings"]["seconds"] == 1.0
+    assert record["label"] == "stub"
+    assert (record["settings"]["seconds"], record["settings"]["seed"]) == (1.0, 1)
     assert record["machine"]["blas"] == "stub 1"
     assert list(record["workloads"]) == ["signals1d"]
 

@@ -77,8 +77,13 @@ def test_dense_stack_of_a_factored_operator_is_regularized_inverse(G, C, counts,
 def test_operator_bytes_are_the_bytes_the_layer_holds(G, C, counts):
     layer, Vt, P, _ = factored_case(43, G, C, counts)
     ops = _freq.operators(layer)
-    held = layer.features.nbytes + sum(op.K.nbytes if isinstance(op, _freq.Factored)
-                                       else op.nbytes for op in ops)
+    # the features once, every factored operator's K, a factored class
+    # operator's Gram, and every dense stack
+    held = layer.features.nbytes + sum(
+        op.K.nbytes + (0 if op.gram is None else op.gram.nbytes)
+        if isinstance(op, _freq.Factored) else op.nbytes for op in ops)
+    assert all((op.gram is not None) == (j > 0) for j, op in enumerate(ops)
+               if isinstance(op, _freq.Factored))
     assert layer.Ebar.nbytes + layer.Cbar.nbytes == held
     assert layer.Cbar.shape[0] == P.k
     if all(isinstance(op, _freq.Factored) for op in ops):  # less than the dense stacks

@@ -1,12 +1,13 @@
 """Collect the benchmark's numbers for one source checkout into BENCH_<label>.json.
 
-    python3 tools/bench.py --label baseline [--root DIR] [--seconds 40] [--seed 1]
-        [--workload NAME ...] [--deep-layers 100] [--deep-repetitions 3]
+    python3 tools/bench.py --label baseline [--root DIR] [--seconds 40]
+        [--workload NAME ...]
 
 For every workload it runs the checkout's ``perfbench/run.py`` as a
-subprocess, once with ``--trace 0`` (the timed repetitions) and once with
-``--trace 1`` (one traced repetition), and keeps the details and result
-lines each prints last. From them it writes, per workload:
+subprocess at seed ``SEED``, once with ``--trace 0`` (the timed
+repetitions) and once with ``--trace 1`` (one traced repetition), and
+keeps the details and result lines each prints last. From them it writes,
+per workload:
 
 - median, quartiles and every repetition of the end-to-end metrics;
 - the traced per-layer metrics, and their split into the phases of one
@@ -16,11 +17,12 @@ lines each prints last. From them it writes, per workload:
 
 It also times the deep workload: criterion 06's config (signals1d with
 ``m_test_per_class = 100`` and ``stride = 50``) through ``run_experiment``
-in a fresh process at L = 0 and L = ``--deep-layers``, and reports the
-difference of the medians as ms per layer. The file records the checkout's
-git commit and the machine record that the benchmark prints (core count,
-BLAS, threads, Python, numpy). ``--runner`` replaces ``perfbench/run.py``
-by any script that takes its options and prints its two last lines.
+in a fresh process at L = 0 and L = ``DEEP_LAYERS``, ``DEEP_REPETITIONS``
+times each, and reports the difference of the medians as ms per layer.
+The file records the checkout's git commit and the machine record that
+the benchmark prints (core count, BLAS, threads, Python, numpy).
+``--runner`` replaces ``perfbench/run.py`` by any script that takes its
+options and prints its two last lines.
 """
 
 import argparse
@@ -41,7 +43,9 @@ PHASES = {
     "objective": ("freq.spectral_components.ms",),
     "carry": ("freq.update_batch.estimated_ms",),
 }
+SEED = 1  # the benchmark seed of every run
 DEEP_CONFIG = {"m_test_per_class": "100", "stride": "50"}  # criterion 06
+DEEP_LAYERS, DEEP_REPETITIONS = 100, 3
 
 # prints the samples `eval_experiment(augmented=True)` forwards for a workload
 _COUNT = """
@@ -154,10 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", default=ROOT, help="source checkout to measure")
     parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--deep-layers", type=int, default=100)
-    parser.add_argument("--deep-repetitions", type=int, default=3)
     parser.add_argument("--runner", help="script in place of ROOT/perfbench/run.py")
     parser.add_argument("--out-dir", default=ROOT)
     args = parser.parse_args(argv)
@@ -167,14 +168,14 @@ def main(argv=None) -> int:
     workloads = {}
     for name in args.workload or WORKLOADS:
         print(f"{name} ...", file=sys.stderr, flush=True)
-        workloads[name] = workload_record(runner, root, name, args.seed, args.seconds)
+        workloads[name] = workload_record(runner, root, name, SEED, args.seconds)
     print("deep ...", file=sys.stderr, flush=True)
-    deep = deep_record(root, args.deep_layers, args.deep_repetitions)
+    deep = deep_record(root, DEEP_LAYERS, DEEP_REPETITIONS)
     machines = [w["machine"] for w in workloads.values()]
     record = {
         "label": args.label, "commit": commit_of(root),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "settings": {"seconds": args.seconds, "seed": args.seed,
+        "settings": {"seconds": args.seconds, "seed": SEED,
                      "redunet_threads": os.environ.get("REDUNET_THREADS")},
         "machine": machines[0] if machines else None,
         "workloads": workloads, "deep": deep,
