@@ -71,9 +71,20 @@ the preallocated output:
   projections C_j v; it estimates the membership from the projections (or
   slices the given one) and subtracts the weighted projections in place.
 
-A step thus holds its input, its output, and per worker at most one
-(k+1)-block product buffer and a few block-sized temporaries, whatever the
-number of samples.
+A block reads only its own samples before it writes them, so a step may
+write into its input (``update_batch(V, layer, out=V)``), to the bytes a
+fresh output would get. ``spectral.construct`` steps its carry that way
+and ``spectral.forward`` every stack, from layer 0 on, each a stack of its
+own from `spectral._spectra`, which thus keeps one layout through every
+layer: the frequency-major view of the rfftn output for a cyclic group,
+C order for the trivial group. The exception is the stack a layer keeps
+as its features: every block of its step reads all of them
+(`_built_step`, `_factored_step`, a mixed layer's V* v), so ``construct``
+steps its training stack into a fresh array, and an ``out`` that may
+share memory with the features is refused. A step in place thus holds its
+stack and, per worker, at most one (k+1)-block product buffer and a few
+block-sized temporaries, whatever the number of samples; a step into a
+fresh array holds its output as well.
 
 Workers. The blocks are independent, so `update_batch` shares them out
 over W = `thread_count()` workers (``REDUNET_THREADS``, else the usable
@@ -537,7 +548,7 @@ def _squared_norms(V: np.ndarray, weight: np.ndarray | None, first: int) -> np.n
 
 
 def update_batch(Vt: np.ndarray, layer: SpectralLayer,
-                 pi: np.ndarray | None = None) -> np.ndarray:
+                 pi: np.ndarray | None = None, *, out: np.ndarray | None = None) -> np.ndarray:
     """One spectral layer step on (F_h, C, m) half spectra, then renormalize.
 
     With ``pi`` omitted the membership is estimated from the projections;
@@ -547,11 +558,21 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     workers, by the kernel that the layer's operator form and ``pi`` pick
     (`_kernel`; module docstring); the result does not depend on how many
     workers there are.
+
+    The result goes into ``out`` when given, else into a fresh array;
+    ``out=Vt`` steps the stack in place, to the bytes of a fresh output.
+    An ``out`` that may share memory with the layer's own features raises
+    ValueError: every block of their labelled step (`_built_step`), or of
+    any step of a layer that keeps them, reads all of them.
     """
     F_h, C, m = Vt.shape
     weight = half_weights(layer.freq_shape)
     dtype = np.result_type(Vt.dtype, layer.Ebar.dtype)
-    out = np.empty((F_h, C, m), dtype=dtype)
+    if out is None:
+        out = np.empty((F_h, C, m), dtype=dtype)
+    elif layer.features is not None and np.may_share_memory(out, layer.features):
+        raise ValueError("out may share memory with the layer's features, which every "
+                         "block of the step reads")
     values = _UPDATE_BLOCK_VALUES if layer.freq_shape else _TRIVIAL_BLOCK_VALUES
     b = max(1, values // (F_h * C))
     blocks = [slice(s, s + b) for s in range(0, m, b)]

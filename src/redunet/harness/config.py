@@ -233,12 +233,14 @@ def load_config(kind, path=None, overrides=None) -> ExperimentConfig:
         values.setdefault(key, None)
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # a % is a plain character
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         for section in parser.sections():

@@ -76,15 +76,26 @@ def _releases_freed_heap(stage):
 
 
 class Prepared:
-    """Model-space data for one experiment (sample axis last)."""
+    """Model-space data for one experiment (sample axis last).
+
+    ``carry`` is the stack a construction carries: the test stack, or,
+    with an augmented one, both as one stack of which ``test`` and ``aug``
+    are views.
+    """
 
     def __init__(self, model_kind, train, labels, test, test_labels,
-                 aug=None, aug_labels=None, fit_stride=None):
+                 aug=None, aug_labels=None, fit_stride=None, carry=None):
         self.model_kind = model_kind
         self.train, self.labels = train, labels
         self.test, self.test_labels = test, test_labels
         self.aug, self.aug_labels = aug, aug_labels
         self.fit_stride = fit_stride
+        self.carry = test if carry is None else carry
+
+    def drop_stacks(self):
+        """Let go of the model-space stacks once they are consumed; the
+        metrics read only the features and the labels."""
+        self.train = self.test = self.aug = self.carry = None
 
 
 def _flat(F) -> np.ndarray:
@@ -150,10 +161,16 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
 
 
 def _mapped(kind, as_input, train, test, aug=None, stride=None) -> Prepared:
-    """The datasets mapped into model space by ``as_input``."""
-    return Prepared(kind, as_input(train), train.labels, as_input(test), test.labels,
-                    None if aug is None else as_input(aug),
-                    None if aug is None else aug.labels, stride)
+    """The datasets mapped into model space by ``as_input``, the test and
+    augmented sets as one carry stack (`Prepared`)."""
+    if aug is None:
+        return Prepared(kind, as_input(train), train.labels, as_input(test), test.labels,
+                        fit_stride=stride)
+    carry = as_input(LabeledDataset(np.concatenate([test.samples, aug.samples]),
+                                    np.concatenate([test.labels, aug.labels]),
+                                    test.seed, test.kind))
+    return Prepared(kind, as_input(train), train.labels, carry[..., :test.m], test.labels,
+                    carry[..., test.m:], aug.labels, stride, carry)
 
 
 def _flat_samples(ds) -> np.ndarray:
@@ -363,9 +380,9 @@ def _emit_artifacts(cfg, prep: Prepared, model, F_train, F_test, rows, out_dir):
 def _split_carry(carry_features, prep: Prepared):
     if carry_features is None:
         return None, None
-    if prep.aug is None:
+    if prep.aug_labels is None:
         return carry_features, None
-    m_test = prep.test.shape[-1]
+    m_test = prep.test_labels.size
     return carry_features[..., :m_test], carry_features[..., m_test:]
 
 
@@ -380,16 +397,14 @@ def run_experiment(cfg, out_dir) -> dict:
     other artifacts, and not at all if the run fails.
     """
     prep = _prepare(cfg)
-    carry = prep.test
-    if prep.aug is not None:
-        carry = np.concatenate([prep.test, prep.aug], axis=-1)
     construct = _CONSTRUCT[prep.model_kind]
     os.makedirs(out_dir, exist_ok=True)
     with (ArchiveWriter(os.path.join(out_dir, "model.rnet"), cfg.eps) if cfg.save_model
           else contextlib.nullcontext()) as archive:
         model = construct(prep.train, Partition(prep.labels), cfg.layers, cfg.eta,
-                          cfg.eps, lam=cfg.lam, use_labels=True, carry=carry,
+                          cfg.eps, lam=cfg.lam, use_labels=True, carry=prep.carry,
                           sink=archive.append if archive else lambda layer: None)
+        prep.drop_stacks()
         F_test, F_aug = _split_carry(model.carry_features, prep)
         rows = _metric_rows(cfg, prep, model.features, F_test, F_aug)
         _emit_artifacts(cfg, prep, model, model.features, F_test, rows, out_dir)
@@ -412,6 +427,7 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     F_train = _forward(model, prep.train)
     F_test = _forward(model, prep.test) if prep.test is not None else None
     F_aug = _forward(model, prep.aug) if (augmented and prep.aug is not None) else None
+    prep.drop_stacks()
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)
     if cfg.save_model:

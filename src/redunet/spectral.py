@@ -89,11 +89,24 @@ def _freq_major(V: np.ndarray) -> np.ndarray:
 
 
 def _spectra(Z: np.ndarray) -> np.ndarray:
-    """(F_h, C, m) unitary half spectra of a real (C, *G, m) stack."""
+    """(F_h, C, m) unitary half spectra of a real (C, *G, m) stack.
+
+    A cyclic group's spectra are the rfftn output, scaled in place and seen
+    frequency-major: an array of its own, which the layers may step in
+    place (`_freq.update_batch` with ``out``). The trivial group's
+    transform is the identity, so its result is ``Z`` itself, copied into C
+    order if it is not in it (the callers that step it pass a normalized
+    copy). C order is the order of a fresh step output, so a stack stepped
+    in place from layer 0 on meets every later layer in the order fresh
+    outputs gave it; an F-ordered one would meet them in F order, to other
+    bytes.
+    """
     if Z.ndim == 2:  # the trivial group: the identity transform
-        return Z[None]
+        return np.ascontiguousarray(Z)[None]
     axes = tuple(range(1, Z.ndim - 1))
-    return _freq_major(np.fft.rfftn(Z, axes=axes) / np.sqrt(math.prod(Z.shape[1:-1])))
+    half = np.fft.rfftn(Z, axes=axes)
+    half /= np.sqrt(math.prod(Z.shape[1:-1]))
+    return _freq_major(half)
 
 
 def _input_spectra(x, shape: tuple, what: str = "input"):
@@ -115,7 +128,9 @@ def _signals(Vt: np.ndarray, shape: tuple) -> np.ndarray:
         return Vt[0]
     half = Vt.transpose(1, 0, 2).reshape(*shape[:-1], G[-1] // 2 + 1, Vt.shape[-1])
     axes = tuple(range(1, len(shape)))
-    return np.fft.irfftn(half, s=G, axes=axes) * np.sqrt(math.prod(G))
+    out = np.fft.irfftn(half, s=G, axes=axes)
+    out *= np.sqrt(math.prod(G))
+    return out
 
 
 # ------------------------------------------------------- dense oracles
@@ -268,7 +283,10 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     optional unlabeled sample (C, *G) or batch (C, *G, b) through the same
     layers with estimated membership (identical to running `forward`
     afterwards), which is how a model whose layers went to a sink is
-    evaluated.
+    evaluated. The carry's spectra are stepped in place through every
+    layer (`_freq.update_batch` with ``out``), so the loop holds one carry
+    stack; the training stack is stepped into a fresh array, because the
+    layer just built keeps it as its features.
     """
     Zbar = real_finite(Zbar, "training stack")
     if Zbar.ndim < 2:
@@ -297,14 +315,15 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
         keep(layer)
         Vt = _freq.update_batch(Vt, layer, pi=onehot)
         if Vc is not None:
-            Vc = _freq.update_batch(Vc, layer)
+            _freq.update_batch(Vc, layer, out=Vc)
     trace.append(_freq.spectral_components(Vt, partition, eps, G))
     if restore is not None:
         Vt = Vt[..., restore]
+    features, Vt = _signals(Vt, shape), None  # the carry's transform need not hold Vt
 
     return SpectralReduNet(layers=layers, C=shape[0], freq_shape=G, k=partition.k,
                            eps=eps, eta=eta, lam=lam, trace=np.array(trace),
-                           gamma=partition.gamma.copy(), features=_signals(Vt, shape),
+                           gamma=partition.gamma.copy(), features=features,
                            carry_features=None if Vc is None else _signals(Vc, shape))
 
 
@@ -312,12 +331,15 @@ def forward(model: SpectralReduNet, xbar) -> np.ndarray:
     """Map raw signals (C, *G) or (C, *G, b) through the constructed layers.
 
     Inputs are Frobenius-normalized per sample; a zero-layer model returns
-    the normalized input. Membership is estimated at every layer.
+    the normalized input. Membership is estimated at every layer. The
+    spectra are stepped in place through every layer (`_freq.update_batch`
+    with ``out``), so the pass holds one spectral stack besides its input
+    and output.
     """
     shape = (model.C, *model.freq_shape)
     Vt, single = _input_spectra(xbar, shape)
     for layer in model.layers:
-        Vt = _freq.update_batch(Vt, layer)
+        _freq.update_batch(Vt, layer, out=Vt)
     out = _signals(Vt, shape)
     return out[..., 0] if single else out
 

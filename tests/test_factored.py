@@ -179,3 +179,20 @@ def test_zero_sample_raises_from_every_kernel():
     assert layer.features is Vt
     with pytest.raises(ZeroVector):
         _freq.update_batch(Vt, layer, P.onehot())
+
+
+@pytest.mark.parametrize("G, C, counts", [((), 9, (2, 4)), ((5,), 6, (2, 3))])
+def test_step_into_the_features_its_kernel_reads_is_refused(G, C, counts):
+    # the built step reads every column of the layer's features for every
+    # block, so it keeps a fresh output: an ``out`` that shares their memory
+    # raises and leaves them as they were
+    layer, Vt, P, _ = factored_case(49, G, C, counts, sort=True)
+    assert layer.features is Vt
+    kept = Vt.copy()
+    fresh = _freq.update_batch(Vt, layer, P.onehot())
+    for out in (Vt, Vt[..., ::-1], np.asarray(Vt)):
+        with pytest.raises(ValueError, match="features"):
+            _freq.update_batch(Vt, layer, P.onehot(), out=out)
+    assert np.array_equal(Vt, kept)
+    assert np.array_equal(_freq.update_batch(Vt, layer, P.onehot(), out=np.empty_like(Vt)),
+                          fresh)

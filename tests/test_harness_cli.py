@@ -100,6 +100,32 @@ def test_missing_config_file_exits_two(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+def test_percent_in_config_value_is_a_plain_character(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[signals1d]\nlayers = 1%\n")
+    rc = main(["construct", "signals1d", "--config", str(ini), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "'1%'" in err and "Traceback" not in err
+    data = tmp_path / "100%" / "x.npz"
+    ini.write_text(f"[custom-vector]\nlayers = 1\ndata = {data}\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3  # the path reaches the loader as written
+    assert str(data) in err and "Traceback" not in err
+
+
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_bytes(b"[signals1d]\nlayers = 1\n# caf\xe9\n")
+    rc = main(["construct", "signals1d", "--config", str(ini), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_digit_files_exit_three(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("REDUNET_MNIST_DIR", raising=False)
     rc = main(["construct", "mnist-rotation", "--layers", "1",

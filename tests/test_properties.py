@@ -1,6 +1,7 @@
 """Property tests over random small shapes; skipped when hypothesis is absent."""
 
 import os
+import pathlib
 import struct
 import tempfile
 import tracemalloc
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from redunet import _freq
 from redunet.classify import fit_subspaces, predict
-from redunet.errors import DataError, NotPositiveDefinite
+from redunet.errors import ConfigError, DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
+from redunet.harness.config import KINDS, load_config
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, gram_logdet
 from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
@@ -179,6 +181,49 @@ def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, form, kind
     dense = dense_layer(layer)
     assert np.max(np.abs(got - unblocked_update_batch(Vt, dense, pi)), initial=0.0) < 1e-12
     assert np.max(np.abs(own - unblocked_update_batch(Vt0, dense, P.onehot()))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=st.one_of(st.just(()), groups), C=st.integers(1, 3), b=st.integers(1, 4),
+       edge=st.sampled_from(sorted(BLOCK_EDGES)), k=st.integers(1, 3),
+       form=st.sampled_from(sorted(LAYER_FORMS)), kind=st.sampled_from(MEMBERSHIPS),
+       workers=st.sampled_from([1, 2]), contiguous=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=(7,), C=2, b=2, edge="two_plus_three", k=2, form="dense", kind="estimated",
+         workers=2, contiguous=False, seed=0)
+@example(G=(3, 4), C=2, b=1, edge="past", k=2, form="mixed", kind="soft", workers=2,
+         contiguous=True, seed=1)
+@example(G=(5,), C=2, b=1, edge="two_plus_three", k=2, form="factored", kind="estimated",
+         workers=2, contiguous=False, seed=2)
+@example(G=(), C=2, b=2, edge="two_plus_three", k=3, form="factored", kind="onehot_sorted",
+         workers=1, contiguous=False, seed=3)
+@example(G=(2, 3), C=1, b=2, edge="two_plus_three", k=2, form="factored",
+         kind="onehot_shuffled", workers=2, contiguous=True, seed=4)
+@example(G=(2,), C=1, b=1, edge="exact", k=3, form="factored", kind="estimated", workers=1,
+         contiguous=False, seed=0)  # one sample, the frequency-major layout
+def test_layer_step_in_place_equals_step_into_a_fresh_array(G, C, b, edge, k, form, kind,
+                                                           workers, contiguous, seed):
+    # every block reads its own samples before it writes them, so stepping a
+    # stack into itself gives the bytes of a step of its copy into a fresh
+    # output, on any worker count; the stack is in C order, or in the
+    # frequency-major layout of `_spectra` (the copy keeps it)
+    C, counts = LAYER_FORMS[form](C, k)
+    k = len(counts)
+    rng = np.random.default_rng(seed)
+    P = Partition(np.repeat(np.arange(k), counts))
+    Vt0 = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, P.m))))
+    layer = _freq.build_layer(Vt0, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
+    m = BLOCK_EDGES[edge](b)
+    V = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, m))))
+    if contiguous:
+        V = np.ascontiguousarray(V)
+    pi = membership_of(kind, k, m, rng)
+    F_h = V.shape[0]
+    want = run_on_workers(workers, b, F_h, C, _freq.update_batch, np.copy(V, order="K"),
+                          layer, pi)
+    got = run_on_workers(workers, b, F_h, C, _freq.update_batch, V, layer, pi, out=V)
+    assert got is V
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------- the batched layer loop
@@ -565,6 +610,62 @@ def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(flips, cut, header
     assert peak < 2**20  # no allocation sized by a damaged field
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# the committed archives of the older versions, whose layers store every
+# operator dense
+OLD_BLOBS = {path.name: path.read_bytes() for path in sorted(FIXTURES.glob("v[12]_*.rnet"))}
+
+
+def fields_before_the_layers(blob):
+    """Bytes of an old archive from its magic up to its first layer: version
+    1 also holds the depth and the trace there."""
+    version, kind, k = struct.unpack_from("<III", blob, 8)
+    if version == 1:
+        trace_rows, ndim = struct.unpack_from("<II", blob, 24)
+        return 32 + 4 * ndim + 8 * (4 + 2 * k) + 24 * trace_rows
+    ndim = struct.unpack_from("<I", blob, 20)[0]
+    return 24 + 4 * ndim + 8 * (4 + 2 * k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(OLD_BLOBS)),
+       flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=3),
+       cut=st.one_of(st.none(), st.integers(0, 2**16)), header=st.booleans(),
+       reseal=st.booleans())
+@example(name="v1_shift.rnet", flips=[(24, 1)], cut=None, header=True, reseal=True)  # trace rows
+@example(name="v2_vector.rnet", flips=[(20, 1)], cut=None, header=True, reseal=True)  # ndim
+@example(name="v2_shift.rnet", flips=[], cut=40, header=False, reseal=True)  # cut in the dims
+@example(name="v1_vector.rnet", flips=[], cut=100, header=False, reseal=False)
+def test_flipped_or_cut_v1_or_v2_archive_loads_or_raises_data_error(name, flips, cut, header,
+                                                                  reseal):
+    # ``header`` moves every flip into the fields before the first layer;
+    # ``reseal`` cuts the body at ``cut`` and recomputes the CRC, so the
+    # decoder's own checks must catch what it would; without it the file
+    # itself is cut there
+    blob = bytearray(OLD_BLOBS[name])
+    size = fields_before_the_layers(blob) if header else len(blob)
+    for at, mask in flips:
+        blob[at % size] ^= mask
+    if reseal:
+        body = bytes(blob[8:-4][:cut])
+        blob = blob[:8] + body + struct.pack("<I", zlib.crc32(body))
+    else:
+        blob = blob[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.rnet")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        tracemalloc.start()
+        try:
+            load_model(path)
+        except DataError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < 2**20  # no allocation sized by a damaged field
+
+
 @settings(max_examples=60, deadline=None)
 @given(G=st.one_of(st.just(()), groups), L=st.integers(0, 3), cut=st.integers(0, 3),
        honest=st.booleans(), depth=u32s, trace_rows=u32s, seed=st.integers(0, 2**32 - 1))
@@ -604,3 +705,30 @@ def test_archive_cut_at_a_layer_boundary_loads_those_layers_or_raises_data_error
         assert back.depth == cut and np.array_equal(back.trace, model.trace)
         for got, want in zip(back.layers, model.layers):
             assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
+
+
+# ------------------------------------------------------ config files
+
+# pieces of INI text, among them the interpolation syntax, bytes that are
+# not UTF-8, and the values the casters reject
+INI_PIECES = [b"[signals1d]\n", b"[gauss2d]\n", b"[custom-vector]\n", b"[DEFAULT]\n",
+              b"layers = ", b"eta: ", b"radii = ", b"data = /d/100%/x.npz\n", b"1", b"0.5",
+              b"nan", b"-1", b"1,2", b"%", b"%(layers)s", b"%%", b"=", b":", b"[", b"]",
+              b"\n", b" ", b"\t", b"#", b";", b"\xe9", b"\xff\xfe", b"\x00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       parts=st.lists(st.one_of(st.sampled_from(INI_PIECES), st.binary(max_size=6)),
+                      max_size=24))
+@example(kind="signals1d", parts=[b"[signals1d]\n", b"layers = ", b"1", b"%", b"\n"])
+@example(kind="signals1d", parts=[b"[signals1d]\n", b"#", b"\xe9", b"\n"])
+def test_any_config_file_loads_or_raises_config_error(kind, parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ini")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(parts))
+        try:
+            load_config(kind, path)
+        except ConfigError:
+            pass

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -463,6 +464,35 @@ def test_update_memory_is_bounded_by_blocks_per_worker(monkeypatch):
     k, workers = 2, 2
     peak, block_bytes = _update_peak_over_output(monkeypatch, workers=workers, k=k)
     assert peak <= workers * (k + 4) * block_bytes
+
+
+def _forward_peak(model, x):
+    """Peak traced bytes of one `forward_shift1d` of x."""
+    tracemalloc.start()
+    try:
+        forward_shift1d(model, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_steps_one_spectral_stack_in_place(monkeypatch):
+    # every layer steps the batch's spectra in place: four layers peak no
+    # higher than one plus a block buffer, and below the input spectra plus
+    # a step output, which a loop of fresh outputs (`oracles`) holds at once
+    C, T, b, k = 3, 64, 16, 2
+    Zbar, labels = sample_stack(31, C=C, T=T, m=12, k=k)
+    model = construct_shift1d(Zbar, Partition(labels), 4, eta=0.3, eps=0.5)
+    x = rng_for(32).standard_normal((C, T, 32 * b))
+    F_h = T // 2 + 1
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * F_h * C)
+    monkeypatch.setattr(_freq, "_WORKERS", 1)
+    forward_shift1d(model, x)  # the transforms' first use
+    one = _forward_peak(dataclasses.replace(model, layers=model.layers[:1]), x)
+    four = _forward_peak(model, x)
+    spectra = 16 * F_h * C * x.shape[-1]
+    assert four <= one + (k + 1) * 16 * F_h * C * b
+    assert four < 2 * spectra
 
 
 def test_construct_rejects_zero_sample():
