@@ -634,7 +634,7 @@ def fields_before_the_layers(blob):
        reseal=st.booleans())
 @example(name="v1_shift.rnet", flips=[(24, 1)], cut=None, header=True, reseal=True)  # trace rows
 @example(name="v2_vector.rnet", flips=[(20, 1)], cut=None, header=True, reseal=True)  # ndim
-@example(name="v2_shift.rnet", flips=[], cut=40, header=False, reseal=True)  # cut in the dims
+@example(name="v2_shift.rnet", flips=[], cut=20, header=False, reseal=True)  # cut in the dims
 @example(name="v1_vector.rnet", flips=[], cut=100, header=False, reseal=False)
 def test_flipped_or_cut_v1_or_v2_archive_loads_or_raises_data_error(name, flips, cut, header,
                                                                   reseal):
