@@ -21,13 +21,13 @@ from .errors import (ConfigError, DataError, NumericalError, RedunetError,
                      exit_code_for)
 from .lifting import FilterBank, lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from .rate import (Partition, RateParams, class_rate, coding_rate, rate_components,
-                   rate_gradient, rate_reduction)
+                   rate_reduction)
 from .spectral import (SpectralReduNet, construct_shift1d, construct_translation2d,
                        forward_shift1d, forward_translation2d, kernel_extract,
                        kernel_extract_2d, shift_rate_components, shift_rate_reduction,
                        spectral_gradient, spectral_gradient_2d,
                        translation_rate_components, translation_rate_reduction)
-from .vector import construct_vector_net, forward_vector
+from .vector import construct_vector_net, forward_vector, rate_gradient
 
 __all__ = [
     "ConfigError", "DataError", "FilterBank", "LabeledDataset",

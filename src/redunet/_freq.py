@@ -138,8 +138,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, gram_logdet,
-                   hermitian_inverse)
+from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, _triple, hermitian_inverse,
+                   stack_components)
 
 _UPDATE_BLOCK_VALUES = 2**16  # values per (F_h, C, b) sample block: 1 MB complex
 _TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group: 2 MB real
@@ -770,25 +770,6 @@ def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
     The frequency count F = prod(freq_shape) scales the per-frequency
     Grams (unitary spectra vs dense eigenvalues) and divides the summed
     log-dets (the objective is the dense rate per position); the sums run
-    over the full spectrum through `half_weights`.
+    over the full spectrum through `half_weights` (`rate.stack_components`).
     """
-    _, C, m = Vt.shape
-    scale = float(math.prod(freq_shape))
-    weight = half_weights(tuple(freq_shape))
-    params = RateParams(eps)
-    expand = gram_logdet(Vt, scale * params.alpha(C, m), weight)
-    compress = [gram_logdet(Vt[:, :, partition.mask(j)],
-                            scale * params.alpha_class(C, int(partition.counts[j])), weight)
-                for j in range(partition.k)]
-    return _triple(expand, compress, partition.gamma, scale)
-
-
-def _triple(expand: float, compress: list, gamma: np.ndarray,
-            scale: float) -> tuple[float, float, float]:
-    """(reduction, expand, compress) rates from the weighted log-det sums of
-    the whole set and of each class, over F = ``scale`` frequencies."""
-    R = expand / (2.0 * scale)
-    Rc = 0.0
-    for g, acc in zip(gamma, compress):
-        Rc += g * acc / (2.0 * scale)
-    return R - Rc, R, Rc
+    return stack_components(Vt, partition, eps, math.prod(freq_shape), half_weights(freq_shape))

@@ -13,11 +13,14 @@ with ``tr(Pi_j) = m_j`` samples in class j, is
 
 The objective maximized by the networks in this package is the difference
 ``rate_reduction = R - Rc``. All logarithms are natural (rates in nats).
-Every log-det, of a vector feature set here or of the per-frequency stack
-of a spectral one (``_freq``), is read off a Cholesky factor: `gram_logdet`
-factors for the objective alone, and `hermitian_inverse` returns the
-log-dets of the stack it inverts, which is how a spectral layer gets the
-objective of its features from its own factorizations.
+`stack_components` evaluates it on a stack (F, n, m) of feature sets in all
+three geometries: a vector feature set Z is the stack Z[None], a spectral
+one the per-frequency stack of its half spectra (``_freq``). Every log-det
+is read off a Cholesky factor: `gram_logdet` factors for the objective
+alone, and `hermitian_inverse` returns the log-dets of the stack it inverts,
+which is how a spectral layer gets the objective of its features from its
+own factorizations. The gradient is the engine's: `spectral.group_gradient`,
+`vector.rate_gradient` for a feature matrix.
 """
 
 from dataclasses import dataclass
@@ -188,68 +191,48 @@ def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -
 
 def coding_rate(Z, eps: float) -> float:
     """R(Z) = 1/2 logdet(I + alpha Z Z*) with alpha = n/(m eps^2), in nats."""
-    Z = as_matrix(Z)
-    n, m = Z.shape
-    if m == 0:
+    Z = real_finite(as_matrix(Z), "feature matrix")
+    if Z.shape[1] == 0:
         raise ValueError("coding rate needs at least one sample")
+    return 0.5 * gram_logdet(Z[None], RateParams(eps).alpha(*Z.shape))
+
+
+def stack_components(V: np.ndarray, partition: Partition, eps: float, scale: float = 1.0,
+                     weight: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Objective triple (reduction, expand, compress) of a stack V (F, n, m):
+    the Grams scaled by ``scale``, the log-dets of the F slices weighted by
+    ``weight`` (1 each when omitted) and divided by ``scale``. A feature
+    matrix Z is the stack Z[None] with scale 1 (`rate_components`)."""
+    _, n, m = V.shape
+    if m != partition.m:
+        raise ValueError(f"partition covers {partition.m} samples, features have {m}")
     params = RateParams(eps)
-    return 0.5 * gram_logdet(Z[None], params.alpha(n, m))
+    expand = gram_logdet(V, scale * params.alpha(n, m), weight)
+    compress = [gram_logdet(V[:, :, partition.mask(j)], scale * params.alpha_class(n, int(c)),
+                            weight) for j, c in enumerate(partition.counts)]
+    return _triple(expand, compress, partition.gamma, scale)
+
+
+def _triple(expand: float, compress: list, gamma: np.ndarray, scale: float) -> tuple:
+    """(reduction, expand, compress) rates from the weighted log-det sums of
+    the whole set and of each class, over F = ``scale`` frequencies."""
+    R = expand / (2.0 * scale)
+    Rc = 0.0
+    for g, acc in zip(gamma, compress):
+        Rc += g * acc / (2.0 * scale)
+    return R - Rc, R, Rc
 
 
 def class_rate(Z, partition: Partition, eps: float) -> float:
     """Rc(Z, Pi) = sum_j gamma_j/2 logdet(I + alpha_j Z Pi_j Z*), in nats."""
-    Z = as_matrix(Z)
-    n, m = Z.shape
-    if m != partition.m:
-        raise ValueError(f"partition covers {partition.m} samples, Z has {m}")
-    params = RateParams(eps)
-    total = 0.0
-    for j in range(partition.k):
-        Zj = Z[:, partition.mask(j)]
-        aj = params.alpha_class(n, int(partition.counts[j]))
-        total += 0.5 * partition.gamma[j] * gram_logdet(Zj[None], aj)
-    return total
+    return rate_components(Z, partition, eps)[2]
 
 
 def rate_reduction(Z, partition: Partition, eps: float) -> float:
     """Objective value R(Z) - Rc(Z, Pi)."""
-    return coding_rate(Z, eps) - class_rate(Z, partition, eps)
+    return rate_components(Z, partition, eps)[0]
 
 
 def rate_components(Z, partition: Partition, eps: float) -> tuple[float, float, float]:
     """(rate_reduction, coding_rate, class_rate) evaluated together."""
-    R = coding_rate(Z, eps)
-    Rc = class_rate(Z, partition, eps)
-    return R - Rc, R, Rc
-
-
-def rate_gradient(Z, partition: Partition, eps: float) -> np.ndarray:
-    """Gradient of rate_reduction with respect to Z.
-
-    d/dZ [R - Rc] = E Z - sum_j gamma_j C_j Z Pi_j, where
-    E   = alpha   (I + alpha   Z Z*)^-1
-    C_j = alpha_j (I + alpha_j Z Pi_j Z*)^-1.
-    """
-    Z = as_matrix(Z)
-    n, m = Z.shape
-    if m != partition.m:
-        raise ValueError(f"partition covers {partition.m} samples, Z has {m}")
-    params = RateParams(eps)
-    alpha = params.alpha(n, m)
-
-    def solve(Zs, a, rhs):  # (I + a Zs Zs*)^-1 rhs, the Gram symmetrized
-        G = Zs @ Zs.conj().T
-        try:
-            return np.linalg.solve(np.eye(n) + a * (0.5 * (G + G.conj().T)), rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
-            raise NotPositiveDefinite(str(exc)) from exc
-
-    grad = alpha * solve(Z, alpha, Z)
-    for j in range(partition.k):
-        mask = partition.mask(j)
-        Zj = Z[:, mask]
-        aj = params.alpha_class(n, int(partition.counts[j]))
-        ZPi = np.zeros_like(Z)
-        ZPi[:, mask] = Zj
-        grad -= partition.gamma[j] * aj * solve(Zj, aj, ZPi)
-    return grad
+    return stack_components(real_finite(as_matrix(Z), "feature matrix")[None], partition, eps)

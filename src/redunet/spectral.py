@@ -143,8 +143,8 @@ def group_circulant(z) -> np.ndarray:
     """
     z = np.asarray(z)
     axes = tuple(range(z.ndim))
-    return np.stack([np.roll(z, t, axis=axes).reshape(-1) for t in np.ndindex(z.shape)],
-                    axis=1)
+    return np.stack([(np.roll(z, t, axis=axes) if axes else z).reshape(-1)
+                     for t in np.ndindex(z.shape)], axis=1)
 
 
 def stacked_circulant(Zbar) -> np.ndarray:
@@ -166,11 +166,13 @@ def group_rate_components(Zbar, partition: Partition, eps: float,
                           method: str = "fast") -> tuple[float, float, float]:
     """Objective triple of the translation-augmented feature set, divided by F.
 
-    The fast route sums per-frequency log-dets; the dense route actually
-    builds the (C*F, F*m) circulant stack and evaluates the plain rate on
-    it. Both exist on purpose and are compared by the tests.
+    ``Zbar`` is a (C, *G, m) stack over any of the three groups, rank 0 (an
+    (n, m) feature matrix, F = 1) included. The fast route sums per-frequency
+    log-dets; the dense route actually builds the (C*F, F*m) circulant stack
+    and evaluates the plain rate on it. Both exist on purpose and are
+    compared by the tests.
     """
-    Zbar = np.asarray(Zbar)
+    Zbar = real_finite(Zbar, "sample stack")
     F = math.prod(Zbar.shape[1:-1])
     if method == "fast":
         return _freq.spectral_components(_spectra(Zbar), partition, eps, Zbar.shape[1:-1])
@@ -209,21 +211,22 @@ def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
 def group_gradient(Zbar, partition: Partition, eps: float):
     """Ascent terms of the invariant objective, in the signal domain.
 
-    Returns ``(expand, compress)`` with shapes (C, *G, m) and
-    (k, C, *G, m): the inverse transforms of E(p) V(p) and
-    gamma_j C_j(p) V(p) Pi_j. Their difference
+    ``Zbar`` is a (C, *G, m) stack over any of the three groups, rank 0
+    included (`vector.rate_gradient`). Returns ``(expand, compress)`` with
+    shapes (C, *G, m) and (k, C, *G, m): the inverse transforms of E(p) V(p)
+    and gamma_j C_j(p) V(p) Pi_j. Their difference
     ``expand - compress.sum(axis=0)`` is exactly the derivative of the
     rate reduction of `group_rate_components` with respect to the signals.
     """
-    Zbar = np.asarray(Zbar)
+    Zbar = real_finite(Zbar, "sample stack")
     shape = Zbar.shape[:-1]
     Vt = _spectra(Zbar)
     layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
                               freq_shape=shape[1:])
     expand = _signals(np.asarray(layer.Ebar) @ Vt, shape)
     compress = np.empty((partition.k,) + Zbar.shape)
-    for j in range(partition.k):
-        Wj = layer.Cbar[j] @ Vt
+    for j, op in enumerate(layer.Cbar):
+        Wj = np.asarray(op) @ Vt
         Wj[:, :, ~partition.mask(j)] = 0.0
         compress[j] = partition.gamma[j] * _signals(Wj, shape)
     return expand, compress
@@ -357,7 +360,7 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     if which == "expand":
         stack = np.asarray(layer.Ebar)
     elif which == "compress":
-        stack = np.asarray(layer.Cbar[class_index])
+        stack = np.asarray(tuple(layer.Cbar)[class_index])
     else:
         raise ValueError(f"unknown operator kind {which!r}")
     G, C = tuple(layer.freq_shape), stack.shape[1]

@@ -35,14 +35,14 @@ columns as dimensions an operator is the dense n x n matrix.
 
 The dense `expansion_operator` and `compression_operators` build the same
 operators one feature matrix at a time; the tests and the selftest keep
-them as references.
+them as references. `rate_gradient` is the rank-0 `spectral.group_gradient`.
 """
 
 import numpy as np
 
 from . import _freq
 from .rate import Partition, RateParams, as_matrix
-from .spectral import SpectralReduNet, _of_rank, _stack_of_rank, construct, forward
+from .spectral import SpectralReduNet, _of_rank, _stack_of_rank, construct, forward, group_gradient
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
@@ -64,6 +64,18 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
         Zj = Z[:, partition.mask(j)]
         C[j] = _freq.regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))[0]
     return C
+
+
+def rate_gradient(Z, partition: Partition, eps: float) -> np.ndarray:
+    """Gradient of rate_reduction with respect to Z.
+
+    d/dZ [R - Rc] = E Z - sum_j gamma_j C_j Z Pi_j, where
+    E   = alpha   (I + alpha   Z Z*)^-1
+    C_j = alpha_j (I + alpha_j Z Pi_j Z*)^-1,
+    the ``expand - compress.sum(axis=0)`` of `group_gradient` at rank 0.
+    """
+    expand, compress = group_gradient(_stack_of_rank(Z, 0), partition, eps)
+    return expand - compress.sum(axis=0)
 
 
 def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,

@@ -75,6 +75,36 @@ def central_diff_grad(f, Z, h=1e-6):
     return grad
 
 
+def dense_rate_gradient(Z, partition, eps):
+    """Gradient of the rate reduction with respect to Z by dense n x n solves.
+
+    d/dZ [R - Rc] = E Z - sum_j gamma_j C_j Z Pi_j, where
+    E   = alpha   (I + alpha   Z Z*)^-1
+    C_j = alpha_j (I + alpha_j Z Pi_j Z*)^-1.
+    """
+    Z = np.asarray(Z)
+    n, m = Z.shape
+    params = RateParams(eps)
+    alpha = params.alpha(n, m)
+
+    def solve(Zs, a, rhs):  # (I + a Zs Zs*)^-1 rhs, the Gram symmetrized
+        G = Zs @ Zs.conj().T
+        try:
+            return np.linalg.solve(np.eye(n) + a * (0.5 * (G + G.conj().T)), rhs)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
+            raise NotPositiveDefinite(str(exc)) from exc
+
+    grad = alpha * solve(Z, alpha, Z)
+    for j in range(partition.k):
+        mask = partition.mask(j)
+        Zj = Z[:, mask]
+        aj = params.alpha_class(n, int(partition.counts[j]))
+        ZPi = np.zeros_like(Z)
+        ZPi[:, mask] = Zj
+        grad -= partition.gamma[j] * aj * solve(Zj, aj, ZPi)
+    return grad
+
+
 def dense_regularized_inverse(Z, a):
     """a (I_n + a Z Z*)^-1 by a Cholesky inverse of the n x n side, whatever m is."""
     n = Z.shape[0]

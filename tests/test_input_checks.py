@@ -1,14 +1,17 @@
-"""Every construct and forward entry point rejects NaN, inf and complex input,
-and forward rejects input of the wrong shape for its model."""
+"""Every construct, forward, objective and gradient entry point rejects NaN,
+inf and complex input, and forward rejects input of the wrong shape for its
+model."""
 
 import numpy as np
 import pytest
 
 from redunet.errors import NumericalError
-from redunet.rate import Partition
+from redunet.rate import Partition, class_rate, coding_rate, rate_components, rate_reduction
 from redunet.spectral import (construct_shift1d, construct_translation2d, forward,
-                              forward_shift1d, forward_translation2d)
-from redunet.vector import construct_vector_net, forward_vector
+                              forward_shift1d, forward_translation2d, group_gradient,
+                              group_rate_components, shift_rate_components, spectral_gradient,
+                              spectral_gradient_2d, translation_rate_components)
+from redunet.vector import construct_vector_net, forward_vector, rate_gradient
 
 from oracles import rng_for
 
@@ -20,6 +23,27 @@ FORWARD = {"vector": forward_vector, "shift1d": forward_shift1d,
 PARTITION = Partition(np.array([0, 1, 0, 1]))
 BAD = [(np.nan, NumericalError), (np.inf, NumericalError),
        (-np.inf, NumericalError), ("complex", ValueError)]
+# the objective and its gradient, each with the kind of stack it takes
+OBJECTIVE = {
+    "coding_rate": ("vector", lambda X: coding_rate(X, 0.5)),
+    "class_rate": ("vector", lambda X: class_rate(X, PARTITION, 0.5)),
+    "rate_reduction": ("vector", lambda X: rate_reduction(X, PARTITION, 0.5)),
+    "rate_components": ("vector", lambda X: rate_components(X, PARTITION, 0.5)),
+    "rate_gradient": ("vector", lambda X: rate_gradient(X, PARTITION, 0.5)),
+    "group_rate_components": ("translation2d",
+                              lambda X: group_rate_components(X, PARTITION, 0.5)),
+    "group_rate_components_dense": (
+        "translation2d", lambda X: group_rate_components(X, PARTITION, 0.5, method="dense")),
+    "group_gradient": ("translation2d", lambda X: group_gradient(X, PARTITION, 0.5)),
+    "shift_rate_components": ("shift1d", lambda X: shift_rate_components(X, PARTITION, 0.5)),
+    "shift_rate_components_dense": (
+        "shift1d", lambda X: shift_rate_components(X, PARTITION, 0.5, method="dense")),
+    "translation_rate_components": (
+        "translation2d", lambda X: translation_rate_components(X, PARTITION, 0.5)),
+    "spectral_gradient": ("shift1d", lambda X: spectral_gradient(X, PARTITION, 0.5)),
+    "spectral_gradient_2d": ("translation2d",
+                             lambda X: spectral_gradient_2d(X, PARTITION, 0.5)),
+}
 
 
 def stack(kind, m, seed=3):
@@ -53,6 +77,14 @@ def test_forward_rejects_bad_input(kind, bad, error):
     model = CONSTRUCT[kind](stack(kind, 4), PARTITION, 1, 0.5, 0.1)
     with pytest.raises(error):
         FORWARD[kind](model, spoil(stack(kind, 3, seed=4), bad))
+
+
+@pytest.mark.parametrize("entry", OBJECTIVE)
+@pytest.mark.parametrize("bad, error", BAD)
+def test_objective_and_gradient_reject_bad_input(entry, bad, error):
+    kind, call = OBJECTIVE[entry]
+    with pytest.raises(error):
+        call(spoil(stack(kind, 4), bad))
 
 
 def test_forward_vector_names_the_feature_count_it_expects():

@@ -3,7 +3,8 @@ import pytest
 
 from redunet.errors import EmptyClass, NotPositiveDefinite
 from redunet.rate import (Partition, RateParams, class_rate, coding_rate, gram_logdet,
-                          hermitian_inverse, rate_components, rate_gradient, rate_reduction)
+                          hermitian_inverse, rate_components, rate_reduction)
+from redunet.vector import rate_gradient
 
 from oracles import central_diff_grad, labels_for, rng_for, slogdet_rate
 

@@ -3,13 +3,13 @@ import pytest
 
 from redunet.classify import fit_subspaces, predict
 from redunet.errors import ZeroVector
-from redunet.rate import Partition, RateParams, rate_gradient, rate_reduction
-from redunet.spectral import construct_shift1d
+from redunet.rate import Partition, RateParams, rate_components, rate_reduction
+from redunet.spectral import construct_shift1d, group_rate_components
 from redunet._freq import membership, normalize_samples, update_batch
 from redunet.vector import (compression_operators, construct_vector_net, expansion_operator,
-                            forward_vector)
+                            forward_vector, rate_gradient)
 
-from oracles import labels_for, rng_for, vector_loop_construct
+from oracles import dense_rate_gradient, labels_for, rng_for, vector_loop_construct
 
 
 def step(Z, layer, pi=None):
@@ -139,8 +139,39 @@ def test_hard_label_layer_equals_gradient_ascent_step():
     eta, eps = 0.25, 0.5
     model = construct_vector_net(X, P, L=1, eta=eta, eps=eps, use_labels=True)
     Z0 = normalize_samples(X)
-    expected = normalize_samples(Z0 + eta * rate_gradient(Z0, P, eps))
+    expected = normalize_samples(Z0 + eta * dense_rate_gradient(Z0, P, eps))
     assert np.linalg.norm(model.features - expected) < 1e-10
+
+
+@pytest.mark.parametrize("n, counts", [
+    (40, (6, 9, 5)),      # wide: every operator factored
+    (6, (20, 30, 25)),    # tall: every operator dense
+    (12, (20, 7, 15)),    # mixed: E dense, a class smaller than n factored
+    (784, (14, 16, 10)),  # wide, at the digits' dimension
+])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_rate_gradient_equals_dense_solve_oracle(n, counts, eps):
+    # the engine's rank-0 gradient against the dense n x n solves, on
+    # shuffled labels of k = 3 classes and unit features, as a layer sees
+    # them: E Z - sum_j gamma_j C_j Z Pi_j cancels, so on raw 784-d Gaussian
+    # columns (norm about 28) the two routes differ by about 6e-9 of the
+    # largest entry at eps 0.1, against 7e-12 on unit columns
+    rng = rng_for(n + len(counts))
+    labels = rng.permutation(np.repeat(np.arange(3), counts))
+    Z = normalize_samples(rng.standard_normal((n, labels.size)))
+    P = Partition(labels)
+    want = dense_rate_gradient(Z, P, eps)
+    assert np.max(np.abs(rate_gradient(Z, P, eps) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_group_objective_of_a_feature_matrix_is_the_vector_objective():
+    # rank 0 is the trivial group, F = 1: both routes give the same floats
+    rng = rng_for(21)
+    Z = rng.standard_normal((5, 9))
+    P = Partition(labels_for(9, 3, rng))
+    want = rate_components(Z, P, 0.5)
+    for method in ("fast", "dense"):
+        assert group_rate_components(Z, P, 0.5, method=method) == want
 
 
 def test_construct_zero_layers():
