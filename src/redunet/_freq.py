@@ -48,16 +48,16 @@ better. Each block is stepped by one of two kernels, picked once per call
 from the layer's operator form (`_kernel`), and written renormalized into
 the preallocated output:
 
-- All-factored layers (E factored, hence every C_j; see Factorization)
-  step on the sample side. The push-through identity gives E V = a V K and
-  C_j V_j = a_j V_j K_j for the features V the layer was built from, so
-  their labelled step (``construct``'s, on the stack it keeps as the
-  layer's features, in class order) is one product V T with the m x m
-  matrix T = I + eta a K - eta (+)_j gamma_j a_j K_j (`_built_step`). Any
-  other block takes W = V* v once and finishes as s0 v + V c, s0 a scalar
-  per sample and c (m, b) read off K W and the K_j W_j: two wide products
-  and no buffer (`_factored_step`). Its estimated membership reads each
-  class norm off the m side as well (`_class_norms`),
+- Factored layers (see Factorization) step on the sample side. The
+  push-through identity gives E V = a V K and C_j V_j = a_j V_j K_j for
+  the features V the layer was built from, so their labelled step
+  (``construct``'s, on the stack it keeps as the layer's features, in class
+  order) is one product V T with the m x m matrix
+  T = I + eta a K - eta (+)_j gamma_j a_j K_j (`_built_step`). Any other
+  block takes W = V* v once and finishes as s0 v + V c, s0 a scalar per
+  sample and c (m, b) read off K W and the K_j W_j: two wide products and
+  no buffer (`_factored_step`). Its estimated membership reads each class
+  norm off the m side as well (`_class_norms`),
 
       ||C_j v||^2 = a_j^2 (||v||^2 - 2 a_j s Re<W_j, y_j> + a_j^2 s y_j* (s G_j) y_j),
 
@@ -65,11 +65,11 @@ the preallocated output:
   cancellation ratio, weighted by how much the membership moves with that
   norm, exceeds `_NORM_CANCELLATION` for a sample of the block, the class's
   norms of the block are taken from C_j v itself.
-- Every other layer, all dense or mixed, takes its k+1 products with the
-  layer's stacks, read in place, into a (k+1)-block buffer (`_step_block`):
-  entry 0 holds E v, which becomes v + eta E v, entries 1..k the class
-  projections C_j v; it estimates the membership from the projections (or
-  slices the given one) and subtracts the weighted projections in place.
+- Dense layers take their k+1 products with the layer's stacks, read in
+  place, into a (k+1)-block buffer (`_step_block`): entry 0 holds E v,
+  which becomes v + eta E v, entries 1..k the class projections C_j v; it
+  estimates the membership from the projections (or slices the given one)
+  and subtracts the weighted projections in place.
 
 A block reads only its own samples before it writes them, so a step may
 write into its input (``update_batch(V, layer, out=V)``), to the bytes a
@@ -78,10 +78,10 @@ and ``spectral.forward`` every stack, from layer 0 on, each a stack of its
 own from `spectral._spectra`, which thus keeps one layout through every
 layer: the frequency-major view of the rfftn output for a cyclic group,
 C order for the trivial group. The exception is the stack a layer keeps
-as its features: every block of its step reads all of them
-(`_built_step`, `_factored_step`, a mixed layer's V* v), so ``construct``
-steps its training stack into a fresh array, and an ``out`` that may
-share memory with the features is refused. A step in place thus holds its
+as its features: every block of a factored layer's step reads all of
+them (`_built_step`, `_factored_step`), so ``construct`` steps its
+training stack into a fresh array, and an ``out`` that may share memory
+with the features is refused. A step in place thus holds its
 stack and, per worker, at most one (k+1)-block product buffer and a few
 block-sized temporaries, whatever the number of samples; a step into a
 fresh array holds its output as well.
@@ -101,33 +101,34 @@ zero-norm sample) reaches the caller unchanged.
 
 Factorization. Every operator is factored for all F_h frequencies at
 once: `build_layer` makes k+1 batched calls of `rate.hermitian_inverse`,
-one per operator, each one Cholesky factorization over the stack. The
-factors' log-determinants are those of the objective of the features the
-layer is built from, so the layer carries that objective triple too
-(`SpectralLayer.components`), and the construction loop factors no Gram a
-second time. An operator built from fewer columns m_op than it has rows
-C is factored on its m_op x m_op Gram side (`regularized_inverse`), and
-the layer keeps it that way (`Factored`): a scaled identity minus a rank
-m_op correction, a (I - a s V K V*), held as the layer's features V,
-shared by all of its factored operators, and the m_op x m_op inverse K;
-a class operator keeps its scaled Gram s G_j = s V_j* V_j too, which the
-factorization forms anyway and a loaded archive forms again from its
-features. It is never formed as C x C stacks: an all-factored layer steps
-on the sample side (Sample blocks), and a mixed layer, factored class
-operators beside a dense E, applies each as a v - a^2 s V (K (V* v)),
-with V* v taken once per block for every factored operator. The archive
-stores V once and each K. Only the kernels, the gradient and the dense
-oracles ask for the C x C stacks, which `Factored.dense` multiplies back,
-to the bytes `regularized_inverse` gives. Operators on C or more columns
-(the shift and translation networks, C a few channels) are the dense
-stacks a (I + a s V V*)^-1.
+one per operator, each one Cholesky factorization over the stack of its
+smaller Gram side (`regularized_inverse`). The factors' log-determinants
+are those of the objective of the features the layer is built from, so the
+layer carries that objective triple too (`SpectralLayer.components`), and
+the construction loop factors no Gram a second time. A layer takes one
+form for all of its operators, chosen by m < C:
+
+- A layer of fewer samples m than rows C is factored: every operator is a
+  scaled identity minus a rank m_op correction, a (I - a s V K V*), held
+  as the layer's features V, shared by all of them, and the m_op x m_op
+  inverse K (`Factored`); a class operator keeps its scaled Gram
+  s G_j = s V_j* V_j too, which the factorization forms anyway and a
+  loaded archive forms again from its features. No operator is formed as
+  C x C stacks: the layer steps on the sample side (Sample blocks), and
+  the archive stores V once and each K. Only the kernels, the gradient
+  and the dense oracles ask for the stacks, which `dense` multiplies out,
+  to the bytes `regularized_inverse` gives.
+- A layer of m >= C samples (the shift and translation networks, C a few
+  channels) holds every operator as its dense stacks a (I + a s V V*)^-1.
+  A class of fewer than C samples is factored on its m_j side and
+  multiplied out (`_expand`), to the bytes `regularized_inverse` gives.
 
 The trivial group. The vector network is the same computation over no
 group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
 1, the identity as its transform, so its stacks stay real. Its slices are
-wide (C = n features, say 784, against a few hundred samples), so every
-one of its operators is usually factored, and its steps are the two
-sample-side kernels: a 784-d layer of 400 labelled samples in two classes
+wide (C = n features, say 784, against a few hundred samples), so its
+layers are usually factored, and their steps are the two sample-side
+kernels: a 784-d layer of 400 labelled samples in two classes
 steps them in one 784 x 400 x 400 product, and any other block in two.
 """
 
@@ -165,15 +166,13 @@ class SpectralLayer:
     of the features the layer was factored from, which `build_layer`
     reads off its factorizations; archives do not store it.
 
-    An operator built from fewer columns than C is `Factored` (module
-    docstring): ``Ebar`` is then a `Factored`, and ``Cbar`` an
-    `OperatorStack` once any class operator is. Both stand for their dense
-    stacks where one is asked for (``np.asarray``, indexing), and report
-    in ``nbytes`` the bytes the layer holds. ``features`` (F_h, C, m) are
-    then the features the layer was built from, its samples in class
-    order, shared by the factored operators, and ``labels`` (m,) the
-    class of each sample in its original order; both are None when every
-    operator is dense.
+    A layer of fewer samples than C is factored (module docstring):
+    ``Ebar`` is then a `Factored` and ``Cbar`` an `OperatorStack` of them,
+    which report in ``nbytes`` the bytes the layer holds and give their
+    dense stacks only through `dense`. ``features`` (F_h, C, m) are then
+    the features the layer was built from, its samples in class order,
+    shared by the operators, and ``labels`` (m,) the class of each sample
+    in its original order; both are None in a dense layer.
     """
 
     Ebar: "np.ndarray | Factored"
@@ -189,6 +188,11 @@ class SpectralLayer:
     labels: np.ndarray | None = None
 
 
+def _no_array(self, dtype=None, copy=None):
+    raise TypeError(f"a {type(self).__name__} holds factors; `_freq.dense` multiplies "
+                    "out its stacks")
+
+
 class Factored:
     """The operator a (I - a s V K V*) of every frequency, held as its factors.
 
@@ -197,17 +201,15 @@ class Factored:
     one class's for C_j), and K (F_h, m_op, m_op) is the inverse
     (I + a s V* V)^-1 of those columns, in the same order; s is the Gram
     scale. ``restore`` puts the columns back in sample order (None when
-    they already are). ``holds_features`` marks the one operator of a
-    layer whose ``nbytes`` counts the shared features. A class operator
-    also keeps ``gram``, s V* V of its columns, from which the layer step
-    reads its norms (`_class_norms`); ``nbytes`` counts it too.
+    they already are). A class operator also keeps ``gram``, s V* V of its
+    columns, from which the layer step reads its norms (`_class_norms`);
+    ``nbytes`` counts it, and for E, the one operator without a Gram, the
+    shared features.
     """
 
-    def __init__(self, features, cols, K, a, scale, restore=None, holds_features=False,
-                 gram=None):
+    def __init__(self, features, cols, K, a, scale, restore=None, gram=None):
         self.features, self.cols, self.K = features, cols, K
-        self.a, self.scale, self.restore = float(a), float(scale), restore
-        self.holds_features, self.gram = holds_features, gram
+        self.a, self.scale, self.restore, self.gram = float(a), float(scale), restore, gram
 
     @property
     def shape(self) -> tuple:
@@ -220,38 +222,13 @@ class Factored:
 
     @property
     def nbytes(self) -> int:
-        return (self.K.nbytes + (0 if self.gram is None else self.gram.nbytes)
-                + (self.features.nbytes if self.holds_features else 0))
+        return self.K.nbytes + (self.features if self.gram is None else self.gram).nbytes
 
-    def apply(self, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """a v - a^2 s V (K w) into ``out``, for a (F_h, C, b) block v and
-        w = V* v, the (F_h, m_op, b) rows of this operator's columns."""
-        np.matmul(self.features[..., self.cols], self.K @ w, out=out)
-        out *= -self.a * self.scale
-        out += v
-        out *= self.a
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The (F_h, C, C) stacks, the bytes `regularized_inverse` gives."""
-        V, K = self.features[..., self.cols], self.K
-        if self.restore is not None:
-            V, K = V[..., self.restore], K[..., self.restore[:, None], self.restore]
-        return _expand(np.ascontiguousarray(V), K, self.a, self.scale)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a factored operator has no dense array to view")
-        return np.asarray(self.dense(), dtype=dtype)
-
-    def __getitem__(self, index):
-        return self.dense()[index]
+    __array__ = _no_array
 
 
 class OperatorStack:
-    """The k class operators of a layer when some are `Factored`, each
-    member a `Factored` or a dense (F_h, C, C) stack; it stands for the
-    dense (k, F_h, C, C) stack where one is asked for."""
+    """The k `Factored` class operators of a factored layer."""
 
     def __init__(self, members):
         self.members = tuple(members)
@@ -271,13 +248,21 @@ class OperatorStack:
     def __iter__(self):
         return iter(self.members)
 
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a factored operator has no dense array to view")
-        return np.stack([np.asarray(op, dtype=dtype) for op in self.members])
+    __array__ = _no_array
 
-    def __getitem__(self, index):
-        return np.asarray(self)[index]
+
+def dense(op) -> np.ndarray:
+    """The dense stacks of an operator: (F_h, C, C) of a `Factored`, to the
+    bytes `regularized_inverse` gives, (k, F_h, C, C) of an `OperatorStack`;
+    an array is returned as it is."""
+    if isinstance(op, OperatorStack):
+        return np.stack([dense(member) for member in op])
+    if not isinstance(op, Factored):
+        return op
+    V, K = op.features[..., op.cols], op.K
+    if op.restore is not None:
+        V, K = V[..., op.restore], K[..., op.restore[:, None], op.restore]
+    return _expand(np.ascontiguousarray(V), K, op.a, op.scale)
 
 
 def operators(layer: SpectralLayer) -> list:
@@ -387,9 +372,9 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
     operator is one batched factorization over the frequency axis, whose
     log-determinants give the objective triple of ``Vt`` as well
     (`SpectralLayer.components`, equal to `spectral_components` up to
-    rounding). An operator of fewer columns than C stays `Factored`, on
-    the features in class order; every operator's dense stack has the
-    bytes of `regularized_inverse`.
+    rounding). With m < C every operator stays `Factored`, on the features
+    in class order; otherwise every one is a dense stack. Either way every
+    operator's dense stack has the bytes of `regularized_inverse`.
     """
     freq_shape = tuple(freq_shape)
     F_h, C, m = Vt.shape
@@ -405,32 +390,31 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
     logdets = []
 
-    def factor(mask, a):  # an operator's K and the scaled Gram it inverts
+    def factor(mask, a):  # an operator's K on its smaller Gram side, and that scaled Gram
         G = _gram(Vt[:, :, mask], gram_scale)
         K, logdet = _factor(G, a)
         logdets.append(float(weight @ logdet))
         return K, G
 
-    def part(K, a):  # an operator's dense stack, or its K when it has m_op < C columns
-        return K if K.shape[-1] < C else a * K
-
+    K = factor(slice(None), alpha)[0]
     features = labels = None
-    Ebar = part(factor(slice(None), alpha)[0], alpha)
-    if partition.counts.min() >= C:  # every operator dense
+    if m >= C:  # every operator a dense stack, a class of fewer than C samples multiplied out
+        Ebar = alpha * K
         Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
-        for j in range(partition.k):
-            Cbar[j] = part(factor(partition.mask(j), alpha_class[j])[0], alpha_class[j])
-    else:  # keep the features, in class order, for the factored operators
-        factors = [factor(partition.mask(j), alpha_class[j]) for j in range(partition.k)]
-        parts = [Ebar] + [part(K, a) for (K, _), a in zip(factors, alpha_class)]
-        grams = [G for _, G in factors]
+        for j, a in enumerate(alpha_class):
+            mask = partition.mask(j)
+            Kj = factor(mask, a)[0]
+            Cbar[j] = a * Kj if Kj.shape[-1] == C else _expand(Vt[:, :, mask], Kj, a, gram_scale)
+    else:  # every operator factored, over the features in class order
+        classes = [factor(partition.mask(j), a) for j, a in enumerate(alpha_class)]
         labels = partition.labels.copy()
         order, restore = class_order(labels)
         features = Vt if restore is None else Vt[..., order]
-        if m < C and restore is not None:
-            parts[0] = parts[0][..., order[:, None], order]
-        Ebar, Cbar = factored_operators(features, labels, parts, [alpha, *alpha_class],
-                                        gram_scale, grams)
+        if restore is not None:
+            K = K[..., order[:, None], order]
+        Ebar, Cbar = factored_operators(features, labels, [K, *(Kj for Kj, _ in classes)],
+                                        [alpha, *alpha_class], gram_scale,
+                                        [G for _, G in classes])
 
     return SpectralLayer(Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape,
                          gamma=partition.gamma.copy(), alpha=alpha,
@@ -449,57 +433,35 @@ def class_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return order, np.argsort(order)
 
 
-def factored_operators(features: np.ndarray, labels: np.ndarray, parts: list, coeffs: list,
+def factored_operators(features: np.ndarray, labels: np.ndarray, Ks: list, coeffs: list,
                        scale: float, grams: list | None = None) -> tuple:
-    """(Ebar, Cbar) of a layer that keeps its ``features`` (F_h, C, m), their
+    """(Ebar, Cbar) of a factored layer of ``features`` (F_h, C, m), their
     samples in class order (`class_order` of ``labels``).
 
-    ``parts`` holds E's part, then every C_j's: a dense (F_h, C, C) stack, or
-    the (F_h, m_op, m_op) inverse K, in class order, of an operator of
-    m_op < C columns, which becomes `Factored`; ``coeffs`` are the
-    operators' a, ``scale`` the Gram scale. ``grams`` are the class
-    operators' scaled Grams (`_gram`) where the caller formed them; a
-    factored class operator without one has it formed from its columns,
-    to the same bytes.
+    ``Ks`` holds the (F_h, m_op, m_op) inverses, in class order, of E, then
+    of every C_j; ``coeffs`` are the operators' a, ``scale`` the Gram scale.
+    ``grams`` are the class operators' scaled Grams (`_gram`) where the
+    caller formed them; else they are formed from their columns, to the
+    same bytes.
     """
-    C, m = features.shape[-2:]
     _, restore = class_order(labels)
-    bounds = np.cumsum([0, *np.bincount(labels, minlength=len(parts) - 1)])
-    ops, holds = [], True
-    for i, (part, a) in enumerate(zip(parts, coeffs)):
-        if part.shape[-1] == C:
-            ops.append(part)
-            continue
-        if i == 0:
-            ops.append(Factored(features, slice(0, m), part, a, scale, restore,
-                                holds_features=holds))
-        else:
-            cols = slice(bounds[i - 1], bounds[i])
-            gram = (_gram(np.ascontiguousarray(features[..., cols]), scale) if grams is None
-                    else grams[i - 1])
-            ops.append(Factored(features, cols, part, a, scale, holds_features=holds,
-                                gram=gram))
-        holds = False
-    return ops[0], OperatorStack(ops[1:])
+    bounds = np.cumsum([0, *np.bincount(labels, minlength=len(Ks) - 1)])
+    classes = []
+    for j, (K, a) in enumerate(zip(Ks[1:], coeffs[1:])):
+        cols = slice(bounds[j], bounds[j + 1])
+        gram = (_gram(np.ascontiguousarray(features[..., cols]), scale) if grams is None
+                else grams[j])
+        classes.append(Factored(features, cols, K, a, scale, gram=gram))
+    E = Factored(features, slice(0, features.shape[-1]), Ks[0], coeffs[0], scale, restore)
+    return E, OperatorStack(classes)
 
 
 def compressions(V: np.ndarray, layer: SpectralLayer, out: np.ndarray) -> np.ndarray:
-    """E V and every C_j V of a (F_h, C, b) block into ``out`` (k+1, F_h, C, b).
-
-    The products read the layer's stacks in place; entry 0 of ``out``
-    holds E v, entries 1..k the class projections C_j v. A `Factored`
-    operator reads its rows of V* v, which is taken once for all of them.
-    """
-    if layer.features is None:
-        np.matmul(layer.Ebar, V, out=out[0])
-        np.matmul(layer.Cbar, V, out=out[1:])
-        return out
-    W = _adjoint(layer.features) @ V
-    for op, dest in zip(operators(layer), out):
-        if isinstance(op, Factored):
-            op.apply(V, W[:, op.cols], dest)
-        else:
-            np.matmul(op, V, out=dest)
+    """E V and every C_j V of a (F_h, C, b) block into ``out`` (k+1, F_h, C, b),
+    for a dense layer: entry 0 holds E v, entries 1..k the class
+    projections C_j v, each read from the layer's stacks in place."""
+    np.matmul(layer.Ebar, V, out=out[0])
+    np.matmul(layer.Cbar, V, out=out[1:])
     return out
 
 
@@ -602,10 +564,10 @@ def _kernel(Vt, layer, pi, weight):
     """The block step of one `update_batch` call, ``step(block, buf, out)``,
     and the blocks of buffer ``buf`` it takes per worker.
 
-    All-factored layers (E factored, hence every C_j) step on the sample
-    side: the labelled step of the stack the layer was built from in one
-    product (`_built_step`), every other step in two (`_factored_step`).
-    Dense and mixed layers take the k+1 products of `_step_block`.
+    Factored layers step on the sample side: the labelled step of the
+    stack the layer was built from in one product (`_built_step`), every
+    other step in two (`_factored_step`). Dense layers take the k+1
+    products of `_step_block`.
     """
     k = layer.Cbar.shape[0]
     if isinstance(layer.Ebar, Factored):
@@ -636,7 +598,7 @@ def _step_block(Vt, layer, pi, weight, block, buf, out):
 
 
 def _built_step(V, layer, weight):
-    """All-factored layer, the labelled step of its own features V (class
+    """Factored layer, the labelled step of its own features V (class
     order): E V = a V K and C_j V_j = a_j V_j K_j, so the step is V T with
     T = I + eta a K - eta (+)_j gamma_j a_j K_j, block diagonal in the
     classes, one product per block."""
@@ -652,7 +614,7 @@ def _built_step(V, layer, weight):
 
 
 def _factored_step(Vt, layer, pi, weight):
-    """All-factored layer, any block: with W = V* v, every operator acts
+    """Factored layer, any block: with W = V* v, every operator acts
     through its m_op-side rows, and the step is
 
         v + eta E v - eta sum_j gamma_j pi_j C_j v = s0 v + V c,
@@ -682,7 +644,7 @@ def _factored_step(Vt, layer, pi, weight):
 
 
 def _class_norms(v, W, ys, ops, weight, lam):
-    """Squared norms (k, b) of every C_j v of a block v of an all-factored
+    """Squared norms (k, b) of every C_j v of a block v of a factored
     layer, from W = V* v and y_j = K_j W_j:
 
         ||C_j v||^2 = a^2 (||v||^2 - 2 a s Re<W_j, y_j> + a^2 s y_j* (s G_j) y_j),
@@ -693,7 +655,7 @@ def _class_norms(v, W, ys, ops, weight, lam):
     is the membership, by the ratio times lam pi_j (1 - pi_j) ||C_j v||;
     where that weighted ratio exceeds `_NORM_CANCELLATION` for any sample
     of the block, or the sum is not positive, class j's norms of the block
-    are taken from C_j v itself."""
+    are taken from C_j v itself, a v - a^2 s V_j y_j."""
     vv = _squared_norms(v, weight, first=0)
     squared, terms = np.empty((2, len(ops), v.shape[-1]))
     for j, (op, y) in enumerate(zip(ops, ys)):
@@ -708,8 +670,11 @@ def _class_norms(v, W, ys, ops, weight, lam):
                                > _NORM_CANCELLATION * np.sqrt(positive))
     for j in np.flatnonzero(thin.any(axis=1)):
         op = ops[j]
-        direct = np.empty(v.shape, dtype=np.result_type(v.dtype, op.K.dtype))
-        squared[j] = _squared_norms(op.apply(v, W[:, op.cols], direct), weight, first=0)
+        direct = op.features[..., op.cols] @ ys[j]
+        direct *= -op.a * op.scale
+        direct += v
+        direct *= op.a
+        squared[j] = _squared_norms(direct, weight, first=0)
     return squared
 
 

@@ -5,7 +5,7 @@ Layout of version 3, all little-endian:
     magic "REDUNET1" | u32 version (3) | u32 kind | u32 k | u32 ndim | ndim x u32 dims
     f64 eps, eta, lam | k x f64 gamma | f64 alpha | k x f64 alpha_class
     (k+1) x u32 form    (per operator E, C_1, ..., C_k: 0 dense, 1 factored)
-    [u32 m | m x u32 labels]    (only when some operator is factored)
+    [u32 m | m x u32 labels]    (only when the operators are factored)
     L layer payloads    (f64 reals; complex as interleaved real, imag)
     trace_rows x 3 f64 trace | u32 L | u32 trace_rows
     u32 CRC32 over everything between the magic and this field
@@ -13,16 +13,19 @@ Layout of version 3, all little-endian:
 The kind is the group rank, the dims (C, *G): (n,) for vector, (C, T)
 for shift, (C, H, W) for translation. A layer's stacks are the rfftn
 half spectrum, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies, complex;
-the vector kind is the trivial group, real, F_h = 1. A layer stores, when
-some operator is factored, the features V (F_h*C*m) it was built from,
-its samples in class order (`_freq.Factored`), then each operator in
-turn, E first: a dense one as its stacks (F_h*C*C), a factored one as its
-inverse K (F_h*m_op*m_op, m_op = m for E, the class count for C_j). An
-operator is factored only when m_op < C, so no layer outweighs its dense
+the vector kind is the trivial group, real, F_h = 1. A layer takes one
+form, chosen by m < C (`_freq.build_layer`). A dense layer stores each
+operator's stacks (F_h*C*C), E first. A factored layer stores the
+features V (F_h*C*m) it was built from, its samples in class order
+(`_freq.Factored`), then each operator's inverse K (F_h*m_op*m_op,
+m_op = m for E, the class count for C_j), so no layer outweighs its dense
 form; the labels (each in [0, k), every class present) give the class
 order and the counts. The per-layer scalars (alpha, gamma, step size) and
-the forms are constant across a construction, so they are stored once in
-the header.
+the k+1 equal forms are constant across a construction, so they are
+stored once in the header. Files written before a layer took one form
+may hold mixed layers, a dense E beside factored class operators (each
+on fewer than C columns); `load_model` multiplies those class operators
+out and loads the layer as dense.
 
 The header holds only what is known before the first layer, so an
 `ArchiveWriter` can append each layer as the construction builds it and
@@ -124,16 +127,15 @@ class ArchiveWriter:
 
     def append(self, layer: _freq.SpectralLayer):
         k, _, C, _ = layer.Cbar.shape
-        ops = _freq.operators(layer)
-        forms = [FACTORED if isinstance(op, _freq.Factored) else DENSE for op in ops]
+        factored = layer.features is not None
         self._start(_header(layer.freq_shape, C, k, self.eps, layer.eta, layer.lam,
-                            layer.gamma, layer.alpha, layer.alpha_class, forms,
-                            layer.labels))
+                            layer.gamma, layer.alpha, layer.alpha_class,
+                            [FACTORED if factored else DENSE] * (k + 1), layer.labels))
         dtype = "<c16" if layer.freq_shape else "<f8"
-        if layer.features is not None:
+        if factored:
             self._write(_bytes(layer.features, dtype))
-        for op in ops:
-            self._write(_bytes(op.K if isinstance(op, _freq.Factored) else op, dtype))
+        for op in _freq.operators(layer):
+            self._write(_bytes(op.K if factored else op, dtype))
         self.depth += 1
 
     def close(self, model: SpectralReduNet) -> str:
@@ -218,8 +220,10 @@ def load_model(path):
     Rejects wrong magic, unknown versions, a trailing CRC32 mismatch
     (truncation, corruption), header values out of their domain (among
     them operator forms, labels and class counts that disagree with each
-    other or with C), and operator payloads that hold a non-finite value
-    or, in version 1, a mirror that is not the conjugate of its frequency.
+    other or with C), and operator payloads that hold a non-finite value,
+    a factored inverse that is not Hermitian or, in version 1, a mirror
+    that is not the conjugate of its frequency. A mixed layer of an older
+    writer loads as a dense one.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -284,19 +288,29 @@ def load_model(path):
     # the vector kind is the trivial group: one frequency, real operators
     dtype = "<c16" if freq_shape else "<f8"
     grid = math.prod(freq_shape) if version == 1 else _freq.half_count(freq_shape)
-    read_layer = _dense_layers(k) if labels is None else _factored_layers(
-        labels, k, float(math.prod(freq_shape)), alpha, alpha_class, forms)
+    scale = float(math.prod(freq_shape))
     layers = []
     for index in range(depth):
-        Ebar, Cbar, features, held = read_layer(cur, grid, C, dtype)
-        if not all(np.isfinite(arr).all() for arr in held):
+        features, stored = _read_layer(cur, grid, C, k, dtype, forms, labels)
+        if not all(np.isfinite(arr).all() for arr in (*stored, features) if arr is not None):
             raise BadArchiveValue(f"{path}: non-finite operator in layer {index}")
         # a factored inverse is exactly Hermitian; one read with the wrong
         # class counts (of the right total size) is not
-        if not all(np.array_equal(op.K, op.K.conj().swapaxes(-1, -2))
-                   for op in (Ebar, *Cbar) if isinstance(op, _freq.Factored)):
+        if not all(np.array_equal(K, K.conj().swapaxes(-1, -2))
+                   for K, form in zip(stored, forms) if form == FACTORED):
             raise BadArchiveValue(f"{path}: layer {index} holds a factored inverse that "
                                   "is not Hermitian")
+        if labels is None:
+            Ebar, Cbar = stored
+        elif all(forms):
+            Ebar, Cbar = _freq.factored_operators(features, labels, stored,
+                                                  [alpha, *alpha_class], scale)
+        else:  # a mixed layer of an older writer: its factored class operators multiplied out
+            classes = np.sort(labels)
+            Ebar, features, Cbar = stored[0], None, np.stack([
+                _freq.dense(_freq.Factored(features, classes == j, K, a, scale))
+                if form == FACTORED else K
+                for j, (K, form, a) in enumerate(zip(stored[1:], forms[1:], alpha_class))])
         if version == 1 and freq_shape:  # keep the half of exactly conjugate mirrors
             try:
                 for op in (Ebar, Cbar.swapaxes(0, 1)):
@@ -310,7 +324,7 @@ def load_model(path):
         layers.append(_freq.SpectralLayer(
             Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape, gamma=gamma.copy(), alpha=alpha,
             alpha_class=alpha_class.copy(), eta=eta, lam=lam, features=features,
-            labels=None if labels is None else labels.copy()))
+            labels=None if features is None else labels.copy()))
     model = SpectralReduNet(layers=layers, C=C, freq_shape=freq_shape, k=k, eps=eps,
                             eta=eta, lam=lam, trace=trace, gamma=gamma)
     if cur.off != cur.end:
@@ -340,28 +354,19 @@ def _forms(path, cur, k: int, C: int):
         if form == FACTORED and m_op >= C:
             raise BadArchiveValue(f"{path}: operator {i} is factored over {m_op} columns; "
                                   f"a factored operator has fewer columns than C = {C}")
+    if forms[0] == FACTORED and not forms.all():  # m < C: so has every class
+        raise BadArchiveValue(f"{path}: E is factored, so every class operator must be")
     return forms, labels
 
 
-def _dense_layers(k):
-    """A reader of layers whose operators are all dense: (Ebar, Cbar,
-    features, the arrays read) of the next layer."""
-    def read(cur, grid, C, dtype):
-        Ebar = cur.array((grid, C, C), dtype)
-        Cbar = cur.array((k, grid, C, C), dtype)
-        return Ebar, Cbar, None, (Ebar, Cbar)
-    return read
-
-
-def _factored_layers(labels, k, scale, alpha, alpha_class, forms):
-    """A reader of version-3 layers with factored operators, like `_dense_layers`."""
+def _read_layer(cur, grid, C, k, dtype, forms, labels):
+    """The next layer as stored: its features (None when every operator is
+    dense) and its operators, the k class stacks as one (k, grid, C, C)
+    array when every operator is dense, else E and each C_j in turn, a
+    factored one as its inverse K."""
+    if labels is None:
+        return None, [cur.array((grid, C, C), dtype), cur.array((k, grid, C, C), dtype)]
     sizes = [labels.size, *np.bincount(labels, minlength=k)]
-
-    def read(cur, grid, C, dtype):
-        features = cur.array((grid, C, labels.size), dtype)
-        parts = [cur.array((grid, n, n) if form == FACTORED else (grid, C, C), dtype)
-                 for form, n in zip(forms, sizes)]
-        Ebar, Cbar = _freq.factored_operators(features, labels, parts, [alpha, *alpha_class],
-                                              scale)
-        return Ebar, Cbar, features, [features, *parts]
-    return read
+    features = cur.array((grid, C, labels.size), dtype)
+    return features, [cur.array((grid, n, n) if form == FACTORED else (grid, C, C), dtype)
+                      for form, n in zip(forms, sizes)]

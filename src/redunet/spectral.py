@@ -223,10 +223,10 @@ def group_gradient(Zbar, partition: Partition, eps: float):
     Vt = _spectra(Zbar)
     layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
                               freq_shape=shape[1:])
-    expand = _signals(np.asarray(layer.Ebar) @ Vt, shape)
+    expand = _signals(_freq.dense(layer.Ebar) @ Vt, shape)
     compress = np.empty((partition.k,) + Zbar.shape)
     for j, op in enumerate(layer.Cbar):
-        Wj = np.asarray(op) @ Vt
+        Wj = _freq.dense(op) @ Vt
         Wj[:, :, ~partition.mask(j)] = 0.0
         compress[j] = partition.gamma[j] * _signals(Wj, shape)
     return expand, compress
@@ -355,12 +355,17 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     group-circulant blocks; the inverse transform of each (c, c')
     frequency sequence is the first column of that block, i.e. the kernel
     whose multichannel circular convolution applies the operator. A
-    `_freq.Factored` operator is multiplied back into its stacks first.
+    `_freq.Factored` operator is multiplied out first (`_freq.dense`).
+    ``class_index`` picks C_j for ``which="compress"``: an integer in
+    [0, k), else ValueError.
     """
     if which == "expand":
-        stack = np.asarray(layer.Ebar)
+        stack = _freq.dense(layer.Ebar)
     elif which == "compress":
-        stack = np.asarray(tuple(layer.Cbar)[class_index])
+        k = layer.Cbar.shape[0]
+        if not (isinstance(class_index, (int, np.integer)) and 0 <= class_index < k):
+            raise ValueError(f"class_index must be an integer in [0, {k}), got {class_index!r}")
+        stack = _freq.dense(tuple(layer.Cbar)[class_index])
     else:
         raise ValueError(f"unknown operator kind {which!r}")
     G, C = tuple(layer.freq_shape), stack.shape[1]

@@ -24,14 +24,18 @@ real operators. The model is a `SpectralReduNet` with C = n and
 the smaller Gram side (`_freq.regularized_inverse`): with fewer columns
 than dimensions (say 400 samples of 784-d digits, or one class of them)
 that is the m x m matrix I + alpha Z* Z, by the push-through identity.
-Such an operator is kept in that form, never as an n x n matrix
-(`_freq.Factored`): the layer holds Z once, in class order, and each
-operator's m x m inverse, it steps samples on the sample side (E Z =
-alpha Z K, so the labelled step of Z is one product Z T), and its archive
-stores the same factors (a 784-d layer of 400 samples in two classes
-stores 4.4 MB and, with the class Grams its step reads, holds 5.1 MB, not
-the 14.7 MB of its three 784 x 784 matrices). With at least as many
-columns as dimensions an operator is the dense n x n matrix.
+The layer picks one form for all of its operators, by m < n. With fewer
+samples than dimensions every operator is kept factored, never as an
+n x n matrix (`_freq.Factored`; `_freq.dense` multiplies one out): the
+layer holds Z once, in class order, and each operator's m x m inverse,
+it steps samples on the sample side (E Z = alpha Z K, so the labelled
+step of Z is one product Z T), and its archive stores the same factors
+(a 784-d layer of 400 samples in two classes stores 4.4 MB and, with the
+class Grams its step reads, holds 5.1 MB, not the 14.7 MB of its three
+784 x 784 matrices). Otherwise every operator is the dense n x n matrix,
+a class of fewer than n samples multiplied out from its m_j x m_j side;
+an older archive's mixed layer, factored classes beside a dense E, loads
+in that dense form.
 
 The dense `expansion_operator` and `compression_operators` build the same
 operators one feature matrix at a time; the tests and the selftest keep

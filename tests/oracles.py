@@ -294,8 +294,8 @@ def full_stack(stack, freq_shape):
 
 def full_operators(layer):
     """(E, C): a layer's (F, C, C) and (k, F, C, C) full-spectrum stacks."""
-    return (full_stack(layer.Ebar, layer.freq_shape),
-            np.stack([full_stack(Cj, layer.freq_shape) for Cj in layer.Cbar]))
+    return (full_stack(_freq.dense(layer.Ebar), layer.freq_shape),
+            np.stack([full_stack(_freq.dense(Cj), layer.freq_shape) for Cj in layer.Cbar]))
 
 
 def full_compressions(Vt, layer):
@@ -436,11 +436,17 @@ def _half_normalize_samples(Vt, weight):
     return Vt / norms
 
 
+def same_operators(a, b):
+    """Whether two layers' operators have the same dense stacks, bytes and all."""
+    return (np.array_equal(_freq.dense(a.Ebar), _freq.dense(b.Ebar))
+            and np.array_equal(_freq.dense(a.Cbar), _freq.dense(b.Cbar)))
+
+
 def dense_layer(layer):
     """The same layer with every operator as its dense stack, as the
     unblocked step takes it."""
-    return dataclasses.replace(layer, Ebar=np.asarray(layer.Ebar), Cbar=np.asarray(layer.Cbar),
-                               features=None, labels=None)
+    return dataclasses.replace(layer, Ebar=_freq.dense(layer.Ebar),
+                               Cbar=_freq.dense(layer.Cbar), features=None, labels=None)
 
 
 def unblocked_update_batch(Vt, layer, pi=None):
@@ -541,18 +547,16 @@ def joined_save_model(model):
     parts.append(raw(model.gamma))
     parts.append(struct.pack("<d", alpha))
     parts.append(raw(alpha_class))
-    factored = ([isinstance(op, _freq.Factored) for op in _freq.operators(model.layers[0])]
-                if model.layers else [False] * (model.k + 1))
-    parts.extend(_u32(form) for form in factored)
-    if any(factored):
+    factored = bool(model.layers) and model.layers[0].features is not None
+    parts.extend(_u32(factored) for _ in range(model.k + 1))
+    if factored:
         labels = model.layers[0].labels
         parts.extend([_u32(labels.size), raw(labels, "<u4")])
     dtype = "<f8" if kind == KIND_VECTOR else "<c16"
     for layer in model.layers:
-        if any(factored):
+        if factored:
             parts.append(raw(layer.features, dtype))
-        parts.extend(raw(op.K if isinstance(op, _freq.Factored) else op, dtype)
-                     for op in _freq.operators(layer))
+        parts.extend(raw(op.K if factored else op, dtype) for op in _freq.operators(layer))
     parts.extend([raw(trace), _u32(len(model.layers)), _u32(trace.shape[0])])
     return _sealed(b"".join(parts))
 

@@ -20,7 +20,7 @@ from redunet.spectral import (construct, construct_shift1d, construct_translatio
                               forward_shift1d, forward_translation2d)
 from redunet.vector import construct_vector_net, forward_vector
 
-from oracles import (labels_for, no_class_model, rng_for, with_header_value,
+from oracles import (labels_for, no_class_model, rng_for, same_operators, with_header_value,
                      with_last_operator_value)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -50,23 +50,22 @@ def translation_model(L=2):
 # ------------------------------------------------------------- roundtrips
 
 def test_vector_roundtrip_bit_identical(tmp_path):
-    model, _ = vector_model()
-    path = save_model(model, tmp_path / "m.rnet")
-    back = load_model(path)
-    assert back.C == model.C and back.k == model.k
-    assert (back.eps, back.eta, back.lam) == (model.eps, model.eta, model.lam)
-    assert np.array_equal(back.trace, model.trace)
-    assert np.array_equal(back.gamma, model.gamma)
-    assert len(back.layers) == len(model.layers)
-    for got, want in zip(back.layers, model.layers):
-        assert np.array_equal(got.Ebar, want.Ebar)
-        assert np.array_equal(got.Cbar, want.Cbar)
-        assert got.alpha == want.alpha
-        assert np.array_equal(got.alpha_class, want.alpha_class)
-        # the class Grams the step reads its norms from, formed again on load
-        for a, b in zip(got.Cbar, want.Cbar):
-            if isinstance(b, Factored):
-                assert np.array_equal(a.gram, b.gram)
+    # a dense model (6 samples in 4 dimensions) and a factored one (5 in 6)
+    for model in (vector_model()[0], wide_vector_model()):
+        back = load_model(save_model(model, tmp_path / "m.rnet"))
+        assert back.C == model.C and back.k == model.k
+        assert (back.eps, back.eta, back.lam) == (model.eps, model.eta, model.lam)
+        assert np.array_equal(back.trace, model.trace)
+        assert np.array_equal(back.gamma, model.gamma)
+        assert len(back.layers) == len(model.layers)
+        for got, want in zip(back.layers, model.layers):
+            assert same_operators(got, want)
+            assert got.alpha == want.alpha
+            assert np.array_equal(got.alpha_class, want.alpha_class)
+            # the class Grams the step reads its norms from, formed again on load
+            for a, b in zip(got.Cbar, want.Cbar):
+                if isinstance(b, Factored):
+                    assert np.array_equal(a.gram, b.gram)
 
 
 @pytest.mark.parametrize("maker", [shift_model, translation_model])
@@ -74,8 +73,7 @@ def test_spectral_roundtrip_bit_identical(tmp_path, maker):
     model, _ = maker()
     back = load_model(save_model(model, tmp_path / "m.rnet"))
     for got, want in zip(back.layers, model.layers):
-        assert np.array_equal(got.Ebar, want.Ebar)
-        assert np.array_equal(got.Cbar, want.Cbar)
+        assert same_operators(got, want)
         assert got.freq_shape == tuple(want.freq_shape)
 
 
@@ -213,9 +211,8 @@ def test_non_finite_operator_rejected(tmp_path):
                                          (vector_model, 1)])
 def test_archive_holds_half_spectrum_stacks(tmp_path, maker, half):
     # T = 8 keeps 5 of 8 frequencies, 3 x 4 keeps 3 x 3 of 12; vectors have
-    # one, and the vector model (4 dimensions, classes of 1 and 5 samples)
-    # stores its 6 features and its one-sample class operator factored, as a
-    # 1 x 1 inverse, and E and the other class as 4 x 4 stacks
+    # one; every model has at least C samples, so it stores every operator
+    # dense, the vector model's one-sample class too
     model, _ = maker()
     with open(save_model(model, tmp_path / "m.rnet"), "rb") as fh:
         blob = fh.read()
@@ -223,18 +220,11 @@ def test_archive_holds_half_spectrum_stacks(tmp_path, maker, half):
     C, k = model.C, model.k
     itemsize = 16 if model.freq_shape else 8
     assert all(layer.Ebar.shape == (half, C, C) for layer in model.layers)
-    labels = model.layers[0].labels
-    if maker is vector_model:
-        assert np.bincount(labels).tolist() == [1, 5]
-        labels_bytes = 4 * (1 + 6)
-        layer_bytes = (half * C * 6 + 2 * half * C * C + half * 1 * 1) * itemsize
-    else:
-        assert labels is None
-        labels_bytes = 0
-        layer_bytes = (1 + k) * half * C * C * itemsize
+    assert model.layers[0].labels is None
+    layer_bytes = (1 + k) * half * C * C * itemsize
     assert len(blob) == (8 + 4 * (4 + 1 + len(model.freq_shape)) + 8 * (4 + 2 * k)
-                         + 4 * (k + 1) + labels_bytes
-                         + model.depth * layer_bytes + 24 * len(model.trace) + 8 + 4)
+                         + 4 * (k + 1) + model.depth * layer_bytes + 24 * len(model.trace)
+                         + 8 + 4)
 
 
 def test_writer_removes_its_temporary_file_when_the_block_fails(tmp_path):
@@ -523,11 +513,14 @@ def test_v2_archive_converts_to_a_v3_archive_of_the_same_artifacts(tmp_path, nam
 # order; its forms start at byte 24 + 4 * ndim + 8 * (4 + 2k) = 92, then
 # m at 104 and the labels from 108.
 
-def factored_vector_blob(tmp_path):
+def wide_vector_model():
     rng = rng_for(36)
-    model = construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
-                                 L=2, eta=0.3, eps=0.5)
-    return pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
+    return construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
+                                L=2, eta=0.3, eps=0.5)
+
+
+def factored_vector_blob(tmp_path):
+    return pathlib.Path(save_model(wide_vector_model(), tmp_path / "m.rnet")).read_bytes()
 
 
 def with_u32s(blob, offset, *values):
@@ -564,14 +557,21 @@ def test_inconsistent_v3_header_field_rejected(tmp_path, offset, values, message
 
 
 def test_v3_factored_form_of_an_operator_with_c_columns_rejected(tmp_path):
-    # vector_model's E (6 samples in 4 dimensions) is dense; claiming it
-    # factored asks for a 6 x 6 inverse of an operator of 4 x 4 stacks
-    model, _ = vector_model()
-    blob = pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
-    assert struct.unpack_from("<3I", blob, 92) == (0, 1, 0)
-    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 92, 1))
-    with pytest.raises(BadArchiveValue, match="operator 0 is factored over 6 columns; a factored operator "
-                                              "has fewer columns than C = 4"):
+    # the mixed fixture's E (10 samples in 4 dimensions) is dense; claiming
+    # it factored asks for a 10 x 10 inverse of an operator of 4 x 4 stacks
+    blob = MIXED.read_bytes()
+    assert struct.unpack_from("<4I", blob, 108) == (0, 1, 1, 0)
+    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 108, 1))
+    with pytest.raises(BadArchiveValue, match="operator 0 is factored over 10 columns; a "
+                                              "factored operator has fewer columns than C = 4"):
+        load_model(tmp_path / "m.rnet")
+
+
+def test_v3_factored_e_beside_a_dense_class_operator_rejected(tmp_path):
+    # E on fewer than C columns makes every class operator factored too
+    blob = factored_vector_blob(tmp_path)
+    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 96, 0))
+    with pytest.raises(BadArchiveValue, match="E is factored, so every class operator"):
         load_model(tmp_path / "m.rnet")
 
 
@@ -598,3 +598,55 @@ def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
     assert main(["export-kernel", str(tmp_path / "m.rnet"), "--out", str(tmp_path / "k")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown operator form 3" in err
+
+
+# ------------------------------------------- version 3 archives of mixed layers
+#
+# Written by the version-3 writer before a layer took one operator form:
+# v3_mixed_vector.rnet is `save_model(mixed_vector_model())`, classes of 2, 3
+# and 5 samples in 4 dimensions, whose layers held E and class 2 dense beside
+# classes 0 and 1 factored (forms 0, 1, 1, 0 at byte 108, then m = 10 and
+# the labels, so layer 0 starts at byte 168). Each layer loads as a dense
+# one.
+
+MIXED = FIXTURES / "v3_mixed_vector.rnet"
+# SHA-256 of each layer's (3, 1, 4, 4) class stacks as that writer's code
+# multiplied them out on load (`np.asarray(layer.Cbar)`)
+MIXED_CLASS_STACKS = ["55eaf6d1d4f068ba67332f40e50bcad28c2c9e56774c813caf8a76198f2d7f25",
+                      "5ae04525200ecdd97d49827b9159a3d34c545467afa82176a2c489ba259d709e"]
+
+
+def mixed_vector_model():
+    rng = rng_for(38)
+    X = rng.standard_normal((4, 10))
+    labels = rng.permutation(np.repeat([0, 1, 2], [2, 3, 5]))
+    return construct_vector_net(X, Partition(labels), L=2, eta=0.3, eps=0.5)
+
+
+def test_v3_mixed_archive_loads_as_dense_layers(tmp_path):
+    back = load_model(MIXED)
+    assert struct.unpack_from("<4I", MIXED.read_bytes(), 108) == (0, 1, 1, 0)
+    for layer, digest in zip(back.layers, MIXED_CLASS_STACKS, strict=True):
+        assert all(isinstance(op, np.ndarray) for op in (layer.Ebar, layer.Cbar))
+        assert layer.features is None and layer.labels is None
+        assert hashlib.sha256(layer.Cbar.tobytes()).hexdigest() == digest
+    # layer 0 is the dense layer a construction builds now from the same features
+    assert same_operators(back.layers[0], mixed_vector_model().layers[0])
+    # and it resaves with k+1 dense forms, to the same stacks
+    blob = pathlib.Path(save_model(back, tmp_path / "m.rnet")).read_bytes()
+    assert struct.unpack_from("<4I", blob, 108) == (0, 0, 0, 0)
+    for got, want in zip(load_model(tmp_path / "m.rnet").layers, back.layers, strict=True):
+        assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
+
+
+def test_v3_mixed_archive_with_a_non_hermitian_factored_inverse_rejected(tmp_path):
+    # layer 0: the 4 x 10 features, E's 4 x 4 stack, then class 0's 2 x 2
+    # inverse, whose entry (0, 1) this moves off its mirror (1, 0)
+    blob = bytearray(MIXED.read_bytes())
+    at = 168 + 8 * (4 * 10 + 4 * 4) + 8
+    struct.pack_into("<d", blob, at, struct.unpack_from("<d", blob, at)[0] + 1e-3)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[8:-4]))
+    (tmp_path / "m.rnet").write_bytes(bytes(blob))
+    with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
+                                              "not Hermitian"):
+        load_model(tmp_path / "m.rnet")

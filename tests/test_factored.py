@@ -1,12 +1,13 @@
 """Layers whose operators stay factored on their sample-side Gram.
 
-An operator built from fewer columns than C is held as the layer's
-features and an m_op x m_op inverse (`_freq.Factored`); these tests check
-that the layer step applies it as its dense stack would, that the stack it
-stands for has the exact bytes of `_freq.regularized_inverse`, and that it
-costs the step a bounded number of blocks; and that the sample-side
-kernels of all-factored layers (`_freq._built_step`, `_freq._factored_step`)
-and their norm fallback agree with the dense oracle.
+A layer of fewer samples than C holds every operator as its features and
+an m_op x m_op inverse (`_freq.Factored`); these tests check that the layer
+step applies them as their dense stacks would, that the stacks they stand
+for (`_freq.dense`) have the exact bytes of `_freq.regularized_inverse`, as
+do the stacks of a dense layer with a class of fewer than C samples, and
+that a factored step costs a bounded number of blocks; and that the
+sample-side kernels (`_freq._built_step`, `_freq._factored_step`) and their
+norm fallback agree with the dense oracle.
 """
 
 import tracemalloc
@@ -21,9 +22,9 @@ from redunet.spectral import _spectra
 
 from oracles import dense_layer, unblocked_update_batch
 
-# (G, C, class counts): every operator factored (real, then complex), and
-# layers that mix both forms: E and class 1 on their C x C side, class 0
-# on its 2 x 2 side
+# (G, C, class counts): factored layers (real, then complex), and dense
+# layers of at least C samples whose class 0 of 2 samples is factored on its
+# 2 x 2 side and multiplied out
 CASES = [((), 9, (2, 4)), ((5,), 6, (2, 3)), ((), 5, (2, 6)), ((3, 4), 4, (2, 6))]
 
 
@@ -46,13 +47,8 @@ def relative(got, want):
 @pytest.mark.parametrize("G, C, counts", CASES)
 def test_factored_apply_equals_dense_apply(G, C, counts):
     layer, _, P, rng = factored_case(41, G, C, counts)
-    assert isinstance(layer.Cbar, _freq.OperatorStack)
     dense = dense_layer(layer)
     V = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, 7))))
-    shape = (P.k + 1, *V.shape)
-    got = _freq.compressions(V, layer, np.empty(shape, dtype=V.dtype))
-    want = _freq.compressions(V, dense, np.empty(shape, dtype=V.dtype))
-    assert relative(got, want) <= 1e-12
     for pi in (None, np.full((P.k, V.shape[-1]), 1.0 / P.k)):
         assert relative(_freq.update_batch(V, layer, pi),
                         _freq.update_batch(V, dense, pi)) <= 1e-12
@@ -64,30 +60,28 @@ def test_dense_stack_of_a_factored_operator_is_regularized_inverse(G, C, counts,
     layer, Vt, P, _ = factored_case(42, G, C, counts, sort)
     scale = float(np.prod(G))
     forms = [isinstance(op, _freq.Factored) for op in _freq.operators(layer)]
-    assert forms == [P.m < C, *(c < C for c in counts)]
+    assert forms == [P.m < C] * (P.k + 1)  # one form, a class of 2 < C samples or not
     want = _freq.regularized_inverse(Vt, layer.alpha, scale)[0]
-    assert np.array_equal(np.asarray(layer.Ebar), want)
+    assert np.array_equal(_freq.dense(layer.Ebar), want)
     for j, op in enumerate(layer.Cbar):
         want = _freq.regularized_inverse(Vt[:, :, P.mask(j)], layer.alpha_class[j], scale)[0]
-        assert np.array_equal(np.asarray(op), want)
-        assert np.array_equal(layer.Cbar[j], want)
+        assert np.array_equal(_freq.dense(op), want)
+        assert np.array_equal(_freq.dense(layer.Cbar)[j], want)
 
 
 @pytest.mark.parametrize("G, C, counts", CASES)
 def test_operator_bytes_are_the_bytes_the_layer_holds(G, C, counts):
     layer, Vt, P, _ = factored_case(43, G, C, counts)
     ops = _freq.operators(layer)
-    # the features once, every factored operator's K, a factored class
-    # operator's Gram, and every dense stack
-    held = layer.features.nbytes + sum(
-        op.K.nbytes + (0 if op.gram is None else op.gram.nbytes)
-        if isinstance(op, _freq.Factored) else op.nbytes for op in ops)
-    assert all((op.gram is not None) == (j > 0) for j, op in enumerate(ops)
-               if isinstance(op, _freq.Factored))
+    if layer.features is None:  # a dense layer: its stacks
+        held = sum(op.nbytes for op in ops)
+    else:  # the features once, every K and every class Gram: less than the stacks
+        held = layer.features.nbytes + sum(
+            op.K.nbytes + (0 if op.gram is None else op.gram.nbytes) for op in ops)
+        assert all((op.gram is not None) == (j > 0) for j, op in enumerate(ops))
+        assert held < (P.k + 1) * _freq.dense(layer.Ebar).nbytes
     assert layer.Ebar.nbytes + layer.Cbar.nbytes == held
     assert layer.Cbar.shape[0] == P.k
-    if all(isinstance(op, _freq.Factored) for op in ops):  # less than the dense stacks
-        assert held < (P.k + 1) * np.asarray(layer.Ebar).nbytes
 
 
 def test_factored_step_holds_a_few_blocks_whatever_m_is(monkeypatch):
@@ -147,12 +141,13 @@ def test_class_norm_past_the_cancellation_bound_is_taken_directly(monkeypatch):
                               freq_shape=())
     v = _freq.normalize_samples(X @ rng.standard_normal((32, 8)) / 10
                                 + 0.1 * rng.standard_normal((64, 8)))[None]
-    direct = []
-    apply = _freq.Factored.apply
-    monkeypatch.setattr(_freq.Factored, "apply",
-                        lambda op, *args: direct.append(op) or apply(op, *args))
+    norms = []  # the stacks whose squared norms the one block takes
+    squared_norms = _freq._squared_norms
+    monkeypatch.setattr(_freq, "_squared_norms",
+                        lambda V, *args, **kw: norms.append(V) or squared_norms(V, *args, **kw))
     got = _freq.update_batch(v, layer)
-    assert direct  # some class of the block took its norms from C_j v
+    # besides the block's own norms and its output's, some class's C_j v
+    assert len(norms) > 2
     assert np.max(np.abs(got - unblocked_update_batch(v, dense_layer(layer)))) < 1e-12
 
 
@@ -160,9 +155,9 @@ def test_zero_sample_raises_from_every_kernel():
     # a zero sample steps to zero under every kernel; the built step meets
     # it in the features themselves, which its factors then map to zero
     dense, _, P, rng = factored_case(47, (3,), 2, (3, 4), sort=True)
-    mixed, _, _, _ = factored_case(47, (), 5, (2, 6), sort=True)
+    tall, _, _, _ = factored_case(47, (), 5, (2, 6), sort=True)
     wide, _, _, _ = factored_case(47, (), 9, (2, 4), sort=True)
-    for layer in (dense, mixed, wide):
+    for layer in (dense, tall, wide):
         F_h, C = layer.Ebar.shape[:2]
         V = _spectra(_freq.normalize_samples(rng.standard_normal((C, *layer.freq_shape, 5))))
         V[..., 3] = 0.0
@@ -179,6 +174,18 @@ def test_zero_sample_raises_from_every_kernel():
     assert layer.features is Vt
     with pytest.raises(ZeroVector):
         _freq.update_batch(Vt, layer, P.onehot())
+
+
+def test_stray_asarray_of_a_factored_operator_raises_naming_dense():
+    # a factored operator has no array of its own: its stacks come only
+    # from `_freq.dense`, never from a silent conversion or an object array
+    layer, _, _, _ = factored_case(50, (5,), 6, (2, 3))
+    for op in (layer.Ebar, layer.Cbar, *layer.Cbar):
+        with pytest.raises(TypeError, match="_freq.dense"):
+            np.asarray(op)
+        with pytest.raises(TypeError):
+            op[0]
+    assert _freq.dense(layer.Cbar).shape == (2, 3, 6, 6)
 
 
 @pytest.mark.parametrize("G, C, counts", [((), 9, (2, 4)), ((5,), 6, (2, 3))])

@@ -27,8 +27,8 @@ from redunet.vector import compression_operators, construct_vector_net, expansio
 from oracles import (dense_layer, dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
                      labels_for, orbit_subspaces, repeat_labels, roll_orbit,
-                     roll_orthogonal_fraction, slice_build_layer, unblocked_update_batch,
-                     with_header)
+                     roll_orthogonal_fraction, same_operators, slice_build_layer,
+                     unblocked_update_batch, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,10 +118,10 @@ BLOCK_EDGES = {"one": lambda b: 1, "short": lambda b: max(b - 1, 1), "exact": la
                "past": lambda b: b + 1, "two_plus_three": lambda b: 2 * b + 3}
 
 
-# operator forms of a layer, as (C, class counts) from a draw of k classes:
-# every operator dense (each class of at least C samples), every one
-# factored (fewer samples than C in all), or mixed (E dense, class 0 of one
-# sample factored)
+# layer shapes, as (C, class counts) from a draw of k classes: every class
+# of at least C samples, fewer samples than C in all, or at least C samples
+# with class 0 of one sample; the first and last make dense layers (m >= C),
+# the second a factored one
 LAYER_FORMS = {
     "dense": lambda C, k: (C, [C + j % 2 for j in range(k)]),
     "factored": lambda C, k: (2 * k + C, [1 + j % 2 for j in range(k)]),
@@ -167,8 +167,7 @@ def test_blocked_layer_step_equals_unblocked_oracle(G, C, b, edge, k, form, kind
     Vt0 = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, P.m))))
     layer = _freq.build_layer(Vt0, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
     forms = [isinstance(op, _freq.Factored) for op in _freq.operators(layer)]
-    assert forms == {"dense": [False] * (k + 1), "factored": [True] * (k + 1),
-                     "mixed": [False, True] + [False] * (k - 1)}[form]
+    assert forms == [form == "factored"] * (k + 1)
     m = BLOCK_EDGES[edge](b)
     Vt = _spectra(_freq.normalize_samples(rng.standard_normal((C, *G, m))))
     pi = membership_of(kind, k, m, rng)
@@ -240,8 +239,8 @@ def stack_of_counts(seed, C, G, counts):
 
 
 # C = 4 with classes of 2 and 6 samples factors the expansion and class 1 on
-# the C x C side and class 0 on its m_j x m_j side; C = 6 with 2 and 3
-# samples factors every operator on the sample side
+# the C x C side and class 0 on its m_j x m_j side, multiplied out; C = 6
+# with 2 and 3 samples factors every operator on the sample side
 @pytest.mark.parametrize("G", [(), (5,), (3, 4)])
 @pytest.mark.parametrize("C, counts", [(4, (2, 6)), (6, (2, 3))])
 def test_batched_build_layer_equals_per_slice_oracle(G, C, counts):
@@ -249,11 +248,36 @@ def test_batched_build_layer_equals_per_slice_oracle(G, C, counts):
     Vt = _spectra(_freq.normalize_samples(Zbar))
     got = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
     want = slice_build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
-    assert np.array_equal(got.Ebar, want.Ebar)
-    assert np.array_equal(got.Cbar, want.Cbar)
+    assert np.array_equal(_freq.dense(got.Ebar), want.Ebar)
+    assert np.array_equal(_freq.dense(got.Cbar), want.Cbar)
     objective = np.array(_freq.spectral_components(Vt, P, 0.5, G))
     assert np.max(np.abs(np.array(got.components) - objective)) <= 1e-12 * np.max(
         np.abs(objective))
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=any_group, C=st.integers(1, 6),
+       counts=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=(), C=4, counts=[1, 5], seed=0)  # m > C, a class of one sample
+@example(G=(3,), C=5, counts=[2, 3], seed=1)  # m = C
+@example(G=(2, 3), C=6, counts=[2, 3], seed=2)  # m < C
+def test_layer_takes_one_operator_form_chosen_by_m_below_c(G, C, counts, seed):
+    # m < C: every operator Factored; else every one a dense stack, a class
+    # of fewer than C samples multiplied out; either way every operator's
+    # dense stack has the bytes of `regularized_inverse`
+    Zbar, P = stack_of_counts(seed, C, G, counts)
+    Vt = _spectra(_freq.normalize_samples(Zbar))
+    layer = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G)
+    form = _freq.Factored if P.m < C else np.ndarray
+    assert all(isinstance(op, form) for op in _freq.operators(layer))
+    assert (layer.features is None) == (form is np.ndarray)
+    scale = float(np.prod(G))
+    assert np.array_equal(_freq.dense(layer.Ebar),
+                          _freq.regularized_inverse(Vt, layer.alpha, scale)[0])
+    for j, op in enumerate(layer.Cbar):
+        want = _freq.regularized_inverse(Vt[:, :, P.mask(j)], layer.alpha_class[j], scale)[0]
+        assert np.array_equal(_freq.dense(op), want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -306,7 +330,7 @@ def test_worker_count_leaves_construct_and_forward_bytes_alone(G, C, b, edge, k,
     assert np.array_equal(one.carry_features, many.carry_features)
     assert np.array_equal(one.trace, many.trace)
     for a, c in zip(one.layers, many.layers):
-        assert np.array_equal(a.Ebar, c.Ebar) and np.array_equal(a.Cbar, c.Cbar)
+        assert same_operators(a, c)
     outs = [run_on_workers(w, b, F_h, C, forward, one, x) for w in (1, 3)]
     assert np.array_equal(*outs)
 
@@ -329,8 +353,7 @@ def test_archive_roundtrip_is_bit_exact(G, C, m, L, k, seed):
     assert np.array_equal(back.gamma, model.gamma)
     for got, want in zip(back.layers, model.layers):
         assert got.freq_shape == want.freq_shape
-        assert np.array_equal(got.Ebar, want.Ebar)
-        assert np.array_equal(got.Cbar, want.Cbar)
+        assert same_operators(got, want)
         assert got.alpha == want.alpha and np.array_equal(got.alpha_class, want.alpha_class)
 
 
@@ -448,13 +471,14 @@ def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k,
     P = Partition(labels_for(m, k, rng))
     layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
     Z = _freq.normalize_samples(rng.standard_normal((n, b)))[None]
-    CZ = _freq.compressions(Z, layer, np.empty((k + 1, 1, n, b)))[1:]  # its own projections
-    pi = _freq.membership(CZ, layer.lam, _freq.half_weights(()))
-    got, want = _freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi)
-    if isinstance(layer.Ebar, _freq.Factored):  # all factored: norms read off the m side
+    if isinstance(layer.Ebar, _freq.Factored):  # norms read off the m side
+        pi = _freq.membership(_freq.dense(layer.Cbar) @ Z, layer.lam, _freq.half_weights(()))
+        got, want = _freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi)
         assert np.max(np.abs(got - want)) < 1e-12
-    else:
-        assert np.array_equal(got, want)
+    else:  # its own projections
+        CZ = _freq.compressions(Z, layer, np.empty((k + 1, 1, n, b)))[1:]
+        pi = _freq.membership(CZ, layer.lam, _freq.half_weights(()))
+        assert np.array_equal(_freq.update_batch(Z, layer), _freq.update_batch(Z, layer, pi))
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,20 +635,26 @@ def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(flips, cut, header
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-# the committed archives of the older versions, whose layers store every
-# operator dense
-OLD_BLOBS = {path.name: path.read_bytes() for path in sorted(FIXTURES.glob("v[12]_*.rnet"))}
+# the committed archives of the older writers: versions 1 and 2, whose
+# layers store every operator dense, and version 3 of mixed layers
+OLD_BLOBS = {path.name: path.read_bytes() for path in [*sorted(FIXTURES.glob("v[12]_*.rnet")),
+                                                        FIXTURES / "v3_mixed_vector.rnet"]}
 
 
 def fields_before_the_layers(blob):
     """Bytes of an old archive from its magic up to its first layer: version
-    1 also holds the depth and the trace there."""
+    1 also holds the depth and the trace there, version 3 the operator
+    forms and the labels."""
     version, kind, k = struct.unpack_from("<III", blob, 8)
     if version == 1:
         trace_rows, ndim = struct.unpack_from("<II", blob, 24)
         return 32 + 4 * ndim + 8 * (4 + 2 * k) + 24 * trace_rows
     ndim = struct.unpack_from("<I", blob, 20)[0]
-    return 24 + 4 * ndim + 8 * (4 + 2 * k)
+    end = 24 + 4 * ndim + 8 * (4 + 2 * k)
+    if version == 3:  # the forms, then m and the labels (the fixture's are not all dense)
+        end += 4 * (k + 1)
+        end += 4 * (1 + struct.unpack_from("<I", blob, end)[0])
+    return end
 
 
 @settings(max_examples=300, deadline=None)
@@ -636,6 +666,10 @@ def fields_before_the_layers(blob):
 @example(name="v2_vector.rnet", flips=[(20, 1)], cut=None, header=True, reseal=True)  # ndim
 @example(name="v2_shift.rnet", flips=[], cut=20, header=False, reseal=True)  # cut in the dims
 @example(name="v1_vector.rnet", flips=[], cut=100, header=False, reseal=False)
+@example(name="v3_mixed_vector.rnet", flips=[(120, 1)], cut=None, header=True,
+         reseal=True)  # class 2 factored, over 5 >= C columns
+@example(name="v3_mixed_vector.rnet", flips=[(128, 2)], cut=None, header=True,
+         reseal=True)  # a label of class 0 moved to class 2
 def test_flipped_or_cut_v1_or_v2_archive_loads_or_raises_data_error(name, flips, cut, header,
                                                                   reseal):
     # ``header`` moves every flip into the fields before the first layer;
@@ -704,7 +738,7 @@ def test_archive_cut_at_a_layer_boundary_loads_those_layers_or_raises_data_error
     if honest:
         assert back.depth == cut and np.array_equal(back.trace, model.trace)
         for got, want in zip(back.layers, model.layers):
-            assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
+            assert same_operators(got, want)
 
 
 # ------------------------------------------------------ config files

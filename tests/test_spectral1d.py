@@ -528,6 +528,18 @@ def test_kernel_applies_operator_by_convolution():
         assert np.max(np.abs(conv - expected)) < 1e-9
 
 
+@pytest.mark.parametrize("class_index", [-1, 2, 1.0, "0", None])
+def test_kernel_rejects_a_class_index_outside_the_classes(class_index):
+    # a 3-channel shift model of k = 2 classes; -1 would silently pick class
+    # 1, 2 raise a bare IndexError and 1.0 a TypeError
+    rng = rng_for(97)
+    model = construct_shift1d(rng.standard_normal((3, 8, 6)), Partition([0, 1, 0, 1, 1, 0]),
+                              L=1, eta=0.3, eps=0.5)
+    with pytest.raises(ValueError, match=r"class_index must be an integer in \[0, 2\)"):
+        kernel_extract(model.layers[0], "compress", class_index)
+    assert kernel_extract(model.layers[0], "compress", np.int64(1)).shape == (3, 3, 8)
+
+
 def test_kernel_of_scaled_identity_operator_is_delta():
     layer = spectral_operators(dft(np.zeros((2, 6, 3)), 1), Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p) = alpha I for every p -> kernel alpha * delta

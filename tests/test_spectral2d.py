@@ -380,6 +380,14 @@ def test_kernel_applies_operator_by_convolution():
         assert np.max(np.abs(conv - expected)) < 1e-9
 
 
+def test_kernel_rejects_a_class_index_outside_the_classes():
+    Zbar, labels = image_stack(24)
+    model = construct_translation2d(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
+    for class_index in (-1, 2, 1.0):
+        with pytest.raises(ValueError, match="class_index must be an integer"):
+            kernel_extract_2d(model.layers[0], "compress", class_index)
+
+
 def test_kernel_of_scaled_identity_operator_is_delta():
     V = dft(np.zeros((2, 3, 4, 3)), 2)
     layer = spectral_operators(V, Partition(np.array([0, 0, 1])), 0.5)

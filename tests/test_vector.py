@@ -3,6 +3,7 @@ import pytest
 
 from redunet.classify import fit_subspaces, predict
 from redunet.errors import ZeroVector
+from redunet import _freq
 from redunet.rate import Partition, RateParams, rate_components, rate_reduction
 from redunet.spectral import construct_shift1d, group_rate_components
 from redunet._freq import membership, normalize_samples, update_batch
@@ -143,12 +144,30 @@ def test_hard_label_layer_equals_gradient_ascent_step():
     assert np.linalg.norm(model.features - expected) < 1e-10
 
 
-@pytest.mark.parametrize("n, counts", [
+GRADIENT_SHAPES = [
     (40, (6, 9, 5)),      # wide: every operator factored
     (6, (20, 30, 25)),    # tall: every operator dense
-    (12, (20, 7, 15)),    # mixed: E dense, a class smaller than n factored
+    (12, (20, 7, 15)),    # m >= n: every operator dense, a class smaller than n too
     (784, (14, 16, 10)),  # wide, at the digits' dimension
-])
+]
+
+
+@pytest.mark.parametrize("n, counts", GRADIENT_SHAPES)
+def test_vector_layer_takes_one_form_chosen_by_m_below_n(n, counts):
+    # every operator Factored when m < n, else every one a dense n x n
+    # matrix, the bytes of the dense reference operators either way
+    rng = rng_for(n + len(counts))
+    X = rng.standard_normal((n, sum(counts)))
+    P = Partition(np.repeat(np.arange(3), counts))  # in class order, as the layer holds it
+    layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
+    Z = normalize_samples(X)
+    form = _freq.Factored if P.m < n else np.ndarray
+    assert all(isinstance(op, form) for op in _freq.operators(layer))
+    assert np.array_equal(_freq.dense(layer.Ebar)[0], expansion_operator(Z, 0.5))
+    assert np.array_equal(_freq.dense(layer.Cbar)[:, 0], compression_operators(Z, P, 0.5))
+
+
+@pytest.mark.parametrize("n, counts", GRADIENT_SHAPES)
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
 def test_rate_gradient_equals_dense_solve_oracle(n, counts, eps):
     # the engine's rank-0 gradient against the dense n x n solves, on
@@ -305,5 +324,6 @@ def test_engine_equals_vector_loop_oracle(n, m, use_labels):
     # of the samples, which the loop holds in class order
     order = np.argsort(P.labels, kind="stable")
     Z0, P0 = normalize_samples(X)[:, order], Partition(P.labels[order])
-    assert np.array_equal(model.layers[0].Ebar[0], expansion_operator(Z0, 0.5))
-    assert np.array_equal(model.layers[0].Cbar[:, 0], compression_operators(Z0, P0, 0.5))
+    layer = model.layers[0]
+    assert np.array_equal(_freq.dense(layer.Ebar)[0], expansion_operator(Z0, 0.5))
+    assert np.array_equal(_freq.dense(layer.Cbar)[:, 0], compression_operators(Z0, P0, 0.5))

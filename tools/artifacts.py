@@ -32,6 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import digits  # noqa: E402
 import workloads  # noqa: E402
+from redunet import _freq  # noqa: E402
 from redunet.harness.archive import load_model  # noqa: E402
 from redunet.harness.config import load_config  # noqa: E402
 from redunet.harness.csvio import read_csv  # noqa: E402
@@ -93,8 +94,8 @@ def _numbers(path):
         model = load_model(path)
         parts = [np.asarray(model.trace, dtype=np.float64).ravel()]
         for layer in model.layers:
-            for op in (layer.Ebar, layer.Cbar):  # factored operators multiplied back
-                op = np.asarray(op)
+            for op in (layer.Ebar, layer.Cbar):  # factored operators multiplied out
+                op = _freq.dense(op)
                 parts.append(op.ravel().view(np.float64) if np.iscomplexobj(op)
                              else op.ravel())
         return np.concatenate(parts)
