@@ -88,16 +88,16 @@ fresh array holds its output as well.
 
 Workers. The blocks are independent, so `update_batch` shares them out
 over W = `thread_count()` workers (``REDUNET_THREADS``, else the usable
-CPUs): the calling thread and W - 1 threads of a module-level pool, made
-on first use and made again in a forked child. Worker w steps blocks w,
-w + W, ... The block partition depends on m, F_h and C only, never on W,
-and every block is computed the same way on any thread, so the output has
-the same bytes for any worker count. The caller allocates every worker's
-product buffer before dispatch, so the largest allocations do not land in
-the malloc arenas of the pool's threads. A step of the trivial group,
-whose wide products BLAS already spreads over the cores, and a step of
-one block run on the calling thread alone. An error in a worker (a
-zero-norm sample) reaches the caller unchanged.
+CPUs): the calling thread and W - 1 helper threads, which the step starts
+and joins before it returns. Worker w steps blocks w, w + W, ... The
+block partition depends on m, F_h and C only, never on W, and every block
+is computed the same way on any thread, so the output has the same bytes
+for any worker count. The caller allocates every worker's product buffer
+before dispatch, so the largest allocations do not land in the malloc
+arenas of the helper threads. A step of the trivial group, whose wide
+products BLAS already spreads over the cores, and a step of one block run
+on the calling thread alone. An error in a worker (a zero-norm sample)
+reaches the caller unchanged.
 
 Factorization. Every operator is factored for all F_h frequencies at
 once: `build_layer` makes k+1 batched calls of `rate.hermitian_inverse`,
@@ -150,7 +150,6 @@ _TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group
 # 1e-12 of the one from C_j v itself
 _NORM_CANCELLATION = 3e3
 _WORKERS = None  # workers of the layer step; None: `thread_count()`
-_POOL = None  # (threads, ThreadPoolExecutor) of `_pool`, made on first use
 
 
 @dataclass
@@ -538,7 +537,7 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     values = _UPDATE_BLOCK_VALUES if layer.freq_shape else _TRIVIAL_BLOCK_VALUES
     b = max(1, values // (F_h * C))
     blocks = [slice(s, s + b) for s in range(0, m, b)]
-    workers = 1 if not layer.freq_shape or len(blocks) == 1 else min(_workers(), len(blocks))
+    workers = min(_WORKERS or thread_count(), len(blocks)) if layer.freq_shape else 1
     step, held = _kernel(Vt, layer, pi, weight)
     bufs = np.empty((workers, held, F_h, C, min(b, m)), dtype=dtype)
 
@@ -546,17 +545,19 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
         for block in blocks[w::workers]:
             step(block, bufs[w], out)
 
-    helpers = []
-    if workers > 1:
-        pool = _pool()
-        helpers = [pool.submit(run, w) for w in range(1, workers)]
-    try:
+    if workers <= 1:
+        run(0)
+        return out
+    # imported here, so that a process that never shares out a step (the
+    # vector network's) does not load the module
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block joins every helper, even when worker 0 failed
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="redunet-step") as helpers:
+        tasks = [helpers.submit(run, w) for w in range(1, workers)]
         run(0)  # the calling thread is worker 0
-    finally:  # no helper outlives the step, even when worker 0 failed
-        errors = [task.exception() for task in helpers]
-    for error in errors:
-        if error is not None:
-            raise error
+    for task in tasks:
+        task.result()
     return out
 
 
@@ -697,35 +698,6 @@ def thread_count() -> int:
     if not (raw.isdecimal() and int(raw) > 0):
         raise ConfigError(f"REDUNET_THREADS must be a positive integer, got {raw!r}")
     return min(int(raw), cpus)
-
-
-def _workers() -> int:
-    return thread_count() if _WORKERS is None else _WORKERS
-
-
-def _pool():
-    """The module's pool of the `_workers` - 1 threads that work beside the
-    calling thread, made on first use."""
-    # imported here, so that a process that never shares out a step (the
-    # vector network's) does not load the module
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _POOL
-    n = _workers() - 1
-    if _POOL is None or _POOL[0] != n:
-        if _POOL is not None:
-            _POOL[1].shutdown(wait=False)
-        _POOL = (n, ThreadPoolExecutor(n, thread_name_prefix="redunet-step"))
-    return _POOL[1]
-
-
-def _forget_pool():
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,

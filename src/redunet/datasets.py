@@ -180,11 +180,7 @@ def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     if X.ndim not in (2, 3):
         raise ValueError("expected (m, n) signals or (m, H, W) images")
     shifts = list(itertools.product(*(range(0, n, stride) for n in X.shape[1:])))
-    axes = tuple(range(1, X.ndim))
-    stacked = np.stack([np.roll(X, s, axis=axes) for s in shifts], axis=1)
-    samples = stacked.reshape((-1,) + X.shape[1:])
-    labels = np.repeat(dataset.labels, len(shifts))
-    return LabeledDataset(samples, labels, dataset.seed, f"{dataset.kind}+shift{stride}")
+    return _rolled(dataset, shifts, tuple(range(1, X.ndim)), f"shift{stride}")
 
 
 def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
@@ -195,8 +191,14 @@ def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
     gamma = X.shape[1]
     if steps < 1 or gamma % steps != 0:
         raise StepsNotDividingGamma(f"{steps} steps do not divide {gamma} angle bins")
-    inc = gamma // steps
-    stacked = np.stack([np.roll(X, s * inc, axis=1) for s in range(steps)], axis=1)
+    return _rolled(dataset, range(0, gamma, gamma // steps), 1, f"rot{steps}")
+
+
+def _rolled(dataset: LabeledDataset, shifts, axis, suffix: str) -> LabeledDataset:
+    """Every sample replaced by its rolls by each of ``shifts`` along
+    ``axis``, contiguous, and the dataset's kind suffixed with ``suffix``."""
+    X = dataset.samples
+    stacked = np.stack([np.roll(X, s, axis=axis) for s in shifts], axis=1)
     samples = stacked.reshape((-1,) + X.shape[1:])
-    labels = np.repeat(dataset.labels, steps)
-    return LabeledDataset(samples, labels, dataset.seed, f"{dataset.kind}+rot{steps}")
+    labels = np.repeat(dataset.labels, len(shifts))
+    return LabeledDataset(samples, labels, dataset.seed, f"{dataset.kind}+{suffix}")

@@ -23,6 +23,17 @@ from .experiments import eval_experiment, export_kernels, run_experiment
 from .selftest import run_selftest
 
 _EXPERIMENT_COMMANDS = {"construct", "eval", "augment-eval"}
+# config key -> (metavar, help) of the flag --key that overrides it
+_OVERRIDE_FLAGS = {
+    "seed": ("N", "base RNG seed"),
+    "layers": ("L", "number of layers"),
+    "eta": ("X", "layer step size"),
+    "eps": ("X", "rate distortion precision"),
+    "lambda": ("X", "membership sharpness"),
+    "channels": ("C", "lifting channel count"),
+    "stride": ("S", "augmentation shift stride"),
+    "energy": ("E", "classifier energy threshold"),
+}
 
 
 def _add_common_flags(p):
@@ -30,21 +41,12 @@ def _add_common_flags(p):
     p.add_argument("--out", metavar="DIR", default="redunet-out",
                    help="output directory (default: %(default)s)")
     # override values stay strings here; load_config casts and validates
-    p.add_argument("--seed", metavar="N", help="base RNG seed")
-    p.add_argument("--layers", metavar="L", help="number of layers")
-    p.add_argument("--eta", metavar="X", help="layer step size")
-    p.add_argument("--eps", metavar="X", help="rate distortion precision")
-    p.add_argument("--lambda", dest="lam", metavar="X", help="membership sharpness")
-    p.add_argument("--channels", metavar="C", help="lifting channel count")
-    p.add_argument("--stride", metavar="S", help="augmentation shift stride")
-    p.add_argument("--energy", metavar="E", help="classifier energy threshold")
+    for key, (metavar, text) in _OVERRIDE_FLAGS.items():
+        p.add_argument(f"--{key}", metavar=metavar, help=text)
 
 
 def _overrides(args) -> dict:
-    values = {"seed": args.seed, "layers": args.layers, "eta": args.eta,
-              "eps": args.eps, "lambda": args.lam, "channels": args.channels,
-              "stride": args.stride, "energy": args.energy}
-    return {key: raw for key, raw in values.items() if raw is not None}
+    return {key: raw for key in _OVERRIDE_FLAGS if (raw := getattr(args, key)) is not None}
 
 
 def _build_parser():

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..rate import RateParams
 
 KINDS = ("gauss2d", "gauss3d", "signals1d", "mnist-rotation",
          "mnist-translation", "custom-vector")
@@ -79,6 +80,13 @@ def _energy(raw, key):
     return value
 
 
+def _eps(raw, key):
+    try:
+        return RateParams(_float(raw, key, positive=True)).eps
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _bool(raw, key):
     text = str(raw).strip().lower()
     if text in ("1", "true", "yes", "on"):
@@ -115,7 +123,7 @@ def _path(raw, key):
 _CASTERS = {
     "layers": lambda v, k: _int(v, k, minimum=0),
     "eta": lambda v, k: _float(v, k, positive=True),
-    "eps": lambda v, k: _float(v, k, positive=True),
+    "eps": _eps,
     "lambda": lambda v, k: _float(v, k, positive=True),
     "seed": lambda v, k: _int(v, k, minimum=0),
     "energy": _energy,

@@ -438,9 +438,10 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
 def _keep_archive(model, archive_path, path):
     """Put the evaluated model's archive at ``path``.
 
-    A current-version input is copied as it is, which is byte for byte what
-    re-serializing the loaded model would write; an older one is converted
-    by `save_model`. Like the writer, the copy appears only once complete.
+    A current-version input is copied as it is, though re-serializing the
+    loaded model may write other bytes (a version-3 layer of mixed operator
+    forms loads and resaves dense); an older one is converted by
+    `save_model`. Like the writer, the copy appears only once complete.
     """
     if archive_version(archive_path) != VERSION:
         save_model(model, path)

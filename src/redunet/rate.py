@@ -23,6 +23,7 @@ own factorizations. The gradient is the engine's: `spectral.group_gradient`,
 `vector.rate_gradient` for a feature matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,19 +105,29 @@ class Partition:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Distortion parameter and the coefficients derived from it."""
+    """Distortion parameter and the coefficients derived from it.
+
+    An eps whose square is not a positive normal double raises ValueError,
+    and a coefficient that is not finite raises NumericalError.
+    """
 
     eps: float
 
     def __post_init__(self):
         if not (self.eps > 0):
             raise ValueError("eps must be positive")
+        # float ** raises OverflowError where float * rounds to inf
+        if not np.finfo(float).tiny <= float(self.eps) * float(self.eps) < math.inf:
+            raise ValueError(f"eps must have a positive normal square, got {self.eps}")
 
     def alpha(self, n: int, m: int) -> float:
-        return n / (m * self.eps**2)
+        """n / (m eps^2); `alpha_class` of a class of m samples."""
+        alpha = n / (m * self.eps**2)
+        if not math.isfinite(alpha):
+            raise NumericalError(f"alpha = n / (m eps^2) is not finite: {alpha}")
+        return alpha
 
-    def alpha_class(self, n: int, count: int) -> float:
-        return n / (count * self.eps**2)
+    alpha_class = alpha
 
 
 def default_lambda(k: int) -> float:

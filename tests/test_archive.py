@@ -639,6 +639,19 @@ def test_v3_mixed_archive_loads_as_dense_layers(tmp_path):
         assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
 
 
+def test_eval_keeps_a_v3_mixed_archive_as_it_is(tmp_path):
+    # a current-version archive is kept verbatim, though re-serializing the
+    # model it loads as writes other bytes (dense forms for the factored ones)
+    np.savez(tmp_path / "d.npz", X=rng_for(39).standard_normal((4, 10)),
+             labels=np.repeat([0, 1, 2], [2, 3, 5]))
+    cfg = load_config("custom-vector", None, {"data": str(tmp_path / "d.npz"), "layers": "2",
+                                              "save_model": "true"})
+    eval_experiment(cfg, MIXED, tmp_path / "eval", augmented=True)
+    assert (tmp_path / "eval" / "model.rnet").read_bytes() == MIXED.read_bytes()
+    resaved = save_model(load_model(MIXED), tmp_path / "m.rnet")
+    assert pathlib.Path(resaved).read_bytes() != MIXED.read_bytes()
+
+
 def test_v3_mixed_archive_with_a_non_hermitian_factored_inverse_rejected(tmp_path):
     # layer 0: the 4 x 10 features, E's 4 x 4 stack, then class 0's 2 x 2
     # inverse, whose entry (0, 1) this moves off its mirror (1, 0)

@@ -52,8 +52,9 @@ def test_bench_writes_the_schema_from_the_runner_output(tmp_path, monkeypatch, c
 
     calls = (tmp_path / "run.py.log").read_text().splitlines()
     assert calls == [f"--workload signals1d --seed 1 --seconds 1.0 --trace {t}" for t in (0, 1)]
-    assert set(record) == {"label", "commit", "created", "settings", "machine", "workloads",
-                           "deep"}
+    assert set(record) == {"label", "commit", "src_lines", "created", "settings", "machine",
+                           "workloads", "deep"}
+    assert record["src_lines"] == bench.src_lines(ROOT) > 0
     assert record["label"] == "stub"
     assert (record["settings"]["seconds"], record["settings"]["seed"]) == (1.0, 1)
     assert record["machine"]["blas"] == "stub 1"
@@ -80,3 +81,14 @@ def test_bench_writes_the_schema_from_the_runner_output(tmp_path, monkeypatch, c
     assert (deep["layers"], deep["repetitions"]) == (1, 1)
     assert deep["L0_s"]["median"] > 0 and deep["deep_s"]["median"] > 0
     assert deep["ms_per_layer"] == 1e3 * (deep["deep_s"]["median"] - deep["L0_s"]["median"])
+
+
+def test_src_lines_counts_the_package_and_harness_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "redunet"
+    (package / "harness" / "deeper").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("no newline at the end")  # wc -l counts 0
+    (package / "harness" / "c.py").write_text("\n\n")
+    (package / "notes.txt").write_text("not a module\n")
+    (package / "harness" / "deeper" / "d.py").write_text("not counted\n")
+    assert bench.src_lines(str(tmp_path)) == 5

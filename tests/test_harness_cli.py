@@ -70,6 +70,18 @@ def test_bad_flag_value_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1e200", "1e-160"])
+def test_eps_without_a_normal_square_exits_two(tmp_path, capsys, eps):
+    # 1e200 squared overflows, 1e-160 squared is subnormal: either would end
+    # in a traceback or in layers built on NaN
+    rc = main(["construct", "gauss2d", "--layers", "2", "--eps", eps, "--out",
+               str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: eps") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
 def test_bad_thread_count_exits_two(tmp_path, monkeypatch, capsys, threads):
     monkeypatch.setenv("REDUNET_THREADS", threads)

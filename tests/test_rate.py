@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from redunet.errors import EmptyClass, NotPositiveDefinite
+from redunet.errors import EmptyClass, NotPositiveDefinite, NumericalError
 from redunet.rate import (Partition, RateParams, class_rate, coding_rate, gram_logdet,
                           hermitian_inverse, rate_components, rate_reduction)
-from redunet.vector import rate_gradient
+from redunet.vector import construct_vector_net, rate_gradient
 
 from oracles import central_diff_grad, labels_for, rng_for, slogdet_rate
 
@@ -171,6 +171,29 @@ def test_rate_params_coefficients():
     assert abs(p.alpha_class(4, 3) - 4 / (3 * 0.25)) < 1e-15
     with pytest.raises(ValueError):
         RateParams(0.0)
+
+
+@pytest.mark.parametrize("eps", [1e200, 1e-160, float("inf"), float("nan")])
+def test_rate_params_reject_eps_without_a_normal_square(eps):
+    # 1e200 squared overflows, 1e-160 squared is subnormal
+    with pytest.raises(ValueError, match="eps must"):
+        RateParams(eps)
+
+
+def test_rate_params_raise_on_an_infinite_coefficient():
+    p = RateParams(1.5e-154)  # its square is normal, 784 / its square is not finite
+    assert np.isfinite(p.alpha(7, 400))
+    with pytest.raises(NumericalError, match="not finite"):
+        p.alpha(784, 1)
+    with pytest.raises(NumericalError, match="not finite"):
+        p.alpha_class(784, 1)
+    # a construction stops there, before its first layer
+    built = []
+    X = rng_for(40).standard_normal((784, 4))
+    with pytest.raises(NumericalError, match="not finite"):
+        construct_vector_net(X, Partition(np.array([0, 1, 0, 1])), 2, eta=0.5, eps=1.5e-154,
+                             sink=built.append)
+    assert built == []
 
 
 def test_class_rate_checks_sample_count():

@@ -415,6 +415,23 @@ def test_layer_step_shares_blocks_with_the_pool_unless_it_cannot(monkeypatch):
     assert seen == [caller] * 4
 
 
+def test_no_helper_thread_outlives_the_step(monkeypatch):
+    # a step shared over helper threads joins them before it returns, and
+    # before it raises a helper's error: worker 1 steps the middle block
+    def helpers():
+        return [t for t in threading.enumerate() if t.name.startswith("redunet-step")]
+
+    layer, Vt = block_case(30, T=8, m=3 * 3)
+    monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", 3 * Vt.shape[0] * Vt.shape[1])
+    monkeypatch.setattr(_freq, "_WORKERS", 3)
+    _freq.update_batch(Vt, layer)
+    assert helpers() == []
+    Vt[:, :, 4] = 0.0
+    with pytest.raises(ZeroVector):
+        _freq.update_batch(Vt, layer)
+    assert helpers() == []
+
+
 def test_more_workers_than_cores_switching_often_give_the_bytes_of_one(monkeypatch):
     # eight workers on one-sample blocks, the interpreter switching threads
     # every microsecond: a block lost or written by two workers would show

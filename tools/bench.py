@@ -19,13 +19,16 @@ It also times the deep workload: criterion 06's config (signals1d with
 ``m_test_per_class = 100`` and ``stride = 50``) through ``run_experiment``
 in a fresh process at L = 0 and L = ``DEEP_LAYERS``, ``DEEP_REPETITIONS``
 times each, and reports the difference of the medians as ms per layer.
-The file records the checkout's git commit and the machine record that
-the benchmark prints (core count, BLAS, threads, Python, numpy).
+The file records the checkout's git commit, its source line count
+(``src_lines``, as ``wc -l src/redunet/*.py src/redunet/harness/*.py``
+counts them) and the machine record that the benchmark prints (core
+count, BLAS, threads, Python, numpy).
 ``--runner`` replaces ``perfbench/run.py`` by any script that takes its
 options and prints its two last lines.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -147,6 +150,16 @@ def deep_record(root: str, layers: int, repetitions: int) -> dict:
             "ms_per_layer": 1e3 * (deep["median"] - shallow["median"]) / max(layers, 1)}
 
 
+def src_lines(root: str) -> int:
+    """Lines of the package's modules and of its harness's modules."""
+    total = 0
+    for pattern in ("src/redunet/*.py", "src/redunet/harness/*.py"):
+        for path in glob.glob(os.path.join(root, pattern)):
+            with open(path, "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def commit_of(root: str) -> str | None:
     proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
     deep = deep_record(root, DEEP_LAYERS, DEEP_REPETITIONS)
     machines = [w["machine"] for w in workloads.values()]
     record = {
-        "label": args.label, "commit": commit_of(root),
+        "label": args.label, "commit": commit_of(root), "src_lines": src_lines(root),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "settings": {"seconds": args.seconds, "seed": SEED,
                      "redunet_threads": os.environ.get("REDUNET_THREADS")},
