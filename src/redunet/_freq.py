@@ -31,8 +31,8 @@ A layer stores only that half too: its operator stacks are (F_h, C, C),
 the conjugate mirrors implied, so the model, its archive and its kernels
 (`irfftn`) all work on the half. Nothing inside the loop checks conjugate
 symmetry, because the loop only ever sees rfftn output; a full spectrum
-that enters from outside (`spectral.spectral_operators`, a version-1
-archive) is checked once by `check_conjugate_symmetry`.
+that enters from outside (`spectral.spectral_operators`) is checked once
+by `check_conjugate_symmetry`.
 
 Sample blocks. The layer step
 
@@ -295,13 +295,13 @@ def half_weights(freq_shape: tuple) -> np.ndarray:
     return np.tile(w, math.prod(freq_shape[:-1]))
 
 
-def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-8):
+def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple):
     """Reject a full spectrum (F, ...) whose mirrors are not conjugates.
 
     Only spectra of real signals have a half spectrum that stands for the
     whole; every frequency outside the half must be the conjugate of its
-    mirror (-p mod n on every axis), which lies in the half. ``tol = 0``
-    asks for exact conjugates.
+    mirror (-p mod n on every axis), which lies in the half, to 1e-8 of
+    the largest entry.
     """
     index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
     mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
@@ -311,7 +311,7 @@ def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple, tol: float = 1e-
         return
     scale = max(1.0, float(np.max(np.abs(Vt))))
     err = float(np.max(np.abs(Vt[other] - Vt[mirror].conj())))
-    if not err <= tol * scale:
+    if not err <= 1e-8 * scale:
         raise ValueError(
             "the layer needs the conjugate-symmetric spectrum of real signals "
             f"(max violation {err:.3e})")
@@ -537,7 +537,8 @@ def update_batch(Vt: np.ndarray, layer: SpectralLayer,
     values = _UPDATE_BLOCK_VALUES if layer.freq_shape else _TRIVIAL_BLOCK_VALUES
     b = max(1, values // (F_h * C))
     blocks = [slice(s, s + b) for s in range(0, m, b)]
-    workers = min(_WORKERS or thread_count(), len(blocks)) if layer.freq_shape else 1
+    # an empty stack has no block, and its one worker nothing to do
+    workers = max(1, min(_WORKERS or thread_count(), len(blocks))) if layer.freq_shape else 1
     step, held = _kernel(Vt, layer, pi, weight)
     bufs = np.empty((workers, held, F_h, C, min(b, m)), dtype=dtype)
 

@@ -22,10 +22,7 @@ m_op = m for E, the class count for C_j), so no layer outweighs its dense
 form; the labels (each in [0, k), every class present) give the class
 order and the counts. The per-layer scalars (alpha, gamma, step size) and
 the k+1 equal forms are constant across a construction, so they are
-stored once in the header. Files written before a layer took one form
-may hold mixed layers, a dense E beside factored class operators (each
-on fewer than C columns); `load_model` multiplies those class operators
-out and loads the layer as dense.
+stored once in the header.
 
 The header holds only what is known before the first layer, so an
 `ArchiveWriter` can append each layer as the construction builds it and
@@ -36,12 +33,8 @@ complete.
 
 ``load_model`` reads the whole file into one buffer, checks the CRC on a
 view, and hands out the operators as writable arrays viewing that buffer,
-after checking that every layer holds finite values only. It still reads
-versions 1 and 2, whose layers store every operator dense: version 2 is
-version 3 without the forms and labels, and version 1's header carries
-the depth and the trace and its layers the full (F, C, C) stacks, where
-it checks that every mirror is the exact conjugate of its half-spectrum
-frequency and keeps the half.
+after checking that every layer holds finite values only. It reads
+version 3 alone: an archive of any other version raises VersionMismatch.
 """
 
 import contextlib
@@ -58,7 +51,6 @@ from .. import _freq
 
 MAGIC = b"REDUNET1"
 VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
 # a model's kind is the rank of its symmetry group: none, shifts, translations
 KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D = 0, 1, 2
 TRAILER_COUNTS = 8  # u32 depth, u32 trace_rows
@@ -178,15 +170,6 @@ def save_model(model, path) -> str:
     return str(path)
 
 
-def archive_version(path) -> int:
-    """The format version in the header of the archive at ``path``."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC) + 4)
-    if len(head) < len(MAGIC) + 4 or head[:len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path}: not a model archive")
-    return struct.unpack_from("<I", head, len(MAGIC))[0]
-
-
 class _Cursor:
     """Sequential reader raising ChecksumFailure on overruns."""
 
@@ -215,15 +198,13 @@ class _Cursor:
 
 
 def load_model(path):
-    """Read an archive, version 1, 2 or 3, back into a model of half-spectrum layers.
+    """Read a version-3 archive back into a model of half-spectrum layers.
 
-    Rejects wrong magic, unknown versions, a trailing CRC32 mismatch
+    Rejects wrong magic, any other version, a trailing CRC32 mismatch
     (truncation, corruption), header values out of their domain (among
-    them operator forms, labels and class counts that disagree with each
-    other or with C), and operator payloads that hold a non-finite value,
-    a factored inverse that is not Hermitian or, in version 1, a mirror
-    that is not the conjugate of its frequency. A mixed layer of an older
-    writer loads as a dense one.
+    them operator forms that are not all one, labels and class counts that
+    disagree with each other or with C), and operator payloads that hold a
+    non-finite value or a factored inverse that is not Hermitian.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -235,29 +216,24 @@ def load_model(path):
     if len(buf) < len(MAGIC) + 8:
         raise ChecksumFailure(f"{path}: truncated archive")
     version = struct.unpack_from("<I", buf, len(MAGIC))[0]
-    if version not in READABLE_VERSIONS:
-        raise VersionMismatch(f"{path}: archive version {version}, expected one of "
-                              f"{READABLE_VERSIONS}")
+    if version != VERSION:
+        raise VersionMismatch(f"{path}: archive version {version}, expected {VERSION}")
     stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
     actual = zlib.crc32(buf[len(MAGIC):len(buf) - 4])
     if stored != actual:
         raise ChecksumFailure(f"{path}: CRC32 {actual:#010x} != stored {stored:#010x}")
 
-    start, end = len(MAGIC) + 4, len(buf) - 4
-    if version == 1:
-        cur = _Cursor(buf, start, end)
-        kind, k, depth, trace_rows, ndim = (cur.u32() for _ in range(5))
-    else:  # the trailer's counts sit just before the CRC, the trace before them
-        if end - TRAILER_COUNTS < start:
-            raise ChecksumFailure(f"{path}: truncated archive")
-        end -= TRAILER_COUNTS
-        depth, trace_rows = struct.unpack_from("<II", buf, end)
-        if end - 24 * trace_rows < start:
-            raise ChecksumFailure(f"{path}: declared trace exceeds the payload size")
-        end -= 24 * trace_rows
-        trace = _Cursor(buf, end, end + 24 * trace_rows).array((trace_rows, 3))
-        cur = _Cursor(buf, start, end)
-        kind, k, ndim = (cur.u32() for _ in range(3))
+    # the trailer's counts sit just before the CRC, the trace before them
+    start, end = len(MAGIC) + 4, len(buf) - 4 - TRAILER_COUNTS
+    if end < start:
+        raise ChecksumFailure(f"{path}: truncated archive")
+    depth, trace_rows = struct.unpack_from("<II", buf, end)
+    if end - 24 * trace_rows < start:
+        raise ChecksumFailure(f"{path}: declared trace exceeds the payload size")
+    end -= 24 * trace_rows
+    trace = _Cursor(buf, end, end + 24 * trace_rows).array((trace_rows, 3))
+    cur = _Cursor(buf, start, end)
+    kind, k, ndim = (cur.u32() for _ in range(3))
     if kind not in (KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D):
         raise ChecksumFailure(f"{path}: unknown model kind {kind}")
     if ndim != kind + 1:  # the channel count (or n), then the group grid
@@ -269,8 +245,6 @@ def load_model(path):
     gamma = cur.array((k,))
     alpha = cur.f64()
     alpha_class = cur.array((k,))
-    if version == 1:
-        trace = cur.array((trace_rows, 3))
     for name, value in (("eps", eps), ("eta", eta), ("lam", lam), ("gamma", gamma),
                         ("alpha", alpha), ("alpha_class", alpha_class), ("trace", trace)):
         if not np.isfinite(value).all():
@@ -281,46 +255,27 @@ def load_model(path):
     if k == 0:  # no class to steer a layer step or to classify into
         raise BadArchiveValue(f"{path}: the model has no classes (k = 0)")
     C, freq_shape = dims[0], dims[1:]
-    forms, labels = [DENSE] * (k + 1), None
-    if version >= 3:
-        forms, labels = _forms(path, cur, k, C)
+    labels = _labels(path, cur, k, C)
 
     # the vector kind is the trivial group: one frequency, real operators
     dtype = "<c16" if freq_shape else "<f8"
-    grid = math.prod(freq_shape) if version == 1 else _freq.half_count(freq_shape)
+    grid = _freq.half_count(freq_shape)
     scale = float(math.prod(freq_shape))
     layers = []
     for index in range(depth):
-        features, stored = _read_layer(cur, grid, C, k, dtype, forms, labels)
+        features, stored = _read_layer(cur, grid, C, k, dtype, labels)
         if not all(np.isfinite(arr).all() for arr in (*stored, features) if arr is not None):
             raise BadArchiveValue(f"{path}: non-finite operator in layer {index}")
+        if features is None:
+            Ebar, Cbar = stored
         # a factored inverse is exactly Hermitian; one read with the wrong
         # class counts (of the right total size) is not
-        if not all(np.array_equal(K, K.conj().swapaxes(-1, -2))
-                   for K, form in zip(stored, forms) if form == FACTORED):
+        elif not all(np.array_equal(K, K.conj().swapaxes(-1, -2)) for K in stored):
             raise BadArchiveValue(f"{path}: layer {index} holds a factored inverse that "
                                   "is not Hermitian")
-        if labels is None:
-            Ebar, Cbar = stored
-        elif all(forms):
+        else:
             Ebar, Cbar = _freq.factored_operators(features, labels, stored,
                                                   [alpha, *alpha_class], scale)
-        else:  # a mixed layer of an older writer: its factored class operators multiplied out
-            classes = np.sort(labels)
-            Ebar, features, Cbar = stored[0], None, np.stack([
-                _freq.dense(_freq.Factored(features, classes == j, K, a, scale))
-                if form == FACTORED else K
-                for j, (K, form, a) in enumerate(zip(stored[1:], forms[1:], alpha_class))])
-        if version == 1 and freq_shape:  # keep the half of exactly conjugate mirrors
-            try:
-                for op in (Ebar, Cbar.swapaxes(0, 1)):
-                    _freq.check_conjugate_symmetry(op, freq_shape, tol=0.0)
-            except ValueError:
-                raise BadArchiveValue(f"{path}: layer {index} has a mirror frequency that "
-                                      "is not the conjugate of its half-spectrum "
-                                      "frequency") from None
-            half = _freq.half_spectrum(freq_shape)
-            Ebar, Cbar = Ebar[half], Cbar[:, half]
         layers.append(_freq.SpectralLayer(
             Ebar=Ebar, Cbar=Cbar, freq_shape=freq_shape, gamma=gamma.copy(), alpha=alpha,
             alpha_class=alpha_class.copy(), eta=eta, lam=lam, features=features,
@@ -332,41 +287,40 @@ def load_model(path):
     return model
 
 
-def _forms(path, cur, k: int, C: int):
-    """The operator forms of a version-3 header, and its labels (None when
-    every operator is dense), each checked against k, C and the others."""
+def _labels(path, cur, k: int, C: int):
+    """The labels that follow the operator forms of a factored layer (None
+    when the forms are dense), the forms and labels checked against k, C
+    and each other."""
     forms = cur.array((k + 1,), "<u4")
     unknown = forms[~np.isin(forms, (DENSE, FACTORED))]
     if unknown.size:
         raise BadArchiveValue(f"{path}: unknown operator form {unknown[0]}")
-    if not forms.any():
-        return forms, None
+    if (forms != forms[0]).any():
+        raise BadArchiveValue(f"{path}: operator forms {forms.tolist()} differ; a layer "
+                              "takes one form")
+    if forms[0] == DENSE:
+        return None
     m = cur.u32()
     if m == 0:
         raise BadArchiveValue(f"{path}: factored operators over m = 0 samples")
+    if m >= C:  # and so is every class count
+        raise BadArchiveValue(f"{path}: operators factored over m = {m} columns; a "
+                              f"factored operator has fewer columns than C = {C}")
     labels = cur.array((m,), "<u4").astype(np.int64)
     if labels.max() >= k:
         raise BadArchiveValue(f"{path}: label {labels.max()} out of range for k = {k}")
     counts = np.bincount(labels, minlength=k)
     if counts.min() == 0:
         raise BadArchiveValue(f"{path}: class {int(np.argmin(counts))} has no samples")
-    for i, (form, m_op) in enumerate(zip(forms, [m, *counts])):
-        if form == FACTORED and m_op >= C:
-            raise BadArchiveValue(f"{path}: operator {i} is factored over {m_op} columns; "
-                                  f"a factored operator has fewer columns than C = {C}")
-    if forms[0] == FACTORED and not forms.all():  # m < C: so has every class
-        raise BadArchiveValue(f"{path}: E is factored, so every class operator must be")
-    return forms, labels
+    return labels
 
 
-def _read_layer(cur, grid, C, k, dtype, forms, labels):
-    """The next layer as stored: its features (None when every operator is
-    dense) and its operators, the k class stacks as one (k, grid, C, C)
-    array when every operator is dense, else E and each C_j in turn, a
-    factored one as its inverse K."""
+def _read_layer(cur, grid, C, k, dtype, labels):
+    """The next layer as stored: when it is dense, None and its operators,
+    E's stack and the k class stacks as one (k, grid, C, C) array; else its
+    features and the inverse K of E and of each C_j in turn."""
     if labels is None:
         return None, [cur.array((grid, C, C), dtype), cur.array((k, grid, C, C), dtype)]
-    sizes = [labels.size, *np.bincount(labels, minlength=k)]
     features = cur.array((grid, C, labels.size), dtype)
-    return features, [cur.array((grid, n, n) if form == FACTORED else (grid, C, C), dtype)
-                      for form, n in zip(forms, sizes)]
+    return features, [cur.array((grid, n, n), dtype)
+                      for n in (labels.size, *np.bincount(labels, minlength=k))]

@@ -25,7 +25,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import shutil
 import zipfile
 import zlib
 
@@ -40,7 +39,7 @@ from ..rate import Partition
 from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
                         forward_translation2d, layer_kernel)
 from ..vector import construct_vector_net, forward_vector
-from .archive import VERSION, ArchiveWriter, archive_version, load_model, save_model
+from .archive import ArchiveWriter, load_model, save_model
 from .csvio import emit_csv
 
 ORTHO_COS = 0.1  # |cos| at or below this counts as orthogonal
@@ -419,7 +418,7 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
 
     Features come from forwarding (estimated membership at every layer).
     ``augmented`` adds the augmented test stack and its accuracy row. With
-    ``save_model`` the archive is kept as ``model.rnet`` (see `_keep_archive`).
+    ``save_model`` the evaluated model is saved again as ``model.rnet``.
     """
     prep = _prepare(cfg, want_aug=augmented)
     model = load_model(archive_path)
@@ -431,30 +430,8 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)
     if cfg.save_model:
-        _keep_archive(model, archive_path, os.path.join(out_dir, "model.rnet"))
+        save_model(model, os.path.join(out_dir, "model.rnet"))
     return dict(rows)
-
-
-def _keep_archive(model, archive_path, path):
-    """Put the evaluated model's archive at ``path``.
-
-    A current-version input is copied as it is, though re-serializing the
-    loaded model may write other bytes (a version-3 layer of mixed operator
-    forms loads and resaves dense); an older one is converted by
-    `save_model`. Like the writer, the copy appears only once complete.
-    """
-    if archive_version(archive_path) != VERSION:
-        save_model(model, path)
-        return
-    if os.path.exists(path) and os.path.samefile(archive_path, path):
-        return
-    tmp = path + ".tmp"
-    try:
-        shutil.copyfile(archive_path, tmp)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def export_kernels(archive_path, out_dir) -> list:

@@ -33,9 +33,7 @@ step of Z is one product Z T), and its archive stores the same factors
 (a 784-d layer of 400 samples in two classes stores 4.4 MB and, with the
 class Grams its step reads, holds 5.1 MB, not the 14.7 MB of its three
 784 x 784 matrices). Otherwise every operator is the dense n x n matrix,
-a class of fewer than n samples multiplied out from its m_j x m_j side;
-an older archive's mixed layer, factored classes beside a dense E, loads
-in that dense form.
+a class of fewer than n samples multiplied out from its m_j x m_j side.
 
 The dense `expansion_operator` and `compression_operators` build the same
 operators one feature matrix at a time; the tests and the selftest keep

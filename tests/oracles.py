@@ -516,8 +516,7 @@ def vector_loop_construct(X, partition, L, eta, eps, lam=None, use_labels=False,
 
 # --------------------------------------------------------------- archive
 #
-# Version-3 archives (and version 2, which lacks only the forms and labels
-# after alpha_class): the header u32s kind, k and ndim sit at bytes 12, 16
+# Version-3 archives: the header u32s kind, k and ndim sit at bytes 12, 16
 # and 20, the dims from 24 on; the trailer's depth and trace_rows are the
 # eight bytes before the CRC, with the trace before them.
 

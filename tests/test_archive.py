@@ -134,19 +134,21 @@ def test_wrong_magic_rejected(tmp_path):
         load_model(path)
 
 
-def test_unknown_version_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 9])
+def test_unknown_version_rejected(tmp_path, capsys, version):
+    # versions 1 and 2 are the layouts of older writers; only version 3 loads
     model, _ = vector_model(L=1)
     path = tmp_path / "m.rnet"
     save_model(model, path)
     blob = bytearray(path.read_bytes())
-    blob[8] = 9  # version field, little-endian low byte
+    blob[8] = version  # version field, little-endian low byte
     # keep the checksum consistent so only the version check can fire
-    import zlib
-    import struct
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(VersionMismatch, match=f"archive version {version}, expected 3"):
         load_model(path)
+    assert main(["export-kernel", str(path), "--out", str(tmp_path / "k")]) == 3
+    assert f"archive version {version}, expected 3" in capsys.readouterr().err
 
 
 def test_flipped_payload_byte_fails_checksum(tmp_path):
@@ -274,18 +276,34 @@ def test_streamed_construct_holds_one_layer_at_a_time(tmp_path):
     assert load_model(tmp_path / "8.rnet").depth == 8
 
 
-# ------------------------------------------------------ version 1 archives
+# ------------------------------------------------------ committed fixtures
 #
-# The fixtures were written by the version-1 writer, whose layers stored the
-# full (F, C, C) stacks with the mirrors filled by conjugation:
-# v1_shift.rnet and v1_vector.rnet by `run_experiment` of SHIFT_RUN and
-# VECTOR_RUN, v1_translation.rnet by `save_model(translation_model()[0])`.
+# Seven version-3 archives of dense layers. Each was converted once, by
+# `save_model(load_model(...))` of code that still read the layout of the
+# writer that first built it:
+# - v1_shift.rnet, v1_vector.rnet and v1_translation.rnet by the version-1
+#   writer, whose layers stored the full (F, C, C) stacks with the mirrors
+#   filled by conjugation: the first two by `run_experiment` of SHIFT_RUN
+#   and VECTOR_RUN, the third by `save_model(translation_model()[0])`;
+# - v2_shift.rnet, v2_vector.rnet and v2_translation.rnet by the version-2
+#   writer, which had no operator forms: the first two by `run_experiment`
+#   of SHIFT_RUN and WIDE_RUN, the third by
+#   `save_model(translation_model()[0])`. WIDE_RUN's 16-dimensional features
+#   (tests/fixtures/wide_vector.npz, classes of 4 training samples) make
+#   every operator one that version 3 stores factored; version 2 stored it
+#   dense, and so does the converted file;
+# - v3_mixed_vector.rnet by the version-3 writer before a layer took one
+#   operator form: `save_model(mixed_vector_model())`, whose layers held E
+#   and class 2 dense beside classes 0 and 1 factored, converted with those
+#   class operators multiplied out.
 
 SHIFT_RUN = ("signals1d", {"m_per_class": "4", "m_test_per_class": "3", "n": "12",
                            "channels": "2", "stride": "4", "layers": "2",
                            "save_model": "true"})
 VECTOR_RUN = ("gauss2d", {"m_per_class": "6", "m_test_per_class": "4", "layers": "2",
                           "save_model": "true"})
+WIDE_RUN = ("custom-vector", {"data": str(FIXTURES / "wide_vector.npz"), "layers": "2",
+                              "save_model": "true"})
 
 
 def run_archive(run, out):
@@ -311,48 +329,27 @@ def assert_same_layers(got, want):
      lambda tmp: load_model(save_model(translation_model()[0], tmp / "m.rnet")))])
 def test_v1_fixture_loads_into_the_half_stacks_of_a_v2_roundtrip(tmp_path, name, fresh):
     old = load_model(FIXTURES / name)
-    assert struct.unpack_from("<I", (FIXTURES / name).read_bytes(), 8)[0] == 1
+    assert struct.unpack_from("<I", (FIXTURES / name).read_bytes(), 8)[0] == VERSION
     assert_same_layers(old, fresh(tmp_path))
 
 
-@pytest.mark.parametrize("name, run", [("v1_shift.rnet", SHIFT_RUN),
-                                       ("v1_vector.rnet", VECTOR_RUN)])
-def test_eval_of_v1_and_v2_archive_writes_identical_bytes(tmp_path, name, run):
-    # "v2" is the current version (3 now), as when this test was written
-    v2 = save_model(load_model(FIXTURES / name), tmp_path / "v2.rnet")
-    cfg = load_config(run[0], None, run[1])
-    eval_experiment(cfg, FIXTURES / name, tmp_path / "from_v1", augmented=True)
-    eval_experiment(cfg, v2, tmp_path / "from_v2", augmented=True)
-    names = sorted(os.listdir(tmp_path / "from_v1"))
-    assert names == sorted(os.listdir(tmp_path / "from_v2"))
-    assert "model.rnet" in names and "accuracy.csv" in names
-    for name in names:
-        assert ((tmp_path / "from_v1" / name).read_bytes()
-                == (tmp_path / "from_v2" / name).read_bytes()), name
-
-
-def refuse_to_serialize(model, path):
-    raise AssertionError(f"re-serialized a current-version archive to {path}")
-
-
 @pytest.mark.parametrize("run", [SHIFT_RUN, VECTOR_RUN], ids=["shift", "vector"])
-def test_eval_copies_a_v2_archive_byte_for_byte(tmp_path, monkeypatch, run):
-    # a current-version archive (version 3 now; the name dates from version 2)
+def test_eval_copies_a_v2_archive_byte_for_byte(tmp_path, run):
+    # eval saves the model it loaded again: the bytes of the archive it read
     archive = run_archive(run, tmp_path / "built")
-    monkeypatch.setattr(experiments, "save_model", refuse_to_serialize)
     cfg = load_config(run[0], None, run[1])
     eval_experiment(cfg, archive, tmp_path / "eval", augmented=True)
     assert (tmp_path / "eval" / "model.rnet").read_bytes() == archive.read_bytes()
     assert sorted(os.listdir(tmp_path / "eval")) == [
         "accuracy.csv", "cosine_test.csv", "cosine_train.csv", "loss_curve.csv", "model.rnet"]
-    before = archive.read_bytes()  # evaluated into its own directory: left as it is
+    before = archive.read_bytes()  # evaluated into its own directory: the same bytes
     eval_experiment(cfg, archive, tmp_path / "built", augmented=True)
     assert archive.read_bytes() == before
 
 
 # SHA-256 of the version-2 archive that `save_model` wrote for each v1
 # fixture (by `eval_experiment` with `save_model` on, for the two runs)
-# before version 3; a version-3 resave of these dense layers is the same
+# before version 3; a version-3 archive of these dense layers is the same
 # archive with its operator forms added (`as_version_2`)
 V1_RESAVED = {
     "v1_shift.rnet": "e78e10ef833b3ef4b9b8ee0b8a921ace43efe88911fa1d02fc87d044162a31f2",
@@ -372,6 +369,7 @@ def test_v1_fixture_resaves_to_pinned_bytes(tmp_path, name, run):
                         augmented=True)
         written = tmp_path / "model.rnet"
     data = pathlib.Path(written).read_bytes()
+    assert data == (FIXTURES / name).read_bytes()
     assert struct.unpack_from("<I", data, 8)[0] == VERSION
     assert hashlib.sha256(as_version_2(data)).hexdigest() == V1_RESAVED[name]
 
@@ -386,38 +384,14 @@ def as_version_2(blob):
     return blob[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_v1_archive_with_a_non_conjugate_mirror_rejected(tmp_path):
-    blob = bytearray((FIXTURES / "v1_shift.rnet").read_bytes())
-    k, _, trace_rows, ndim = struct.unpack_from("<IIII", blob, 16)
-    C, T = struct.unpack_from("<II", blob, 32)
-    layer0 = 32 + 4 * ndim + 8 * (4 + 2 * k) + 24 * trace_rows
-    last = layer0 + (T - 1) * C * C * 16  # Ebar at frequency T-1, the mirror of 1
-    struct.pack_into("<d", blob, last, struct.unpack_from("<d", blob, last)[0] + 1e-3)
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[8:-4]))
-    path = tmp_path / "m.rnet"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(BadArchiveValue, match="layer 0 has a mirror frequency"):
-        load_model(path)
-
-
-# ------------------------------------------------------ version 2 archives
-#
-# Written by the version-2 writer: v2_shift.rnet and v2_vector.rnet by
-# `run_experiment` of SHIFT_RUN and WIDE_RUN, v2_translation.rnet by
-# `save_model(translation_model()[0])`. WIDE_RUN's 16-dimensional features
-# (tests/fixtures/wide_vector.npz, classes of 4 training samples) make
-# every operator one that version 3 stores factored; version 2 stored it
-# dense, and so does a version-3 archive converted from it.
-
-WIDE_RUN = ("custom-vector", {"data": str(FIXTURES / "wide_vector.npz"), "layers": "2",
-                              "save_model": "true"})
 FIXTURE_RUNS = {"v1_shift": SHIFT_RUN, "v2_shift": SHIFT_RUN, "v1_vector": VECTOR_RUN,
                 "v2_vector": WIDE_RUN, "v1_translation": None, "v2_translation": None}
 
-# SHA-256 of what each fixture gave before version 3: the `augment-eval`
-# artifacts of its run (its archive aside), the layer-0 kernels of a
-# spectral model, and the bytes of `forward` on the translation model's
-# stack where no run matches the model
+# SHA-256 of what each fixture gave, in the layout of the writer that
+# first built it, before version 3: the `augment-eval` artifacts of its run
+# (its archive aside), the layer-0 kernels of a spectral model, and the
+# bytes of `forward` on the translation model's stack where no run matches
+# the model; the converted fixtures give the same
 FIXTURE_ARTIFACTS = {
     "v1_shift": {
         "accuracy.csv": "9c3929884822b138300d9f1201fd9ce3c6ede61107718970c8316d646aa64115",
@@ -483,27 +457,8 @@ def fixture_artifacts(archive, name, out):
 @pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
 def test_fixture_evaluates_and_exports_kernels_as_before_version_3(tmp_path, name):
     path = FIXTURES / f"{name}.rnet"
-    assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == int(name[1])
+    assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == VERSION
     assert fixture_artifacts(path, name, tmp_path / "out") == FIXTURE_ARTIFACTS[name]
-
-
-@pytest.mark.parametrize("name", ["v2_shift", "v2_translation", "v2_vector"])
-def test_v2_archive_converts_to_a_v3_archive_of_the_same_artifacts(tmp_path, name):
-    source = FIXTURES / f"{name}.rnet"
-    run = FIXTURE_RUNS[name]
-    if run is None:
-        converted = save_model(load_model(source), tmp_path / "m.rnet")
-    else:  # augment-eval with save_model converts its input
-        eval_experiment(load_config(run[0], None, run[1]), source, tmp_path / "first",
-                        augmented=True)
-        converted = tmp_path / "first" / "model.rnet"
-    data = pathlib.Path(converted).read_bytes()
-    assert struct.unpack_from("<I", data, 8)[0] == VERSION == 3
-    back = load_model(converted)
-    assert all(layer.features is None for layer in back.layers)  # stored dense, as read
-    assert_same_layers(back, load_model(source))
-    assert (fixture_artifacts(converted, name, tmp_path / "again")
-            == FIXTURE_ARTIFACTS[name])
 
 
 # ------------------------------------------------- version 3 header fields
@@ -557,21 +512,20 @@ def test_inconsistent_v3_header_field_rejected(tmp_path, offset, values, message
 
 
 def test_v3_factored_form_of_an_operator_with_c_columns_rejected(tmp_path):
-    # the mixed fixture's E (10 samples in 4 dimensions) is dense; claiming
-    # it factored asks for a 10 x 10 inverse of an operator of 4 x 4 stacks
-    blob = MIXED.read_bytes()
-    assert struct.unpack_from("<4I", blob, 108) == (0, 1, 1, 0)
-    (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 108, 1))
-    with pytest.raises(BadArchiveValue, match="operator 0 is factored over 10 columns; a "
+    # C = 4 rows (the dim at byte 24) for the 5 samples the operators are
+    # factored over: a factored operator needs fewer columns than rows
+    (tmp_path / "m.rnet").write_bytes(with_u32s(factored_vector_blob(tmp_path), 24, 4))
+    with pytest.raises(BadArchiveValue, match="operators factored over m = 5 columns; a "
                                               "factored operator has fewer columns than C = 4"):
         load_model(tmp_path / "m.rnet")
 
 
 def test_v3_factored_e_beside_a_dense_class_operator_rejected(tmp_path):
-    # E on fewer than C columns makes every class operator factored too
+    # a layer takes one form for all of its operators
     blob = factored_vector_blob(tmp_path)
     (tmp_path / "m.rnet").write_bytes(with_u32s(blob, 96, 0))
-    with pytest.raises(BadArchiveValue, match="E is factored, so every class operator"):
+    with pytest.raises(BadArchiveValue, match=r"operator forms \[1, 0, 1\] differ; a layer "
+                                              "takes one form"):
         load_model(tmp_path / "m.rnet")
 
 
@@ -584,6 +538,19 @@ def test_v3_labels_that_disagree_with_the_stored_factors_rejected(tmp_path):
     with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
                                               "not Hermitian"):
         load_model(path)
+
+
+def test_v3_mixed_archive_with_a_non_hermitian_factored_inverse_rejected(tmp_path):
+    # layer 0: the 6 x 5 features from byte 128, then E's 5 x 5 inverse,
+    # whose entry (0, 1) this moves off its mirror (1, 0)
+    blob = bytearray(factored_vector_blob(tmp_path))
+    at = 128 + 8 * 6 * 5 + 8
+    struct.pack_into("<d", blob, at, struct.unpack_from("<d", blob, at)[0] + 1e-3)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[8:-4]))
+    (tmp_path / "m.rnet").write_bytes(bytes(blob))
+    with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
+                                              "not Hermitian"):
+        load_model(tmp_path / "m.rnet")
 
 
 def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
@@ -600,18 +567,14 @@ def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
     assert err.startswith("error:") and "unknown operator form 3" in err
 
 
-# ------------------------------------------- version 3 archives of mixed layers
+# ----------------------------------------------- the fixture of mixed layers
 #
-# Written by the version-3 writer before a layer took one operator form:
-# v3_mixed_vector.rnet is `save_model(mixed_vector_model())`, classes of 2, 3
-# and 5 samples in 4 dimensions, whose layers held E and class 2 dense beside
-# classes 0 and 1 factored (forms 0, 1, 1, 0 at byte 108, then m = 10 and
-# the labels, so layer 0 starts at byte 168). Each layer loads as a dense
-# one.
+# v3_mixed_vector.rnet (see the committed fixtures): classes of 2, 3 and 5
+# samples in 4 dimensions, stored dense (forms 0, 0, 0, 0 at byte 108).
 
 MIXED = FIXTURES / "v3_mixed_vector.rnet"
-# SHA-256 of each layer's (3, 1, 4, 4) class stacks as that writer's code
-# multiplied them out on load (`np.asarray(layer.Cbar)`)
+# SHA-256 of each layer's (3, 1, 4, 4) class stacks as the code that wrote the
+# mixed layers multiplied them out on load (`np.asarray(layer.Cbar)`)
 MIXED_CLASS_STACKS = ["55eaf6d1d4f068ba67332f40e50bcad28c2c9e56774c813caf8a76198f2d7f25",
                       "5ae04525200ecdd97d49827b9159a3d34c545467afa82176a2c489ba259d709e"]
 
@@ -625,41 +588,14 @@ def mixed_vector_model():
 
 def test_v3_mixed_archive_loads_as_dense_layers(tmp_path):
     back = load_model(MIXED)
-    assert struct.unpack_from("<4I", MIXED.read_bytes(), 108) == (0, 1, 1, 0)
+    assert struct.unpack_from("<4I", MIXED.read_bytes(), 108) == (0, 0, 0, 0)
     for layer, digest in zip(back.layers, MIXED_CLASS_STACKS, strict=True):
         assert all(isinstance(op, np.ndarray) for op in (layer.Ebar, layer.Cbar))
         assert layer.features is None and layer.labels is None
         assert hashlib.sha256(layer.Cbar.tobytes()).hexdigest() == digest
     # layer 0 is the dense layer a construction builds now from the same features
     assert same_operators(back.layers[0], mixed_vector_model().layers[0])
-    # and it resaves with k+1 dense forms, to the same stacks
+    # and it resaves to the same bytes
     blob = pathlib.Path(save_model(back, tmp_path / "m.rnet")).read_bytes()
-    assert struct.unpack_from("<4I", blob, 108) == (0, 0, 0, 0)
-    for got, want in zip(load_model(tmp_path / "m.rnet").layers, back.layers, strict=True):
-        assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
+    assert blob == MIXED.read_bytes()
 
-
-def test_eval_keeps_a_v3_mixed_archive_as_it_is(tmp_path):
-    # a current-version archive is kept verbatim, though re-serializing the
-    # model it loads as writes other bytes (dense forms for the factored ones)
-    np.savez(tmp_path / "d.npz", X=rng_for(39).standard_normal((4, 10)),
-             labels=np.repeat([0, 1, 2], [2, 3, 5]))
-    cfg = load_config("custom-vector", None, {"data": str(tmp_path / "d.npz"), "layers": "2",
-                                              "save_model": "true"})
-    eval_experiment(cfg, MIXED, tmp_path / "eval", augmented=True)
-    assert (tmp_path / "eval" / "model.rnet").read_bytes() == MIXED.read_bytes()
-    resaved = save_model(load_model(MIXED), tmp_path / "m.rnet")
-    assert pathlib.Path(resaved).read_bytes() != MIXED.read_bytes()
-
-
-def test_v3_mixed_archive_with_a_non_hermitian_factored_inverse_rejected(tmp_path):
-    # layer 0: the 4 x 10 features, E's 4 x 4 stack, then class 0's 2 x 2
-    # inverse, whose entry (0, 1) this moves off its mirror (1, 0)
-    blob = bytearray(MIXED.read_bytes())
-    at = 168 + 8 * (4 * 10 + 4 * 4) + 8
-    struct.pack_into("<d", blob, at, struct.unpack_from("<d", blob, at)[0] + 1e-3)
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[8:-4]))
-    (tmp_path / "m.rnet").write_bytes(bytes(blob))
-    with pytest.raises(BadArchiveValue, match="layer 0 holds a factored inverse that is "
-                                              "not Hermitian"):
-        load_model(tmp_path / "m.rnet")

@@ -79,6 +79,15 @@ def test_forward_rejects_bad_input(kind, bad, error):
         FORWARD[kind](model, spoil(stack(kind, 3, seed=4), bad))
 
 
+@pytest.mark.parametrize("kind", SHAPES)
+def test_forward_of_an_empty_stack_is_empty(kind):
+    # a cyclic group's step has no sample block to share out then
+    model = CONSTRUCT[kind](stack(kind, 4), PARTITION, 2, 0.5, 0.1)
+    for forward_of in (FORWARD[kind], forward):
+        out = forward_of(model, np.zeros(SHAPES[kind] + (0,)))
+        assert out.shape == SHAPES[kind] + (0,) and out.dtype == np.float64
+
+
 @pytest.mark.parametrize("entry", OBJECTIVE)
 @pytest.mark.parametrize("bad, error", BAD)
 def test_objective_and_gradient_reject_bad_input(entry, bad, error):

@@ -602,81 +602,51 @@ FACTORED_BLOB = factored_vector_archive()
 # magic, version, kind, k, ndim and the dim, eight f64s: the forms, then m,
 # the five labels and the first layer's features
 V3_FIELDS = 24 + 4 + 64
-
-
-@settings(max_examples=300, deadline=None)
-@given(flips=st.lists(st.tuples(st.integers(0, len(FACTORED_BLOB) - 5), st.integers(1, 255)),
-                      max_size=3),
-       cut=st.integers(8, len(FACTORED_BLOB) - 4), header=st.booleans())
-@example(flips=[(V3_FIELDS, 2)], cut=len(FACTORED_BLOB) - 4, header=False)  # a form of 3
-@example(flips=[(V3_FIELDS + 16, 1)], cut=len(FACTORED_BLOB) - 4, header=False)  # label 1
-@example(flips=[(V3_FIELDS + 12, 5)], cut=len(FACTORED_BLOB) - 4, header=False)  # m = 0
-@example(flips=[], cut=V3_FIELDS + 20, header=False)  # cut inside the labels
-def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(flips, cut, header):
-    # resealed, so the decoder's own checks must catch what the CRC would;
-    # ``header`` moves every flip into the fields before the first layer
-    blob = bytearray(FACTORED_BLOB[:-4])
-    for at, mask in flips:
-        blob[at % (V3_FIELDS + 36) if header else at] ^= mask
-    body = bytes(blob[8:cut])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.rnet")
-        with open(path, "wb") as fh:
-            fh.write(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
-        tracemalloc.start()
-        try:
-            load_model(path)
-        except DataError:
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-    assert peak < 2**20  # no allocation sized by a damaged field
-
-
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-# the committed archives of the older writers: versions 1 and 2, whose
-# layers store every operator dense, and version 3 of mixed layers
-OLD_BLOBS = {path.name: path.read_bytes() for path in [*sorted(FIXTURES.glob("v[12]_*.rnet")),
-                                                        FIXTURES / "v3_mixed_vector.rnet"]}
+# that archive and the committed ones, whose layers are dense
+BLOBS = {"factored": FACTORED_BLOB,
+         **{path.name: path.read_bytes() for path in sorted(FIXTURES.glob("*.rnet"))}}
 
 
 def fields_before_the_layers(blob):
-    """Bytes of an old archive from its magic up to its first layer: version
-    1 also holds the depth and the trace there, version 3 the operator
-    forms and the labels."""
-    version, kind, k = struct.unpack_from("<III", blob, 8)
-    if version == 1:
-        trace_rows, ndim = struct.unpack_from("<II", blob, 24)
-        return 32 + 4 * ndim + 8 * (4 + 2 * k) + 24 * trace_rows
-    ndim = struct.unpack_from("<I", blob, 20)[0]
+    """Bytes of an archive from its magic up to its first layer: the header,
+    the operator forms and, when they are factored, m and the labels."""
+    k, ndim = struct.unpack_from("<II", blob, 16)
     end = 24 + 4 * ndim + 8 * (4 + 2 * k)
-    if version == 3:  # the forms, then m and the labels (the fixture's are not all dense)
-        end += 4 * (k + 1)
+    factored = struct.unpack_from("<I", blob, end)[0]
+    end += 4 * (k + 1)
+    if factored:
         end += 4 * (1 + struct.unpack_from("<I", blob, end)[0])
     return end
 
 
-@settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(sorted(OLD_BLOBS)),
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(BLOBS)),
        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=3),
        cut=st.one_of(st.none(), st.integers(0, 2**16)), header=st.booleans(),
        reseal=st.booleans())
-@example(name="v1_shift.rnet", flips=[(24, 1)], cut=None, header=True, reseal=True)  # trace rows
+@example(name="factored", flips=[(V3_FIELDS, 2)], cut=None, header=False,
+         reseal=True)  # a form of 3
+@example(name="factored", flips=[(V3_FIELDS + 4, 1)], cut=None, header=False,
+         reseal=True)  # forms 1, 0, 1
+@example(name="factored", flips=[(V3_FIELDS + 16, 1)], cut=None, header=False,
+         reseal=True)  # label 1
+@example(name="factored", flips=[(V3_FIELDS + 12, 5)], cut=None, header=False,
+         reseal=True)  # m = 0
+@example(name="factored", flips=[], cut=V3_FIELDS + 12, header=False,
+         reseal=True)  # cut inside the labels
 @example(name="v2_vector.rnet", flips=[(20, 1)], cut=None, header=True, reseal=True)  # ndim
 @example(name="v2_shift.rnet", flips=[], cut=20, header=False, reseal=True)  # cut in the dims
 @example(name="v1_vector.rnet", flips=[], cut=100, header=False, reseal=False)
 @example(name="v3_mixed_vector.rnet", flips=[(120, 1)], cut=None, header=True,
-         reseal=True)  # class 2 factored, over 5 >= C columns
-@example(name="v3_mixed_vector.rnet", flips=[(128, 2)], cut=None, header=True,
-         reseal=True)  # a label of class 0 moved to class 2
-def test_flipped_or_cut_v1_or_v2_archive_loads_or_raises_data_error(name, flips, cut, header,
-                                                                  reseal):
+         reseal=True)  # class 2 factored beside dense operators
+def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(name, flips, cut, header,
+                                                              reseal):
     # ``header`` moves every flip into the fields before the first layer;
     # ``reseal`` cuts the body at ``cut`` and recomputes the CRC, so the
     # decoder's own checks must catch what it would; without it the file
     # itself is cut there
-    blob = bytearray(OLD_BLOBS[name])
+    blob = bytearray(BLOBS[name])
     size = fields_before_the_layers(blob) if header else len(blob)
     for at, mask in flips:
         blob[at % size] ^= mask

@@ -15,8 +15,9 @@ package in that checkout's ``src/``. Per seed it writes, under
 ``diff`` prints one line per file found under A or B: ``identical`` when
 the bytes agree, else the largest |difference| over the largest |entry|
 of the numbers the file holds (CSV cells, or an archive's trace and
-operators, factored ones as their dense stacks, so archives of any
-version compare). It exits 0 when every file is identical and 1 otherwise.
+operators, factored ones as their dense stacks, so a factored and a dense
+archive of one model compare). It exits 0 when every file is identical
+and 1 otherwise.
 """
 
 import argparse
