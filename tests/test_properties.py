@@ -603,9 +603,12 @@ FACTORED_BLOB = factored_vector_archive()
 # the five labels and the first layer's features
 V3_FIELDS = 24 + 4 + 64
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-# that archive and the committed ones, whose layers are dense
-BLOBS = {"factored": FACTORED_BLOB,
-         **{path.name: path.read_bytes() for path in sorted(FIXTURES.glob("*.rnet"))}}
+# that archive and the committed one of dense and factored layers
+V3_BLOBS = {"factored": FACTORED_BLOB,
+            "v3_mixed_vector.rnet": (FIXTURES / "v3_mixed_vector.rnet").read_bytes()}
+# the committed archives of the version-1 and version-2 writers, converted to
+# version 3 with dense layers
+OLD_BLOBS = {path.name: path.read_bytes() for path in sorted(FIXTURES.glob("v[12]_*.rnet"))}
 
 
 def fields_before_the_layers(blob):
@@ -620,11 +623,50 @@ def fields_before_the_layers(blob):
     return end
 
 
-@settings(max_examples=600, deadline=None)
-@given(name=st.sampled_from(sorted(BLOBS)),
-       flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=3),
-       cut=st.one_of(st.none(), st.integers(0, 2**16)), header=st.booleans(),
-       reseal=st.booleans())
+def load_damaged_archive(blob, flips, cut, header, reseal, version=None):
+    """Flip bytes of ``blob``, set its version field and cut it, then load
+    it: return the model, or None when it raises a DataError, and check that
+    no allocation was sized by a damaged field.
+
+    ``header`` moves every flip into the fields before the first layer;
+    ``reseal`` cuts the body at ``cut`` and recomputes the CRC, so the
+    decoder's own checks must catch what it would; without it the file
+    itself is cut there."""
+    blob = bytearray(blob)
+    size = fields_before_the_layers(blob) if header else len(blob)
+    for at, mask in flips:
+        blob[at % size] ^= mask
+    if version is not None:
+        struct.pack_into("<I", blob, 8, version)
+    if reseal:
+        body = bytes(blob[8:-4][:cut])
+        blob = blob[:8] + body + struct.pack("<I", zlib.crc32(body))
+    else:
+        blob = blob[:cut]
+    model = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.rnet")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+        except DataError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < 2**20  # no allocation sized by a damaged field
+    return model
+
+
+damages = dict(flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=3),
+               cut=st.one_of(st.none(), st.integers(0, 2**16)), header=st.booleans(),
+               reseal=st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(V3_BLOBS)), **damages)
 @example(name="factored", flips=[(V3_FIELDS, 2)], cut=None, header=False,
          reseal=True)  # a form of 3
 @example(name="factored", flips=[(V3_FIELDS + 4, 1)], cut=None, header=False,
@@ -635,39 +677,31 @@ def fields_before_the_layers(blob):
          reseal=True)  # m = 0
 @example(name="factored", flips=[], cut=V3_FIELDS + 12, header=False,
          reseal=True)  # cut inside the labels
-@example(name="v2_vector.rnet", flips=[(20, 1)], cut=None, header=True, reseal=True)  # ndim
-@example(name="v2_shift.rnet", flips=[], cut=20, header=False, reseal=True)  # cut in the dims
-@example(name="v1_vector.rnet", flips=[], cut=100, header=False, reseal=False)
 @example(name="v3_mixed_vector.rnet", flips=[(120, 1)], cut=None, header=True,
          reseal=True)  # class 2 factored beside dense operators
 def test_flipped_or_cut_v3_archive_loads_or_raises_data_error(name, flips, cut, header,
                                                               reseal):
-    # ``header`` moves every flip into the fields before the first layer;
-    # ``reseal`` cuts the body at ``cut`` and recomputes the CRC, so the
-    # decoder's own checks must catch what it would; without it the file
-    # itself is cut there
-    blob = bytearray(BLOBS[name])
-    size = fields_before_the_layers(blob) if header else len(blob)
-    for at, mask in flips:
-        blob[at % size] ^= mask
-    if reseal:
-        body = bytes(blob[8:-4][:cut])
-        blob = blob[:8] + body + struct.pack("<I", zlib.crc32(body))
-    else:
-        blob = blob[:cut]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.rnet")
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        tracemalloc.start()
-        try:
-            load_model(path)
-        except DataError:
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-    assert peak < 2**20  # no allocation sized by a damaged field
+    load_damaged_archive(V3_BLOBS[name], flips, cut, header, reseal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(OLD_BLOBS)), version=st.sampled_from([1, 2, 3]),
+       **damages)
+@example(name="v2_vector.rnet", version=3, flips=[(20, 1)], cut=None, header=True,
+         reseal=True)  # ndim
+@example(name="v2_shift.rnet", version=3, flips=[], cut=20, header=False,
+         reseal=True)  # cut in the dims
+@example(name="v1_vector.rnet", version=3, flips=[], cut=100, header=False, reseal=False)
+@example(name="v1_shift.rnet", version=1, flips=[], cut=None, header=False,
+         reseal=True)  # the version of the old writer, resealed
+@example(name="v2_translation.rnet", version=2, flips=[(24, 1)], cut=None, header=True,
+         reseal=True)  # the old version and a damaged dim
+def test_flipped_or_cut_v1_or_v2_archive_loads_or_raises_data_error(name, version, flips, cut,
+                                                                  header, reseal):
+    # ``version`` is written over the version field after the flips: the
+    # old writers' 1 and 2 never load, however the rest of the archive reads
+    model = load_damaged_archive(OLD_BLOBS[name], flips, cut, header, reseal, version)
+    assert version == 3 or model is None
 
 
 @settings(max_examples=60, deadline=None)
