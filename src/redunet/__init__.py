@@ -19,7 +19,7 @@ from .datasets import (LabeledDataset, gaussian_sphere, load_mnist,
                        rotate_augment, shift_augment, signals_1d)
 from .errors import (ConfigError, DataError, NumericalError, RedunetError,
                      exit_code_for)
-from .lifting import FilterBank, lift_1d, lift_2d, polar_transform, random_filters, sparsify
+from .lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from .rate import (Partition, RateParams, class_rate, coding_rate, rate_components,
                    rate_reduction)
 from .spectral import (SpectralReduNet, construct_shift1d, construct_translation2d,
@@ -30,7 +30,7 @@ from .spectral import (SpectralReduNet, construct_shift1d, construct_translation
 from .vector import construct_vector_net, forward_vector, rate_gradient
 
 __all__ = [
-    "ConfigError", "DataError", "FilterBank", "LabeledDataset",
+    "ConfigError", "DataError", "LabeledDataset",
     "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
     "SubspaceModel", "class_rate",
     "coding_rate", "construct_shift1d", "construct_translation2d",

@@ -24,12 +24,10 @@ LABEL_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
-    """Sample-major data with integer class labels and a provenance tag."""
+    """Sample-major data with integer class labels."""
 
     samples: np.ndarray
     labels: np.ndarray
-    seed: int | None
-    kind: str
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -82,7 +80,7 @@ def gaussian_sphere(k: int = 2, means=None, sigma: float = 0.1, m_per_class: int
             raise ZeroVector("could not draw samples away from the origin")
         samples[j * m_per_class:(j + 1) * m_per_class] = block / norms[:, None]
     labels = np.repeat(np.arange(k), m_per_class)
-    return LabeledDataset(samples, labels, seed, "gaussian-sphere")
+    return LabeledDataset(samples, labels)
 
 
 # ------------------------------------------------------------ 1-d signals
@@ -120,7 +118,7 @@ def signals_1d(m_per_class: int = 200, n: int = 150, seed: int = 0,
         samples[i] = waveform(labels[i], t)
         if noise > 0:
             samples[i] += noise * rng.standard_normal(n)
-    return LabeledDataset(samples, labels, seed, "signals-1d")
+    return LabeledDataset(samples, labels)
 
 
 # ------------------------------------------------------------ IDX loading
@@ -143,7 +141,7 @@ def _read_idx(path, expected_magic: int, dims: int) -> np.ndarray:
     return np.frombuffer(payload[:need], dtype=np.uint8).reshape(shape)
 
 
-def load_mnist(image_path, label_path, digits=None, seed=None) -> LabeledDataset:
+def load_mnist(image_path, label_path, digits=None) -> LabeledDataset:
     """Images and labels from IDX files (gzipped or raw), pixels in [0, 1].
 
     `digits` keeps only those classes and relabels them 0..len(digits)-1
@@ -162,7 +160,7 @@ def load_mnist(image_path, label_path, digits=None, seed=None) -> LabeledDataset
         samples, labels = samples[keep], labels[keep]
         remap = {d: i for i, d in enumerate(digits)}
         labels = np.array([remap[d] for d in labels], dtype=int)
-    return LabeledDataset(samples, labels, seed, "mnist")
+    return LabeledDataset(samples, labels)
 
 
 # ----------------------------------------------------------- augmentation
@@ -180,7 +178,7 @@ def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     if X.ndim not in (2, 3):
         raise ValueError("expected (m, n) signals or (m, H, W) images")
     shifts = list(itertools.product(*(range(0, n, stride) for n in X.shape[1:])))
-    return _rolled(dataset, shifts, tuple(range(1, X.ndim)), f"shift{stride}")
+    return _rolled(dataset, shifts, tuple(range(1, X.ndim)))
 
 
 def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
@@ -191,14 +189,13 @@ def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
     gamma = X.shape[1]
     if steps < 1 or gamma % steps != 0:
         raise StepsNotDividingGamma(f"{steps} steps do not divide {gamma} angle bins")
-    return _rolled(dataset, range(0, gamma, gamma // steps), 1, f"rot{steps}")
+    return _rolled(dataset, range(0, gamma, gamma // steps), 1)
 
 
-def _rolled(dataset: LabeledDataset, shifts, axis, suffix: str) -> LabeledDataset:
-    """Every sample replaced by its rolls by each of ``shifts`` along
-    ``axis``, contiguous, and the dataset's kind suffixed with ``suffix``."""
+def _rolled(dataset: LabeledDataset, shifts, axis) -> LabeledDataset:
+    """Every sample replaced by its rolls by each of ``shifts`` along ``axis``, contiguous."""
     X = dataset.samples
     stacked = np.stack([np.roll(X, s, axis=axis) for s in shifts], axis=1)
     samples = stacked.reshape((-1,) + X.shape[1:])
     labels = np.repeat(dataset.labels, len(shifts))
-    return LabeledDataset(samples, labels, dataset.seed, f"{dataset.kind}+{suffix}")
+    return LabeledDataset(samples, labels)

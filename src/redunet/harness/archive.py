@@ -33,7 +33,8 @@ complete.
 
 ``load_model`` reads the whole file into one buffer, checks the CRC on a
 view, and hands out the operators as writable arrays viewing that buffer,
-after checking that every layer holds finite values only. It reads
+after checking that every layer holds finite values only and that a
+factored layer's features are unit-norm. It reads
 version 3 alone: an archive of any other version raises VersionMismatch.
 """
 
@@ -55,6 +56,7 @@ VERSION = 3
 KIND_VECTOR, KIND_SHIFT1D, KIND_TRANSLATION2D = 0, 1, 2
 TRAILER_COUNTS = 8  # u32 depth, u32 trace_rows
 DENSE, FACTORED = 0, 1  # the form of an operator
+UNIT_TOL = 1e-8  # how far a stored sample's norm may sit from 1
 
 
 def _u32(*values) -> bytes:
@@ -204,7 +206,8 @@ def load_model(path):
     (truncation, corruption), header values out of their domain (among
     them operator forms that are not all one, labels and class counts that
     disagree with each other or with C), and operator payloads that hold a
-    non-finite value or a factored inverse that is not Hermitian.
+    non-finite value, factored features that are not unit-norm, or a
+    factored inverse that is not Hermitian.
     """
     with open(path, "rb") as fh:
         buf = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
@@ -268,6 +271,9 @@ def load_model(path):
             raise BadArchiveValue(f"{path}: non-finite operator in layer {index}")
         if features is None:
             Ebar, Cbar = stored
+        elif not _unit_samples(features, freq_shape):
+            raise BadArchiveValue(f"{path}: layer {index} holds features that are not "
+                                  "unit-norm")
         # a factored inverse is exactly Hermitian; one read with the wrong
         # class counts (of the right total size) is not
         elif not all(np.array_equal(K, K.conj().swapaxes(-1, -2)) for K in stored):
@@ -313,6 +319,17 @@ def _labels(path, cur, k: int, C: int):
     if counts.min() == 0:
         raise BadArchiveValue(f"{path}: class {int(np.argmin(counts))} has no samples")
     return labels
+
+
+def _unit_samples(features, freq_shape) -> bool:
+    """Whether every sample has unit norm (`_freq.normalize_samples`). No part
+    of a unit sample exceeds 1; that is checked first, so no square overflows."""
+    parts = features.view(np.float64).reshape(*features.shape, -1)  # (F_h, C, m, 1 or 2)
+    if parts.max() > 1 + UNIT_TOL or parts.min() < -1 - UNIT_TOL:
+        return False
+    squares = np.einsum("fcmr,fcmr->fm", parts, parts)  # no copy of the features
+    norms = np.sqrt(_freq.half_weights(freq_shape) @ squares)  # after the dims are checked
+    return np.abs(norms - 1).max() <= UNIT_TOL
 
 
 def _read_layer(cur, grid, C, k, dtype, labels):

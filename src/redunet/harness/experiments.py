@@ -110,7 +110,7 @@ def _take_per_class(ds: LabeledDataset, per_class: int, k: int) -> LabeledDatase
             raise DataError(f"class {j} has {where.size} samples, need {per_class}")
         picks.append(where[:per_class])
     order = np.concatenate(picks)
-    return LabeledDataset(ds.samples[order], ds.labels[order], ds.seed, ds.kind)
+    return LabeledDataset(ds.samples[order], ds.labels[order])
 
 
 def _resolve_mnist_paths(cfg) -> dict:
@@ -136,10 +136,8 @@ def _resolve_mnist_paths(cfg) -> dict:
 
 def _load_mnist_pair(cfg):
     paths = _resolve_mnist_paths(cfg)
-    train = load_mnist(paths["train_images"], paths["train_labels"],
-                       digits=(0, 1), seed=cfg.seed)
-    test = load_mnist(paths["test_images"], paths["test_labels"],
-                      digits=(0, 1), seed=cfg.seed)
+    train = load_mnist(paths["train_images"], paths["train_labels"], digits=(0, 1))
+    test = load_mnist(paths["test_images"], paths["test_labels"], digits=(0, 1))
     return (_take_per_class(train, cfg.m_per_class, 2),
             _take_per_class(test, cfg.m_test_per_class, 2))
 
@@ -160,20 +158,18 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
 
 
 def _mapped(kind, as_input, train, test, aug=None, stride=None) -> Prepared:
-    """The datasets mapped into model space by ``as_input``, the test and
-    augmented sets as one carry stack (`Prepared`)."""
+    """The datasets' samples mapped into model space by ``as_input``, the
+    test and augmented sets as one carry stack (`Prepared`)."""
     if aug is None:
-        return Prepared(kind, as_input(train), train.labels, as_input(test), test.labels,
-                        fit_stride=stride)
-    carry = as_input(LabeledDataset(np.concatenate([test.samples, aug.samples]),
-                                    np.concatenate([test.labels, aug.labels]),
-                                    test.seed, test.kind))
-    return Prepared(kind, as_input(train), train.labels, carry[..., :test.m], test.labels,
-                    carry[..., test.m:], aug.labels, stride, carry)
+        return Prepared(kind, as_input(train.samples), train.labels,
+                        as_input(test.samples), test.labels, fit_stride=stride)
+    carry = as_input(np.concatenate([test.samples, aug.samples]))
+    return Prepared(kind, as_input(train.samples), train.labels, carry[..., :test.m],
+                    test.labels, carry[..., test.m:], aug.labels, stride, carry)
 
 
-def _flat_samples(ds) -> np.ndarray:
-    return ds.samples.reshape(ds.m, -1).T
+def _flat_samples(X) -> np.ndarray:
+    return X.reshape(X.shape[0], -1).T
 
 
 def _prepare_signals(cfg, want_aug: bool) -> Prepared:
@@ -181,7 +177,7 @@ def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
     aug = shift_augment(test, cfg.stride) if want_aug else None
-    return _mapped("shift1d", lambda ds: sparsify(lift_1d(ds.samples.T, bank)),
+    return _mapped("shift1d", lambda X: sparsify(lift_1d(X.T, bank)),
                    train, test, aug, (cfg.stride,))
 
 
@@ -191,15 +187,14 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
     radii = cfg.radii or _default_radii(cfg.channels, H, W)
 
     def to_polar(ds):
-        grids = np.stack([polar_transform(img, cfg.gamma, radii)
-                          for img in ds.samples])
-        return LabeledDataset(grids, ds.labels, ds.seed, ds.kind + "+polar")
+        return LabeledDataset(np.stack([polar_transform(img, cfg.gamma, radii)
+                                        for img in ds.samples]), ds.labels)
 
     train_p, test_p = to_polar(train), to_polar(test)
     aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
     if cfg.variant == "vector":
         return _mapped("vector", _flat_samples, train_p, test_p, aug_p)
-    return _mapped("shift1d", lambda ds: ds.samples.transpose(2, 1, 0),  # (C, gamma, m)
+    return _mapped("shift1d", lambda X: X.transpose(2, 1, 0),  # (C, gamma, m)
                    train_p, test_p, aug_p, (cfg.stride,))
 
 
@@ -214,7 +209,7 @@ def _prepare_translation(cfg, want_aug: bool) -> Prepared:
                               "or be at least that size")
     bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
     return _mapped("translation2d",
-                   lambda ds: sparsify(lift_2d(ds.samples.transpose(1, 2, 0), bank)),
+                   lambda X: sparsify(lift_2d(X.transpose(1, 2, 0), bank)),
                    train, test, aug, (cfg.stride, cfg.stride))
 
 
@@ -261,20 +256,17 @@ def _prepare_custom(cfg) -> Prepared:
     return Prepared("vector", X, labels, test, test_labels)
 
 
+_PREPARE = {"gauss2d": lambda cfg, want_aug: _prepare_gauss(cfg, 2),
+            "gauss3d": lambda cfg, want_aug: _prepare_gauss(cfg, 3),
+            "signals1d": _prepare_signals, "mnist-rotation": _prepare_rotation,
+            "mnist-translation": _prepare_translation,
+            "custom-vector": lambda cfg, want_aug: _prepare_custom(cfg)}
+
+
 def _prepare(cfg, want_aug: bool = True) -> Prepared:
-    if cfg.kind == "gauss2d":
-        return _prepare_gauss(cfg, 2)
-    if cfg.kind == "gauss3d":
-        return _prepare_gauss(cfg, 3)
-    if cfg.kind == "signals1d":
-        return _prepare_signals(cfg, want_aug)
-    if cfg.kind == "mnist-rotation":
-        return _prepare_rotation(cfg, want_aug)
-    if cfg.kind == "mnist-translation":
-        return _prepare_translation(cfg, want_aug)
-    if cfg.kind == "custom-vector":
-        return _prepare_custom(cfg)
-    raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    if cfg.kind not in _PREPARE:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    return _PREPARE[cfg.kind](cfg, want_aug)
 
 
 _CONSTRUCT = {"vector": construct_vector_net, "shift1d": construct_shift1d,

@@ -144,13 +144,19 @@ def hermitian_inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape A.shape[:-2]. Each matrix of the stack gets the same bytes as it
     would alone. A factor that fails raises NotPositiveDefinite.
     """
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    L = _cholesky(A)
     Li = _lower_inverse(L)
     inv = _adjoint(Li) @ Li
     return 0.5 * (inv + _adjoint(inv)), 2.0 * _log_diagonal_sum(L)
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L, A = L L*, of each matrix of a stack
+    (..., n, n); a factor that fails raises NotPositiveDefinite."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
@@ -192,11 +198,7 @@ def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -
     G = Vh @ V if m < n else V @ Vh
     G = 0.5 * (G + _adjoint(G))
     A = np.eye(G.shape[-1], dtype=G.dtype) + coeff * G
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    logs = _log_diagonal_sum(L)
+    logs = _log_diagonal_sum(_cholesky(A))
     return float(2.0 * (np.sum(logs) if weight is None else weight @ logs))
 
 

@@ -553,6 +553,30 @@ def test_v3_mixed_archive_with_a_non_hermitian_factored_inverse_rejected(tmp_pat
         load_model(tmp_path / "m.rnet")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [1e160, 2.0])
+def test_v3_factored_features_off_the_unit_sphere_rejected(tmp_path, capsys, factor):
+    # layer 0's 6 x 5 features from byte 128, scaled and resealed: a class
+    # Gram of the 1e160 ones would overflow to inf, and the model forward NaN
+    blob = bytearray(factored_vector_blob(tmp_path))
+    at, count = 128, 6 * 5
+    features = np.frombuffer(blob, "<f8", count, at) * factor
+    blob[at:at + 8 * count] = features.astype("<f8").tobytes()
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[8:-4]))
+    path = tmp_path / "m.rnet"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BadArchiveValue, match="layer 0 holds features that are not unit-norm"):
+        load_model(path)
+    data = tmp_path / "d.npz"
+    np.savez(data, X=rng_for(36).standard_normal((6, 5)), labels=[0, 1, 0, 1, 1])
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 2\n")
+    assert main(["eval", "custom-vector", str(path), "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not unit-norm" in err
+
+
 def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
     # a shift model of 6 channels and 5 samples: every operator factored
     rng = rng_for(37)

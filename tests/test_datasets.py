@@ -203,7 +203,7 @@ def test_reference_test_set_zero_one_count():
 
 def test_shift_augment_1d_order_and_count():
     X = np.arange(12, dtype=float).reshape(2, 6)
-    data = LabeledDataset(X, np.array([0, 1]), 0, "toy")
+    data = LabeledDataset(X, np.array([0, 1]))
     aug = shift_augment(data, stride=2)
     assert aug.samples.shape == (6, 6)
     assert np.array_equal(aug.labels, np.array([0, 0, 0, 1, 1, 1]))
@@ -215,7 +215,7 @@ def test_shift_augment_1d_order_and_count():
 def test_shift_augment_2d_reference_grid():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3, 28, 28))
-    data = LabeledDataset(X, np.zeros(3, dtype=int), 0, "toy")
+    data = LabeledDataset(X, np.zeros(3, dtype=int))
     aug = shift_augment(data, stride=7)
     assert aug.samples.shape == (48, 28, 28)  # 16 translations per image
     assert np.array_equal(aug.samples[16 + 4 * 1 + 2], np.roll(X[1], (7, 14), axis=(0, 1)))
@@ -224,7 +224,7 @@ def test_shift_augment_2d_reference_grid():
 def test_shift_augment_full_stride_is_identity():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, 10))
-    data = LabeledDataset(X, np.arange(4), 0, "toy")
+    data = LabeledDataset(X, np.arange(4))
     aug = shift_augment(data, stride=10)
     assert np.array_equal(aug.samples, X)
     assert np.array_equal(aug.labels, data.labels)
@@ -233,8 +233,8 @@ def test_shift_augment_full_stride_is_identity():
 def test_shift_augment_closed_under_stride_shifts():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((1, 8))
-    data = LabeledDataset(X, np.zeros(1, dtype=int), 0, "toy")
-    pre = LabeledDataset(np.roll(X, 2, axis=1), np.zeros(1, dtype=int), 0, "toy")
+    data = LabeledDataset(X, np.zeros(1, dtype=int))
+    pre = LabeledDataset(np.roll(X, 2, axis=1), np.zeros(1, dtype=int))
     a = shift_augment(data, stride=2)
     b = shift_augment(pre, stride=2)
     rows = {tuple(np.round(r, 12)) for r in a.samples}
@@ -244,7 +244,7 @@ def test_shift_augment_closed_under_stride_shifts():
 def test_rotate_augment_counts_and_shifts():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((2, 200, 5))
-    data = LabeledDataset(X, np.array([0, 1]), 0, "polar")
+    data = LabeledDataset(X, np.array([0, 1]))
     aug = rotate_augment(data, steps=20)
     assert aug.samples.shape == (40, 200, 5)
     assert np.array_equal(aug.samples[3], np.roll(X[0], 30, axis=0))  # 3 * (200/20)
@@ -254,7 +254,7 @@ def test_rotate_augment_counts_and_shifts():
 def test_rotate_augment_identity_and_group_law():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((1, 12, 2))
-    data = LabeledDataset(X, np.zeros(1, dtype=int), 0, "polar")
+    data = LabeledDataset(X, np.zeros(1, dtype=int))
     assert np.array_equal(rotate_augment(data, steps=1).samples, X)
     aug = rotate_augment(data, steps=4).samples
     # two successive quarter turns equal one half turn
@@ -262,11 +262,11 @@ def test_rotate_augment_identity_and_group_law():
 
 
 def test_rotate_augment_rejects_bad_steps():
-    data = LabeledDataset(np.zeros((1, 10, 2)), np.zeros(1, dtype=int), 0, "polar")
+    data = LabeledDataset(np.zeros((1, 10, 2)), np.zeros(1, dtype=int))
     with pytest.raises(StepsNotDividingGamma):
         rotate_augment(data, steps=3)
 
 
 def test_dataset_validates_lengths():
     with pytest.raises(ValueError):
-        LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 0, "toy")
+        LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
