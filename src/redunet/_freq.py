@@ -237,10 +237,6 @@ class OperatorStack:
         return (len(self.members), *self.members[0].shape)
 
     @property
-    def dtype(self):
-        return self.members[0].dtype
-
-    @property
     def nbytes(self) -> int:
         return sum(op.nbytes for op in self.members)
 

@@ -114,9 +114,10 @@ def _class_basis(Zc: np.ndarray, samples: np.ndarray, energy: float, j: int) -> 
     than a dense fit's, whose choice in that degenerate eigenspace is
     arbitrary, and the kept span is exactly H-invariant.
 
-    Plain features are the order-1 subgroup: ``Zc`` is (n, m), one real
-    block, the dense fit itself. Eigenvalues at the Gram's rounding level
-    count as exact zeros, so `energy = 1.0` keeps the true rank.
+    Plain features are the order-1 subgroup, N = (): ``Zc`` is (n, m), and
+    its one character is the constant 1, exactly, so the one real block is
+    the dense fit itself. Eigenvalues at the Gram's rounding level count as
+    exact zeros, so `energy = 1.0` keeps the true rank.
     """
     rank = (Zc.ndim - 2) // 2
     N, grid_shape = Zc.shape[:rank], Zc.shape[rank:-1]  # grid_shape: (C, d1, ..., dr)
@@ -125,15 +126,13 @@ def _class_basis(Zc: np.ndarray, samples: np.ndarray, energy: float, j: int) -> 
     chars = list(_characters(N))
     pairing = [paired for _, paired in chars]
     table = np.stack([_character(chi, N, paired) for chi, paired in chars])
-    if order == 1:  # Zc is contiguous, so np.take copies the class alone
-        spectra = np.take(Zc, samples, axis=-1).reshape(1, n, mj)
-    else:  # the DFT over the cosets, at one character of each conjugate pair
-        Zj = np.empty(Zc.shape[:-1] + (mj,))
-        for coset in np.ndindex(*N):  # np.take would copy all of Zc first
-            Zj[coset] = Zc[coset][..., samples]
-        spectra = (table.conj().reshape(len(pairing), order) @ Zj.reshape(order, -1)).reshape(
-            len(pairing), n // order, mj)
-        del Zj
+    # the DFT over the cosets, at one character of each conjugate pair
+    Zj = np.empty(Zc.shape[:-1] + (mj,))
+    for coset in np.ndindex(*N):  # np.take would copy all of Zc first
+        Zj[coset] = Zc[coset][..., samples]
+    spectra = (table.conj().reshape(len(pairing), order) @ Zj.reshape(order, -1)).reshape(
+        len(pairing), n // order, mj)
+    del Zj
     blocks = []  # (paired, block, wide, descending eigenvalues and vectors)
     for paired, B in zip(pairing, spectra):
         if not paired and np.iscomplexobj(B):
@@ -172,9 +171,6 @@ def _class_basis(Zc: np.ndarray, samples: np.ndarray, energy: float, j: int) -> 
             # decades; QR of the kept images gives the same span,
             # orthonormal to working precision
             U, _ = np.linalg.qr(B @ V[:, :rb])
-        if order == 1:
-            columns.append(U.reshape(n, rb))
-            continue
         grid = U.reshape(grid_shape + (rb,))
         grid = np.expand_dims(grid, coset_axes)
         phase = (character if paired else character.real).reshape(

@@ -51,20 +51,17 @@ def default_means(k: int, dim: int) -> np.ndarray:
         return np.array([[1.0, 0.0, 0.0],
                          [0.5, np.sqrt(3) / 2, 0.0],
                          [0.5, np.sqrt(3) / 6, np.sqrt(6) / 3]])
-    raise ValueError(f"no default means for k={k}, dim={dim}; pass them explicitly")
+    raise ValueError(f"no reference means for k={k}, dim={dim}")
 
 
-def gaussian_sphere(k: int = 2, means=None, sigma: float = 0.1, m_per_class: int = 500,
+def gaussian_sphere(k: int = 2, sigma: float = 0.1, m_per_class: int = 500,
                     dim: int = 2, seed: int = 0) -> LabeledDataset:
-    """Gaussian blobs around unit-norm means, projected onto the sphere.
+    """Gaussian blobs around the reference means (`default_means`),
+    projected onto the sphere.
 
     Samples are class-ordered: all of class 0, then class 1, and so on.
     """
-    means = default_means(k, dim) if means is None else np.asarray(means, dtype=np.float64)
-    if means.shape != (k, dim):
-        raise ValueError(f"expected {k} means of dimension {dim}, got {means.shape}")
-    if np.max(np.abs(np.linalg.norm(means, axis=1) - 1.0)) > 1e-8:
-        raise ValueError("class means must be unit norm")
+    means = default_means(k, dim)
     rng = np.random.default_rng(seed)
     samples = np.empty((k * m_per_class, dim))
     for j in range(k):

@@ -59,10 +59,6 @@ class ZeroVector(NumericalError):
     """A vector that must be normalized has (numerically) zero norm."""
 
 
-class ImaginaryResidue(NumericalError):
-    """An inverse transform that must be real kept a large imaginary part."""
-
-
 class RadiusOutOfBounds(NumericalError):
     """A polar sampling radius leaves the image's inscribed circle."""
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .._freq import thread_count
-from ..errors import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, RedunetError, exit_code_for
+from ..errors import EXIT_NUMERICAL, EXIT_OK, RedunetError, exit_code_for
 from .config import KINDS, load_config
 from .experiments import eval_experiment, export_kernels, run_experiment
 from .selftest import run_selftest
@@ -99,12 +99,9 @@ def main(argv=None) -> int:
             if failures:
                 print("selftest failed: " + "; ".join(failures), file=sys.stderr)
                 return EXIT_NUMERICAL
-    except RedunetError as exc:
+    except (RedunetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -13,8 +13,6 @@ import numpy as np
 def _format(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)

@@ -243,6 +243,10 @@ def _prepare_custom(cfg) -> Prepared:
     if X.ndim != 2:
         raise DataError(f"{cfg.data}: X must be (n, m), got shape {X.shape}")
     labels = _npz_labels(cfg.data, arrays["labels"], X.shape[1], "labels")
+    missing = np.flatnonzero(np.bincount(labels) == 0)
+    if missing.size:
+        raise DataError(f"{cfg.data}: class {missing[0]} has no training column; "
+                        f"labels must cover every class from 0 to {labels.max()}")
     test = test_labels = None
     if "X_test" in arrays:
         if "labels_test" not in arrays:

@@ -15,16 +15,15 @@ Conventions: stacks carry the sample axis last, (C, *G, m); the DFT is
 unitary (1/sqrt(F) scaling, negative exponent); frequencies and
 translations are flattened row-major (last group axis fastest), and
 `group_circulant(z)` places the translation by t in column t, e.g.
-[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. The public transforms
-(`dft`, `idft`) and `spectral_operators` use the full spectrum;
-`spectral_operators` rejects one that is not conjugate-symmetric, and
-`idft` rejects an inverse transform with more than rounding left in its
-imaginary part. Everything else carries only the rfftn half spectrum of
-the last group axis, F_h = prod(G[:-1]) * (G[-1]//2 + 1) frequencies,
-weighted as the `_freq` docstring describes: construction, forward, the
-objective and the layers themselves, whose (F_h, C, C) operator stacks
-imply their conjugate mirrors. Signals and kernels return from it with
-`irfftn`, whose output is real by construction.
+[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. `dft` and
+`spectral_operators` use the full spectrum, and `spectral_operators`
+rejects one that is not conjugate-symmetric. Everything else carries
+only the rfftn half spectrum of the last group axis, F_h =
+prod(G[:-1]) * (G[-1]//2 + 1) frequencies, weighted as the `_freq`
+docstring describes: construction, forward, the objective and the layers
+themselves, whose (F_h, C, C) operator stacks imply their conjugate
+mirrors. Signals and kernels return from it with `irfftn`, whose output
+is real by construction.
 
 Rank 0 is the trivial group: an (n, m) stack of n-dimensional vector
 features, G = (), whose one frequency carries the features themselves
@@ -45,10 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _freq
-from .errors import ImaginaryResidue
 from .rate import Partition, default_lambda, rate_components, real_finite
-
-IMAG_TOL = 1e-6
 
 
 # ------------------------------------------------------------ transforms
@@ -58,28 +54,6 @@ def dft(z, rank: int) -> np.ndarray:
     z = np.asarray(z)
     axes = tuple(range(1, rank + 1))
     return np.fft.fftn(z, axes=axes) / np.sqrt(math.prod(z.shape[1:rank + 1]))
-
-
-def _real(w: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarray:
-    """Real part of ``w`` after checking that its imaginary part is rounding."""
-    residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if residue > tol:
-        raise ImaginaryResidue(f"{what} kept imaginary residue {residue:.3e}")
-    return w.real
-
-
-def idft(v, rank: int, tol: float = IMAG_TOL) -> np.ndarray:
-    """Unitary inverse DFT over the group axes; real after a residue check.
-
-    Spectra of real signals are conjugate-symmetric, so their inverse
-    transforms must be real up to rounding. A larger imaginary residue
-    means the caller fed data that is not actually a real signal's
-    spectrum, which is reported instead of silently discarded.
-    """
-    v = np.asarray(v)
-    axes = tuple(range(1, rank + 1))
-    w = np.fft.ifftn(v, axes=axes) * np.sqrt(math.prod(v.shape[1:rank + 1]))
-    return _real(w, "inverse transform", tol)
 
 
 def _freq_major(V: np.ndarray) -> np.ndarray:
@@ -357,8 +331,11 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     whose multichannel circular convolution applies the operator. A
     `_freq.Factored` operator is multiplied out first (`_freq.dense`).
     ``class_index`` picks C_j for ``which="compress"``: an integer in
-    [0, k), else ValueError.
+    [0, k), else ValueError. A vector layer (the trivial group) has no
+    kernel: ValueError.
     """
+    if not layer.freq_shape:
+        raise ValueError("a vector layer (trivial group) has no convolution kernel")
     if which == "expand":
         stack = _freq.dense(layer.Ebar)
     elif which == "compress":

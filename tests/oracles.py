@@ -21,7 +21,7 @@ from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
 from redunet.harness.experiments import ORTHO_COS, _flat
 from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
                           hermitian_inverse, rate_components)
-from redunet.spectral import SpectralReduNet, dft, idft, spectral_operators
+from redunet.spectral import SpectralReduNet, dft, spectral_operators
 from redunet.vector import compression_operators, expansion_operator
 
 
@@ -373,8 +373,14 @@ def _full_spectra(Z):
 
 
 def _full_signals(Vt, shape):
-    """Real (C, *G, m) signals of (F, C, m) spectra."""
-    return idft(Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1]), len(shape) - 1)
+    """Real (C, *G, m) signals of (F, C, m) spectra, which must be a real
+    signal's: the unitary ifftn may keep only rounding in its imaginary part."""
+    G = shape[1:]
+    V = Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1])
+    w = np.fft.ifftn(V, axes=tuple(range(1, len(shape)))) * np.sqrt(np.prod(G))
+    residue = float(np.max(np.abs(w.imag), initial=0.0))
+    assert residue <= 1e-6, f"inverse transform kept imaginary residue {residue:.3e}"
+    return w.real
 
 
 def full_spectrum_construct(Zbar, partition, L, eta, eps, lam=None, carry=None,

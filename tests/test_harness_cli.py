@@ -242,6 +242,26 @@ def test_bad_custom_vector_npz_exits_three_before_any_layer(tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("labels, missing", [([1, 2], 0), ([0, 2], 1)])
+def test_custom_vector_labels_skipping_a_class_exit_three_before_any_layer(
+        tmp_path, capsys, monkeypatch, labels, missing):
+    import redunet._freq
+
+    def fail(*args, **kwargs):
+        pytest.fail("a layer was built from labels that skip a class")
+
+    monkeypatch.setattr(redunet._freq, "build_layer", fail)
+    data = tmp_path / "skip.npz"
+    np.savez(data, X=rng_for(3).standard_normal((3, 8)), labels=np.repeat(labels, 4))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 500\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and f"class {missing} has no training column" in err
+
+
 def _unreadable_npz(path, case):
     if case == "text":
         path.write_text("1 2 3\n4 5 6\n")

@@ -84,6 +84,31 @@ def test_forward_commutes_with_cyclic_translation(G, C, m, L, seed):
     assert np.max(np.abs(moved - np.roll(forward(model, x), t, axis=axes))) < 1e-10
 
 
+@pytest.mark.parametrize("G", [(16,), (6, 8)])
+@pytest.mark.parametrize("use_labels", [False, True])
+def test_construct_commutes_with_per_sample_rolls(G, use_labels):
+    # every training and every carried sample rolled by its own group
+    # element: the layers are convolutions built from translation-invariant
+    # Grams, and the memberships read roll-invariant norms, so a deep
+    # construction returns the rolled features and the same trace
+    rng, Zbar, P = random_stack(11, 3, G, 12, 3)
+    carry = rng.standard_normal((3, *G, 5))
+    axes = tuple(range(1, len(G) + 1))
+
+    def roll_each(stack, shifts):
+        return np.stack([np.roll(stack[..., i], t, axis=axes) for i, t in enumerate(shifts)],
+                        axis=-1)
+
+    shifts = [tuple(int(rng.integers(0, n)) for n in G) for _ in range(12 + 5)]
+    train, carried = shifts[:12], shifts[12:]
+    base = construct(Zbar, P, 30, eta=0.5, eps=0.5, carry=carry, use_labels=use_labels)
+    rolled = construct(roll_each(Zbar, train), P, 30, eta=0.5, eps=0.5,
+                       carry=roll_each(carry, carried), use_labels=use_labels)
+    assert np.max(np.abs(rolled.features - roll_each(base.features, train))) < 1e-12
+    assert np.max(np.abs(rolled.carry_features - roll_each(base.carry_features, carried))) < 1e-12
+    assert np.max(np.abs(rolled.trace - base.trace)) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(G=groups, C=st.integers(1, 3), m=st.integers(2, 6), L=st.integers(0, 3),
        use_labels=st.booleans(), seed=st.integers(0, 2**32 - 1))

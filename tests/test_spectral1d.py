@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from redunet import _freq
-from redunet.errors import ImaginaryResidue, ZeroVector
+from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
 from redunet.spectral import (augmented_partition, construct_shift1d, dft,
-                              forward_shift1d, group_circulant, idft, kernel_extract,
+                              forward_shift1d, group_circulant, kernel_extract, layer_kernel,
                               shift_rate_components, shift_rate_reduction,
                               spectral_gradient, spectral_operators, stacked_circulant)
+from redunet.vector import construct_vector_net
 
 import oracles
 from oracles import (central_diff_grad, dft_matrix, labels_for, repeat_labels,
@@ -46,19 +47,6 @@ def test_dft_parseval():
     z = rng.standard_normal((3, 16))
     v = dft(z, 1)
     assert abs(np.linalg.norm(z) - np.linalg.norm(v)) < 1e-12
-
-
-def test_idft_roundtrip():
-    rng = rng_for(2)
-    z = rng.standard_normal((2, 10, 3))
-    assert np.max(np.abs(idft(dft(z, 1), 1) - z)) < 1e-12
-
-
-def test_idft_raises_on_imaginary_residue():
-    v = np.zeros((1, 4), dtype=complex)
-    v[0, 1] = 1.0  # not conjugate-symmetric
-    with pytest.raises(ImaginaryResidue):
-        idft(v, 1)
 
 
 # ------------------------------------------------------ circulant layout
@@ -555,6 +543,16 @@ def test_kernel_rejects_a_class_index_outside_the_classes(class_index):
     with pytest.raises(ValueError, match=r"class_index must be an integer in \[0, 2\)"):
         kernel_extract(model.layers[0], "compress", class_index)
     assert kernel_extract(model.layers[0], "compress", np.int64(1)).shape == (3, 3, 8)
+
+
+@pytest.mark.parametrize("which", ["expand", "compress"])
+def test_kernel_refuses_a_vector_layer(which):
+    # the trivial group has no grid to convolve over
+    rng = rng_for(98)
+    model = construct_vector_net(rng.standard_normal((5, 8)), Partition(np.arange(8) % 2),
+                                 L=1, eta=0.3, eps=0.5)
+    with pytest.raises(ValueError, match="vector layer"):
+        layer_kernel(model.layers[0], which)
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from redunet.errors import ImaginaryResidue, ZeroVector
+from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
 from redunet.spectral import (augmented_partition, construct_shift1d,
                               construct_translation2d, dft, forward_translation2d,
-                              group_circulant, idft, kernel_extract_2d,
+                              group_circulant, kernel_extract_2d,
                               spectral_gradient_2d, spectral_operators, stacked_circulant,
                               translation_rate_components, translation_rate_reduction)
 
@@ -39,19 +39,6 @@ def test_dft2_parseval():
     rng = rng_for(1)
     z = rng.standard_normal((3, 4, 6))
     assert abs(np.linalg.norm(z) - np.linalg.norm(dft(z, 2))) < 1e-12
-
-
-def test_idft2_roundtrip():
-    rng = rng_for(2)
-    z = rng.standard_normal((2, 3, 4, 5))
-    assert np.max(np.abs(idft(dft(z, 2), 2) - z)) < 1e-12
-
-
-def test_idft2_raises_on_imaginary_residue():
-    v = np.zeros((1, 3, 3), dtype=complex)
-    v[0, 1, 2] = 1.0  # not conjugate-symmetric
-    with pytest.raises(ImaginaryResidue):
-        idft(v, 2)
 
 
 # ----------------------------------------------- doubly circulant layout
