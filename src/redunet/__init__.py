@@ -22,24 +22,16 @@ from .errors import (ConfigError, DataError, NumericalError, RedunetError,
 from .lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from .rate import (Partition, RateParams, class_rate, coding_rate, rate_components,
                    rate_reduction)
-from .spectral import (SpectralReduNet, construct_shift1d, construct_translation2d,
-                       forward_shift1d, forward_translation2d, kernel_extract,
-                       kernel_extract_2d, shift_rate_components, shift_rate_reduction,
-                       spectral_gradient, spectral_gradient_2d,
-                       translation_rate_components, translation_rate_reduction)
-from .vector import construct_vector_net, forward_vector, rate_gradient
+from .spectral import (SpectralReduNet, construct, forward, group_gradient,
+                       group_rate_components, layer_kernel)
 
 __all__ = [
     "ConfigError", "DataError", "LabeledDataset",
     "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
-    "SubspaceModel", "class_rate",
-    "coding_rate", "construct_shift1d", "construct_translation2d",
-    "construct_vector_net", "evaluate", "exit_code_for", "fit_subspaces",
-    "forward_shift1d", "forward_translation2d", "forward_vector",
-    "gaussian_sphere", "kernel_extract", "kernel_extract_2d", "lift_1d",
+    "SubspaceModel", "class_rate", "coding_rate", "construct", "evaluate",
+    "exit_code_for", "fit_subspaces", "forward", "gaussian_sphere",
+    "group_gradient", "group_rate_components", "layer_kernel", "lift_1d",
     "lift_2d", "load_mnist", "polar_transform", "predict", "random_filters",
-    "rate_components", "rate_gradient", "rate_reduction", "rotate_augment",
-    "shift_augment", "shift_rate_components", "shift_rate_reduction",
-    "signals_1d", "sparsify", "spectral_gradient", "spectral_gradient_2d",
-    "translation_rate_components", "translation_rate_reduction",
+    "rate_components", "rate_reduction", "rotate_augment", "shift_augment",
+    "signals_1d", "sparsify",
 ]

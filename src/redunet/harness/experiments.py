@@ -36,9 +36,7 @@ from ..datasets import (LabeledDataset, gaussian_sphere, load_mnist,
 from ..errors import ConfigError, DataError
 from ..lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from ..rate import Partition
-from ..spectral import (construct_shift1d, construct_translation2d, forward_shift1d,
-                        forward_translation2d, layer_kernel)
-from ..vector import construct_vector_net, forward_vector
+from ..spectral import construct, forward, layer_kernel
 from .archive import ArchiveWriter, load_model, save_model
 from .csvio import emit_csv
 
@@ -82,9 +80,8 @@ class Prepared:
     are views.
     """
 
-    def __init__(self, model_kind, train, labels, test, test_labels,
+    def __init__(self, train, labels, test, test_labels,
                  aug=None, aug_labels=None, fit_stride=None, carry=None):
-        self.model_kind = model_kind
         self.train, self.labels = train, labels
         self.test, self.test_labels = test, test_labels
         self.aug, self.aug_labels = aug, aug_labels
@@ -153,18 +150,17 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
                             dim=dim, seed=cfg.seed)
     test = gaussian_sphere(k=k, sigma=cfg.sigma, m_per_class=cfg.m_test_per_class,
                            dim=dim, seed=cfg.seed + 1)
-    return Prepared("vector", train.samples.T, train.labels,
-                    test.samples.T, test.labels)
+    return Prepared(train.samples.T, train.labels, test.samples.T, test.labels)
 
 
-def _mapped(kind, as_input, train, test, aug=None, stride=None) -> Prepared:
+def _mapped(as_input, train, test, aug=None, stride=None) -> Prepared:
     """The datasets' samples mapped into model space by ``as_input``, the
     test and augmented sets as one carry stack (`Prepared`)."""
     if aug is None:
-        return Prepared(kind, as_input(train.samples), train.labels,
+        return Prepared(as_input(train.samples), train.labels,
                         as_input(test.samples), test.labels, fit_stride=stride)
     carry = as_input(np.concatenate([test.samples, aug.samples]))
-    return Prepared(kind, as_input(train.samples), train.labels, carry[..., :test.m],
+    return Prepared(as_input(train.samples), train.labels, carry[..., :test.m],
                     test.labels, carry[..., test.m:], aug.labels, stride, carry)
 
 
@@ -177,7 +173,7 @@ def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
     aug = shift_augment(test, cfg.stride) if want_aug else None
-    return _mapped("shift1d", lambda X: sparsify(lift_1d(X.T, bank)),
+    return _mapped(lambda X: sparsify(lift_1d(X.T, bank)),
                    train, test, aug, (cfg.stride,))
 
 
@@ -193,8 +189,8 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
     train_p, test_p = to_polar(train), to_polar(test)
     aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
     if cfg.variant == "vector":
-        return _mapped("vector", _flat_samples, train_p, test_p, aug_p)
-    return _mapped("shift1d", lambda X: X.transpose(2, 1, 0),  # (C, gamma, m)
+        return _mapped(_flat_samples, train_p, test_p, aug_p)
+    return _mapped(lambda X: X.transpose(2, 1, 0),  # (C, gamma, m)
                    train_p, test_p, aug_p, (cfg.stride,))
 
 
@@ -202,14 +198,13 @@ def _prepare_translation(cfg, want_aug: bool) -> Prepared:
     train, test = _load_mnist_pair(cfg)
     aug = shift_augment(test, cfg.stride) if want_aug else None
     if cfg.variant == "vector":
-        return _mapped("vector", _flat_samples, train, test, aug)
+        return _mapped(_flat_samples, train, test, aug)
     for size in train.samples.shape[1:]:
         if cfg.stride < size and size % cfg.stride:
             raise ConfigError(f"stride {cfg.stride} must divide the image size {size} "
                               "or be at least that size")
     bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
-    return _mapped("translation2d",
-                   lambda X: sparsify(lift_2d(X.transpose(1, 2, 0), bank)),
+    return _mapped(lambda X: sparsify(lift_2d(X.transpose(1, 2, 0), bank)),
                    train, test, aug, (cfg.stride, cfg.stride))
 
 
@@ -257,7 +252,11 @@ def _prepare_custom(cfg) -> Prepared:
                             f"got shape {test.shape}")
         test_labels = _npz_labels(cfg.data, arrays["labels_test"], test.shape[1],
                                   "labels_test")
-    return Prepared("vector", X, labels, test, test_labels)
+        unknown = test_labels[test_labels > labels.max()]
+        if unknown.size:
+            raise DataError(f"{cfg.data}: labels_test holds label {unknown[0]}, but the "
+                            f"training labels cover only 0 to {labels.max()}")
+    return Prepared(X, labels, test, test_labels)
 
 
 _PREPARE = {"gauss2d": lambda cfg, want_aug: _prepare_gauss(cfg, 2),
@@ -273,24 +272,12 @@ def _prepare(cfg, want_aug: bool = True) -> Prepared:
     return _PREPARE[cfg.kind](cfg, want_aug)
 
 
-_CONSTRUCT = {"vector": construct_vector_net, "shift1d": construct_shift1d,
-              "translation2d": construct_translation2d}
-_MODEL_KIND = ("vector", "shift1d", "translation2d")  # by group rank
-
-
-def _forward(model, X):
-    # by group rank, looked up per call (perfbench's tracer rebinds these names)
-    forward = (forward_vector, forward_shift1d, forward_translation2d)[len(model.freq_shape)]
-    return forward(model, X)
-
-
 def _check_model_matches(model, prep: Prepared, archive_path):
-    shape = prep.train.shape[:-1]
-    kind, dims = _MODEL_KIND[len(model.freq_shape)], (model.C, *model.freq_shape)
-    if kind != prep.model_kind or dims != shape:
-        raise ConfigError(
-            f"{archive_path}: archive holds a {kind} model of shape {dims}, "
-            f"but the experiment needs a {prep.model_kind} model of shape {shape}")
+    # the group rank is the number of dims after C, so this checks the geometry too
+    shape, dims = prep.train.shape[:-1], (model.C, *model.freq_shape)
+    if dims != shape:
+        raise ConfigError(f"{archive_path}: archive holds a model of shape {dims}, "
+                          f"but the experiment needs one of shape {shape}")
 
 
 def _within_class_max_angle_deg(flat_tr, partition: Partition) -> float:
@@ -392,7 +379,6 @@ def run_experiment(cfg, out_dir) -> dict:
     other artifacts, and not at all if the run fails.
     """
     prep = _prepare(cfg)
-    construct = _CONSTRUCT[prep.model_kind]
     os.makedirs(out_dir, exist_ok=True)
     with (ArchiveWriter(os.path.join(out_dir, "model.rnet"), cfg.eps) if cfg.save_model
           else contextlib.nullcontext()) as archive:
@@ -419,9 +405,9 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     prep = _prepare(cfg, want_aug=augmented)
     model = load_model(archive_path)
     _check_model_matches(model, prep, archive_path)
-    F_train = _forward(model, prep.train)
-    F_test = _forward(model, prep.test) if prep.test is not None else None
-    F_aug = _forward(model, prep.aug) if (augmented and prep.aug is not None) else None
+    F_train = forward(model, prep.train)
+    F_test = forward(model, prep.test) if prep.test is not None else None
+    F_aug = forward(model, prep.aug) if (augmented and prep.aug is not None) else None
     prep.drop_stacks()
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)

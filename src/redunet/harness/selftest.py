@@ -13,9 +13,8 @@ import numpy as np
 
 from .._freq import normalize_samples
 from ..rate import Partition
-from ..spectral import (augmented_partition, construct_shift1d, dft, forward_shift1d,
-                        group_rate_components, shift_rate_reduction, spectral_gradient,
-                        spectral_operators, stacked_circulant)
+from ..spectral import (augmented_partition, construct, dft, forward, group_gradient,
+                        group_rate_components, spectral_operators, stacked_circulant)
 from ..vector import compression_operators, expansion_operator
 from .csvio import emit_csv
 
@@ -36,7 +35,7 @@ def _gradient_rel_err() -> float:
     Z0 = normalize_samples(rng.standard_normal((2, 6, 3)))
     labels = np.array([0, 1, 0])
     P = Partition(labels)
-    expand, compress = spectral_gradient(Z0, P, 0.5)
+    expand, compress = group_gradient(Z0, P, 0.5)
     grad = expand - compress.sum(axis=0)
     h = 1e-6
     numeric = np.empty_like(Z0)
@@ -44,8 +43,8 @@ def _gradient_rel_err() -> float:
         Zp, Zm = Z0.copy(), Z0.copy()
         Zp[idx] += h
         Zm[idx] -= h
-        numeric[idx] = (shift_rate_reduction(Zp, P, 0.5)
-                        - shift_rate_reduction(Zm, P, 0.5)) / (2 * h)
+        numeric[idx] = (group_rate_components(Zp, P, 0.5)[0]
+                        - group_rate_components(Zm, P, 0.5)[0]) / (2 * h)
     return float(np.max(np.abs(grad - numeric)) / np.max(np.abs(numeric)))
 
 
@@ -53,12 +52,12 @@ def _equivariance_err() -> float:
     rng = np.random.default_rng(3)
     Zbar = rng.standard_normal((2, 8, 4))
     labels = np.array([0, 1, 0, 1])
-    model = construct_shift1d(Zbar, Partition(labels), L=2, eta=0.3, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=2, eta=0.3, eps=0.5)
     x = rng.standard_normal((2, 8))
     err = 0.0
     for s in range(8):
-        shifted = forward_shift1d(model, np.roll(x, s, axis=1))
-        err = max(err, float(np.max(np.abs(shifted - np.roll(forward_shift1d(model, x), s, axis=1)))))
+        shifted = forward(model, np.roll(x, s, axis=1))
+        err = max(err, float(np.max(np.abs(shifted - np.roll(forward(model, x), s, axis=1)))))
     return err
 
 

@@ -19,8 +19,8 @@ one the per-frequency stack of its half spectra (``_freq``). Every log-det
 is read off a Cholesky factor: `gram_logdet` factors for the objective
 alone, and `hermitian_inverse` returns the log-dets of the stack it inverts,
 which is how a spectral layer gets the objective of its features from its
-own factorizations. The gradient is the engine's: `spectral.group_gradient`,
-`vector.rate_gradient` for a feature matrix.
+own factorizations. The gradient is the engine's `spectral.group_gradient`,
+a feature matrix included.
 """
 
 import math

@@ -28,14 +28,13 @@ is real by construction.
 Rank 0 is the trivial group: an (n, m) stack of n-dimensional vector
 features, G = (), whose one frequency carries the features themselves
 (the transform is the identity, and the layers stay real). `construct`
-and `forward` serve it as they do the others, so the vector network
-(`vector.construct_vector_net`, `vector.forward_vector`) runs the same
-loop and the same layer step.
+and `forward` serve it as they do the others, so the vector network runs
+the same loop and the same layer step.
 
-The rank-generic functions read the group rank off the stack (its number
-of axes minus two) or off the model. The 0-d, 1-d and 2-d entry points
-(`construct_vector_net`, `construct_shift1d`, `forward_translation2d`,
-...) fix the rank, check it, and call them.
+One entry point serves each operation on all three groups (`construct`,
+`forward`, `group_rate_components`, `group_gradient`; `layer_kernel` on
+the two cyclic ones): it reads the group rank off the stack (its number
+of axes minus two), the model or the layer.
 """
 
 import math
@@ -81,6 +80,14 @@ def _spectra(Z: np.ndarray) -> np.ndarray:
     half = np.fft.rfftn(Z, axes=axes)
     half /= np.sqrt(math.prod(Z.shape[1:-1]))
     return _freq_major(half)
+
+
+def _sample_stack(Zbar, what: str = "sample stack") -> np.ndarray:
+    """A real, finite (C, *G, m) stack of any group rank, else an error."""
+    Zbar = real_finite(Zbar, what)
+    if Zbar.ndim < 2:
+        raise ValueError(f"expected a (C, *G, m) {what}, got shape {Zbar.shape}")
+    return Zbar
 
 
 def _input_spectra(x, shape: tuple, what: str = "input"):
@@ -146,7 +153,7 @@ def group_rate_components(Zbar, partition: Partition, eps: float,
     and evaluates the plain rate on it. Both exist on purpose and are
     compared by the tests.
     """
-    Zbar = real_finite(Zbar, "sample stack")
+    Zbar = _sample_stack(Zbar)
     F = math.prod(Zbar.shape[1:-1])
     if method == "fast":
         return _freq.spectral_components(_spectra(Zbar), partition, eps, Zbar.shape[1:-1])
@@ -186,13 +193,13 @@ def group_gradient(Zbar, partition: Partition, eps: float):
     """Ascent terms of the invariant objective, in the signal domain.
 
     ``Zbar`` is a (C, *G, m) stack over any of the three groups, rank 0
-    included (`vector.rate_gradient`). Returns ``(expand, compress)`` with
+    (an (n, m) feature matrix) included. Returns ``(expand, compress)`` with
     shapes (C, *G, m) and (k, C, *G, m): the inverse transforms of E(p) V(p)
     and gamma_j C_j(p) V(p) Pi_j. Their difference
     ``expand - compress.sum(axis=0)`` is exactly the derivative of the
     rate reduction of `group_rate_components` with respect to the signals.
     """
-    Zbar = real_finite(Zbar, "sample stack")
+    Zbar = _sample_stack(Zbar)
     shape = Zbar.shape[:-1]
     Vt = _spectra(Zbar)
     layer = _freq.build_layer(Vt, partition, eps, eta=1.0, lam=default_lambda(partition.k),
@@ -265,9 +272,7 @@ def construct(Zbar, partition: Partition, L: int, eta: float, eps: float,
     stack; the training stack is stepped into a fresh array, because the
     layer just built keeps it as its features.
     """
-    Zbar = real_finite(Zbar, "training stack")
-    if Zbar.ndim < 2:
-        raise ValueError("expected a (C, *G, m) sample stack")
+    Zbar = _sample_stack(Zbar, "training stack")
     shape, m = Zbar.shape[:-1], Zbar.shape[-1]
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, stack has {m}")
@@ -350,89 +355,3 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     half = stack.reshape(*G[:-1], G[-1] // 2 + 1, C, C)
     kern = np.fft.irfftn(half, s=G, axes=axes)
     return kern.transpose(len(G), len(G) + 1, *axes)
-
-
-# -------------------------------------- 0-d, 1-d and 2-d entry points
-
-_LAYOUTS = {0: "(n, m)", 1: "(C, T, m)", 2: "(C, H, W, m)"}
-
-
-def _stack_of_rank(Zbar, rank: int) -> np.ndarray:
-    Zbar = np.asarray(Zbar)
-    if Zbar.ndim != rank + 2:
-        raise ValueError(f"expected a {_LAYOUTS[rank]} sample stack, got shape {Zbar.shape}")
-    return Zbar
-
-
-def _of_rank(obj, rank: int):
-    if len(obj.freq_shape) != rank:
-        raise ValueError(f"expected a {rank}-d group, got freq_shape {obj.freq_shape}")
-    return obj
-
-
-def shift_rate_components(Zbar, partition: Partition, eps: float,
-                          method: str = "fast") -> tuple[float, float, float]:
-    """`group_rate_components` of (C, T, m) signals under cyclic shifts."""
-    return group_rate_components(_stack_of_rank(Zbar, 1), partition, eps, method)
-
-
-def shift_rate_reduction(Zbar, partition: Partition, eps: float,
-                         method: str = "fast") -> float:
-    """Rate reduction of (C, T, m) signals under the full cyclic shift group."""
-    return shift_rate_components(Zbar, partition, eps, method)[0]
-
-
-def translation_rate_components(Zbar, partition: Partition, eps: float,
-                                method: str = "fast") -> tuple[float, float, float]:
-    """`group_rate_components` of (C, H, W, m) images under cyclic translations."""
-    return group_rate_components(_stack_of_rank(Zbar, 2), partition, eps, method)
-
-
-def translation_rate_reduction(Zbar, partition: Partition, eps: float,
-                               method: str = "fast") -> float:
-    """Rate reduction of (C, H, W, m) images under the full translation group."""
-    return translation_rate_components(Zbar, partition, eps, method)[0]
-
-
-def spectral_gradient(Zbar, partition: Partition, eps: float):
-    """`group_gradient` of (C, T, m) signals."""
-    return group_gradient(_stack_of_rank(Zbar, 1), partition, eps)
-
-
-def spectral_gradient_2d(Zbar, partition: Partition, eps: float):
-    """`group_gradient` of (C, H, W, m) images."""
-    return group_gradient(_stack_of_rank(Zbar, 2), partition, eps)
-
-
-def construct_shift1d(Zbar, partition: Partition, L: int, eta: float, eps: float,
-                      **options) -> SpectralReduNet:
-    """`construct` on (C, T, m) signals: a shift-invariant network."""
-    return construct(_stack_of_rank(Zbar, 1), partition, L, eta, eps, **options)
-
-
-def construct_translation2d(Zbar, partition: Partition, L: int, eta: float, eps: float,
-                            **options) -> SpectralReduNet:
-    """`construct` on (C, H, W, m) images: a translation-invariant network."""
-    return construct(_stack_of_rank(Zbar, 2), partition, L, eta, eps, **options)
-
-
-def forward_shift1d(model: SpectralReduNet, xbar) -> np.ndarray:
-    """`forward` of signals (C, T) or (C, T, b) through a shift-invariant network."""
-    return forward(_of_rank(model, 1), xbar)
-
-
-def forward_translation2d(model: SpectralReduNet, xbar) -> np.ndarray:
-    """`forward` of images (C, H, W) or (C, H, W, b) through a translation network."""
-    return forward(_of_rank(model, 2), xbar)
-
-
-def kernel_extract(layer: _freq.SpectralLayer, which: str = "expand",
-                   class_index: int = 0) -> np.ndarray:
-    """`layer_kernel` of a shift-invariant layer, shape (C, C, T)."""
-    return layer_kernel(_of_rank(layer, 1), which, class_index)
-
-
-def kernel_extract_2d(layer: _freq.SpectralLayer, which: str = "expand",
-                      class_index: int = 0) -> np.ndarray:
-    """`layer_kernel` of a translation-invariant layer, shape (C, C, H, W)."""
-    return layer_kernel(_of_rank(layer, 2), which, class_index)

@@ -16,9 +16,10 @@ Training-label updates (pihat replaced by the true one-hot membership)
 reproduce the per-sample slices of the exact objective gradient.
 
 This is the invariant construction over the trivial group, so the
-network is built and applied by the spectral engine itself: an (n, m)
-feature matrix is a rank-0 stack, whose one frequency carries the whole
-real operators. The model is a `SpectralReduNet` with C = n and
+network is built and applied by the spectral engine itself
+(`spectral.construct`, `spectral.forward`): an (n, m) feature matrix
+is a rank-0 stack, whose one frequency carries the whole real operators.
+The model is a `SpectralReduNet` with C = n and
 ``freq_shape = ()``, its layers real `SpectralLayer` stacks Ebar = E[None]
 (1, n, n) and Cbar = C[:, None] (k, 1, n, n). Both kinds are factored on
 the smaller Gram side (`_freq.regularized_inverse`): with fewer columns
@@ -37,14 +38,14 @@ a class of fewer than n samples multiplied out from its m_j x m_j side.
 
 The dense `expansion_operator` and `compression_operators` build the same
 operators one feature matrix at a time; the tests and the selftest keep
-them as references. `rate_gradient` is the rank-0 `spectral.group_gradient`.
+them as references. The gradient is the rank-0 `spectral.group_gradient`,
+``expand - compress.sum(axis=0)`` of its two terms.
 """
 
 import numpy as np
 
 from . import _freq
 from .rate import Partition, RateParams, as_matrix
-from .spectral import SpectralReduNet, _of_rank, _stack_of_rank, construct, forward, group_gradient
 
 
 def expansion_operator(Z, eps: float) -> np.ndarray:
@@ -66,30 +67,3 @@ def compression_operators(Z, partition: Partition, eps: float) -> np.ndarray:
         Zj = Z[:, partition.mask(j)]
         C[j] = _freq.regularized_inverse(Zj, params.alpha_class(n, int(partition.counts[j])))[0]
     return C
-
-
-def rate_gradient(Z, partition: Partition, eps: float) -> np.ndarray:
-    """Gradient of rate_reduction with respect to Z.
-
-    d/dZ [R - Rc] = E Z - sum_j gamma_j C_j Z Pi_j, where
-    E   = alpha   (I + alpha   Z Z*)^-1
-    C_j = alpha_j (I + alpha_j Z Pi_j Z*)^-1,
-    the ``expand - compress.sum(axis=0)`` of `group_gradient` at rank 0.
-    """
-    expand, compress = group_gradient(_stack_of_rank(Z, 0), partition, eps)
-    return expand - compress.sum(axis=0)
-
-
-def construct_vector_net(X, partition: Partition, L: int, eta: float, eps: float,
-                         **options) -> SpectralReduNet:
-    """`construct` on (n, m) features: the vector network.
-
-    Takes the options of `construct` (``lam``, ``use_labels``, ``sink``,
-    ``carry``), with ``carry`` an (n,) or (n, b) feature batch.
-    """
-    return construct(_stack_of_rank(X, 0), partition, L, eta, eps, **options)
-
-
-def forward_vector(model: SpectralReduNet, x) -> np.ndarray:
-    """`forward` of a feature (n,) or batch (n, b) through a vector network."""
-    return forward(_of_rank(model, 0), x)

@@ -16,13 +16,9 @@ import numpy as np
 import pytest
 
 import redunet
-from redunet import (Partition, construct_shift1d, construct_translation2d,
-                     construct_vector_net, fit_subspaces, forward_shift1d,
-                     forward_translation2d, lift_1d, lift_2d, predict,
-                     random_filters, rate_gradient, rate_reduction,
-                     shift_rate_components, shift_rate_reduction, signals_1d,
-                     sparsify, spectral_gradient, spectral_gradient_2d,
-                     translation_rate_components, translation_rate_reduction)
+from redunet import (Partition, construct, fit_subspaces, forward, group_gradient,
+                     group_rate_components, lift_1d, lift_2d, predict, random_filters,
+                     rate_reduction, signals_1d, sparsify)
 from redunet.harness import read_csv
 from redunet.harness.cli import main as cli_main
 from redunet.rate import default_lambda
@@ -80,8 +76,8 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     # shift case, stack (C=2, T=8, m=4)
     Zbar, labels = s1.sample_stack(0)
     P = Partition(labels)
-    fast = shift_rate_components(Zbar, P, eps, method="fast")
-    dense = shift_rate_components(Zbar, P, eps, method="dense")
+    fast = group_rate_components(Zbar, P, eps, method="fast")
+    dense = group_rate_components(Zbar, P, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
     layer = spectral_operators(dft(Zbar, 1), P, eps)
@@ -90,20 +86,20 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     for j in range(P.k):
         assert np.max(np.abs(s1.assemble_dense(layer.Cbar[j], 8) - Cs[j])) <= 1e-7
 
-    expand, compress = spectral_gradient(Zbar, P, eps)
+    expand, compress = group_gradient(Zbar, P, eps)
     num = oracles.central_diff_grad(
-        lambda A: shift_rate_reduction(A, P, eps, method="dense"), Zbar)
+        lambda A: group_rate_components(A, P, eps, method="dense")[0], Zbar)
     assert np.max(np.abs(expand - compress.sum(axis=0) - num)) <= 1e-7
 
-    model = construct_shift1d(Zbar, P, 3, 0.5, eps)
+    model = construct(Zbar, P, 3, 0.5, eps)
     ref = s1.dense_construct(Zbar, labels, 3, 0.5, eps, default_lambda(P.k))
     assert np.max(np.abs(model.features - ref)) <= 1e-7
 
     # translation case, stack (C=2, H=W=3, m=2)
     Qbar, qlabels = s2.image_stack(0, m=2)
     Q = Partition(qlabels)
-    fast = translation_rate_components(Qbar, Q, eps, method="fast")
-    dense = translation_rate_components(Qbar, Q, eps, method="dense")
+    fast = group_rate_components(Qbar, Q, eps, method="fast")
+    dense = group_rate_components(Qbar, Q, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
     layer2 = spectral_operators(dft(Qbar, 2), Q, eps)
@@ -112,12 +108,12 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     for j in range(Q.k):
         assert np.max(np.abs(s2.assemble_dense(layer2.Cbar[j], 3, 3) - Cs2[j])) <= 1e-7
 
-    expand2, compress2 = spectral_gradient_2d(Qbar, Q, eps)
+    expand2, compress2 = group_gradient(Qbar, Q, eps)
     num2 = oracles.central_diff_grad(
-        lambda A: translation_rate_reduction(A, Q, eps, method="dense"), Qbar)
+        lambda A: group_rate_components(A, Q, eps, method="dense")[0], Qbar)
     assert np.max(np.abs(expand2 - compress2.sum(axis=0) - num2)) <= 1e-7
 
-    model2 = construct_translation2d(Qbar, Q, 3, 0.5, eps)
+    model2 = construct(Qbar, Q, 3, 0.5, eps)
     ref2 = s2.dense_construct(Qbar, qlabels, 3, 0.5, eps, default_lambda(Q.k))
     assert np.max(np.abs(model2.features - ref2)) <= 1e-7
 
@@ -146,7 +142,7 @@ def test_criterion_02_gradients_match_finite_differences_within_1e5():
         Z = rng.standard_normal((n, m))
         P = Partition(np.arange(m) % k)
         eps = (0.3, 0.5, 1.0)[i % 3]
-        err = rel_err(rate_gradient(Z, P, eps),
+        err = rel_err(scalar_grad(group_gradient(Z, P, eps)),
                       lambda A: rate_reduction(A, P, eps), Z)
         assert err <= 1e-5, f"vector instance {i}: {err:.2e}"
         checked += 1
@@ -157,8 +153,8 @@ def test_criterion_02_gradients_match_finite_differences_within_1e5():
         Zbar = rng.standard_normal((C, T, m))
         P = Partition(np.arange(m) % 2)
         eps = (0.3, 0.5, 1.0)[i % 3]
-        err = rel_err(scalar_grad(spectral_gradient(Zbar, P, eps)),
-                      lambda A: shift_rate_reduction(A, P, eps), Zbar)
+        err = rel_err(scalar_grad(group_gradient(Zbar, P, eps)),
+                      lambda A: group_rate_components(A, P, eps)[0], Zbar)
         assert err <= 1e-5, f"shift instance {i}: {err:.2e}"
         checked += 1
 
@@ -169,8 +165,8 @@ def test_criterion_02_gradients_match_finite_differences_within_1e5():
         Zbar = rng.standard_normal((C, H, W, m))
         P = Partition(np.arange(m) % 2)
         eps = (0.3, 0.5, 1.0)[i % 3]
-        err = rel_err(scalar_grad(spectral_gradient_2d(Zbar, P, eps)),
-                      lambda A: translation_rate_reduction(A, P, eps), Zbar)
+        err = rel_err(scalar_grad(group_gradient(Zbar, P, eps)),
+                      lambda A: group_rate_components(A, P, eps)[0], Zbar)
         assert err <= 1e-5, f"image instance {i}: {err:.2e}"
         checked += 1
 
@@ -188,9 +184,9 @@ def test_criterion_03_degenerate_inputs_and_norm_conservation():
     Z = rng.standard_normal((4, 6))
     assert abs(rate_reduction(Z, Partition(np.zeros(6, dtype=int)), 0.5)) < 1e-10
     Zbar = rng.standard_normal((2, 8, 4))
-    assert abs(shift_rate_reduction(Zbar, Partition(np.zeros(4, dtype=int)), 0.5)) < 1e-10
+    assert abs(group_rate_components(Zbar, Partition(np.zeros(4, dtype=int)), 0.5)[0]) < 1e-10
     Qbar = rng.standard_normal((2, 3, 3, 4))
-    assert abs(translation_rate_reduction(Qbar, Partition(np.zeros(4, dtype=int)), 0.5)) < 1e-10
+    assert abs(group_rate_components(Qbar, Partition(np.zeros(4, dtype=int)), 0.5)[0]) < 1e-10
 
     # both Gram orders give the same log-volume
     for n, m in [(3, 8), (8, 3), (5, 5)]:
@@ -213,20 +209,20 @@ def test_criterion_03_degenerate_inputs_and_norm_conservation():
     # every constructed feature (and carried sample) lands on the sphere
     X = rng.standard_normal((4, 12))
     P = Partition(np.arange(12) % 2)
-    net = construct_vector_net(X, P, 5, 0.5, 0.5, carry=rng.standard_normal((4, 3)))
+    net = construct(X, P, 5, 0.5, 0.5, carry=rng.standard_normal((4, 3)))
     assert np.max(np.abs(np.linalg.norm(net.features, axis=0) - 1)) <= 1e-10
     assert np.max(np.abs(np.linalg.norm(net.carry_features, axis=0) - 1)) <= 1e-10
 
     Zbar, labels = s1.sample_stack(7)
-    net1 = construct_shift1d(Zbar, Partition(labels), 5, 0.5, 0.5,
-                             carry=rng.standard_normal((2, 8, 3)))
+    net1 = construct(Zbar, Partition(labels), 5, 0.5, 0.5,
+                     carry=rng.standard_normal((2, 8, 3)))
     for F in (net1.features, net1.carry_features):
         norms = np.sqrt((F ** 2).sum(axis=(0, 1)))
         assert np.max(np.abs(norms - 1)) <= 1e-10
 
     Qbar, qlabels = s2.image_stack(7)
-    net2 = construct_translation2d(Qbar, Partition(qlabels), 5, 0.5, 0.5,
-                                   carry=rng.standard_normal((2, 3, 3, 3)))
+    net2 = construct(Qbar, Partition(qlabels), 5, 0.5, 0.5,
+                     carry=rng.standard_normal((2, 3, 3, 3)))
     for F in (net2.features, net2.carry_features):
         norms = np.sqrt((F ** 2).sum(axis=(0, 1, 2)))
         assert np.max(np.abs(norms - 1)) <= 1e-10
@@ -242,9 +238,9 @@ def test_criterion_04_equivariance_and_prediction_stability():
     bank = random_filters(3, 3, seed=2)
     Zb = sparsify(lift_1d(train.samples.T, bank))
     Tb = sparsify(lift_1d(test.samples.T, bank))
-    model = construct_shift1d(Zb, Partition(train.labels), 30, 0.1, 0.1,
-                              use_labels=True)
-    base = forward_shift1d(model, Tb)
+    model = construct(Zb, Partition(train.labels), 30, 0.1, 0.1,
+                      use_labels=True)
+    base = forward(model, Tb)
 
     # fitted to the orbit of the training features under all 32 shifts
     clf = fit_subspaces(model.features, Partition(train.labels), 0.95, stride=(1,))
@@ -254,7 +250,7 @@ def test_criterion_04_equivariance_and_prediction_stability():
     agree = 0
     total = 0
     for s in range(32):
-        shifted = forward_shift1d(model, np.roll(Tb, s, axis=1))
+        shifted = forward(model, np.roll(Tb, s, axis=1))
         worst = max(worst, np.max(np.abs(shifted - np.roll(base, s, axis=1))))
         pred = predict(shifted.reshape(shifted.shape[0] * 32, -1), clf)
         agree += int((pred == base_pred).sum())
@@ -268,9 +264,9 @@ def test_criterion_04_equivariance_and_prediction_stability():
     bank2 = random_filters(2, (3, 3), seed=2)
     Zb2 = sparsify(lift_2d(imgs.astype(float).transpose(1, 2, 0) / 255.0, bank2))
     Tb2 = sparsify(lift_2d(timgs.astype(float).transpose(1, 2, 0) / 255.0, bank2))
-    model2 = construct_translation2d(Zb2, Partition(labels), 15, 0.5, 0.1,
-                                     use_labels=True)
-    base2 = forward_translation2d(model2, Tb2)
+    model2 = construct(Zb2, Partition(labels), 15, 0.5, 0.1,
+                       use_labels=True)
+    base2 = forward(model2, Tb2)
 
     rolls = [(p, q) for p in range(0, 28, 7) for q in range(0, 28, 7)]
     clf2 = fit_subspaces(model2.features, Partition(labels), 0.95, stride=(7, 7))
@@ -280,7 +276,7 @@ def test_criterion_04_equivariance_and_prediction_stability():
     agree2 = 0
     total2 = 0
     for p, q in rolls:
-        shifted = forward_translation2d(model2, np.roll(Tb2, (p, q), axis=(1, 2)))
+        shifted = forward(model2, np.roll(Tb2, (p, q), axis=(1, 2)))
         worst2 = max(worst2, np.max(np.abs(shifted - np.roll(base2, (p, q), axis=(1, 2)))))
         pred = predict(shifted.reshape(2 * 28 * 28, -1), clf2)
         agree2 += int((pred == base_pred2).sum())

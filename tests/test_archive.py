@@ -16,9 +16,7 @@ from redunet.harness.config import load_config
 from redunet.harness import experiments
 from redunet.harness.experiments import eval_experiment, run_experiment
 from redunet.rate import Partition
-from redunet.spectral import (construct, construct_shift1d, construct_translation2d,
-                              forward_shift1d, forward_translation2d)
-from redunet.vector import construct_vector_net, forward_vector
+from redunet.spectral import construct, forward
 
 from oracles import (labels_for, no_class_model, rng_for, same_operators, with_header_value,
                      with_last_operator_value)
@@ -29,22 +27,22 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 def vector_model(L=3):
     rng = rng_for(31)
     X = rng.standard_normal((4, 6))
-    return construct_vector_net(X, Partition(labels_for(6, 2, rng)), L=L,
-                                eta=0.3, eps=0.5), X
+    return construct(X, Partition(labels_for(6, 2, rng)), L=L,
+                     eta=0.3, eps=0.5), X
 
 
 def shift_model(L=2):
     rng = rng_for(32)
     Z = rng.standard_normal((2, 8, 5))
-    return construct_shift1d(Z, Partition(labels_for(5, 2, rng)), L=L,
-                             eta=0.3, eps=0.5), Z
+    return construct(Z, Partition(labels_for(5, 2, rng)), L=L,
+                     eta=0.3, eps=0.5), Z
 
 
 def translation_model(L=2):
     rng = rng_for(33)
     Z = rng.standard_normal((2, 3, 4, 5))
-    return construct_translation2d(Z, Partition(labels_for(5, 2, rng)), L=L,
-                                   eta=0.3, eps=0.5), Z
+    return construct(Z, Partition(labels_for(5, 2, rng)), L=L,
+                     eta=0.3, eps=0.5), Z
 
 
 # ------------------------------------------------------------- roundtrips
@@ -98,20 +96,20 @@ def test_zero_layer_model_roundtrip(tmp_path):
 def test_forward_on_loaded_vector_model_is_exact(tmp_path):
     model, X = vector_model()
     back = load_model(save_model(model, tmp_path / "m.rnet"))
-    assert np.array_equal(forward_vector(back, X), forward_vector(model, X))
+    assert np.array_equal(forward(back, X), forward(model, X))
 
 
 def test_forward_on_loaded_shift_model_is_exact(tmp_path):
     model, Z = shift_model()
     back = load_model(save_model(model, tmp_path / "m.rnet"))
-    assert np.array_equal(forward_shift1d(back, Z), forward_shift1d(model, Z))
+    assert np.array_equal(forward(back, Z), forward(model, Z))
 
 
 def test_forward_on_loaded_translation_model_is_exact(tmp_path):
     model, Z = translation_model()
     back = load_model(save_model(model, tmp_path / "m.rnet"))
-    assert np.array_equal(forward_translation2d(back, Z),
-                          forward_translation2d(model, Z))
+    assert np.array_equal(forward(back, Z),
+                          forward(model, Z))
 
 
 # ------------------------------------------------------------ error paths
@@ -445,7 +443,7 @@ def fixture_artifacts(archive, name, out):
     if run is None:
         out.mkdir(parents=True)
         Z = translation_model()[1]
-        (out / "forward.bin").write_bytes(forward_translation2d(load_model(archive), Z).tobytes())
+        (out / "forward.bin").write_bytes(forward(load_model(archive), Z).tobytes())
     else:
         eval_experiment(load_config(run[0], None, run[1]), archive, out, augmented=True)
     if "vector" not in name:
@@ -470,8 +468,8 @@ def test_fixture_evaluates_and_exports_kernels_as_before_version_3(tmp_path, nam
 
 def wide_vector_model():
     rng = rng_for(36)
-    return construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
-                                L=2, eta=0.3, eps=0.5)
+    return construct(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
+                     L=2, eta=0.3, eps=0.5)
 
 
 def factored_vector_blob(tmp_path):
@@ -580,8 +578,8 @@ def test_v3_factored_features_off_the_unit_sphere_rejected(tmp_path, capsys, fac
 def test_export_kernel_of_a_bad_v3_form_exits_three(tmp_path, capsys):
     # a shift model of 6 channels and 5 samples: every operator factored
     rng = rng_for(37)
-    model = construct_shift1d(rng.standard_normal((6, 4, 5)), Partition([0, 1, 0, 1, 1]),
-                              L=1, eta=0.3, eps=0.5)
+    model = construct(rng.standard_normal((6, 4, 5)), Partition([0, 1, 0, 1, 1]),
+                      L=1, eta=0.3, eps=0.5)
     blob = pathlib.Path(save_model(model, tmp_path / "m.rnet")).read_bytes()
     forms_at = 24 + 4 * 2 + 8 * (4 + 2 * 2)
     assert struct.unpack_from("<3I", blob, forms_at) == (1, 1, 1)
@@ -607,7 +605,7 @@ def mixed_vector_model():
     rng = rng_for(38)
     X = rng.standard_normal((4, 10))
     labels = rng.permutation(np.repeat([0, 1, 2], [2, 3, 5]))
-    return construct_vector_net(X, Partition(labels), L=2, eta=0.3, eps=0.5)
+    return construct(X, Partition(labels), L=2, eta=0.3, eps=0.5)
 
 
 def test_v3_mixed_archive_loads_as_dense_layers(tmp_path):

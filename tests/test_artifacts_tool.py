@@ -10,7 +10,7 @@ import pytest
 from redunet.harness.archive import save_model
 from redunet.harness.csvio import emit_csv
 from redunet.rate import Partition
-from redunet.spectral import construct_shift1d
+from redunet.spectral import construct
 
 from oracles import labels_for, rng_for, with_last_operator_value
 
@@ -23,8 +23,8 @@ _SPEC.loader.exec_module(artifacts)
 
 def shift_archive(path):
     rng = rng_for(40)
-    model = construct_shift1d(rng.standard_normal((2, 8, 5)), Partition(labels_for(5, 2, rng)),
-                              L=2, eta=0.3, eps=0.5)
+    model = construct(rng.standard_normal((2, 8, 5)), Partition(labels_for(5, 2, rng)),
+                      L=2, eta=0.3, eps=0.5)
     return save_model(model, path)
 
 

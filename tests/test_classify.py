@@ -6,7 +6,7 @@ import pytest
 from redunet.classify import SubspaceModel, evaluate, fit_subspaces, predict
 from redunet.errors import EmptyClass, LengthMismatch, NumericalError
 from redunet.rate import Partition
-from redunet.spectral import construct_shift1d, forward_shift1d
+from redunet.spectral import construct, forward
 
 from oracles import labels_for, rng_for, svd_subspaces
 
@@ -280,14 +280,14 @@ def test_shift_augmented_fit_gives_shift_invariant_predictions():
                 Zbar[c, :, i] = amp * np.cos(2 * np.pi * t / T + phase) + rng.uniform(-1, 1)
             else:
                 Zbar[c, :, i] = amp * np.cos(6 * np.pi * t / T + phase)
-    net = construct_shift1d(Zbar, Partition(labels), L=5, eta=0.3, eps=0.5)
+    net = construct(Zbar, Partition(labels), L=5, eta=0.3, eps=0.5)
     # fit to the orbit of the training features under every cyclic shift;
     # equivariance makes this identical to forwarding shifted raw inputs
     model = fit_subspaces(net.features, Partition(labels), stride=(1,))
-    base = predict(forward_shift1d(net, Zbar), model)
+    base = predict(forward(net, Zbar), model)
     assert np.array_equal(base, labels)
     for s in range(T):
-        shifted = forward_shift1d(net, np.roll(Zbar, s, axis=1))
+        shifted = forward(net, np.roll(Zbar, s, axis=1))
         assert np.array_equal(predict(shifted, model), base)
 
 

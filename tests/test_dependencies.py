@@ -19,8 +19,8 @@ from redunet.harness.archive import load_model, save_model
 
 rng = np.random.default_rng(0)
 P = redunet.Partition([0, 1, 0, 1])
-models = [redunet.construct_vector_net(rng.standard_normal((3, 4)), P, L=1, eta=0.3, eps=0.5),
-          redunet.construct_shift1d(rng.standard_normal((2, 6, 4)), P, L=1, eta=0.3, eps=0.5)]
+models = [redunet.construct(rng.standard_normal((3, 4)), P, L=1, eta=0.3, eps=0.5),
+          redunet.construct(rng.standard_normal((2, 6, 4)), P, L=1, eta=0.3, eps=0.5)]
 with tempfile.TemporaryDirectory() as tmp:
     for i, model in enumerate(models):
         back = load_model(save_model(model, os.path.join(tmp, f"{i}.rnet")))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,12 +112,27 @@ def test_eval_reproduces_metric_set(tmp_path):
     assert (redo / "loss_curve.csv").exists()
 
 
-def test_eval_rejects_mismatched_archive(tmp_path):
+SMALL = {"gauss2d": {"m_per_class": "12", "m_test_per_class": "8", "layers": "15"},
+         "gauss3d": {"m_per_class": "6", "m_test_per_class": "4"},
+         "signals1d": {"m_per_class": "4", "m_test_per_class": "3", "n": "12",
+                       "channels": "2", "layers": "2"}}
+
+
+# the dims' length is the group rank plus one, so comparing the dims alone
+# also refuses an archive of another geometry
+@pytest.mark.parametrize("built, evaluated, dims, shape", [
+    ("gauss2d", "gauss3d", (2,), (3,)),
+    ("gauss2d", "signals1d", (2,), (2, 12)),
+    ("signals1d", "gauss2d", (2, 12), (2,)),
+])
+def test_eval_rejects_mismatched_archive(tmp_path, built, evaluated, dims, shape):
     out = tmp_path / "run"
-    run_experiment(gauss_cfg(save_model="true"), out)
-    cfg3 = load_config("gauss3d", None, {"m_per_class": "6", "m_test_per_class": "4"})
-    with pytest.raises(ConfigError):
-        eval_experiment(cfg3, out / "model.rnet", tmp_path / "redo")
+    run_experiment(load_config(built, None, {**SMALL[built], "save_model": "true"}), out)
+    cfg = load_config(evaluated, None, {**SMALL[evaluated], "save_model": "true"})
+    with pytest.raises(ConfigError, match=re.escape(
+            f"holds a model of shape {dims}, but the experiment needs one of shape {shape}")):
+        eval_experiment(cfg, out / "model.rnet", tmp_path / "redo")
+    assert not (tmp_path / "redo").exists()
 
 
 def test_each_stage_releases_the_freed_heap_even_when_it_fails(tmp_path, monkeypatch):

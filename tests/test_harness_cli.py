@@ -262,6 +262,28 @@ def test_custom_vector_labels_skipping_a_class_exit_three_before_any_layer(
     assert err.startswith("error:") and f"class {missing} has no training column" in err
 
 
+def test_custom_vector_test_label_outside_the_trained_classes_exits_three_before_any_layer(
+        tmp_path, capsys, monkeypatch):
+    import redunet._freq
+
+    def fail(*args, **kwargs):
+        pytest.fail("a layer was built for test labels outside the trained classes")
+
+    monkeypatch.setattr(redunet._freq, "build_layer", fail)
+    rng = rng_for(3)
+    data = tmp_path / "unknown.npz"
+    np.savez(data, X=rng.standard_normal((3, 8)), labels=np.repeat([0, 1], 4),
+             X_test=rng.standard_normal((3, 4)), labels_test=np.array([0, 1, 5, 1]))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[custom-vector]\ndata = {data}\nlayers = 5\n")
+    rc = main(["construct", "custom-vector", "--config", str(ini),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "labels_test holds label 5" in err
+    assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+
 def _unreadable_npz(path, case):
     if case == "text":
         path.write_text("1 2 3\n4 5 6\n")

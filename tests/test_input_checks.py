@@ -1,53 +1,37 @@
-"""Every construct, forward, objective and gradient entry point rejects NaN,
-inf and complex input, and forward rejects input of the wrong shape for its
-model."""
+"""Construct, forward, the objective and the gradient reject NaN, inf and
+complex input on every group rank, and input of the wrong shape."""
 
 import numpy as np
 import pytest
 
 from redunet.errors import NumericalError
 from redunet.rate import Partition, class_rate, coding_rate, rate_components, rate_reduction
-from redunet.spectral import (construct_shift1d, construct_translation2d, forward,
-                              forward_shift1d, forward_translation2d, group_gradient,
-                              group_rate_components, shift_rate_components, spectral_gradient,
-                              spectral_gradient_2d, translation_rate_components)
-from redunet.vector import construct_vector_net, forward_vector, rate_gradient
+from redunet.spectral import construct, forward, group_gradient, group_rate_components
 
 from oracles import rng_for
 
-SHAPES = {"vector": (5,), "shift1d": (2, 6), "translation2d": (2, 3, 4)}
-CONSTRUCT = {"vector": construct_vector_net, "shift1d": construct_shift1d,
-             "translation2d": construct_translation2d}
-FORWARD = {"vector": forward_vector, "shift1d": forward_shift1d,
-           "translation2d": forward_translation2d}
+SHAPES = {0: (5,), 1: (2, 6), 2: (2, 3, 4)}  # a sample's shape, by group rank
 PARTITION = Partition(np.array([0, 1, 0, 1]))
 BAD = [(np.nan, NumericalError), (np.inf, NumericalError),
        (-np.inf, NumericalError), ("complex", ValueError)]
-# the objective and its gradient, each with the kind of stack it takes
+# the objective and its gradient; the group-generic ones run on every rank
 OBJECTIVE = {
-    "coding_rate": ("vector", lambda X: coding_rate(X, 0.5)),
-    "class_rate": ("vector", lambda X: class_rate(X, PARTITION, 0.5)),
-    "rate_reduction": ("vector", lambda X: rate_reduction(X, PARTITION, 0.5)),
-    "rate_components": ("vector", lambda X: rate_components(X, PARTITION, 0.5)),
-    "rate_gradient": ("vector", lambda X: rate_gradient(X, PARTITION, 0.5)),
-    "group_rate_components": ("translation2d",
-                              lambda X: group_rate_components(X, PARTITION, 0.5)),
+    "coding_rate": lambda X: coding_rate(X, 0.5),
+    "class_rate": lambda X: class_rate(X, PARTITION, 0.5),
+    "rate_reduction": lambda X: rate_reduction(X, PARTITION, 0.5),
+    "rate_components": lambda X: rate_components(X, PARTITION, 0.5),
+    "group_rate_components": lambda X: group_rate_components(X, PARTITION, 0.5),
     "group_rate_components_dense": (
-        "translation2d", lambda X: group_rate_components(X, PARTITION, 0.5, method="dense")),
-    "group_gradient": ("translation2d", lambda X: group_gradient(X, PARTITION, 0.5)),
-    "shift_rate_components": ("shift1d", lambda X: shift_rate_components(X, PARTITION, 0.5)),
-    "shift_rate_components_dense": (
-        "shift1d", lambda X: shift_rate_components(X, PARTITION, 0.5, method="dense")),
-    "translation_rate_components": (
-        "translation2d", lambda X: translation_rate_components(X, PARTITION, 0.5)),
-    "spectral_gradient": ("shift1d", lambda X: spectral_gradient(X, PARTITION, 0.5)),
-    "spectral_gradient_2d": ("translation2d",
-                             lambda X: spectral_gradient_2d(X, PARTITION, 0.5)),
+        lambda X: group_rate_components(X, PARTITION, 0.5, method="dense")),
+    "group_gradient": lambda X: group_gradient(X, PARTITION, 0.5),
 }
+GROUP_GENERIC = ("group_rate_components", "group_rate_components_dense", "group_gradient")
+OBJECTIVE_CASES = [(entry, rank) for entry in OBJECTIVE
+                   for rank in (SHAPES if entry in GROUP_GENERIC else (0,))]
 
 
-def stack(kind, m, seed=3):
-    return rng_for(seed).standard_normal(SHAPES[kind] + (m,))
+def stack(rank, m, seed=3):
+    return rng_for(seed).standard_normal(SHAPES[rank] + (m,))
 
 
 def spoil(X, bad):
@@ -58,54 +42,58 @@ def spoil(X, bad):
     return X
 
 
-@pytest.mark.parametrize("kind", SHAPES)
+@pytest.mark.parametrize("rank", SHAPES)
 @pytest.mark.parametrize("bad, error", BAD)
 @pytest.mark.parametrize("where", ["train", "carry"])
-def test_construct_rejects_bad_input(kind, bad, error, where):
-    X, carry = stack(kind, 4), stack(kind, 3, seed=4)
+def test_construct_rejects_bad_input(rank, bad, error, where):
+    X, carry = stack(rank, 4), stack(rank, 3, seed=4)
     if where == "train":
         X = spoil(X, bad)
     else:
         carry = spoil(carry, bad)
     with pytest.raises(error):
-        CONSTRUCT[kind](X, PARTITION, 2, 0.5, 0.1, carry=carry)
+        construct(X, PARTITION, 2, 0.5, 0.1, carry=carry)
 
 
-@pytest.mark.parametrize("kind", SHAPES)
+@pytest.mark.parametrize("rank", SHAPES)
 @pytest.mark.parametrize("bad, error", BAD)
-def test_forward_rejects_bad_input(kind, bad, error):
-    model = CONSTRUCT[kind](stack(kind, 4), PARTITION, 1, 0.5, 0.1)
+def test_forward_rejects_bad_input(rank, bad, error):
+    model = construct(stack(rank, 4), PARTITION, 1, 0.5, 0.1)
     with pytest.raises(error):
-        FORWARD[kind](model, spoil(stack(kind, 3, seed=4), bad))
+        forward(model, spoil(stack(rank, 3, seed=4), bad))
 
 
-@pytest.mark.parametrize("kind", SHAPES)
-def test_forward_of_an_empty_stack_is_empty(kind):
+@pytest.mark.parametrize("rank", SHAPES)
+def test_forward_of_an_empty_stack_is_empty(rank):
     # a cyclic group's step has no sample block to share out then
-    model = CONSTRUCT[kind](stack(kind, 4), PARTITION, 2, 0.5, 0.1)
-    for forward_of in (FORWARD[kind], forward):
-        out = forward_of(model, np.zeros(SHAPES[kind] + (0,)))
-        assert out.shape == SHAPES[kind] + (0,) and out.dtype == np.float64
+    model = construct(stack(rank, 4), PARTITION, 2, 0.5, 0.1)
+    out = forward(model, np.zeros(SHAPES[rank] + (0,)))
+    assert out.shape == SHAPES[rank] + (0,) and out.dtype == np.float64
 
 
-@pytest.mark.parametrize("entry", OBJECTIVE)
+@pytest.mark.parametrize("entry, rank", OBJECTIVE_CASES)
 @pytest.mark.parametrize("bad, error", BAD)
-def test_objective_and_gradient_reject_bad_input(entry, bad, error):
-    kind, call = OBJECTIVE[entry]
+def test_objective_and_gradient_reject_bad_input(entry, rank, bad, error):
     with pytest.raises(error):
-        call(spoil(stack(kind, 4), bad))
+        OBJECTIVE[entry](spoil(stack(rank, 4), bad))
 
 
-def test_forward_vector_names_the_feature_count_it_expects():
-    model = construct_vector_net(stack("vector", 4), PARTITION, 1, 0.5, 0.1)
+@pytest.mark.parametrize("entry", GROUP_GENERIC + ("construct",))
+def test_group_entry_points_refuse_an_array_without_a_sample_axis(entry):
+    call = {**OBJECTIVE, "construct": lambda X: construct(X, PARTITION, 1, 0.5, 0.1)}[entry]
+    with pytest.raises(ValueError, match=r"expected a \(C, \*G, m\) .*got shape \(4,\)"):
+        call(np.ones(4))
+
+
+def test_forward_of_a_vector_model_names_the_feature_count_it_expects():
+    model = construct(stack(0, 4), PARTITION, 1, 0.5, 0.1)
     with pytest.raises(ValueError, match=r"expected input of shape \(5,\) or \(5, b\)"):
-        forward_vector(model, rng_for(4).standard_normal((6, 3)))
+        forward(model, rng_for(4).standard_normal((6, 3)))
 
 
-def test_spectral_forward_takes_a_vector_model():
-    model = construct_vector_net(stack("vector", 4), PARTITION, 1, 0.5, 0.1)
-    x = stack("vector", 3, seed=4)
-    assert np.array_equal(forward(model, x), forward_vector(model, x))
+def test_forward_of_a_vector_model_takes_one_feature():
+    model = construct(stack(0, 4), PARTITION, 1, 0.5, 0.1)
+    x = stack(0, 3, seed=4)
     single = forward(model, x[:, 0])
     assert single.shape == (5,)
-    assert np.max(np.abs(single - forward_vector(model, x)[:, 0])) < 1e-12
+    assert np.max(np.abs(single - forward(model, x)[:, 0])) < 1e-12

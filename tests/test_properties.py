@@ -22,7 +22,7 @@ from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, gram_logdet
 from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
                               group_rate_components, spectral_operators, stacked_circulant)
-from redunet.vector import compression_operators, construct_vector_net, expansion_operator
+from redunet.vector import compression_operators, expansion_operator
 
 from oracles import (dense_layer, dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
@@ -494,7 +494,7 @@ def test_vector_operators_equal_dense_oracle(n, m, lone, seed):
 def test_vector_update_estimates_membership_from_its_own_projections(n, m, b, k, seed):
     rng = np.random.default_rng(seed)
     P = Partition(labels_for(m, k, rng))
-    layer = construct_vector_net(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
+    layer = construct(rng.standard_normal((n, m)), P, L=1, eta=0.3, eps=0.5).layers[0]
     Z = _freq.normalize_samples(rng.standard_normal((n, b)))[None]
     if isinstance(layer.Ebar, _freq.Factored):  # norms read off the m side
         pi = _freq.membership(_freq.dense(layer.Cbar) @ Z, layer.lam, _freq.half_weights(()))
@@ -616,8 +616,8 @@ def factored_vector_archive():
     """A two-layer v3 vector archive whose operators are all factored (6
     features, classes of 2 and 3 samples, shuffled)."""
     rng = np.random.default_rng(38)
-    model = construct_vector_net(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
-                                 L=2, eta=0.3, eps=0.5)
+    model = construct(rng.standard_normal((6, 5)), Partition([0, 1, 0, 1, 1]),
+                      L=2, eta=0.3, eps=0.5)
     with tempfile.TemporaryDirectory() as tmp:
         with open(save_model(model, os.path.join(tmp, "m.rnet")), "rb") as fh:
             return fh.read()

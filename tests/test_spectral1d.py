@@ -9,11 +9,9 @@ import pytest
 from redunet import _freq
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
-from redunet.spectral import (augmented_partition, construct_shift1d, dft,
-                              forward_shift1d, group_circulant, kernel_extract, layer_kernel,
-                              shift_rate_components, shift_rate_reduction,
-                              spectral_gradient, spectral_operators, stacked_circulant)
-from redunet.vector import construct_vector_net
+from redunet.spectral import (augmented_partition, construct, dft, forward, group_circulant,
+                              group_gradient, group_rate_components, layer_kernel,
+                              spectral_operators, stacked_circulant)
 
 import oracles
 from oracles import (central_diff_grad, dft_matrix, labels_for, repeat_labels,
@@ -91,8 +89,8 @@ def test_fast_equals_dense_objective(seed):
     Zbar, labels = sample_stack(seed)
     P = Partition(labels)
     eps = 0.5
-    fast = shift_rate_components(Zbar, P, eps, method="fast")
-    dense = shift_rate_components(Zbar, P, eps, method="dense")
+    fast = group_rate_components(Zbar, P, eps, method="fast")
+    dense = group_rate_components(Zbar, P, eps, method="dense")
     assert np.max(np.abs(np.array(fast) - np.array(dense))) < 1e-9
 
 
@@ -101,7 +99,7 @@ def test_objective_matches_slogdet_oracle():
     P = Partition(labels)
     eps = 0.4
     T = Zbar.shape[1]
-    fast = shift_rate_components(Zbar, P, eps)
+    fast = group_rate_components(Zbar, P, eps)
     oracle = np.array(slogdet_rate(oracles.stacked_circulant(Zbar),
                                    repeat_labels(labels, T), eps)) / T
     assert np.max(np.abs(np.array(fast) - oracle)) < 1e-9
@@ -113,15 +111,15 @@ def test_objective_shift_invariant():
     shifted = Zbar.copy()
     shifted[:, :, 0] = np.roll(shifted[:, :, 0], 3, axis=1)
     shifted[:, :, 2] = np.roll(shifted[:, :, 2], 5, axis=1)
-    a = shift_rate_reduction(Zbar, P, 0.5)
-    b = shift_rate_reduction(shifted, P, 0.5)
+    a = group_rate_components(Zbar, P, 0.5)[0]
+    b = group_rate_components(shifted, P, 0.5)[0]
     assert abs(a - b) < 1e-10
 
 
 def test_single_class_objective_is_zero():
     Zbar, _ = sample_stack(8)
     P = Partition(np.zeros(Zbar.shape[2], dtype=int))
-    assert abs(shift_rate_reduction(Zbar, P, 0.5)) < 1e-10
+    assert abs(group_rate_components(Zbar, P, 0.5)[0]) < 1e-10
 
 
 # ------------------------------------------------------------- operators
@@ -210,7 +208,7 @@ def test_spectral_gradient_matches_finite_differences(seed):
         return slogdet_rate(oracles.stacked_circulant(W),
                             repeat_labels(labels, T), eps)[0] / T
 
-    expand, compress = spectral_gradient(Zbar, P, eps)
+    expand, compress = group_gradient(Zbar, P, eps)
     analytic = expand - compress.sum(axis=0)
     fd = central_diff_grad(objective, Zbar, h=1e-6)
     rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
@@ -245,7 +243,7 @@ def test_layer_update_matches_dense_reference():
     P = Partition(labels)
     eta, eps = 0.3, 0.5
     lam = default_lambda(P.k)
-    got = construct_shift1d(Zbar, P, L=3, eta=eta, eps=eps).features
+    got = construct(Zbar, P, L=3, eta=eta, eps=eps).features
     expected = dense_construct(Zbar, labels, 3, eta, eps, lam)
     assert np.max(np.abs(got - expected)) < 1e-9
 
@@ -255,8 +253,8 @@ def test_hard_label_layer_is_exact_gradient_step():
     P = Partition(labels)
     eta, eps = 0.3, 0.5
     Z0 = frob_normalize(Zbar)
-    model = construct_shift1d(Zbar, P, L=1, eta=eta, eps=eps, use_labels=True)
-    expand, compress = spectral_gradient(Z0, P, eps)
+    model = construct(Zbar, P, L=1, eta=eta, eps=eps, use_labels=True)
+    expand, compress = group_gradient(Z0, P, eps)
     step = Z0 + eta * (expand - compress.sum(axis=0))
     expected = frob_normalize(step)
     assert np.max(np.abs(model.features - expected)) < 1e-10
@@ -265,25 +263,25 @@ def test_hard_label_layer_is_exact_gradient_step():
 def test_hard_and_soft_labels_differ():
     Zbar, labels = sample_stack(22)
     P = Partition(labels)
-    soft = construct_shift1d(Zbar, P, L=2, eta=0.3, eps=0.5).features
-    hard = construct_shift1d(Zbar, P, L=2, eta=0.3, eps=0.5, use_labels=True).features
+    soft = construct(Zbar, P, L=2, eta=0.3, eps=0.5).features
+    hard = construct(Zbar, P, L=2, eta=0.3, eps=0.5, use_labels=True).features
     assert np.max(np.abs(soft - hard)) > 1e-8
 
 
 def test_construct_zero_layers():
     Zbar, labels = sample_stack(14)
-    model = construct_shift1d(Zbar, Partition(labels), L=0, eta=0.5, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=0, eta=0.5, eps=0.5)
     assert model.depth == 0
     assert model.trace.shape == (1, 3)
     assert np.max(np.abs(model.features - frob_normalize(Zbar))) < 1e-12
-    out = forward_shift1d(model, Zbar)
+    out = forward(model, Zbar)
     assert np.max(np.abs(out - frob_normalize(Zbar))) < 1e-12
 
 
 def test_forward_replays_training_features():
     Zbar, labels = sample_stack(15)
-    model = construct_shift1d(Zbar, Partition(labels), L=4, eta=0.3, eps=0.5)
-    replay = forward_shift1d(model, Zbar)
+    model = construct(Zbar, Partition(labels), L=4, eta=0.3, eps=0.5)
+    replay = forward(model, Zbar)
     assert np.max(np.abs(replay - model.features)) < 1e-6
 
 
@@ -291,8 +289,8 @@ def test_carry_matches_forward():
     Zbar, labels = sample_stack(16)
     rng = rng_for(99)
     Y = rng.standard_normal((2, 8, 3))
-    model = construct_shift1d(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5, carry=Y)
-    assert np.max(np.abs(model.carry_features - forward_shift1d(model, Y))) < 1e-12
+    model = construct(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5, carry=Y)
+    assert np.max(np.abs(model.carry_features - forward(model, Y))) < 1e-12
 
 
 def test_streaming_mode():
@@ -300,9 +298,9 @@ def test_streaming_mode():
     rng = rng_for(98)
     Y = rng.standard_normal((2, 8, 3))
     P = Partition(labels)
-    full = construct_shift1d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
+    full = construct(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
     sunk = []
-    slim = construct_shift1d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
+    slim = construct(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
     assert np.allclose(slim.carry_features, full.carry_features)
     for got, want in zip(sunk, full.layers, strict=True):
@@ -311,19 +309,19 @@ def test_streaming_mode():
 
 def test_forward_is_shift_equivariant():
     Zbar, labels = sample_stack(18, T=16, m=6)
-    model = construct_shift1d(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5)
     rng = rng_for(97)
     x = rng.standard_normal((2, 16))
-    base = forward_shift1d(model, x)
+    base = forward(model, x)
     for s in range(16):
-        shifted = forward_shift1d(model, np.roll(x, s, axis=1))
+        shifted = forward(model, np.roll(x, s, axis=1))
         assert np.max(np.abs(shifted - np.roll(base, s, axis=1))) < 1e-10
 
 
 def test_trace_single_class_stays_zero():
     Zbar, _ = sample_stack(19)
     P = Partition(np.zeros(Zbar.shape[2], dtype=int))
-    model = construct_shift1d(Zbar, P, L=2, eta=0.3, eps=0.5)
+    model = construct(Zbar, P, L=2, eta=0.3, eps=0.5)
     assert np.max(np.abs(model.trace[:, 0])) < 1e-9
 
 
@@ -472,10 +470,10 @@ def test_update_memory_is_bounded_by_blocks_per_worker(monkeypatch):
 
 
 def _forward_peak(model, x):
-    """Peak traced bytes of one `forward_shift1d` of x."""
+    """Peak traced bytes of one `forward` of x."""
     tracemalloc.start()
     try:
-        forward_shift1d(model, x)
+        forward(model, x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,12 +485,12 @@ def test_forward_steps_one_spectral_stack_in_place(monkeypatch):
     # a step output, which a loop of fresh outputs (`oracles`) holds at once
     C, T, b, k = 3, 64, 16, 2
     Zbar, labels = sample_stack(31, C=C, T=T, m=12, k=k)
-    model = construct_shift1d(Zbar, Partition(labels), 4, eta=0.3, eps=0.5)
+    model = construct(Zbar, Partition(labels), 4, eta=0.3, eps=0.5)
     x = rng_for(32).standard_normal((C, T, 32 * b))
     F_h = T // 2 + 1
     monkeypatch.setattr(_freq, "_UPDATE_BLOCK_VALUES", b * F_h * C)
     monkeypatch.setattr(_freq, "_WORKERS", 1)
-    forward_shift1d(model, x)  # the transforms' first use
+    forward(model, x)  # the transforms' first use
     one = _forward_peak(dataclasses.replace(model, layers=model.layers[:1]), x)
     four = _forward_peak(model, x)
     spectra = 16 * F_h * C * x.shape[-1]
@@ -504,7 +502,7 @@ def test_construct_rejects_zero_sample():
     Zbar, labels = sample_stack(22)
     Zbar[:, :, 1] = 0.0
     with pytest.raises(ZeroVector):
-        construct_shift1d(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
+        construct(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
 
 
 def test_augmented_partition_counts():
@@ -523,8 +521,8 @@ def test_kernel_applies_operator_by_convolution():
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 8))
-    for stack, dense in [(kernel_extract(layer, "expand"), E_dense),
-                         (kernel_extract(layer, "compress", 1), C_dense[1])]:
+    for stack, dense in [(layer_kernel(layer, "expand"), E_dense),
+                         (layer_kernel(layer, "compress", 1), C_dense[1])]:
         conv = np.zeros_like(x)
         for c in range(2):
             for c2 in range(2):
@@ -538,19 +536,19 @@ def test_kernel_rejects_a_class_index_outside_the_classes(class_index):
     # a 3-channel shift model of k = 2 classes; -1 would silently pick class
     # 1, 2 raise a bare IndexError and 1.0 a TypeError
     rng = rng_for(97)
-    model = construct_shift1d(rng.standard_normal((3, 8, 6)), Partition([0, 1, 0, 1, 1, 0]),
-                              L=1, eta=0.3, eps=0.5)
+    model = construct(rng.standard_normal((3, 8, 6)), Partition([0, 1, 0, 1, 1, 0]),
+                      L=1, eta=0.3, eps=0.5)
     with pytest.raises(ValueError, match=r"class_index must be an integer in \[0, 2\)"):
-        kernel_extract(model.layers[0], "compress", class_index)
-    assert kernel_extract(model.layers[0], "compress", np.int64(1)).shape == (3, 3, 8)
+        layer_kernel(model.layers[0], "compress", class_index)
+    assert layer_kernel(model.layers[0], "compress", np.int64(1)).shape == (3, 3, 8)
 
 
 @pytest.mark.parametrize("which", ["expand", "compress"])
 def test_kernel_refuses_a_vector_layer(which):
     # the trivial group has no grid to convolve over
     rng = rng_for(98)
-    model = construct_vector_net(rng.standard_normal((5, 8)), Partition(np.arange(8) % 2),
-                                 L=1, eta=0.3, eps=0.5)
+    model = construct(rng.standard_normal((5, 8)), Partition(np.arange(8) % 2),
+                      L=1, eta=0.3, eps=0.5)
     with pytest.raises(ValueError, match="vector layer"):
         layer_kernel(model.layers[0], which)
 
@@ -558,7 +556,7 @@ def test_kernel_refuses_a_vector_layer(which):
 def test_kernel_of_scaled_identity_operator_is_delta():
     layer = spectral_operators(dft(np.zeros((2, 6, 3)), 1), Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p) = alpha I for every p -> kernel alpha * delta
-    kern = kernel_extract(layer, "expand")
+    kern = layer_kernel(layer, "expand")
     alpha = layer.alpha
     expected = np.zeros((2, 2, 6))
     expected[0, 0, 0] = alpha

@@ -3,11 +3,9 @@ import pytest
 
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
-from redunet.spectral import (augmented_partition, construct_shift1d,
-                              construct_translation2d, dft, forward_translation2d,
-                              group_circulant, kernel_extract_2d,
-                              spectral_gradient_2d, spectral_operators, stacked_circulant,
-                              translation_rate_components, translation_rate_reduction)
+from redunet.spectral import (augmented_partition, construct, dft, forward, group_circulant,
+                              group_gradient, group_rate_components, layer_kernel,
+                              spectral_operators, stacked_circulant)
 
 import oracles
 from oracles import central_diff_grad, dft_matrix, labels_for, repeat_labels, rng_for, slogdet_rate
@@ -88,8 +86,8 @@ def test_fast_equals_dense_objective(seed, shape):
     Zbar, labels = image_stack(seed, *shape)
     P = Partition(labels)
     eps = 0.5
-    fast = translation_rate_components(Zbar, P, eps, method="fast")
-    dense = translation_rate_components(Zbar, P, eps, method="dense")
+    fast = group_rate_components(Zbar, P, eps, method="fast")
+    dense = group_rate_components(Zbar, P, eps, method="dense")
     assert np.max(np.abs(np.array(fast) - np.array(dense))) < 1e-9
 
 
@@ -98,7 +96,7 @@ def test_objective_matches_slogdet_oracle():
     P = Partition(labels)
     eps = 0.4
     HW = Zbar.shape[1] * Zbar.shape[2]
-    fast = translation_rate_components(Zbar, P, eps)
+    fast = group_rate_components(Zbar, P, eps)
     oracle = np.array(slogdet_rate(oracles.stacked_doubly_circulant(Zbar),
                                    repeat_labels(labels, HW), eps)) / HW
     assert np.max(np.abs(np.array(fast) - oracle)) < 1e-9
@@ -110,15 +108,15 @@ def test_objective_translation_invariant():
     shifted = Zbar.copy()
     shifted[..., 0] = np.roll(shifted[..., 0], (1, 2), axis=(1, 2))
     shifted[..., 2] = np.roll(shifted[..., 2], (2, 1), axis=(1, 2))
-    a = translation_rate_reduction(Zbar, P, 0.5)
-    b = translation_rate_reduction(shifted, P, 0.5)
+    a = group_rate_components(Zbar, P, 0.5)[0]
+    b = group_rate_components(shifted, P, 0.5)[0]
     assert abs(a - b) < 1e-10
 
 
 def test_single_class_objective_is_zero():
     Zbar, _ = image_stack(8)
     P = Partition(np.zeros(Zbar.shape[3], dtype=int))
-    assert abs(translation_rate_reduction(Zbar, P, 0.5)) < 1e-10
+    assert abs(group_rate_components(Zbar, P, 0.5)[0]) < 1e-10
 
 
 # ------------------------------------------------------------- operators
@@ -212,7 +210,7 @@ def test_spectral_gradient_matches_finite_differences(seed):
         return slogdet_rate(oracles.stacked_doubly_circulant(Y),
                             repeat_labels(labels, HW), eps)[0] / HW
 
-    expand, compress = spectral_gradient_2d(Zbar, P, eps)
+    expand, compress = group_gradient(Zbar, P, eps)
     analytic = expand - compress.sum(axis=0)
     fd = central_diff_grad(objective, Zbar, h=1e-6)
     rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
@@ -247,7 +245,7 @@ def test_layer_update_matches_dense_reference():
     P = Partition(labels)
     eta, eps = 0.3, 0.5
     lam = default_lambda(P.k)
-    got = construct_translation2d(Zbar, P, L=3, eta=eta, eps=eps).features
+    got = construct(Zbar, P, L=3, eta=eta, eps=eps).features
     expected = dense_construct(Zbar, labels, 3, eta, eps, lam)
     assert np.max(np.abs(got - expected)) < 1e-9
 
@@ -257,26 +255,26 @@ def test_hard_label_layer_is_exact_gradient_step():
     P = Partition(labels)
     eta, eps = 0.3, 0.5
     Z0 = frob_normalize(Zbar)
-    model = construct_translation2d(Zbar, P, L=1, eta=eta, eps=eps, use_labels=True)
-    expand, compress = spectral_gradient_2d(Z0, P, eps)
+    model = construct(Zbar, P, L=1, eta=eta, eps=eps, use_labels=True)
+    expand, compress = group_gradient(Z0, P, eps)
     expected = frob_normalize(Z0 + eta * (expand - compress.sum(axis=0)))
     assert np.max(np.abs(model.features - expected)) < 1e-10
 
 
 def test_construct_zero_layers():
     Zbar, labels = image_stack(14)
-    model = construct_translation2d(Zbar, Partition(labels), L=0, eta=0.5, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=0, eta=0.5, eps=0.5)
     assert model.depth == 0
     assert model.trace.shape == (1, 3)
     assert np.max(np.abs(model.features - frob_normalize(Zbar))) < 1e-12
-    out = forward_translation2d(model, Zbar)
+    out = forward(model, Zbar)
     assert np.max(np.abs(out - frob_normalize(Zbar))) < 1e-12
 
 
 def test_forward_replays_training_features():
     Zbar, labels = image_stack(15)
-    model = construct_translation2d(Zbar, Partition(labels), L=4, eta=0.3, eps=0.5)
-    replay = forward_translation2d(model, Zbar)
+    model = construct(Zbar, Partition(labels), L=4, eta=0.3, eps=0.5)
+    replay = forward(model, Zbar)
     assert np.max(np.abs(replay - model.features)) < 1e-6
 
 
@@ -284,8 +282,8 @@ def test_carry_matches_forward():
     Zbar, labels = image_stack(16)
     rng = rng_for(99)
     Y = rng.standard_normal((2, 3, 3, 3))
-    model = construct_translation2d(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5, carry=Y)
-    assert np.max(np.abs(model.carry_features - forward_translation2d(model, Y))) < 1e-12
+    model = construct(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5, carry=Y)
+    assert np.max(np.abs(model.carry_features - forward(model, Y))) < 1e-12
 
 
 def test_streaming_mode():
@@ -293,9 +291,9 @@ def test_streaming_mode():
     rng = rng_for(98)
     Y = rng.standard_normal((2, 3, 3, 3))
     P = Partition(labels)
-    full = construct_translation2d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
+    full = construct(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y)
     sunk = []
-    slim = construct_translation2d(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
+    slim = construct(Zbar, P, L=3, eta=0.3, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
     assert np.allclose(slim.carry_features, full.carry_features)
     for got, want in zip(sunk, full.layers, strict=True):
@@ -304,20 +302,20 @@ def test_streaming_mode():
 
 def test_forward_is_translation_equivariant():
     Zbar, labels = image_stack(18, H=4, W=4, m=6)
-    model = construct_translation2d(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=3, eta=0.3, eps=0.5)
     rng = rng_for(97)
     x = rng.standard_normal((2, 4, 4))
-    base = forward_translation2d(model, x)
+    base = forward(model, x)
     for p in range(4):
         for q in range(4):
-            shifted = forward_translation2d(model, np.roll(x, (p, q), axis=(1, 2)))
+            shifted = forward(model, np.roll(x, (p, q), axis=(1, 2)))
             assert np.max(np.abs(shifted - np.roll(base, (p, q), axis=(1, 2)))) < 1e-10
 
 
 def test_trace_single_class_stays_zero():
     Zbar, _ = image_stack(19)
     P = Partition(np.zeros(Zbar.shape[3], dtype=int))
-    model = construct_translation2d(Zbar, P, L=2, eta=0.3, eps=0.5)
+    model = construct(Zbar, P, L=2, eta=0.3, eps=0.5)
     assert np.max(np.abs(model.trace[:, 0])) < 1e-9
 
 
@@ -328,8 +326,8 @@ def test_row_of_one_pixel_matches_1d_model():
     signals = rng.standard_normal((2, 12, 5))
     labels = labels_for(5, 2, rng)
     P = Partition(labels)
-    flat = construct_shift1d(signals, P, L=3, eta=0.3, eps=0.5)
-    tall = construct_translation2d(signals[:, None, :, :], P, L=3, eta=0.3, eps=0.5)
+    flat = construct(signals, P, L=3, eta=0.3, eps=0.5)
+    tall = construct(signals[:, None, :, :], P, L=3, eta=0.3, eps=0.5)
     assert np.max(np.abs(tall.features[:, 0] - flat.features)) < 1e-12
     assert np.max(np.abs(tall.trace - flat.trace)) < 1e-12
 
@@ -338,7 +336,7 @@ def test_construct_rejects_zero_sample():
     Zbar, labels = image_stack(22)
     Zbar[..., 1] = 0.0
     with pytest.raises(ZeroVector):
-        construct_translation2d(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
+        construct(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
 
 
 def test_augmented_partition_counts():
@@ -357,8 +355,8 @@ def test_kernel_applies_operator_by_convolution():
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 3, 3))
-    for stack, dense in [(kernel_extract_2d(layer, "expand"), E_dense),
-                         (kernel_extract_2d(layer, "compress", 1), C_dense[1])]:
+    for stack, dense in [(layer_kernel(layer, "expand"), E_dense),
+                         (layer_kernel(layer, "compress", 1), C_dense[1])]:
         conv = np.zeros_like(x)
         for c in range(2):
             for c2 in range(2):
@@ -369,17 +367,17 @@ def test_kernel_applies_operator_by_convolution():
 
 def test_kernel_rejects_a_class_index_outside_the_classes():
     Zbar, labels = image_stack(24)
-    model = construct_translation2d(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
+    model = construct(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
     for class_index in (-1, 2, 1.0):
         with pytest.raises(ValueError, match="class_index must be an integer"):
-            kernel_extract_2d(model.layers[0], "compress", class_index)
+            layer_kernel(model.layers[0], "compress", class_index)
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():
     V = dft(np.zeros((2, 3, 4, 3)), 2)
     layer = spectral_operators(V, Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p, q) = alpha I everywhere -> kernel alpha * delta
-    kern = kernel_extract_2d(layer, "expand")
+    kern = layer_kernel(layer, "expand")
     alpha = layer.alpha
     expected = np.zeros((2, 2, 3, 4))
     expected[0, 0, 0, 0] = alpha

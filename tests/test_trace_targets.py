@@ -23,10 +23,15 @@ from oracles import labels_for  # noqa: E402
 from redunet.rate import Partition  # noqa: E402
 from redunet.spectral import construct, forward  # noqa: E402
 
-# targets whose functions the vector network no longer has, since it runs
-# through the spectral engine: its own membership wrapper and layer step,
-# and the objective as its own loop looked it up
-RETIRED = ("vector.soft_membership", "vector._update_batch", "rate.rate_components")
+# targets whose functions the package no longer has: the vector network's
+# own membership wrapper and layer step, and the objective as its own loop
+# looked it up (it runs through the spectral engine), and the per-geometry
+# construct and forward entry points, whose callers call `spectral.construct`
+# and `spectral.forward` on every group rank
+RETIRED = ("vector.soft_membership", "vector._update_batch", "rate.rate_components",
+           "spectral1d.construct_shift1d", "spectral1d.forward_shift1d",
+           "spectral2d.construct_translation2d", "spectral2d.forward_translation2d",
+           "vector.construct_vector_net", "vector.forward_vector")
 
 
 def _current(target):

@@ -5,10 +5,9 @@ from redunet.classify import fit_subspaces, predict
 from redunet.errors import ZeroVector
 from redunet import _freq
 from redunet.rate import Partition, RateParams, rate_components, rate_reduction
-from redunet.spectral import construct_shift1d, group_rate_components
+from redunet.spectral import construct, forward, group_gradient, group_rate_components
 from redunet._freq import membership, normalize_samples, update_batch
-from redunet.vector import (compression_operators, construct_vector_net, expansion_operator,
-                            forward_vector, rate_gradient)
+from redunet.vector import compression_operators, expansion_operator
 
 from oracles import dense_rate_gradient, labels_for, rng_for, vector_loop_construct
 
@@ -122,7 +121,7 @@ def test_nonlinear_compression_matches_manual_sum():
     rng = rng_for(10)
     X = rng.standard_normal((4, 8))
     P = Partition(labels_for(8, 2, rng))
-    layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
+    layer = construct(X, P, L=1, eta=0.5, eps=0.5).layers[0]
     z = rng.standard_normal((4, 1))
     pi = membership(layer.Cbar[:, 0] @ z, layer.lam)
     sigma = sum(layer.gamma[j] * pi[j] * (layer.Cbar[j, 0] @ z) for j in range(2))
@@ -138,7 +137,7 @@ def test_hard_label_layer_equals_gradient_ascent_step():
     labels = labels_for(10, 2, rng)
     P = Partition(labels)
     eta, eps = 0.25, 0.5
-    model = construct_vector_net(X, P, L=1, eta=eta, eps=eps, use_labels=True)
+    model = construct(X, P, L=1, eta=eta, eps=eps, use_labels=True)
     Z0 = normalize_samples(X)
     expected = normalize_samples(Z0 + eta * dense_rate_gradient(Z0, P, eps))
     assert np.linalg.norm(model.features - expected) < 1e-10
@@ -159,7 +158,7 @@ def test_vector_layer_takes_one_form_chosen_by_m_below_n(n, counts):
     rng = rng_for(n + len(counts))
     X = rng.standard_normal((n, sum(counts)))
     P = Partition(np.repeat(np.arange(3), counts))  # in class order, as the layer holds it
-    layer = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5).layers[0]
+    layer = construct(X, P, L=1, eta=0.5, eps=0.5).layers[0]
     Z = normalize_samples(X)
     form = _freq.Factored if P.m < n else np.ndarray
     assert all(isinstance(op, form) for op in _freq.operators(layer))
@@ -180,7 +179,9 @@ def test_rate_gradient_equals_dense_solve_oracle(n, counts, eps):
     Z = normalize_samples(rng.standard_normal((n, labels.size)))
     P = Partition(labels)
     want = dense_rate_gradient(Z, P, eps)
-    assert np.max(np.abs(rate_gradient(Z, P, eps) - want)) <= 1e-10 * np.max(np.abs(want))
+    expand, compress = group_gradient(Z, P, eps)
+    got = expand - compress.sum(axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_group_objective_of_a_feature_matrix_is_the_vector_objective():
@@ -197,10 +198,10 @@ def test_construct_zero_layers():
     rng = rng_for(12)
     X = rng.standard_normal((3, 6))
     P = Partition(labels_for(6, 2, rng))
-    model = construct_vector_net(X, P, L=0, eta=0.5, eps=0.5)
+    model = construct(X, P, L=0, eta=0.5, eps=0.5)
     assert model.depth == 0
     assert model.trace.shape == (1, 3)
-    out = forward_vector(model, X)
+    out = forward(model, X)
     assert np.allclose(out, normalize_samples(X))
 
 
@@ -208,7 +209,7 @@ def test_construct_trace_has_initial_plus_per_layer_rows():
     rng = rng_for(13)
     X = rng.standard_normal((3, 8))
     P = Partition(labels_for(8, 2, rng))
-    model = construct_vector_net(X, P, L=4, eta=0.5, eps=0.5)
+    model = construct(X, P, L=4, eta=0.5, eps=0.5)
     assert model.trace.shape == (5, 3)
     # trace rows are (rate_reduction, coding_rate, class_rate)
     assert np.allclose(model.trace[:, 0], model.trace[:, 1] - model.trace[:, 2])
@@ -219,8 +220,8 @@ def test_forward_replays_training_features():
     rng = rng_for(14)
     X = rng.standard_normal((4, 20))
     P = Partition(labels_for(20, 2, rng))
-    model = construct_vector_net(X, P, L=5, eta=0.5, eps=0.5)
-    replay = forward_vector(model, X)
+    model = construct(X, P, L=5, eta=0.5, eps=0.5)
+    replay = forward(model, X)
     assert np.max(np.abs(replay - model.features)) < 1e-6
 
 
@@ -229,8 +230,8 @@ def test_carry_features_match_forward():
     X = rng.standard_normal((4, 16))
     Y = rng.standard_normal((4, 5))
     P = Partition(labels_for(16, 2, rng))
-    model = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y)
-    assert np.allclose(model.carry_features, forward_vector(model, Y), atol=1e-12)
+    model = construct(X, P, L=3, eta=0.5, eps=0.5, carry=Y)
+    assert np.allclose(model.carry_features, forward(model, Y), atol=1e-12)
 
 
 def test_streaming_mode_discards_layers_keeps_carry():
@@ -238,9 +239,9 @@ def test_streaming_mode_discards_layers_keeps_carry():
     X = rng.standard_normal((4, 16))
     Y = rng.standard_normal((4, 6))
     P = Partition(labels_for(16, 2, rng))
-    full = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y)
+    full = construct(X, P, L=3, eta=0.5, eps=0.5, carry=Y)
     sunk = []
-    slim = construct_vector_net(X, P, L=3, eta=0.5, eps=0.5, carry=Y, sink=sunk.append)
+    slim = construct(X, P, L=3, eta=0.5, eps=0.5, carry=Y, sink=sunk.append)
     assert slim.depth == 0
     for got, want in zip(sunk, full.layers, strict=True):
         assert np.array_equal(got.Ebar, want.Ebar) and np.array_equal(got.Cbar, want.Cbar)
@@ -252,7 +253,7 @@ def test_apply_layer_single_matches_batch():
     rng = rng_for(17)
     X = rng.standard_normal((4, 12))
     P = Partition(labels_for(12, 2, rng))
-    model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
+    model = construct(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     batch = rng.standard_normal((4, 5))
     out = step(batch, layer, membership(layer.Cbar[:, 0] @ batch, layer.lam))
@@ -267,20 +268,12 @@ def test_apply_layer_hard_label_variant():
     rng = rng_for(18)
     X = rng.standard_normal((4, 12))
     P = Partition(labels_for(12, 2, rng))
-    model = construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
+    model = construct(X, P, L=1, eta=0.5, eps=0.5)
     layer = model.layers[0]
     z = rng.standard_normal((4, 1))
     out = step(z, layer, np.array([[0.0], [1.0]]))  # true label 1
     raw = z + layer.eta * layer.Ebar[0] @ z - layer.eta * layer.gamma[1] * layer.Cbar[1, 0] @ z
     assert np.linalg.norm(out - raw / np.linalg.norm(raw)) < 1e-12
-
-
-def test_forward_rejects_a_shift_model():
-    rng = rng_for(22)
-    P = Partition(labels_for(6, 2, rng))
-    model = construct_shift1d(rng.standard_normal((3, 4, 6)), P, L=1, eta=0.5, eps=0.5)
-    with pytest.raises(ValueError, match="0-d group"):
-        forward_vector(model, rng.standard_normal((3, 2)))
 
 
 def test_construct_rejects_zero_column():
@@ -289,7 +282,7 @@ def test_construct_rejects_zero_column():
     X[:, 2] = 0.0
     P = Partition(labels_for(6, 2, rng))
     with pytest.raises(ZeroVector):
-        construct_vector_net(X, P, L=1, eta=0.5, eps=0.5)
+        construct(X, P, L=1, eta=0.5, eps=0.5)
 
 
 def test_two_separated_classes_increase_rate_reduction():
@@ -302,7 +295,7 @@ def test_two_separated_classes_increase_rate_reduction():
         mu[:, [1]] + 0.1 * rng.standard_normal((2, m)),
     ])
     labels = np.array([0] * m + [1] * m)
-    model = construct_vector_net(X, Partition(labels), L=30, eta=0.5, eps=0.1)
+    model = construct(X, Partition(labels), L=30, eta=0.5, eps=0.1)
     assert model.trace[-1, 0] > model.trace[0, 0]
 
 
@@ -312,7 +305,7 @@ def test_engine_equals_vector_loop_oracle(n, m, use_labels):
     rng = rng_for(23)
     X, Y = rng.standard_normal((n, m)), rng.standard_normal((n, 5))
     P = Partition(labels_for(m, 2, rng))
-    model = construct_vector_net(X, P, L=4, eta=0.5, eps=0.5, carry=Y, use_labels=use_labels)
+    model = construct(X, P, L=4, eta=0.5, eps=0.5, carry=Y, use_labels=use_labels)
     want = vector_loop_construct(X, P, L=4, eta=0.5, eps=0.5, carry=Y, use_labels=use_labels)
     for got, ref in [(model.features, want.features),
                      (model.carry_features, want.carry_features), (model.trace, want.trace)]:
