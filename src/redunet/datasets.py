@@ -162,6 +162,12 @@ def load_mnist(image_path, label_path, digits=None) -> LabeledDataset:
 
 # ----------------------------------------------------------- augmentation
 
+def augment_shifts(shape, stride) -> list:
+    """Every multiple of ``stride`` along each axis of ``shape``, row-major:
+    an augmentation's cyclic shifts, in the order `_rolled` lays them out."""
+    return list(itertools.product(*(range(0, n, stride) for n in shape)))
+
+
 def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     """Replace every sample by its cyclic shifts at multiples of stride.
 
@@ -174,8 +180,7 @@ def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
     X = dataset.samples
     if X.ndim not in (2, 3):
         raise ValueError("expected (m, n) signals or (m, H, W) images")
-    shifts = list(itertools.product(*(range(0, n, stride) for n in X.shape[1:])))
-    return _rolled(dataset, shifts, tuple(range(1, X.ndim)))
+    return _rolled(dataset, augment_shifts(X.shape[1:], stride))
 
 
 def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
@@ -186,13 +191,15 @@ def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
     gamma = X.shape[1]
     if steps < 1 or gamma % steps != 0:
         raise StepsNotDividingGamma(f"{steps} steps do not divide {gamma} angle bins")
-    return _rolled(dataset, range(0, gamma, gamma // steps), 1)
+    return _rolled(dataset, augment_shifts((gamma,), gamma // steps))
 
 
-def _rolled(dataset: LabeledDataset, shifts, axis) -> LabeledDataset:
-    """Every sample replaced by its rolls by each of ``shifts`` along ``axis``, contiguous."""
+def _rolled(dataset: LabeledDataset, shifts) -> LabeledDataset:
+    """Every sample replaced by its rolls by each of ``shifts`` (one entry
+    per leading sample axis), contiguous."""
     X = dataset.samples
-    stacked = np.stack([np.roll(X, s, axis=axis) for s in shifts], axis=1)
+    axes = tuple(range(1, 1 + len(shifts[0])))
+    stacked = np.stack([np.roll(X, s, axis=axes) for s in shifts], axis=1)
     samples = stacked.reshape((-1,) + X.shape[1:])
     labels = np.repeat(dataset.labels, len(shifts))
     return LabeledDataset(samples, labels)

@@ -1,7 +1,7 @@
 """Experiment drivers: dataset preparation, construction, evaluation, artifacts.
 
 Every experiment follows the same shape: prepare a labeled training stack
-(and a test stack, plus optionally an augmented test stack) in the model's
+(and a test stack, plus optionally an augmented test set) in the model's
 input space, construct the network with label-driven updates while
 co-propagating the test data, fit the nearest-subspace classifier on the
 training features, and emit loss_curve.csv, cosine_train.csv,
@@ -18,7 +18,9 @@ on one block per character of the subgroup, so no shifted copy is ever
 propagated or formed. The kept subspaces are exactly invariant under the
 subgroup (a conjugate pair of characters is kept whole). The stride must
 therefore divide each rolled axis, or be at least as long (the identity
-alone); any other stride is a ConfigError.
+alone); any other stride is a ConfigError. By the same equivariance the
+augmented test set is scored from the test features rolled one shift at a
+time; only a vector model lifts, carries and forwards the shifted copies.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ import zlib
 import numpy as np
 
 from ..classify import evaluate, fit_subspaces, predict
-from ..datasets import (LabeledDataset, gaussian_sphere, load_mnist,
+from ..datasets import (LabeledDataset, augment_shifts, gaussian_sphere, load_mnist,
                         rotate_augment, shift_augment, signals_1d)
 from ..errors import ConfigError, DataError
 from ..lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
@@ -75,16 +77,17 @@ def _releases_freed_heap(stage):
 class Prepared:
     """Model-space data for one experiment (sample axis last).
 
-    ``carry`` is the stack a construction carries: the test stack, or,
-    with an augmented one, both as one stack of which ``test`` and ``aug``
-    are views.
+    ``carry`` is the stack a construction carries: the test stack, or, for
+    a vector model with an augmented one, both as one stack of which
+    ``test`` and ``aug`` are views. An invariant model has ``shifts`` in
+    place of ``aug``: its test features are rolled by each (`_mapped`).
     """
 
     def __init__(self, train, labels, test, test_labels,
                  aug=None, aug_labels=None, fit_stride=None, carry=None):
         self.train, self.labels = train, labels
         self.test, self.test_labels = test, test_labels
-        self.aug, self.aug_labels = aug, aug_labels
+        self.aug, self.aug_labels, self.shifts = aug, aug_labels, None
         self.fit_stride = fit_stride
         self.carry = test if carry is None else carry
 
@@ -153,15 +156,21 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
     return Prepared(train.samples.T, train.labels, test.samples.T, test.labels)
 
 
-def _mapped(as_input, train, test, aug=None, stride=None) -> Prepared:
-    """The datasets' samples mapped into model space by ``as_input``, the
-    test and augmented sets as one carry stack (`Prepared`)."""
-    if aug is None:
-        return Prepared(as_input(train.samples), train.labels,
-                        as_input(test.samples), test.labels, fit_stride=stride)
-    carry = as_input(np.concatenate([test.samples, aug.samples]))
-    return Prepared(as_input(train.samples), train.labels, carry[..., :test.m],
-                    test.labels, carry[..., test.m:], aug.labels, stride, carry)
+def _mapped(as_input, train, test, aug=None, stride=None, want_aug=False) -> Prepared:
+    """The datasets' samples mapped into model space by ``as_input``: the
+    test and a vector model's augmented set ``aug`` as one carry stack, or,
+    for an invariant model (a ``stride`` per group axis) that ``want_aug``,
+    the test set and its shifts along the input's axes 1..rank (`Prepared`)."""
+    if aug is not None:
+        carry = as_input(np.concatenate([test.samples, aug.samples]))
+        return Prepared(as_input(train.samples), train.labels, carry[..., :test.m],
+                        test.labels, carry[..., test.m:], aug.labels, carry=carry)
+    prep = Prepared(as_input(train.samples), train.labels, as_input(test.samples),
+                    test.labels, fit_stride=stride)
+    if want_aug:
+        prep.shifts = augment_shifts(test.samples.shape[1:1 + len(stride)], stride[0])
+        prep.aug_labels = np.repeat(test.labels, len(prep.shifts))
+    return prep
 
 
 def _flat_samples(X) -> np.ndarray:
@@ -172,9 +181,8 @@ def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     train = signals_1d(cfg.m_per_class, cfg.n, cfg.seed, cfg.noise)
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
-    aug = shift_augment(test, cfg.stride) if want_aug else None
     return _mapped(lambda X: sparsify(lift_1d(X.T, bank)),
-                   train, test, aug, (cfg.stride,))
+                   train, test, stride=(cfg.stride,), want_aug=want_aug)
 
 
 def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
@@ -187,17 +195,17 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
                                         for img in ds.samples]), ds.labels)
 
     train_p, test_p = to_polar(train), to_polar(test)
-    aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
     if cfg.variant == "vector":
+        aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
         return _mapped(_flat_samples, train_p, test_p, aug_p)
     return _mapped(lambda X: X.transpose(2, 1, 0),  # (C, gamma, m)
-                   train_p, test_p, aug_p, (cfg.stride,))
+                   train_p, test_p, stride=(cfg.stride,), want_aug=want_aug)
 
 
 def _prepare_translation(cfg, want_aug: bool) -> Prepared:
     train, test = _load_mnist_pair(cfg)
-    aug = shift_augment(test, cfg.stride) if want_aug else None
     if cfg.variant == "vector":
+        aug = shift_augment(test, cfg.stride) if want_aug else None
         return _mapped(_flat_samples, train, test, aug)
     for size in train.samples.shape[1:]:
         if cfg.stride < size and size % cfg.stride:
@@ -205,7 +213,7 @@ def _prepare_translation(cfg, want_aug: bool) -> Prepared:
                               "or be at least that size")
     bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
     return _mapped(lambda X: sparsify(lift_2d(X.transpose(1, 2, 0), bank)),
-                   train, test, aug, (cfg.stride, cfg.stride))
+                   train, test, stride=(cfg.stride, cfg.stride), want_aug=want_aug)
 
 
 def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:
@@ -320,14 +328,23 @@ def _orthogonal_fraction_all_shifts(F_test, test_labels, F_train, labels) -> flo
     return hits / total
 
 
+def _augmented_predictions(clf, F_test, F_aug, shifts) -> np.ndarray:
+    """Classes of the forwarded copies ``F_aug``, or of the test features rolled
+    by each of ``shifts`` in turn, never stacked, sample-major as `_rolled` lays them."""
+    if shifts is None:
+        return predict(F_aug, clf)
+    axes = tuple(range(1, F_test.ndim - 1))  # the group axes
+    return np.stack([predict(np.roll(F_test, s, axis=axes), clf) for s in shifts], 1).ravel()
+
+
 def _metric_rows(cfg, prep: Prepared, F_train, F_test, F_aug) -> list:
     clf = fit_subspaces(F_train, Partition(prep.labels), cfg.energy, stride=prep.fit_stride)
     rows = [("train_accuracy", evaluate(predict(F_train, clf), prep.labels))]
     if F_test is not None:
         rows.append(("test_accuracy", evaluate(predict(F_test, clf), prep.test_labels)))
-    if F_aug is not None:
-        rows.append(("augmented_test_accuracy",
-                     evaluate(predict(F_aug, clf), prep.aug_labels)))
+    if prep.aug_labels is not None:
+        rows.append(("augmented_test_accuracy", evaluate(
+            _augmented_predictions(clf, F_test, F_aug, prep.shifts), prep.aug_labels)))
     if cfg.kind in ("gauss2d", "gauss3d"):
         flat_tr = _flat(F_train)
         P = Partition(prep.labels)
@@ -360,9 +377,8 @@ def _emit_artifacts(cfg, prep: Prepared, model, F_train, F_test, rows, out_dir):
 
 
 def _split_carry(carry_features, prep: Prepared):
-    if carry_features is None:
-        return None, None
-    if prep.aug_labels is None:
+    """The test and augmented features of a carry (`Prepared.carry`)."""
+    if prep.aug is None:
         return carry_features, None
     m_test = prep.test_labels.size
     return carry_features[..., :m_test], carry_features[..., m_test:]
@@ -385,8 +401,8 @@ def run_experiment(cfg, out_dir) -> dict:
         model = construct(prep.train, Partition(prep.labels), cfg.layers, cfg.eta,
                           cfg.eps, lam=cfg.lam, use_labels=True, carry=prep.carry,
                           sink=archive.append if archive else lambda layer: None)
-        prep.drop_stacks()
         F_test, F_aug = _split_carry(model.carry_features, prep)
+        prep.drop_stacks()
         rows = _metric_rows(cfg, prep, model.features, F_test, F_aug)
         _emit_artifacts(cfg, prep, model, model.features, F_test, rows, out_dir)
         if archive:
@@ -399,7 +415,7 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     """Re-evaluate an archived model on the experiment's data.
 
     Features come from forwarding (estimated membership at every layer).
-    ``augmented`` adds the augmented test stack and its accuracy row. With
+    ``augmented`` adds the augmented test set's accuracy row. With
     ``save_model`` the evaluated model is saved again as ``model.rnet``.
     """
     prep = _prepare(cfg, want_aug=augmented)
@@ -407,7 +423,7 @@ def eval_experiment(cfg, archive_path, out_dir, augmented: bool = False) -> dict
     _check_model_matches(model, prep, archive_path)
     F_train = forward(model, prep.train)
     F_test = forward(model, prep.test) if prep.test is not None else None
-    F_aug = forward(model, prep.aug) if (augmented and prep.aug is not None) else None
+    F_aug = forward(model, prep.aug) if prep.aug is not None else None
     prep.drop_stacks()
     rows = _metric_rows(cfg, prep, F_train, F_test, F_aug)
     _emit_artifacts(cfg, prep, model, F_train, F_test, rows, out_dir)

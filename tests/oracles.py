@@ -15,13 +15,17 @@ import numpy as np
 
 from redunet import _freq
 from redunet._freq import SpectralLayer, half_weights
-from redunet.classify import SubspaceModel, _flatten, fit_subspaces
+from redunet.classify import SubspaceModel, _flatten, fit_subspaces, predict
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
-from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION
+from redunet.datasets import (LabeledDataset, rotate_augment, shift_augment,
+                              signals_1d)
+from redunet.harness import experiments
+from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION, load_model
 from redunet.harness.experiments import ORTHO_COS, _flat
+from redunet.lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
                           hermitian_inverse, rate_components)
-from redunet.spectral import SpectralReduNet, dft, spectral_operators
+from redunet.spectral import SpectralReduNet, construct, dft, forward, spectral_operators
 from redunet.vector import compression_operators, expansion_operator
 
 
@@ -224,6 +228,71 @@ def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
         cos = np.abs(_flat(np.roll(F_test, s, axis=1)).T @ flat_tr)
         hits += int((cos[cross] <= ORTHO_COS).sum())
     return hits / total
+
+
+# ------------------------------------------- all-copies augmentation
+#
+# The augmented test set of an invariant kind as the harness handled it
+# before it rolled test features: every shifted input made by
+# `shift_augment` or `rotate_augment`, mapped into model space like the
+# test set, then carried through the construction and forwarded again.
+
+def all_copies_stacks(cfg):
+    """(train, labels, carry, m_test, aug_labels, stride) in model space for
+    an invariant signals1d, mnist-translation or mnist-rotation config: the
+    carry is the test set and then every augmented input, mapped as one."""
+    if cfg.kind == "signals1d":
+        train = signals_1d(cfg.m_per_class, cfg.n, cfg.seed, cfg.noise)
+        test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
+        bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
+        aug, stride = shift_augment(test, cfg.stride), (cfg.stride,)
+
+        def as_input(X):
+            return sparsify(lift_1d(X.T, bank))
+    elif cfg.kind == "mnist-translation":
+        train, test = experiments._load_mnist_pair(cfg)
+        bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
+        aug, stride = shift_augment(test, cfg.stride), (cfg.stride, cfg.stride)
+
+        def as_input(X):
+            return sparsify(lift_2d(X.transpose(1, 2, 0), bank))
+    else:
+        train, test = experiments._load_mnist_pair(cfg)
+        radii = cfg.radii or experiments._default_radii(cfg.channels,
+                                                        *train.samples.shape[1:])
+        train, test = (LabeledDataset(np.stack([polar_transform(img, cfg.gamma, radii)
+                                                for img in ds.samples]), ds.labels)
+                       for ds in (train, test))
+        aug, stride = rotate_augment(test, cfg.gamma // cfg.stride), (cfg.stride,)
+
+        def as_input(X):
+            return X.transpose(2, 1, 0)
+    carry = as_input(np.concatenate([test.samples, aug.samples]))
+    return as_input(train.samples), train.labels, carry, test.m, aug.labels, stride
+
+
+def all_copies_accuracies(cfg, archive):
+    """(construct's, augment-eval's) augmented test accuracy of an invariant
+    config, every shifted copy carried through the construction and
+    forwarded by the ``archive``d model of the same config; and the largest
+    |difference| between the carried copies' features and the carried test
+    features rolled by each copy's shift."""
+    train, labels, carry, m, aug_labels, stride = all_copies_stacks(cfg)
+    test, aug = carry[..., :m], carry[..., m:]
+    built = construct(train, Partition(labels), cfg.layers, cfg.eta, cfg.eps, lam=cfg.lam,
+                      use_labels=True, carry=carry)
+    F_test, F_aug = built.carry_features[..., :m], built.carry_features[..., m:]
+    shifts = list(itertools.product(*(range(0, g, s) for g, s in zip(test.shape[1:-1], stride))))
+    axes = tuple(range(1, test.ndim - 1))
+    gap = max(float(np.max(np.abs(F_aug[..., c::len(shifts)] - np.roll(F_test, s, axis=axes))))
+              for c, s in enumerate(shifts))
+    model = load_model(archive)
+    accuracies = []
+    for F_train, F_copies in ((built.features, F_aug),
+                              (forward(model, train), forward(model, aug))):
+        clf = fit_subspaces(F_train, Partition(labels), cfg.energy, stride=stride)
+        accuracies.append(float(np.mean(predict(F_copies, clf) == aug_labels)))
+    return tuple(accuracies), gap
 
 
 # ----------------------------------------- per-slice operator factoring

@@ -71,9 +71,9 @@ def test_bench_writes_the_schema_from_the_runner_output(tmp_path, monkeypatch, c
                                         "carry": 5.0}
     assert w["per_layer"]["freq.compressions.ms"] == 0.0
     assert w["absent"] == ["vector.soft_membership"]
-    # signals1d's desk config forwards 400 training and 4400 test and shifted
-    # test samples
-    assert w["forward"]["samples"] == 4800
+    # signals1d's desk config forwards 400 training and 400 test samples; its
+    # 4000 shifted test samples are scored from rolled test features
+    assert w["forward"]["samples"] == 800
     assert w["forward"]["samples_per_s"] == w["forward"]["samples"] / 2.0
 
     deep = record["deep"]

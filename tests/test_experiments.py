@@ -11,7 +11,7 @@ from redunet.harness.csvio import read_csv, read_matrix
 from redunet.harness.cli import main
 from redunet.harness.experiments import eval_experiment, run_experiment
 
-from oracles import roll_orthogonal_fraction
+from oracles import all_copies_accuracies, roll_orthogonal_fraction
 from test_datasets import write_idx_images, write_idx_labels
 
 
@@ -373,6 +373,67 @@ def test_translation_invariant_model_kind(tmp_path, glyph_dir):
     run_experiment(cfg, out)
     model = load_model(out / "model.rnet")
     assert (model.C, *model.freq_shape) == (2, 12, 12)
+
+
+DIGIT_SHAPES = {"mnist-translation": {"stride": 6, "kernel_size": 3, "channels": 2},
+                "mnist-rotation": {"gamma": 8, "stride": 2, "channels": 3}}
+
+
+@pytest.mark.parametrize("kind", sorted(DIGIT_SHAPES))
+@pytest.mark.parametrize("variant", ["invariant", "vector"])
+def test_digit_pipelines_run_offline_through_the_cli(tmp_path, glyph_dir, capsys,
+                                                     kind, variant):
+    # construct, augment-eval and export-kernel on generated IDX files, so
+    # the polar transform, both augmentations and both variants of each
+    # digit kind run without real MNIST
+    _digit_cfg(kind, glyph_dir, tmp_path, variant, save_model="true", **DIGIT_SHAPES[kind])
+    ini = str(tmp_path / "d.ini")
+    built, evaluated, kernels = (tmp_path / name for name in ("construct", "eval", "kernels"))
+    assert main(["construct", kind, "--config", ini, "--out", str(built)]) == 0
+    archive = str(built / "model.rnet")
+    assert main(["augment-eval", kind, archive, "--config", ini, "--out", str(evaluated)]) == 0
+    rows = [dict(read_csv(out / "accuracy.csv")[1]) for out in (built, evaluated)]
+    assert set(rows[0]) == {"train_accuracy", "test_accuracy", "augmented_test_accuracy"}
+    # the carried test and augmented features score as their forwards do
+    for key in ("test_accuracy", "augmented_test_accuracy"):
+        assert rows[0][key] == rows[1][key]
+    code = main(["export-kernel", archive, "--out", str(kernels)])
+    if variant == "vector":
+        assert code == 2
+        assert "vector archives store no convolution kernels" in capsys.readouterr().err
+        return
+    assert code == 0
+    model = load_model(archive)
+    for name in ("kernel_expand", "kernel_compress_class0", "kernel_compress_class1"):
+        header, cells = read_csv(kernels / f"{name}.csv")
+        assert len(cells) == model.C**2
+        assert len(header) == 2 + int(np.prod(model.freq_shape))
+
+
+def _signals_cfg(seed):
+    # 12 shifts of 40 noisy test signals; test accuracy 0.925 at seed 1, 0.775 at seed 2
+    raw = {"layers": 4, "seed": seed, "save_model": "true", "m_per_class": 20,
+           "m_test_per_class": 20, "n": 48, "stride": 4, "noise": 0.5}
+    return load_config("signals1d", None, {key: str(value) for key, value in raw.items()})
+
+
+@pytest.mark.parametrize("case", ["signals1d-seed1", "signals1d-seed2",
+                                  "mnist-translation", "mnist-rotation"])
+def test_augmented_accuracy_equals_the_all_copies_route(tmp_path, glyph_dir, case):
+    # an invariant model scores its augmented set from rolled test features;
+    # carrying and forwarding every shifted input, as the harness once did,
+    # gives the same accuracy rows, and the carried copies are the rolled
+    # carried test features
+    cfg = (_signals_cfg(int(case[-1])) if case.startswith("signals1d")
+           else _digit_cfg(case, glyph_dir, tmp_path, "invariant", save_model="true",
+                           **DIGIT_SHAPES[case]))
+    built = run_experiment(cfg, tmp_path / "construct")
+    archive = tmp_path / "construct" / "model.rnet"
+    evaluated = eval_experiment(cfg, archive, tmp_path / "eval", augmented=True)
+    (carried, forwarded), gap = all_copies_accuracies(cfg, archive)
+    assert gap < 1e-12
+    assert built["augmented_test_accuracy"] == carried
+    assert evaluated["augmented_test_accuracy"] == forwarded
 
 
 def test_insufficient_class_samples_rejected(tmp_path, glyph_dir):

@@ -84,6 +84,17 @@ def test_forward_commutes_with_cyclic_translation(G, C, m, L, seed):
     assert np.max(np.abs(moved - np.roll(forward(model, x), t, axis=axes))) < 1e-10
 
 
+def roll_each(stack, shifts):
+    """Sample i of a (C, *G, m) stack rolled along the group axes by shifts[i]."""
+    axes = tuple(range(1, stack.ndim - 1))
+    return np.stack([np.roll(stack[..., i], t, axis=axes) for i, t in enumerate(shifts)],
+                    axis=-1)
+
+
+def random_shifts(rng, G, count):
+    return [tuple(int(rng.integers(0, n)) for n in G) for _ in range(count)]
+
+
 @pytest.mark.parametrize("G", [(16,), (6, 8)])
 @pytest.mark.parametrize("use_labels", [False, True])
 def test_construct_commutes_with_per_sample_rolls(G, use_labels):
@@ -93,13 +104,7 @@ def test_construct_commutes_with_per_sample_rolls(G, use_labels):
     # construction returns the rolled features and the same trace
     rng, Zbar, P = random_stack(11, 3, G, 12, 3)
     carry = rng.standard_normal((3, *G, 5))
-    axes = tuple(range(1, len(G) + 1))
-
-    def roll_each(stack, shifts):
-        return np.stack([np.roll(stack[..., i], t, axis=axes) for i, t in enumerate(shifts)],
-                        axis=-1)
-
-    shifts = [tuple(int(rng.integers(0, n)) for n in G) for _ in range(12 + 5)]
+    shifts = random_shifts(rng, G, 12 + 5)
     train, carried = shifts[:12], shifts[12:]
     base = construct(Zbar, P, 30, eta=0.5, eps=0.5, carry=carry, use_labels=use_labels)
     rolled = construct(roll_each(Zbar, train), P, 30, eta=0.5, eps=0.5,
@@ -107,6 +112,22 @@ def test_construct_commutes_with_per_sample_rolls(G, use_labels):
     assert np.max(np.abs(rolled.features - roll_each(base.features, train))) < 1e-12
     assert np.max(np.abs(rolled.carry_features - roll_each(base.carry_features, carried))) < 1e-12
     assert np.max(np.abs(rolled.trace - base.trace)) < 1e-12
+
+
+@pytest.mark.parametrize("G", [(16,), (6, 8)])
+@pytest.mark.parametrize("use_labels", [False, True])
+def test_forward_commutes_with_per_sample_rolls(G, use_labels):
+    # the eval-side twin: a deep model, built with given or estimated
+    # memberships, forwards a batch whose samples are each rolled by their
+    # own group element to the rolled features of the batch; the harness
+    # scores an invariant model's augmented set from rolled test features
+    rng, Zbar, P = random_stack(12, 3, G, 12, 3)
+    model = construct(Zbar, P, 30, eta=0.5, eps=0.5, use_labels=use_labels)
+    assert model.depth == 30
+    x = rng.standard_normal((3, *G, 9))
+    shifts = random_shifts(rng, G, 9)
+    moved = forward(model, roll_each(x, shifts))
+    assert np.max(np.abs(moved - roll_each(forward(model, x), shifts))) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

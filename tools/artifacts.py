@@ -10,6 +10,8 @@ package in that checkout's ``src/``. Per seed it writes, under
 - the benchmark's workloads (``perfbench/workloads.py``, their generated
   digits from ``perfbench/digits.py``), model archives included;
 - gauss2d, gauss3d and custom-vector (a seeded ``.npz``) at 20 layers;
+- mnist-rotation, invariant and vector, on generated digits at 20 layers
+  with a small polar grid (``ROTATION``);
 - the layer-0 kernel CSVs (``export-kernel``) of every spectral archive.
 
 ``diff`` prints one line per file found under A or B: ``identical`` when
@@ -42,6 +44,8 @@ from redunet.harness.experiments import (eval_experiment, export_kernels,  # noq
 
 SMALL_LAYERS = 20
 CUSTOM_SHAPE = (16, 60, 30)  # features n, training and test columns
+# 16 angle bins rolled by multiples of 4: 4 rotations of each test grid
+ROTATION = {"m_per_class": 60, "m_test_per_class": 20, "gamma": 16, "stride": 4}
 
 
 def _custom_npz(path, seed):
@@ -72,6 +76,12 @@ def _experiments(seed, scratch):
     yield "gauss3d", "gauss3d", small
     data = _custom_npz(os.path.join(scratch, "custom.npz"), seed)
     yield "custom-vector", "custom-vector", dict(small, data=data)
+    data_dir = digits.write_digits(os.path.join(scratch, "rotation"), ROTATION["m_per_class"],
+                                   ROTATION["m_test_per_class"], seed)
+    for variant in ("invariant", "vector"):
+        yield (f"mnist-rotation-{variant}", "mnist-rotation",
+               dict(small, data_dir=data_dir, variant=variant,
+                    **{key: str(value) for key, value in ROTATION.items()}))
 
 
 def run(out, seeds):
