@@ -29,10 +29,8 @@ last-axis columns 0 and G[-1]/2 (the latter for even G[-1] only), whose
 mirrors lie inside the half themselves and get weight 1 (`half_weights`).
 A layer stores only that half too: its operator stacks are (F_h, C, C),
 the conjugate mirrors implied, so the model, its archive and its kernels
-(`irfftn`) all work on the half. Nothing inside the loop checks conjugate
-symmetry, because the loop only ever sees rfftn output; a full spectrum
-that enters from outside (`spectral.spectral_operators`) is checked once
-by `check_conjugate_symmetry`.
+(`irfftn`) all work on the half. Nothing checks conjugate symmetry,
+because the loop only ever sees rfftn output.
 
 Sample blocks. The layer step
 
@@ -157,8 +155,8 @@ class SpectralLayer:
     """Per-frequency operators of one layer, frequency axes flattened.
 
     ``Ebar`` has shape (F_h, C, C) and ``Cbar`` (k, F_h, C, C): the rfftn
-    half of the spectrum over the grid ``freq_shape``, in `half_spectrum`
-    order (F_h = prod(G[:-1]) * (G[-1]//2 + 1)); every other frequency is
+    half of the spectrum over the grid ``freq_shape``, in rfftn order
+    (F_h = prod(G[:-1]) * (G[-1]//2 + 1)); every other frequency is
     the conjugate of its mirror. The vector network (``freq_shape = ()``) is
     its own half, F_h = 1: real operators of that one frequency.
     ``components`` is the objective triple (reduction, expand, compress)
@@ -265,13 +263,6 @@ def operators(layer: SpectralLayer) -> list:
     return [layer.Ebar, *layer.Cbar]
 
 
-def half_spectrum(freq_shape: tuple) -> np.ndarray:
-    """Flat row-major indices over ``freq_shape`` of the F_h frequencies of
-    the rfftn half of the last axis, in rfftn order."""
-    index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
-    return index[..., :freq_shape[-1] // 2 + 1].ravel()
-
-
 def half_count(freq_shape: tuple) -> int:
     """F_h, the number of half-spectrum frequencies over ``freq_shape``."""
     if not freq_shape:  # the trivial group
@@ -289,28 +280,6 @@ def half_weights(freq_shape: tuple) -> np.ndarray:
     if n % 2 == 0:
         w[-1] = 1.0
     return np.tile(w, math.prod(freq_shape[:-1]))
-
-
-def check_conjugate_symmetry(Vt: np.ndarray, freq_shape: tuple):
-    """Reject a full spectrum (F, ...) whose mirrors are not conjugates.
-
-    Only spectra of real signals have a half spectrum that stands for the
-    whole; every frequency outside the half must be the conjugate of its
-    mirror (-p mod n on every axis), which lies in the half, to 1e-8 of
-    the largest entry.
-    """
-    index = np.arange(math.prod(freq_shape)).reshape(freq_shape)
-    mirror_of = index[np.ix_(*[-np.arange(n) % n for n in freq_shape])]
-    h = freq_shape[-1] // 2 + 1
-    other, mirror = index[..., h:].ravel(), mirror_of[..., h:].ravel()
-    if not other.size:
-        return
-    scale = max(1.0, float(np.max(np.abs(Vt))))
-    err = float(np.max(np.abs(Vt[other] - Vt[mirror].conj())))
-    if not err <= 1e-8 * scale:
-        raise ValueError(
-            "the layer needs the conjugate-symmetric spectrum of real signals "
-            f"(max violation {err:.3e})")
 
 
 def regularized_inverse(Vs: np.ndarray, a: float,

@@ -2,8 +2,9 @@
 
 The checks recompute a handful of the package's core identities from
 independent routes (dense structured matrices, finite differences, group
-actions) at small sizes, then time the per-frequency layer factorization
-against the dense-operator route at (C=8, T=64, m=64).
+actions) at small sizes. The benchmark then times the layer build that
+`construct` runs every layer, `_freq.build_layer` on the rfftn half
+spectra, against the dense-operator route at (C=8, T=64, m=64).
 """
 
 import os
@@ -11,10 +12,10 @@ import time
 
 import numpy as np
 
-from .._freq import normalize_samples
+from .._freq import build_layer, normalize_samples
 from ..rate import Partition
-from ..spectral import (augmented_partition, construct, dft, forward, group_gradient,
-                        group_rate_components, spectral_operators, stacked_circulant)
+from ..spectral import (_spectra, augmented_partition, construct, forward, group_gradient,
+                        group_rate_components, stacked_circulant)
 from ..vector import compression_operators, expansion_operator
 from .csvio import emit_csv
 
@@ -62,17 +63,17 @@ def _equivariance_err() -> float:
 
 
 def _benchmark() -> tuple[float, float]:
-    """Best-of-N seconds for (per-frequency, dense) layer factorization."""
+    """Best-of-N seconds for (half-spectrum, dense) layer factorization."""
     rng = np.random.default_rng(7)
     Zbar = normalize_samples(rng.standard_normal((8, 64, 64)))
     labels = np.repeat(np.arange(2), 32)
     P = Partition(labels)
-    V = dft(Zbar, 1)
+    Vt = _spectra(Zbar)
     stack = stacked_circulant(Zbar)
     Paug = augmented_partition(P, 64)
 
     def spectral_once():
-        spectral_operators(V, P, 0.1, eta=0.5, lam=20.0)
+        build_layer(Vt, P, 0.1, eta=0.5, lam=20.0, freq_shape=(64,))
 
     def dense_once():
         expansion_operator(stack, 0.1)

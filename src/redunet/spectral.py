@@ -15,9 +15,7 @@ Conventions: stacks carry the sample axis last, (C, *G, m); the DFT is
 unitary (1/sqrt(F) scaling, negative exponent); frequencies and
 translations are flattened row-major (last group axis fastest), and
 `group_circulant(z)` places the translation by t in column t, e.g.
-[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. `dft` and
-`spectral_operators` use the full spectrum, and `spectral_operators`
-rejects one that is not conjugate-symmetric. Everything else carries
+[1, 2, 3] -> [[1, 3, 2], [2, 1, 3], [3, 2, 1]]. Everything carries
 only the rfftn half spectrum of the last group axis, F_h =
 prod(G[:-1]) * (G[-1]//2 + 1) frequencies, weighted as the `_freq`
 docstring describes: construction, forward, the objective and the layers
@@ -48,19 +46,6 @@ from .rate import Partition, default_lambda, rate_components, real_finite
 
 # ------------------------------------------------------------ transforms
 
-def dft(z, rank: int) -> np.ndarray:
-    """Unitary DFT over the group axes 1..rank of a (C, *G, ...) array."""
-    z = np.asarray(z)
-    axes = tuple(range(1, rank + 1))
-    return np.fft.fftn(z, axes=axes) / np.sqrt(math.prod(z.shape[1:rank + 1]))
-
-
-def _freq_major(V: np.ndarray) -> np.ndarray:
-    """(C, *G, m) -> (F, C, m), the frequency axes flattened."""
-    C, m = V.shape[0], V.shape[-1]
-    return V.reshape(C, math.prod(V.shape[1:-1]), m).transpose(1, 0, 2)
-
-
 def _spectra(Z: np.ndarray) -> np.ndarray:
     """(F_h, C, m) unitary half spectra of a real (C, *G, m) stack.
 
@@ -79,7 +64,8 @@ def _spectra(Z: np.ndarray) -> np.ndarray:
     axes = tuple(range(1, Z.ndim - 1))
     half = np.fft.rfftn(Z, axes=axes)
     half /= np.sqrt(math.prod(Z.shape[1:-1]))
-    return _freq_major(half)
+    C, m = Z.shape[0], Z.shape[-1]
+    return half.reshape(C, math.prod(half.shape[1:-1]), m).transpose(1, 0, 2)
 
 
 def _sample_stack(Zbar, what: str = "sample stack") -> np.ndarray:
@@ -165,29 +151,6 @@ def group_rate_components(Zbar, partition: Partition, eps: float,
 
 
 # ------------------------------------------------------------- operators
-
-def spectral_operators(Vbar, partition: Partition, eps: float, eta: float = 1.0,
-                       lam: float | None = None) -> _freq.SpectralLayer:
-    """Per-frequency operator stacks from spectral features Vbar (C, *G, m).
-
-    ``Vbar`` is the unitary spectrum (`dft` output); the factored slices
-    are exactly the frequency blocks of the dense operators on the
-    circulant stacks, whose eigenvalue data is sqrt(F) larger (the Grams
-    are scaled accordingly). Only the half spectrum of the last group axis
-    is factored and kept, which stands for the whole exactly for spectra of
-    real signals; other spectra are rejected.
-    """
-    Vbar = np.asarray(Vbar, dtype=np.complex128)
-    if Vbar.ndim < 3:
-        raise ValueError("expected (C, *G, m) spectral features")
-    if lam is None:
-        lam = default_lambda(partition.k)
-    G = Vbar.shape[1:-1]
-    Vt = _freq_major(Vbar)
-    _freq.check_conjugate_symmetry(Vt, G)
-    return _freq.build_layer(Vt[_freq.half_spectrum(G)], partition, eps, eta=eta,
-                             lam=lam, freq_shape=G)
-
 
 def group_gradient(Zbar, partition: Partition, eps: float):
     """Ascent terms of the invariant objective, in the signal domain.
@@ -335,9 +298,9 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
     frequency sequence is the first column of that block, i.e. the kernel
     whose multichannel circular convolution applies the operator. A
     `_freq.Factored` operator is multiplied out first (`_freq.dense`).
-    ``class_index`` picks C_j for ``which="compress"``: an integer in
-    [0, k), else ValueError. A vector layer (the trivial group) has no
-    kernel: ValueError.
+    ``class_index`` picks C_j for ``which="compress"``: an integer, not a
+    bool, in [0, k), else ValueError. A vector layer (the trivial group)
+    has no kernel: ValueError.
     """
     if not layer.freq_shape:
         raise ValueError("a vector layer (trivial group) has no convolution kernel")
@@ -345,7 +308,8 @@ def layer_kernel(layer: _freq.SpectralLayer, which: str = "expand",
         stack = _freq.dense(layer.Ebar)
     elif which == "compress":
         k = layer.Cbar.shape[0]
-        if not (isinstance(class_index, (int, np.integer)) and 0 <= class_index < k):
+        if not (isinstance(class_index, (int, np.integer)) and not isinstance(class_index, bool)
+                and 0 <= class_index < k):
             raise ValueError(f"class_index must be an integer in [0, {k}), got {class_index!r}")
         stack = _freq.dense(tuple(layer.Cbar)[class_index])
     else:

@@ -25,7 +25,7 @@ from redunet.harness.experiments import ORTHO_COS, _flat
 from redunet.lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
                           hermitian_inverse, rate_components)
-from redunet.spectral import SpectralReduNet, construct, dft, forward, spectral_operators
+from redunet.spectral import SpectralReduNet, _spectra, construct, forward
 from redunet.vector import compression_operators, expansion_operator
 
 
@@ -295,6 +295,13 @@ def all_copies_accuracies(cfg, archive):
     return tuple(accuracies), gap
 
 
+# ------------------------------------------------ the engine's layer build
+
+def spectral_layer(Zbar, P, eps, eta=1.0):
+    """The layer `construct` builds from (C, *G, m) features ``Zbar``, not renormalized."""
+    return _freq.build_layer(_spectra(Zbar), P, eps, eta, default_lambda(P.k), Zbar.shape[1:-1])
+
+
 # ----------------------------------------- per-slice operator factoring
 #
 # The layer factoring as it ran before each operator was one batched
@@ -339,8 +346,8 @@ def slice_build_layer(Vt, partition, eps, eta, lam, freq_shape):
 #
 # The layer loop as it ran on the full fftn spectrum, every frequency
 # carried and updated, before the engine moved to the rfftn half. Layers
-# come from the public `spectral_operators`, and their half-spectrum
-# stacks are mirror-filled to the full spectrum by `full_stack`.
+# come from `slice_build_layer` on the half of the fftn spectra, and their
+# half-spectrum stacks are mirror-filled to the full spectrum by `full_stack`.
 
 def full_stack(stack, freq_shape):
     """The full (F, ...) spectrum of a half-spectrum (F_h, ...) stack.
@@ -438,7 +445,8 @@ def full_spectral_components(Vt, partition, eps):
 def _full_spectra(Z):
     """(F, C, m) unitary fftn spectra of a real (C, *G, m) stack."""
     C, m = Z.shape[0], Z.shape[-1]
-    return dft(Z, Z.ndim - 2).reshape(C, -1, m).transpose(1, 0, 2)
+    V = np.fft.fftn(Z, axes=tuple(range(1, Z.ndim - 1)), norm="ortho")
+    return V.reshape(C, -1, m).transpose(1, 0, 2)
 
 
 def _full_signals(Vt, shape):
@@ -463,9 +471,10 @@ def full_spectrum_construct(Zbar, partition, L, eta, eps, lam=None, carry=None,
     onehot = partition.onehot() if use_labels else None
     trace = [full_spectral_components(Vt, partition, eps)]
     layers = []
+    G, h = shape[1:], shape[-1] // 2 + 1
     for _ in range(int(L)):
-        Vbar = Vt.transpose(1, 0, 2).reshape(*shape, Vt.shape[-1])
-        layer = spectral_operators(Vbar, partition, eps, eta=eta, lam=lam)
+        half = Vt.reshape(*G, *Vt.shape[1:])[..., :h, :, :].reshape(-1, *Vt.shape[1:])
+        layer = slice_build_layer(half, partition, eps, eta, lam, G)
         Vt = full_update_batch(Vt, layer, pi=onehot)
         if Vc is not None:
             Vc = full_update_batch(Vc, layer)

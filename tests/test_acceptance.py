@@ -19,10 +19,11 @@ import redunet
 from redunet import (Partition, construct, fit_subspaces, forward, group_gradient,
                      group_rate_components, lift_1d, lift_2d, predict, random_filters,
                      rate_reduction, signals_1d, sparsify)
+from redunet._freq import half_weights
 from redunet.harness import read_csv
 from redunet.harness.cli import main as cli_main
 from redunet.rate import default_lambda
-from redunet.spectral import dft, spectral_operators
+from redunet.spectral import _spectra
 
 import oracles
 import test_spectral1d as s1
@@ -80,7 +81,7 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     dense = group_rate_components(Zbar, P, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
-    layer = spectral_operators(dft(Zbar, 1), P, eps)
+    layer = oracles.spectral_layer(Zbar, P, eps)
     E, Cs = s1.dense_ops(Zbar, labels, eps)
     assert np.max(np.abs(s1.assemble_dense(layer.Ebar, 8) - E)) <= 1e-7
     for j in range(P.k):
@@ -102,7 +103,7 @@ def test_criterion_01_spectral_path_matches_dense_within_1e7():
     dense = group_rate_components(Qbar, Q, eps, method="dense")
     assert max(abs(f - d) for f, d in zip(fast, dense)) <= 1e-7
 
-    layer2 = spectral_operators(dft(Qbar, 2), Q, eps)
+    layer2 = oracles.spectral_layer(Qbar, Q, eps)
     E2, Cs2 = s2.dense_ops(Qbar, qlabels, eps)
     assert np.max(np.abs(s2.assemble_dense(layer2.Ebar, 3, 3) - E2)) <= 1e-7
     for j in range(Q.k):
@@ -196,14 +197,15 @@ def test_criterion_03_degenerate_inputs_and_norm_conservation():
         dual = np.linalg.slogdet(np.eye(m) + alpha * A.T @ A)[1]
         assert abs(primal - dual) <= 1e-9
 
-    # the unitary transforms conserve energy sample by sample
+    # the unitary transforms conserve energy sample by sample, each half
+    # spectrum slice weighted for itself and its conjugate mirror
     Sbar = rng.standard_normal((3, 16, 5))
     sig = np.sqrt((Sbar ** 2).sum(axis=(0, 1)))
-    spec = np.sqrt((np.abs(dft(Sbar, 1)) ** 2).sum(axis=(0, 1)))
+    spec = np.sqrt(half_weights((16,)) @ (np.abs(_spectra(Sbar)) ** 2).sum(axis=1))
     assert np.max(np.abs(sig - spec)) <= 1e-10
     Ibar = rng.standard_normal((2, 4, 6, 5))
     sig2 = np.sqrt((Ibar ** 2).sum(axis=(0, 1, 2)))
-    spec2 = np.sqrt((np.abs(dft(Ibar, 2)) ** 2).sum(axis=(0, 1, 2)))
+    spec2 = np.sqrt(half_weights((4, 6)) @ (np.abs(_spectra(Ibar)) ** 2).sum(axis=1))
     assert np.max(np.abs(sig2 - spec2)) <= 1e-10
 
     # every constructed feature (and carried sample) lands on the sphere

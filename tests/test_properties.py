@@ -15,20 +15,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from redunet import _freq
 from redunet.classify import fit_subspaces, predict
+from redunet.datasets import augment_shifts
 from redunet.errors import ConfigError, DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.config import KINDS, load_config
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, gram_logdet
-from redunet.spectral import (SpectralReduNet, _spectra, construct, dft, forward,
-                              group_rate_components, spectral_operators, stacked_circulant)
+from redunet.spectral import (SpectralReduNet, _spectra, construct, forward,
+                              group_rate_components, stacked_circulant)
 from redunet.vector import compression_operators, expansion_operator
 
 from oracles import (dense_layer, dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
                      labels_for, orbit_subspaces, repeat_labels, roll_orbit,
                      roll_orthogonal_fraction, same_operators, slice_build_layer,
-                     unblocked_update_batch, with_header)
+                     spectral_layer, unblocked_update_batch, with_header)
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,7 +413,7 @@ def test_half_spectrum_operators_equal_dense_operators(G, C, m, seed):
     # the factored half spectrum plus its conjugate mirror is every block
     # of the dense operators on the circulant stack
     _, Zbar, P = random_stack(seed, C, G, m, 2)
-    layer = spectral_operators(dft(Zbar, len(G)), P, 0.5)
+    layer = spectral_layer(Zbar, P, 0.5)
     big = stacked_circulant(Zbar)
     F = big.shape[1] // m
     unitary = dft_matrix(G[0])
@@ -601,6 +602,35 @@ def test_strided_fit_equals_materialized_orbit_oracle(group, C, m, energy, seed)
         for X in (rng.standard_normal(F.shape[:-1] + (30,)), F):
             keep = decided(X, oracle)
             assert np.array_equal(predict(X, model)[keep], predict(X, oracle)[keep])
+
+
+# (G, stride) of an invariant kind's augmentation, one stride on every group
+# axis: one that divides each axis, or is at least as long as one of them
+AUGMENTATIONS = [((12,), 3), ((12,), 12), ((10,), 20), ((6, 8), 2), ((6, 8), 8)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(AUGMENTATIONS), C=st.integers(1, 3), m=st.integers(2, 12),
+       energy=st.one_of(st.just(1.0), st.floats(0.05, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(case=((12,), 3), C=2, m=8, energy=0.95, seed=0)
+@example(case=((12,), 12), C=2, m=8, energy=0.95, seed=1)
+@example(case=((10,), 20), C=1, m=6, energy=0.9, seed=2)
+@example(case=((6, 8), 2), C=2, m=6, energy=0.95, seed=3)
+@example(case=((6, 8), 8), C=1, m=5, energy=0.8, seed=4)
+def test_invariant_classifier_ignores_the_augmented_shifts(case, C, m, energy, seed):
+    # each class is fitted to its orbit under the stride's rolls, which are
+    # the augmented shifts, so rolling unit features by any of them moves
+    # no class that wins by more than 1e-9
+    G, stride = case
+    rng, F, P = random_stack(seed, C, G, m, 2)
+    clf = fit_subspaces(F, P, energy, stride=(stride,) * len(G))
+    axes = tuple(range(1, len(G) + 1))
+    for X in (rng.standard_normal(F.shape[:-1] + (30,)), F):
+        X = X / np.linalg.norm(X.reshape(-1, X.shape[-1]), axis=0)
+        keep = decided(X, clf, margin=1e-9)
+        want = predict(X, clf)[keep]
+        for shift in augment_shifts(G, stride):
+            assert np.array_equal(predict(np.roll(X, shift, axis=axes), clf)[keep], want)
 
 
 # ------------------------------------------------------ archive headers

@@ -9,13 +9,13 @@ import pytest
 from redunet import _freq
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
-from redunet.spectral import (augmented_partition, construct, dft, forward, group_circulant,
-                              group_gradient, group_rate_components, layer_kernel,
-                              spectral_operators, stacked_circulant)
+from redunet.spectral import (_spectra, augmented_partition, construct, forward,
+                              group_circulant, group_gradient, group_rate_components,
+                              layer_kernel, stacked_circulant)
 
 import oracles
 from oracles import (central_diff_grad, dft_matrix, labels_for, repeat_labels,
-                     rng_for, slogdet_rate)
+                     rng_for, slogdet_rate, spectral_layer)
 
 
 def sample_stack(seed, C=2, T=8, m=4, k=2):
@@ -36,15 +36,17 @@ def test_dft_matches_matrix_oracle():
     rng = rng_for(0)
     z = rng.standard_normal((3, 8))
     F = dft_matrix(8)
-    expected = z @ F.T  # per-channel transform
-    assert np.max(np.abs(dft(z, 1) - expected)) < 1e-12
+    expected = (z @ F.T)[:, :5].T  # per-channel transform, the rfft half
+    assert np.max(np.abs(_spectra(z[..., None])[..., 0] - expected)) < 1e-12
 
 
 def test_dft_parseval():
+    # each half-spectrum slice counts for itself and its conjugate mirror
     rng = rng_for(1)
     z = rng.standard_normal((3, 16))
-    v = dft(z, 1)
-    assert abs(np.linalg.norm(z) - np.linalg.norm(v)) < 1e-12
+    v = _spectra(z[..., None])[..., 0]
+    energy = _freq.half_weights((16,)) @ np.sum(np.abs(v) ** 2, axis=1)
+    assert abs(np.linalg.norm(z) - np.sqrt(energy)) < 1e-12
 
 
 # ------------------------------------------------------ circulant layout
@@ -157,7 +159,7 @@ def test_spectral_operators_match_dense():
     Zbar, labels = sample_stack(9)
     P = Partition(labels)
     eps = 0.5
-    layer = spectral_operators(dft(Zbar, 1), P, eps)
+    layer = spectral_layer(Zbar, P, eps)
     E_dense, C_dense = dense_ops(Zbar, labels, eps)
     got_E = assemble_dense(layer.Ebar, Zbar.shape[1])
     assert np.max(np.abs(got_E.imag)) < 1e-9
@@ -172,7 +174,7 @@ def test_half_spectrum_equals_full():
     # of the full dense operators; odd T exercises the mirror bounds
     Zbar, labels = sample_stack(10, T=9)
     P = Partition(labels)
-    half = spectral_operators(dft(Zbar, 1), P, 0.5)
+    half = spectral_layer(Zbar, P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     assert np.max(np.abs(assemble_dense(half.Ebar, 9) - E_dense)) < 1e-9
     for j in range(P.k):
@@ -181,19 +183,12 @@ def test_half_spectrum_equals_full():
 
 def test_operator_slices_hermitian_pd():
     Zbar, labels = sample_stack(11)
-    layer = spectral_operators(dft(Zbar, 1), Partition(labels), 0.5)
+    layer = spectral_layer(Zbar, Partition(labels), 0.5)
     E, Cs = oracles.full_operators(layer)
     for p in range(Zbar.shape[1]):
         for M in [E[p]] + [Cs[j, p] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(M)) > 0
-
-
-def test_half_spectrum_rejects_asymmetric_spectrum():
-    rng = rng_for(12)
-    V = rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))
-    with pytest.raises(ValueError):
-        spectral_operators(V, Partition(labels_for(4, 2, rng)), 0.5)
 
 
 # -------------------------------------------------------------- gradient
@@ -328,7 +323,7 @@ def test_trace_single_class_stays_zero():
 def test_spectral_layer_update_single_matches_batch():
     Zbar, labels = sample_stack(21)
     P = Partition(labels)
-    layer = spectral_operators(dft(frob_normalize(Zbar), 1), P, 0.5, eta=0.3)
+    layer = spectral_layer(frob_normalize(Zbar), P, 0.5, eta=0.3)
     Vt = np.fft.rfft(frob_normalize(Zbar), axis=1, norm="ortho").transpose(1, 0, 2)
     out = _freq.update_batch(Vt, layer)
     for i in range(Zbar.shape[2]):
@@ -517,7 +512,7 @@ def test_augmented_partition_counts():
 def test_kernel_applies_operator_by_convolution():
     Zbar, labels = sample_stack(23)
     P = Partition(labels)
-    layer = spectral_operators(dft(Zbar, 1), P, 0.5)
+    layer = spectral_layer(Zbar, P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 8))
@@ -531,10 +526,10 @@ def test_kernel_applies_operator_by_convolution():
         assert np.max(np.abs(conv - expected)) < 1e-9
 
 
-@pytest.mark.parametrize("class_index", [-1, 2, 1.0, "0", None])
+@pytest.mark.parametrize("class_index", [-1, 2, 1.0, True, "0", None])
 def test_kernel_rejects_a_class_index_outside_the_classes(class_index):
-    # a 3-channel shift model of k = 2 classes; -1 would silently pick class
-    # 1, 2 raise a bare IndexError and 1.0 a TypeError
+    # a 3-channel shift model of k = 2 classes; -1 and True would silently
+    # pick class 1, 2 raise a bare IndexError and 1.0 a TypeError
     rng = rng_for(97)
     model = construct(rng.standard_normal((3, 8, 6)), Partition([0, 1, 0, 1, 1, 0]),
                       L=1, eta=0.3, eps=0.5)
@@ -554,7 +549,7 @@ def test_kernel_refuses_a_vector_layer(which):
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():
-    layer = spectral_operators(dft(np.zeros((2, 6, 3)), 1), Partition(np.array([0, 0, 1])), 0.5)
+    layer = spectral_layer(np.zeros((2, 6, 3)), Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p) = alpha I for every p -> kernel alpha * delta
     kern = layer_kernel(layer, "expand")
     alpha = layer.alpha

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from redunet import _freq
 from redunet.errors import ZeroVector
 from redunet.rate import Partition, default_lambda
-from redunet.spectral import (augmented_partition, construct, dft, forward, group_circulant,
-                              group_gradient, group_rate_components, layer_kernel,
-                              spectral_operators, stacked_circulant)
+from redunet.spectral import (_spectra, augmented_partition, construct, forward,
+                              group_circulant, group_gradient, group_rate_components,
+                              layer_kernel, stacked_circulant)
 
 import oracles
-from oracles import central_diff_grad, dft_matrix, labels_for, repeat_labels, rng_for, slogdet_rate
+from oracles import (central_diff_grad, dft_matrix, labels_for, repeat_labels, rng_for,
+                     slogdet_rate, spectral_layer)
 
 
 def image_stack(seed, C=2, H=3, W=3, m=4, k=2):
@@ -29,14 +31,17 @@ def test_dft2_matches_matrix_oracle():
     rng = rng_for(0)
     z = rng.standard_normal((2, 3, 5))
     FH, FW = dft_matrix(3), dft_matrix(5)
-    expected = np.stack([FH @ ch @ FW.T for ch in z])
-    assert np.max(np.abs(dft(z, 2) - expected)) < 1e-12
+    expected = np.stack([(FH @ ch @ FW.T)[:, :3].ravel() for ch in z], axis=1)  # rfftn half
+    assert np.max(np.abs(_spectra(z[..., None])[..., 0] - expected)) < 1e-12
 
 
 def test_dft2_parseval():
+    # each half-spectrum slice counts for itself and its conjugate mirror
     rng = rng_for(1)
     z = rng.standard_normal((3, 4, 6))
-    assert abs(np.linalg.norm(z) - np.linalg.norm(dft(z, 2))) < 1e-12
+    v = _spectra(z[..., None])[..., 0]
+    energy = _freq.half_weights((4, 6)) @ np.sum(np.abs(v) ** 2, axis=1)
+    assert abs(np.linalg.norm(z) - np.sqrt(energy)) < 1e-12
 
 
 # ----------------------------------------------- doubly circulant layout
@@ -157,7 +162,7 @@ def test_spectral_operators_match_dense(shape):
     P = Partition(labels)
     eps = 0.5
     H, W = shape[1], shape[2]
-    layer = spectral_operators(dft(Zbar, 2), P, eps)
+    layer = spectral_layer(Zbar, P, eps)
     E_dense, C_dense = dense_ops(Zbar, labels, eps)
     got_E = assemble_dense(layer.Ebar, H, W)
     assert np.max(np.abs(got_E.imag)) < 1e-9
@@ -173,7 +178,7 @@ def test_half_spectrum_equals_full(H, W):
     # of the full dense operators
     Zbar, labels = image_stack(10, H=H, W=W)
     P = Partition(labels)
-    half = spectral_operators(dft(Zbar, 2), P, 0.5)
+    half = spectral_layer(Zbar, P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     assert np.max(np.abs(assemble_dense(half.Ebar, H, W) - E_dense)) < 1e-9
     for j in range(P.k):
@@ -182,19 +187,12 @@ def test_half_spectrum_equals_full(H, W):
 
 def test_operator_slices_hermitian_pd():
     Zbar, labels = image_stack(11)
-    layer = spectral_operators(dft(Zbar, 2), Partition(labels), 0.5)
+    layer = spectral_layer(Zbar, Partition(labels), 0.5)
     E, Cs = oracles.full_operators(layer)
     for f in range(Zbar.shape[1] * Zbar.shape[2]):
         for M in [E[f]] + [Cs[j, f] for j in range(2)]:
             assert np.max(np.abs(M - M.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(M)) > 0
-
-
-def test_half_spectrum_rejects_asymmetric_spectrum():
-    rng = rng_for(12)
-    V = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    with pytest.raises(ValueError):
-        spectral_operators(V, Partition(labels_for(4, 2, rng)), 0.5)
 
 
 # -------------------------------------------------------------- gradient
@@ -351,7 +349,7 @@ def test_augmented_partition_counts():
 def test_kernel_applies_operator_by_convolution():
     Zbar, labels = image_stack(23)
     P = Partition(labels)
-    layer = spectral_operators(dft(Zbar, 2), P, 0.5)
+    layer = spectral_layer(Zbar, P, 0.5)
     E_dense, C_dense = dense_ops(Zbar, labels, 0.5)
     rng = rng_for(96)
     x = rng.standard_normal((2, 3, 3))
@@ -368,14 +366,13 @@ def test_kernel_applies_operator_by_convolution():
 def test_kernel_rejects_a_class_index_outside_the_classes():
     Zbar, labels = image_stack(24)
     model = construct(Zbar, Partition(labels), L=1, eta=0.3, eps=0.5)
-    for class_index in (-1, 2, 1.0):
+    for class_index in (-1, 2, 1.0, True):
         with pytest.raises(ValueError, match="class_index must be an integer"):
             layer_kernel(model.layers[0], "compress", class_index)
 
 
 def test_kernel_of_scaled_identity_operator_is_delta():
-    V = dft(np.zeros((2, 3, 4, 3)), 2)
-    layer = spectral_operators(V, Partition(np.array([0, 0, 1])), 0.5)
+    layer = spectral_layer(np.zeros((2, 3, 4, 3)), Partition(np.array([0, 0, 1])), 0.5)
     # zero features give E(p, q) = alpha I everywhere -> kernel alpha * delta
     kern = layer_kernel(layer, "expand")
     alpha = layer.alpha
