@@ -20,18 +20,15 @@ from .datasets import (LabeledDataset, gaussian_sphere, load_mnist,
 from .errors import (ConfigError, DataError, NumericalError, RedunetError,
                      exit_code_for)
 from .lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
-from .rate import (Partition, RateParams, class_rate, coding_rate, rate_components,
-                   rate_reduction)
+from .rate import Partition, RateParams
 from .spectral import (SpectralReduNet, construct, forward, group_gradient,
                        group_rate_components, layer_kernel)
 
 __all__ = [
     "ConfigError", "DataError", "LabeledDataset",
     "NumericalError", "Partition", "RateParams", "RedunetError", "SpectralReduNet",
-    "SubspaceModel", "class_rate", "coding_rate", "construct", "evaluate",
-    "exit_code_for", "fit_subspaces", "forward", "gaussian_sphere",
-    "group_gradient", "group_rate_components", "layer_kernel", "lift_1d",
-    "lift_2d", "load_mnist", "polar_transform", "predict", "random_filters",
-    "rate_components", "rate_reduction", "rotate_augment", "shift_augment",
-    "signals_1d", "sparsify",
+    "SubspaceModel", "construct", "evaluate", "exit_code_for", "fit_subspaces",
+    "forward", "gaussian_sphere", "group_gradient", "group_rate_components",
+    "layer_kernel", "lift_1d", "lift_2d", "load_mnist", "polar_transform", "predict",
+    "random_filters", "rotate_augment", "shift_augment", "signals_1d", "sparsify",
 ]

@@ -117,17 +117,22 @@ form for all of its operators, chosen by m < C:
   and the dense oracles ask for the stacks, which `dense` multiplies out,
   to the bytes `regularized_inverse` gives.
 - A layer of m >= C samples (the shift and translation networks, C a few
-  channels) holds every operator as its dense stacks a (I + a s V V*)^-1.
-  A class of fewer than C samples is factored on its m_j side and
-  multiplied out (`_expand`), to the bytes `regularized_inverse` gives.
+  channels) holds every operator as its dense stacks a (I + a s V V*)^-1,
+  each from `regularized_inverse`: a class of fewer than C samples is
+  factored on its m_j side and multiplied out.
 
 The trivial group. The vector network is the same computation over no
 group axes, ``freq_shape = ()``: one frequency, F = F_h = 1 with weight
-1, the identity as its transform, so its stacks stay real. Its slices are
-wide (C = n features, say 784, against a few hundred samples), so its
-layers are usually factored, and their steps are the two sample-side
-kernels: a 784-d layer of 400 labelled samples in two classes
-steps them in one 784 x 400 x 400 product, and any other block in two.
+1, the identity as its transform, so its stacks stay real. An (n, m)
+feature matrix Z is the stack Z[None]: its one slice carries the real
+n x n operators E = alpha (I + alpha Z Z*)^-1 and C_j, and
+`regularized_inverse` of Z is E. Its slices are wide (C = n features, say
+784, against a few hundred samples), so its layers are usually factored,
+and their steps are the two sample-side kernels: a 784-d layer of 400
+labelled samples in two classes steps them in one 784 x 400 x 400
+product, and any other block in two. That layer stores 4.4 MB in its
+archive and, with the class Grams its step reads, holds 5.1 MB, not the
+14.7 MB of its three 784 x 784 matrices.
 """
 
 import math
@@ -137,8 +142,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, _triple, hermitian_inverse,
-                   stack_components)
+from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, _triple, gram_logdet,
+                   hermitian_inverse)
 
 _UPDATE_BLOCK_VALUES = 2**16  # values per (F_h, C, b) sample block: 1 MB complex
 _TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group: 2 MB real
@@ -360,16 +365,19 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
         logdets.append(float(weight @ logdet))
         return K, G
 
-    K = factor(slice(None), alpha)[0]
+    def dense_stack(mask, a):  # an operator's dense stack, its log-dets kept for the objective
+        op, logdet = regularized_inverse(Vt[:, :, mask], a, gram_scale)
+        logdets.append(float(weight @ logdet))
+        return op
+
     features = labels = None
     if m >= C:  # every operator a dense stack, a class of fewer than C samples multiplied out
-        Ebar = alpha * K
+        Ebar = dense_stack(slice(None), alpha)
         Cbar = np.empty((partition.k, F_h, C, C), dtype=Vt.dtype)
         for j, a in enumerate(alpha_class):
-            mask = partition.mask(j)
-            Kj = factor(mask, a)[0]
-            Cbar[j] = a * Kj if Kj.shape[-1] == C else _expand(Vt[:, :, mask], Kj, a, gram_scale)
+            Cbar[j] = dense_stack(partition.mask(j), a)
     else:  # every operator factored, over the features in class order
+        K = factor(slice(None), alpha)[0]
         classes = [factor(partition.mask(j), a) for j, a in enumerate(alpha_class)]
         labels = partition.labels.copy()
         order, restore = class_order(labels)
@@ -673,6 +681,15 @@ def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
     The frequency count F = prod(freq_shape) scales the per-frequency
     Grams (unitary spectra vs dense eigenvalues) and divides the summed
     log-dets (the objective is the dense rate per position); the sums run
-    over the full spectrum through `half_weights` (`rate.stack_components`).
+    over the full spectrum through `half_weights`. An (n, m) feature matrix
+    Z is the trivial group's stack Z[None], F = 1.
     """
-    return stack_components(Vt, partition, eps, math.prod(freq_shape), half_weights(freq_shape))
+    _, C, m = Vt.shape
+    if m != partition.m:
+        raise ValueError(f"partition covers {partition.m} samples, features have {m}")
+    scale, weight = math.prod(freq_shape), half_weights(freq_shape)
+    params = RateParams(eps)
+    expand = gram_logdet(Vt, scale * params.alpha(C, m), weight)
+    compress = [gram_logdet(Vt[:, :, partition.mask(j)], scale * params.alpha_class(C, int(c)),
+                            weight) for j, c in enumerate(partition.counts)]
+    return _triple(expand, compress, partition.gamma, scale)

@@ -29,7 +29,7 @@ def _flatten(Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim == 1:
         return Z[:, None]
-    return Z.reshape(-1, Z.shape[-1])
+    return Z.reshape(math.prod(Z.shape[:-1]), Z.shape[-1])  # -1 cannot size an empty stack
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,18 @@ def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:
     return labels.astype(int)
 
 
+def _npz_features(path, raw, key: str, rows=None) -> np.ndarray:
+    """A real numeric (n, m) matrix of n >= 1 rows (``rows`` if given) and
+    m >= 1 columns, as float64, else DataError."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{path}: {key} must hold real numbers, got dtype {arr.dtype}")
+    if arr.ndim != 2 or 0 in arr.shape or rows not in (None, arr.shape[0]):
+        raise DataError(f"{path}: {key} must be ({rows or 'n'}, m), with at least one row "
+                        f"and one column, got shape {arr.shape}")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def _prepare_custom(cfg) -> Prepared:
     if not cfg.data:
         raise ConfigError("custom-vector needs a data = path/to/arrays.npz entry")
@@ -242,9 +254,7 @@ def _prepare_custom(cfg) -> Prepared:
     for key in ("X", "labels"):
         if key not in arrays:
             raise DataError(f"{cfg.data}: missing array {key!r}")
-    X = np.asarray(arrays["X"], dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"{cfg.data}: X must be (n, m), got shape {X.shape}")
+    X = _npz_features(cfg.data, arrays["X"], "X")
     labels = _npz_labels(cfg.data, arrays["labels"], X.shape[1], "labels")
     missing = np.flatnonzero(np.bincount(labels) == 0)
     if missing.size:
@@ -254,10 +264,7 @@ def _prepare_custom(cfg) -> Prepared:
     if "X_test" in arrays:
         if "labels_test" not in arrays:
             raise DataError(f"{cfg.data}: X_test without labels_test")
-        test = np.asarray(arrays["X_test"], dtype=np.float64)
-        if test.ndim != 2 or test.shape[0] != X.shape[0]:
-            raise DataError(f"{cfg.data}: X_test must be ({X.shape[0]}, m_test), "
-                            f"got shape {test.shape}")
+        test = _npz_features(cfg.data, arrays["X_test"], "X_test", X.shape[0])
         test_labels = _npz_labels(cfg.data, arrays["labels_test"], test.shape[1],
                                   "labels_test")
         unknown = test_labels[test_labels > labels.max()]

@@ -1,4 +1,4 @@
-"""Rate-reduction objective on feature matrices.
+"""The rate-reduction objective and its parts.
 
 Features are columns of ``Z`` (shape ``(n, m)``: n-dimensional features, m
 samples). The coding rate of the whole set is
@@ -12,15 +12,17 @@ with ``tr(Pi_j) = m_j`` samples in class j, is
     alpha_j = n / (m_j eps^2),   gamma_j = m_j / m.
 
 The objective maximized by the networks in this package is the difference
-``rate_reduction = R - Rc``. All logarithms are natural (rates in nats).
-`stack_components` evaluates it on a stack (F, n, m) of feature sets in all
-three geometries: a vector feature set Z is the stack Z[None], a spectral
-one the per-frequency stack of its half spectra (``_freq``). Every log-det
-is read off a Cholesky factor: `gram_logdet` factors for the objective
-alone, and `hermitian_inverse` returns the log-dets of the stack it inverts,
-which is how a spectral layer gets the objective of its features from its
-own factorizations. The gradient is the engine's `spectral.group_gradient`,
-a feature matrix included.
+``R - Rc``, the rate reduction. All logarithms are natural (rates in nats).
+This module holds its parts: the class partition, the coefficients and the
+Cholesky log-dets. The engine evaluates it on a stack (F, n, m) of feature
+sets in all three geometries (`_freq.spectral_components`, behind
+`spectral.group_rate_components`): a feature matrix Z is the stack Z[None],
+a spectral feature set the per-frequency stack of its half spectra. Every
+log-det is read off a Cholesky factor: `gram_logdet` factors for the
+objective alone, and `hermitian_inverse` returns the log-dets of the stack
+it inverts, which is how a layer gets the objective of its features from
+its own factorizations. The gradient is the engine's
+`spectral.group_gradient`, a feature matrix included.
 """
 
 import math
@@ -47,14 +49,6 @@ def real_finite(X, what: str = "input") -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise NumericalError(f"{what} holds a non-finite value")
-    return arr
-
-
-def as_matrix(Z) -> np.ndarray:
-    """``Z`` as an array, which must be a 2-d feature matrix."""
-    arr = np.asarray(Z)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d feature matrix, got shape {arr.shape}")
     return arr
 
 
@@ -202,30 +196,6 @@ def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -
     return float(2.0 * (np.sum(logs) if weight is None else weight @ logs))
 
 
-def coding_rate(Z, eps: float) -> float:
-    """R(Z) = 1/2 logdet(I + alpha Z Z*) with alpha = n/(m eps^2), in nats."""
-    Z = real_finite(as_matrix(Z), "feature matrix")
-    if Z.shape[1] == 0:
-        raise ValueError("coding rate needs at least one sample")
-    return 0.5 * gram_logdet(Z[None], RateParams(eps).alpha(*Z.shape))
-
-
-def stack_components(V: np.ndarray, partition: Partition, eps: float, scale: float = 1.0,
-                     weight: np.ndarray | None = None) -> tuple[float, float, float]:
-    """Objective triple (reduction, expand, compress) of a stack V (F, n, m):
-    the Grams scaled by ``scale``, the log-dets of the F slices weighted by
-    ``weight`` (1 each when omitted) and divided by ``scale``. A feature
-    matrix Z is the stack Z[None] with scale 1 (`rate_components`)."""
-    _, n, m = V.shape
-    if m != partition.m:
-        raise ValueError(f"partition covers {partition.m} samples, features have {m}")
-    params = RateParams(eps)
-    expand = gram_logdet(V, scale * params.alpha(n, m), weight)
-    compress = [gram_logdet(V[:, :, partition.mask(j)], scale * params.alpha_class(n, int(c)),
-                            weight) for j, c in enumerate(partition.counts)]
-    return _triple(expand, compress, partition.gamma, scale)
-
-
 def _triple(expand: float, compress: list, gamma: np.ndarray, scale: float) -> tuple:
     """(reduction, expand, compress) rates from the weighted log-det sums of
     the whole set and of each class, over F = ``scale`` frequencies."""
@@ -234,18 +204,3 @@ def _triple(expand: float, compress: list, gamma: np.ndarray, scale: float) -> t
     for g, acc in zip(gamma, compress):
         Rc += g * acc / (2.0 * scale)
     return R - Rc, R, Rc
-
-
-def class_rate(Z, partition: Partition, eps: float) -> float:
-    """Rc(Z, Pi) = sum_j gamma_j/2 logdet(I + alpha_j Z Pi_j Z*), in nats."""
-    return rate_components(Z, partition, eps)[2]
-
-
-def rate_reduction(Z, partition: Partition, eps: float) -> float:
-    """Objective value R(Z) - Rc(Z, Pi)."""
-    return rate_components(Z, partition, eps)[0]
-
-
-def rate_components(Z, partition: Partition, eps: float) -> tuple[float, float, float]:
-    """(rate_reduction, coding_rate, class_rate) evaluated together."""
-    return stack_components(real_finite(as_matrix(Z), "feature matrix")[None], partition, eps)

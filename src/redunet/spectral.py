@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _freq
-from .rate import Partition, default_lambda, rate_components, real_finite
+from .rate import Partition, default_lambda, real_finite
 
 
 # ------------------------------------------------------------ transforms
@@ -136,16 +136,17 @@ def group_rate_components(Zbar, partition: Partition, eps: float,
     ``Zbar`` is a (C, *G, m) stack over any of the three groups, rank 0 (an
     (n, m) feature matrix, F = 1) included. The fast route sums per-frequency
     log-dets; the dense route actually builds the (C*F, F*m) circulant stack
-    and evaluates the plain rate on it. Both exist on purpose and are
-    compared by the tests.
+    and scores it as a feature matrix, the trivial group's stack. Both
+    exist on purpose and are compared by the tests; on a feature matrix,
+    whose circulant stack is itself, they give the same floats.
     """
     Zbar = _sample_stack(Zbar)
     F = math.prod(Zbar.shape[1:-1])
     if method == "fast":
         return _freq.spectral_components(_spectra(Zbar), partition, eps, Zbar.shape[1:-1])
     if method == "dense":
-        dR, R, Rc = rate_components(stacked_circulant(Zbar),
-                                    augmented_partition(partition, F), eps)
+        dR, R, Rc = _freq.spectral_components(stacked_circulant(Zbar)[None],
+                                              augmented_partition(partition, F), eps, ())
         return dR / F, R / F, Rc / F
     raise ValueError(f"unknown method {method!r}")
 

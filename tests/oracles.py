@@ -23,10 +23,9 @@ from redunet.harness import experiments
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION, load_model
 from redunet.harness.experiments import ORTHO_COS, _flat
 from redunet.lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
-from redunet.rate import (NORM_FLOOR, Partition, RateParams, default_lambda,
-                          hermitian_inverse, rate_components)
-from redunet.spectral import SpectralReduNet, _spectra, construct, forward
-from redunet.vector import compression_operators, expansion_operator
+from redunet.rate import NORM_FLOOR, Partition, RateParams, default_lambda, hermitian_inverse
+from redunet.spectral import (SpectralReduNet, _spectra, construct, forward,
+                              group_rate_components)
 
 
 def rng_for(seed):
@@ -44,7 +43,7 @@ def labels_for(m, k, rng):
 # ---------------------------------------------------------------- rates
 
 def slogdet_rate(Z, labels, eps):
-    """(rate_reduction, coding_rate, class_rate) via np.linalg.slogdet."""
+    """The rates (R - Rc, R, Rc) of a feature matrix via np.linalg.slogdet."""
     Z = np.asarray(Z)
     n, m = Z.shape
     labels = np.asarray(labels)
@@ -554,9 +553,10 @@ def unblocked_update_batch(Vt, layer, pi=None):
 # --------------------------------------------------- vector layer loop
 #
 # The vector network as it ran before the spectral engine took the trivial
-# group: its own loop over (n, m) feature matrices, the dense operators of
-# `redunet.vector`, every step one product per operator over all samples,
-# and the objective from `rate.rate_components`.
+# group: its own loop over (n, m) feature matrices, every operator one dense
+# n x n matrix (`_freq.regularized_inverse` of the features, or of a class's
+# columns), every step one product per operator over all samples, and the
+# objective from `spectral.group_rate_components`.
 
 def vector_update_batch(Z, layer, pi=None):
     """One layer step for every column of Z with membership weights pi (k, b),
@@ -576,23 +576,25 @@ def vector_loop_construct(X, partition, L, eta, eps, lam=None, use_labels=False,
     if lam is None:
         lam = default_lambda(partition.k)
     params = RateParams(eps)
+    alpha = params.alpha(n, m)
     alpha_class = np.array([params.alpha_class(n, int(c)) for c in partition.counts])
     Z = _freq.normalize_samples(X)
     Zc = None if carry is None else _freq.normalize_samples(np.ascontiguousarray(carry))
     onehot = partition.onehot()
-    trace = [rate_components(Z, partition, eps)]
+    trace = [group_rate_components(Z, partition, eps)]
     layers = []
     for _ in range(int(L)):
-        layer = SpectralLayer(Ebar=expansion_operator(Z, eps)[None],
-                              Cbar=compression_operators(Z, partition, eps)[:, None],
-                              freq_shape=(), gamma=partition.gamma.copy(),
-                              alpha=params.alpha(n, m), alpha_class=alpha_class.copy(),
-                              eta=eta, lam=lam)
+        C = [_freq.regularized_inverse(Z[:, partition.mask(j)], a)[0]
+             for j, a in enumerate(alpha_class)]
+        layer = SpectralLayer(Ebar=_freq.regularized_inverse(Z, alpha)[0][None],
+                              Cbar=np.stack(C)[:, None], freq_shape=(),
+                              gamma=partition.gamma.copy(), alpha=alpha,
+                              alpha_class=alpha_class.copy(), eta=eta, lam=lam)
         layers.append(layer)
         Z = vector_update_batch(Z, layer, onehot if use_labels else None)
         if Zc is not None:
             Zc = vector_update_batch(Zc, layer)
-        trace.append(rate_components(Z, partition, eps))
+        trace.append(group_rate_components(Z, partition, eps))
     return SpectralReduNet(layers=layers, C=n, freq_shape=(), k=partition.k, eps=eps,
                            eta=eta, lam=lam, trace=np.array(trace),
                            gamma=partition.gamma.copy(), features=Z, carry_features=Zc)

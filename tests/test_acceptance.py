@@ -18,7 +18,7 @@ import pytest
 import redunet
 from redunet import (Partition, construct, fit_subspaces, forward, group_gradient,
                      group_rate_components, lift_1d, lift_2d, predict, random_filters,
-                     rate_reduction, signals_1d, sparsify)
+                     signals_1d, sparsify)
 from redunet._freq import half_weights
 from redunet.harness import read_csv
 from redunet.harness.cli import main as cli_main
@@ -144,7 +144,7 @@ def test_criterion_02_gradients_match_finite_differences_within_1e5():
         P = Partition(np.arange(m) % k)
         eps = (0.3, 0.5, 1.0)[i % 3]
         err = rel_err(scalar_grad(group_gradient(Z, P, eps)),
-                      lambda A: rate_reduction(A, P, eps), Z)
+                      lambda A: group_rate_components(A, P, eps)[0], Z)
         assert err <= 1e-5, f"vector instance {i}: {err:.2e}"
         checked += 1
 
@@ -183,7 +183,7 @@ def test_criterion_03_degenerate_inputs_and_norm_conservation():
 
     # one class only: nothing to separate, the objective vanishes
     Z = rng.standard_normal((4, 6))
-    assert abs(rate_reduction(Z, Partition(np.zeros(6, dtype=int)), 0.5)) < 1e-10
+    assert abs(group_rate_components(Z, Partition(np.zeros(6, dtype=int)), 0.5)[0]) < 1e-10
     Zbar = rng.standard_normal((2, 8, 4))
     assert abs(group_rate_components(Zbar, Partition(np.zeros(4, dtype=int)), 0.5)[0]) < 1e-10
     Qbar = rng.standard_normal((2, 3, 3, 4))

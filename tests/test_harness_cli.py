@@ -216,13 +216,31 @@ def _bad_npz(case):
         arrays["labels_test"] = np.array([0.0, 1.0, 0.5, 1.0])
     elif case == "label_count":
         arrays["labels"] = np.repeat([0, 1], 3)
+    elif case == "complex":
+        arrays["X"] = arrays["X"] + 1j
+    elif case == "complex_test":
+        arrays["X_test"] = arrays["X_test"] + 1j
+    elif case == "strings":
+        arrays["X"] = arrays["X"].astype(str)
+    elif case == "strings_test":
+        arrays["X_test"] = arrays["X_test"].astype(str)
+    elif case == "booleans":
+        arrays["X"] = arrays["X"] > 0
+    elif case == "no_test_columns":
+        arrays["X_test"], arrays["labels_test"] = np.zeros((3, 0)), np.zeros(0, dtype=int)
+    elif case == "no_columns":
+        arrays["X"], arrays["labels"] = np.zeros((3, 0)), np.zeros(0, dtype=int)
+    elif case == "no_rows":
+        arrays["X"], arrays["X_test"] = np.zeros((0, 8)), np.zeros((0, 4))
     return arrays
 
 
 @pytest.mark.parametrize("case", ["test_rows", "test_1d", "test_label_count",
                                   "negative_labels", "fractional_labels",
                                   "negative_test_labels", "fractional_test_labels",
-                                  "label_count"])
+                                  "label_count", "complex", "complex_test", "strings",
+                                  "strings_test", "booleans", "no_test_columns",
+                                  "no_columns", "no_rows"])
 def test_bad_custom_vector_npz_exits_three_before_any_layer(tmp_path, capsys,
                                                             monkeypatch, case):
     import redunet._freq

@@ -4,8 +4,9 @@ complex input on every group rank, and input of the wrong shape."""
 import numpy as np
 import pytest
 
+from redunet.classify import fit_subspaces, predict
 from redunet.errors import NumericalError
-from redunet.rate import Partition, class_rate, coding_rate, rate_components, rate_reduction
+from redunet.rate import Partition
 from redunet.spectral import construct, forward, group_gradient, group_rate_components
 
 from oracles import rng_for
@@ -14,20 +15,13 @@ SHAPES = {0: (5,), 1: (2, 6), 2: (2, 3, 4)}  # a sample's shape, by group rank
 PARTITION = Partition(np.array([0, 1, 0, 1]))
 BAD = [(np.nan, NumericalError), (np.inf, NumericalError),
        (-np.inf, NumericalError), ("complex", ValueError)]
-# the objective and its gradient; the group-generic ones run on every rank
+# the objective and its gradient, on every rank
 OBJECTIVE = {
-    "coding_rate": lambda X: coding_rate(X, 0.5),
-    "class_rate": lambda X: class_rate(X, PARTITION, 0.5),
-    "rate_reduction": lambda X: rate_reduction(X, PARTITION, 0.5),
-    "rate_components": lambda X: rate_components(X, PARTITION, 0.5),
     "group_rate_components": lambda X: group_rate_components(X, PARTITION, 0.5),
     "group_rate_components_dense": (
         lambda X: group_rate_components(X, PARTITION, 0.5, method="dense")),
     "group_gradient": lambda X: group_gradient(X, PARTITION, 0.5),
 }
-GROUP_GENERIC = ("group_rate_components", "group_rate_components_dense", "group_gradient")
-OBJECTIVE_CASES = [(entry, rank) for entry in OBJECTIVE
-                   for rank in (SHAPES if entry in GROUP_GENERIC else (0,))]
 
 
 def stack(rank, m, seed=3):
@@ -71,14 +65,22 @@ def test_forward_of_an_empty_stack_is_empty(rank):
     assert out.shape == SHAPES[rank] + (0,) and out.dtype == np.float64
 
 
-@pytest.mark.parametrize("entry, rank", OBJECTIVE_CASES)
+@pytest.mark.parametrize("rank", SHAPES)
+def test_predict_of_an_empty_stack_is_empty(rank):
+    fitted = fit_subspaces(stack(rank, 4), PARTITION)
+    labels = predict(np.zeros(SHAPES[rank] + (0,)), fitted)
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("rank", SHAPES)
+@pytest.mark.parametrize("entry", OBJECTIVE)
 @pytest.mark.parametrize("bad, error", BAD)
 def test_objective_and_gradient_reject_bad_input(entry, rank, bad, error):
     with pytest.raises(error):
         OBJECTIVE[entry](spoil(stack(rank, 4), bad))
 
 
-@pytest.mark.parametrize("entry", GROUP_GENERIC + ("construct",))
+@pytest.mark.parametrize("entry", [*OBJECTIVE, "construct"])
 def test_group_entry_points_refuse_an_array_without_a_sample_axis(entry):
     call = {**OBJECTIVE, "construct": lambda X: construct(X, PARTITION, 1, 0.5, 0.1)}[entry]
     with pytest.raises(ValueError, match=r"expected a \(C, \*G, m\) .*got shape \(4,\)"):

@@ -23,7 +23,6 @@ from redunet.harness.experiments import _orthogonal_fraction_all_shifts
 from redunet.rate import Partition, RateParams, gram_logdet
 from redunet.spectral import (SpectralReduNet, _spectra, construct, forward,
                               group_rate_components, stacked_circulant)
-from redunet.vector import compression_operators, expansion_operator
 
 from oracles import (dense_layer, dense_regularized_inverse, dft_matrix, full_operators,
                      full_spectrum_construct, full_spectrum_forward, joined_save_model,
@@ -50,6 +49,8 @@ def test_shift_sweep_equals_roll_loop(C, T, m, m_test, k, seed):
 # group grids: 1-d (T,) or 2-d (H, W), with T = 1, H = 1 and W = 1 reachable
 groups = st.one_of(st.tuples(st.integers(1, 7)),
                    st.tuples(st.integers(1, 4), st.integers(1, 4)))
+# the trivial group of the vector network as well as the cyclic ones
+any_group = st.one_of(st.just(()), groups)
 
 
 def random_stack(seed, C, G, m, k):
@@ -58,15 +59,18 @@ def random_stack(seed, C, G, m, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(G=groups, C=st.integers(1, 3), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@given(G=any_group, C=st.integers(1, 3), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 @example(G=(1,), C=2, m=3, seed=0)
 @example(G=(1, 5), C=2, m=3, seed=1)
 @example(G=(4, 1), C=1, m=4, seed=2)
+@example(G=(), C=3, m=2, seed=3)
 def test_fast_objective_equals_dense_oracle(G, C, m, seed):
     _, Zbar, P = random_stack(seed, C, G, m, 2)
     fast = group_rate_components(Zbar, P, 0.5, method="fast")
     dense = group_rate_components(Zbar, P, 0.5, method="dense")
     assert np.max(np.abs(np.array(fast) - np.array(dense))) < 1e-9
+    if not G:  # the circulant stack of a feature matrix is the matrix itself
+        assert fast == dense
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,10 +277,6 @@ def test_layer_step_in_place_equals_step_into_a_fresh_array(G, C, b, edge, k, fo
 
 
 # ------------------------------------------------- the batched layer loop
-
-# the trivial group of the vector network as well as the cyclic ones
-any_group = st.one_of(st.just(()), groups)
-
 
 def stack_of_counts(seed, C, G, counts):
     """A (C, *G, m) stack whose class j holds counts[j] samples, shuffled."""
@@ -505,8 +505,9 @@ def test_vector_operators_equal_dense_oracle(n, m, lone, seed):
     Z = _freq.normalize_samples(rng.standard_normal((n, m)))
     labels = np.array([0] + [1] * (m - 1)) if lone else labels_for(m, 2, rng)
     P, params = Partition(labels), RateParams(0.5)
-    assert_matches_dense(expansion_operator(Z, 0.5), Z, params.alpha(n, m))
-    for j, Cj in enumerate(compression_operators(Z, P, 0.5)):
+    layer = _freq.build_layer(Z[None], P, 0.5, eta=0.3, lam=10.0, freq_shape=())
+    assert_matches_dense(_freq.dense(layer.Ebar)[0], Z, params.alpha(n, m))
+    for j, Cj in enumerate(_freq.dense(layer.Cbar)[:, 0]):
         assert_matches_dense(Cj, Z[:, labels == j], params.alpha_class(n, int(P.counts[j])))
 
 

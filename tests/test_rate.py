@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from redunet.errors import EmptyClass, NotPositiveDefinite, NumericalError
-from redunet.rate import (Partition, RateParams, class_rate, coding_rate, gram_logdet,
-                          hermitian_inverse, rate_components, rate_reduction)
-from redunet.spectral import construct, group_gradient
+from redunet.rate import Partition, RateParams, gram_logdet, hermitian_inverse
+from redunet.spectral import construct, group_gradient, group_rate_components
 
 from oracles import central_diff_grad, labels_for, rng_for, slogdet_rate
 
@@ -86,13 +85,14 @@ def test_coding_rate_identity_features():
     # Z = I_n has alpha = 1/eps^2 and rate (n/2) log(1 + 1/eps^2).
     n, eps = 5, 0.3
     expected = 0.5 * n * np.log(1 + 1 / eps**2)
-    assert abs(coding_rate(np.eye(n), eps) - expected) < 1e-12
+    one_class = Partition(np.zeros(n, dtype=int))
+    assert abs(group_rate_components(np.eye(n), one_class, eps)[1] - expected) < 1e-12
 
 
 def test_coding_rate_scalar_closed_form():
     z, eps = 0.7, 0.5
     expected = 0.5 * np.log(1 + (1 / eps**2) * z**2)
-    assert abs(coding_rate(np.array([[z]]), eps) - expected) < 1e-14
+    assert abs(group_rate_components(np.array([[z]]), Partition([0]), eps)[1] - expected) < 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(7, 3), (3, 7), (4, 4)])
@@ -104,14 +104,15 @@ def test_primal_dual_identity(n, m):
     _, primal = np.linalg.slogdet(np.eye(n) + alpha * Z @ Z.T)
     _, dual = np.linalg.slogdet(np.eye(m) + alpha * Z.T @ Z)
     assert abs(primal - dual) < 1e-9
-    assert abs(coding_rate(Z, eps) - 0.5 * primal) < 1e-9
+    R = group_rate_components(Z, Partition(np.zeros(m, dtype=int)), eps)[1]
+    assert abs(R - 0.5 * primal) < 1e-9
 
 
 def test_single_class_rate_reduction_is_zero():
     rng = rng_for(7)
     Z = rng.standard_normal((5, 12))
     P = Partition(np.zeros(12, dtype=int))
-    assert abs(rate_reduction(Z, P, 0.5)) < 1e-10
+    assert abs(group_rate_components(Z, P, 0.5)[0]) < 1e-10
 
 
 @pytest.mark.parametrize("seed,n,m,k", [(0, 4, 10, 2), (1, 6, 15, 3), (2, 3, 9, 2)])
@@ -120,7 +121,7 @@ def test_rate_components_match_slogdet_oracle(seed, n, m, k):
     Z = rng.standard_normal((n, m))
     labels = labels_for(m, k, rng)
     eps = 0.35
-    dR, R, Rc = rate_components(Z, Partition(labels), eps)
+    dR, R, Rc = group_rate_components(Z, Partition(labels), eps)
     odR, oR, oRc = slogdet_rate(Z, labels, eps)
     assert abs(R - oR) < 1e-10
     assert abs(Rc - oRc) < 1e-10
@@ -132,8 +133,8 @@ def test_rate_reduction_permutation_invariant():
     Z = rng.standard_normal((4, 12))
     labels = labels_for(12, 3, rng)
     perm = rng.permutation(12)
-    a = rate_reduction(Z, Partition(labels), 0.5)
-    b = rate_reduction(Z[:, perm], Partition(labels[perm]), 0.5)
+    a = group_rate_components(Z, Partition(labels), 0.5)[0]
+    b = group_rate_components(Z[:, perm], Partition(labels[perm]), 0.5)[0]
     assert abs(a - b) < 1e-10
 
 
@@ -199,4 +200,4 @@ def test_rate_params_raise_on_an_infinite_coefficient():
 
 def test_class_rate_checks_sample_count():
     with pytest.raises(ValueError):
-        class_rate(np.eye(3), Partition(np.array([0, 1])), 0.5)
+        group_rate_components(np.eye(3), Partition(np.array([0, 1])), 0.5)[2]

@@ -25,13 +25,17 @@ from redunet.spectral import construct, forward  # noqa: E402
 
 # targets whose functions the package no longer has: the vector network's
 # own membership wrapper and layer step, and the objective as its own loop
-# looked it up (it runs through the spectral engine), and the per-geometry
+# looked it up (it runs through the spectral engine); the per-geometry
 # construct and forward entry points, whose callers call `spectral.construct`
-# and `spectral.forward` on every group rank
+# and `spectral.forward` on every group rank; and the dense vector operators,
+# whose module is gone (a vector layer's operators come from
+# `_freq.build_layer`, traced as freq.build_layer, and no program path
+# called them, so their per-layer numbers already read 0)
 RETIRED = ("vector.soft_membership", "vector._update_batch", "rate.rate_components",
            "spectral1d.construct_shift1d", "spectral1d.forward_shift1d",
            "spectral2d.construct_translation2d", "spectral2d.forward_translation2d",
-           "vector.construct_vector_net", "vector.forward_vector")
+           "vector.construct_vector_net", "vector.forward_vector",
+           "vector.expansion_operator", "vector.compression_operators")
 
 
 def _current(target):

@@ -4,12 +4,13 @@ import pytest
 from redunet.classify import fit_subspaces, predict
 from redunet.errors import ZeroVector
 from redunet import _freq
-from redunet.rate import Partition, RateParams, rate_components, rate_reduction
+from redunet.rate import Partition, RateParams
 from redunet.spectral import construct, forward, group_gradient, group_rate_components
-from redunet._freq import membership, normalize_samples, update_batch
-from redunet.vector import compression_operators, expansion_operator
+from redunet._freq import (build_layer, membership, normalize_samples, regularized_inverse,
+                           update_batch)
 
-from oracles import dense_rate_gradient, labels_for, rng_for, vector_loop_construct
+from oracles import (dense_rate_gradient, labels_for, rng_for, slogdet_rate,
+                     vector_loop_construct)
 
 
 def step(Z, layer, pi=None):
@@ -17,37 +18,44 @@ def step(Z, layer, pi=None):
     return update_batch(Z[None], layer, pi)[0]
 
 
+def vector_layer(Z, P, eps):
+    """Layer 0 of the (n, m) feature matrix Z, the rank-0 stack Z[None]."""
+    return build_layer(Z[None], P, eps, eta=0.5, lam=30.0, freq_shape=())
+
+
 def test_expansion_identity_features():
     n, eps = 4, 0.5
     alpha = 1 / eps**2
-    E = expansion_operator(np.eye(n), eps)
+    E = regularized_inverse(np.eye(n), RateParams(eps).alpha(n, n))[0]
     assert np.allclose(E, alpha / (1 + alpha) * np.eye(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(6, 10), (10, 6)])  # the n x n and the m x m Gram side
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_expansion_ridge_oracle(seed):
+def test_expansion_ridge_oracle(seed, n, m):
     # E z equals alpha (z - Z q*) with q* the ridge-regression coefficients
     # of z against the columns of Z.
     rng = rng_for(seed)
-    n, m, eps = 6, 10, 0.4
+    eps = 0.4
     Z = rng.standard_normal((n, m))
     alpha = RateParams(eps).alpha(n, m)
-    E = expansion_operator(Z, eps)
+    E = regularized_inverse(Z, alpha)[0]
     for z in [Z[:, 0], rng.standard_normal(n)]:
         q = np.linalg.solve(np.eye(m) + alpha * Z.T @ Z, alpha * Z.T @ z)
         expected = alpha * (z - Z @ q)
         assert np.linalg.norm(E @ z - expected) < 1e-9 * max(1, np.linalg.norm(expected))
 
 
+@pytest.mark.parametrize("n, m", [(5, 8), (8, 5)])  # the n x n and the m x m Gram side
 @pytest.mark.parametrize("seed", [3, 4])
-def test_expansion_eigendecomposition_oracle(seed):
+def test_expansion_eigendecomposition_oracle(seed, n, m):
     rng = rng_for(seed)
-    n, m, eps = 5, 8, 0.3
+    eps = 0.3
     Z = rng.standard_normal((n, m))
     alpha = RateParams(eps).alpha(n, m)
     sig, U = np.linalg.eigh(Z @ Z.T)
     expected = (U * (alpha / (1 + alpha * sig))) @ U.T
-    assert np.linalg.norm(expansion_operator(Z, eps) - expected) < 1e-9
+    assert np.linalg.norm(regularized_inverse(Z, alpha)[0] - expected) < 1e-9
 
 
 def test_compression_equals_expansion_of_class_columns():
@@ -57,9 +65,10 @@ def test_compression_equals_expansion_of_class_columns():
     Z = rng.standard_normal((4, 12))
     labels = labels_for(12, 3, rng)
     P = Partition(labels)
-    C = compression_operators(Z, P, 0.5)
+    C = vector_layer(Z, P, 0.5).Cbar[:, 0]
     for j in range(3):
-        Ej = expansion_operator(Z[:, labels == j], 0.5)
+        Zj = Z[:, labels == j]
+        Ej = regularized_inverse(Zj, RateParams(0.5).alpha(*Zj.shape))[0]
         assert np.linalg.norm(C[j] - Ej) < 1e-10
 
 
@@ -70,10 +79,10 @@ def test_operator_spectra_bounded():
     P = Partition(labels_for(20, 2, rng))
     eps = 0.4
     params = RateParams(eps)
-    E = expansion_operator(Z, eps)
-    vals = np.linalg.eigvalsh(E / params.alpha(5, 20))
+    layer = vector_layer(Z, P, eps)
+    vals = np.linalg.eigvalsh(layer.Ebar[0] / params.alpha(5, 20))
     assert np.all(vals > 0) and np.all(vals <= 1 + 1e-12)
-    C = compression_operators(Z, P, eps)
+    C = layer.Cbar[:, 0]
     for j in range(2):
         aj = params.alpha_class(5, int(P.counts[j]))
         vals = np.linalg.eigvalsh(C[j] / aj)
@@ -84,7 +93,7 @@ def test_soft_membership_is_a_distribution():
     rng = rng_for(7)
     Z = rng.standard_normal((4, 9))
     P = Partition(labels_for(9, 3, rng))
-    C = compression_operators(Z, P, 0.5)
+    C = vector_layer(Z, P, 0.5).Cbar[:, 0]
     pi = membership(C @ Z, lam=30.0)
     assert pi.shape == (3, 9)
     assert np.all(pi >= 0) and np.all(pi <= 1)
@@ -97,7 +106,7 @@ def test_soft_membership_sharp_limit_picks_smallest_norm():
     rng = rng_for(8)
     Z = rng.standard_normal((4, 9))
     P = Partition(labels_for(9, 3, rng))
-    C = compression_operators(Z, P, 0.5)
+    C = vector_layer(Z, P, 0.5).Cbar[:, 0]
     z = rng.standard_normal(4)
     norms = np.array([np.linalg.norm(C[j] @ z) for j in range(3)])
     pi = membership((C @ z)[..., None], lam=1e6)[:, 0]
@@ -110,7 +119,7 @@ def test_soft_membership_large_lambda_does_not_overflow():
     rng = rng_for(9)
     Z = rng.standard_normal((3, 6))
     P = Partition(labels_for(6, 2, rng))
-    C = compression_operators(Z, P, 0.5)
+    C = vector_layer(Z, P, 0.5).Cbar[:, 0]
     pi = membership(C @ (rng.standard_normal((3, 1)) * 100), lam=1e12)
     assert np.all(np.isfinite(pi))
     assert abs(pi.sum() - 1) < 1e-12
@@ -159,11 +168,14 @@ def test_vector_layer_takes_one_form_chosen_by_m_below_n(n, counts):
     X = rng.standard_normal((n, sum(counts)))
     P = Partition(np.repeat(np.arange(3), counts))  # in class order, as the layer holds it
     layer = construct(X, P, L=1, eta=0.5, eps=0.5).layers[0]
-    Z = normalize_samples(X)
+    Z, params = normalize_samples(X), RateParams(0.5)
     form = _freq.Factored if P.m < n else np.ndarray
     assert all(isinstance(op, form) for op in _freq.operators(layer))
-    assert np.array_equal(_freq.dense(layer.Ebar)[0], expansion_operator(Z, 0.5))
-    assert np.array_equal(_freq.dense(layer.Cbar)[:, 0], compression_operators(Z, P, 0.5))
+    assert np.array_equal(_freq.dense(layer.Ebar)[0],
+                          regularized_inverse(Z, params.alpha(n, P.m))[0])
+    for j, count in enumerate(P.counts):
+        want = regularized_inverse(Z[:, P.mask(j)], params.alpha_class(n, int(count)))[0]
+        assert np.array_equal(_freq.dense(layer.Cbar)[j, 0], want)
 
 
 @pytest.mark.parametrize("n, counts", GRADIENT_SHAPES)
@@ -185,13 +197,14 @@ def test_rate_gradient_equals_dense_solve_oracle(n, counts, eps):
 
 
 def test_group_objective_of_a_feature_matrix_is_the_vector_objective():
-    # rank 0 is the trivial group, F = 1: both routes give the same floats
+    # rank 0 is the trivial group, F = 1: both routes give the same floats,
+    # the objective of the feature matrix
     rng = rng_for(21)
     Z = rng.standard_normal((5, 9))
     P = Partition(labels_for(9, 3, rng))
-    want = rate_components(Z, P, 0.5)
-    for method in ("fast", "dense"):
-        assert group_rate_components(Z, P, 0.5, method=method) == want
+    got = group_rate_components(Z, P, 0.5, method="fast")
+    assert group_rate_components(Z, P, 0.5, method="dense") == got
+    assert np.max(np.abs(np.array(got) - slogdet_rate(Z, P.labels, 0.5))) < 1e-10
 
 
 def test_construct_zero_layers():
@@ -211,9 +224,9 @@ def test_construct_trace_has_initial_plus_per_layer_rows():
     P = Partition(labels_for(8, 2, rng))
     model = construct(X, P, L=4, eta=0.5, eps=0.5)
     assert model.trace.shape == (5, 3)
-    # trace rows are (rate_reduction, coding_rate, class_rate)
+    # trace rows are the rates (R - Rc, R, Rc)
     assert np.allclose(model.trace[:, 0], model.trace[:, 1] - model.trace[:, 2])
-    assert abs(model.trace[-1, 0] - rate_reduction(model.features, P, 0.5)) < 1e-10
+    assert abs(model.trace[-1, 0] - group_rate_components(model.features, P, 0.5)[0]) < 1e-10
 
 
 def test_forward_replays_training_features():
@@ -317,6 +330,8 @@ def test_engine_equals_vector_loop_oracle(n, m, use_labels):
     # of the samples, which the loop holds in class order
     order = np.argsort(P.labels, kind="stable")
     Z0, P0 = normalize_samples(X)[:, order], Partition(P.labels[order])
-    layer = model.layers[0]
-    assert np.array_equal(_freq.dense(layer.Ebar)[0], expansion_operator(Z0, 0.5))
-    assert np.array_equal(_freq.dense(layer.Cbar)[:, 0], compression_operators(Z0, P0, 0.5))
+    layer, params = model.layers[0], RateParams(0.5)
+    assert np.array_equal(_freq.dense(layer.Ebar)[0], regularized_inverse(Z0, params.alpha(n, m))[0])
+    for j, count in enumerate(P0.counts):
+        want = regularized_inverse(Z0[:, P0.mask(j)], params.alpha_class(n, int(count)))[0]
+        assert np.array_equal(_freq.dense(layer.Cbar)[j, 0], want)
