@@ -15,8 +15,7 @@ if _threads.isdecimal() and int(_threads) > 0:
 __version__ = "0.1.0"
 
 from .classify import SubspaceModel, evaluate, fit_subspaces, predict
-from .datasets import (LabeledDataset, gaussian_sphere, load_mnist,
-                       rotate_augment, shift_augment, signals_1d)
+from .datasets import LabeledDataset, gaussian_sphere, load_mnist, signals_1d
 from .errors import (ConfigError, DataError, NumericalError, RedunetError,
                      exit_code_for)
 from .lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
@@ -30,5 +29,5 @@ __all__ = [
     "SubspaceModel", "construct", "evaluate", "exit_code_for", "fit_subspaces",
     "forward", "gaussian_sphere", "group_gradient", "group_rate_components",
     "layer_kernel", "lift_1d", "lift_2d", "load_mnist", "polar_transform", "predict",
-    "random_filters", "rotate_augment", "shift_augment", "signals_1d", "sparsify",
+    "random_filters", "signals_1d", "sparsify",
 ]

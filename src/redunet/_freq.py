@@ -103,8 +103,9 @@ one per operator, each one Cholesky factorization over the stack of its
 smaller Gram side (`regularized_inverse`). The factors' log-determinants
 are those of the objective of the features the layer is built from, so the
 layer carries that objective triple too (`SpectralLayer.components`), and
-the construction loop factors no Gram a second time. A layer takes one
-form for all of its operators, chosen by m < C:
+the construction loop factors no Gram a second time; the final features'
+triple factors the same matrices, no inverse formed (`regularized_logdet`).
+A layer takes one form for all of its operators, chosen by m < C:
 
 - A layer of fewer samples m than rows C is factored: every operator is a
   scaled identity minus a rank m_op correction, a (I - a s V K V*), held
@@ -142,8 +143,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroVector
-from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, _triple, gram_logdet,
-                   hermitian_inverse)
+from .rate import (NORM_FLOOR, Partition, RateParams, _adjoint, _cholesky,
+                   _log_diagonal_sum, _triple, hermitian_inverse)
 
 _UPDATE_BLOCK_VALUES = 2**16  # values per (F_h, C, b) sample block: 1 MB complex
 _TRIVIAL_BLOCK_VALUES = 2**18  # values per (1, C, b) block of the trivial group: 2 MB real
@@ -293,7 +294,7 @@ def regularized_inverse(Vs: np.ndarray, a: float,
     (..., C, m), its Gram symmetrized, and logdet(I + a scale Vs Vs*).
 
     When m < C the m x m side is factored instead, by the push-through
-    identity (the one ``rate.gram_logdet`` relies on):
+    identity (the one `regularized_logdet` relies on):
 
         a (I_C + a s Vs Vs*)^-1 = a (I_C - a s Vs (I_m + a s Vs* Vs)^-1 Vs*),
 
@@ -302,7 +303,7 @@ def regularized_inverse(Vs: np.ndarray, a: float,
     stack is factored at once (`rate.hermitian_inverse`), and every slice
     gets the bytes it would get alone. The result keeps the dtype of ``Vs``.
     """
-    K, logdet = _factor(_gram(Vs, scale), a)
+    K, logdet = hermitian_inverse(_regularized(_gram(Vs, scale), a))
     if K.shape[-1] < Vs.shape[-2]:
         return _expand(Vs, K, a, scale), logdet
     return a * K, logdet
@@ -316,10 +317,16 @@ def _gram(Vs: np.ndarray, scale: float) -> np.ndarray:
     return scale * (Vh @ Vs if m < C else Vs @ Vh)
 
 
-def _factor(G: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of I + a G of scaled Grams G (`_gram`), symmetrized, and
-    its log-determinants."""
-    return hermitian_inverse(np.eye(G.shape[-1], dtype=G.dtype) + a * 0.5 * (G + _adjoint(G)))
+def _regularized(G: np.ndarray, a: float) -> np.ndarray:
+    """I + a G of scaled Grams G (`_gram`), G symmetrized."""
+    return np.eye(G.shape[-1], dtype=G.dtype) + a * 0.5 * (G + _adjoint(G))
+
+
+def regularized_logdet(Vs: np.ndarray, a: float, scale: float = 1.0) -> np.ndarray:
+    """logdet(I + a scale Vs Vs*) of every (C, m) slice of a stack Vs (..., C, m):
+    the log-dets of `regularized_inverse`, to its bytes, with no inverse
+    formed. A factor that fails raises NotPositiveDefinite."""
+    return 2.0 * _log_diagonal_sum(_cholesky(_regularized(_gram(Vs, scale), a)))
 
 
 def _expand(Vs: np.ndarray, K: np.ndarray, a: float, scale: float) -> np.ndarray:
@@ -340,9 +347,9 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
     The stacks keep the dtype of ``Vt``: real for the trivial group. Each
     operator is one batched factorization over the frequency axis, whose
     log-determinants give the objective triple of ``Vt`` as well
-    (`SpectralLayer.components`, equal to `spectral_components` up to
-    rounding). With m < C every operator stays `Factored`, on the features
-    in class order; otherwise every one is a dense stack. Either way every
+    (`SpectralLayer.components`, to the bytes of `spectral_components`).
+    With m < C every operator stays `Factored`, on the features in class
+    order; otherwise every one is a dense stack. Either way every
     operator's dense stack has the bytes of `regularized_inverse`.
     """
     freq_shape = tuple(freq_shape)
@@ -361,7 +368,7 @@ def build_layer(Vt: np.ndarray, partition: Partition, eps: float, eta: float,
 
     def factor(mask, a):  # an operator's K on its smaller Gram side, and that scaled Gram
         G = _gram(Vt[:, :, mask], gram_scale)
-        K, logdet = _factor(G, a)
+        K, logdet = hermitian_inverse(_regularized(G, a))
         logdets.append(float(weight @ logdet))
         return K, G
 
@@ -682,14 +689,16 @@ def spectral_components(Vt: np.ndarray, partition: Partition, eps: float,
     Grams (unitary spectra vs dense eigenvalues) and divides the summed
     log-dets (the objective is the dense rate per position); the sums run
     over the full spectrum through `half_weights`. An (n, m) feature matrix
-    Z is the trivial group's stack Z[None], F = 1.
+    Z is the trivial group's stack Z[None], F = 1. The log-dets are those
+    `build_layer` reads off its factors (`regularized_logdet`).
     """
     _, C, m = Vt.shape
     if m != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {m}")
-    scale, weight = math.prod(freq_shape), half_weights(freq_shape)
+    scale, weight = float(math.prod(freq_shape)), half_weights(freq_shape)
     params = RateParams(eps)
-    expand = gram_logdet(Vt, scale * params.alpha(C, m), weight)
-    compress = [gram_logdet(Vt[:, :, partition.mask(j)], scale * params.alpha_class(C, int(c)),
-                            weight) for j, c in enumerate(partition.counts)]
+    expand = float(weight @ regularized_logdet(Vt, params.alpha(C, m), scale))
+    compress = [float(weight @ regularized_logdet(Vt[:, :, partition.mask(j)],
+                                                  params.alpha_class(C, int(c)), scale))
+                for j, c in enumerate(partition.counts)]
     return _triple(expand, compress, partition.gamma, scale)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, LengthMismatch, NumericalError
-from .rate import Partition
+from .errors import EmptyClass, LengthMismatch
+from .rate import Partition, real_finite
 
 ORTHONORMAL_TOL = 1e-10
 _SQUARE_BLOCK_VALUES = 2**18  # feature values squared at a time in `predict`: 2 MB
@@ -193,10 +193,11 @@ def fit_subspaces(Z, partition: Partition, energy: float = 0.95,
     axis i, as if every rolled copy had been appended with its label. The
     copies are never formed (see `_class_basis`). Each stride must divide
     its axis or be at least as long as it (then that axis rolls by nothing).
+    Complex features raise ValueError, a NaN or inf NumericalError.
     """
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy must lie in (0, 1]")
-    Z = np.asarray(Z, dtype=np.float64)
+    Z = real_finite(Z, "features")
     if stride is None:
         Zs = _flatten(Z)
     else:
@@ -207,8 +208,6 @@ def fit_subspaces(Z, partition: Partition, energy: float = 0.95,
         Zs = np.moveaxis(Zs, range(1, 2 * len(cosets), 2), range(len(cosets)))
     if Zs.shape[-1] != partition.m:
         raise ValueError(f"partition covers {partition.m} samples, features have {Zs.shape[-1]}")
-    if not np.isfinite(Zs).all():
-        raise NumericalError("features hold a non-finite value; cannot fit class subspaces")
     bases = []
     for j in range(partition.k):
         mask = partition.mask(j)
@@ -223,8 +222,9 @@ def predict(z, model: SubspaceModel):
 
     A 1-d input is a single feature vector and returns an int; anything
     else is a stack with trailing sample axis and returns (m,) ints.
+    Complex features raise ValueError, a NaN or inf NumericalError.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = real_finite(z, "features")
     single = z.ndim == 1
     Zf = z[:, None] if single else _flatten(z)
     # the squared norms over column blocks, without an (n, m) square; numpy

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagic, LabelImageCountMismatch,
-                     StepsNotDividingGamma, TruncatedFile, ZeroVector)
+from .errors import BadMagic, LabelImageCountMismatch, TruncatedFile, ZeroVector
 from .rate import NORM_FLOOR
 
 _RESAMPLE_TRIES = 100
@@ -166,32 +165,6 @@ def augment_shifts(shape, stride) -> list:
     """Every multiple of ``stride`` along each axis of ``shape``, row-major:
     an augmentation's cyclic shifts, in the order `_rolled` lays them out."""
     return list(itertools.product(*(range(0, n, stride) for n in shape)))
-
-
-def shift_augment(dataset: LabeledDataset, stride: int) -> LabeledDataset:
-    """Replace every sample by its cyclic shifts at multiples of stride.
-
-    1-d signals (m, n) get ceil(n/stride) shifts; images (m, H, W) get
-    the product grid of row and column shifts, row-major. A sample's
-    augmentations stay contiguous.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    X = dataset.samples
-    if X.ndim not in (2, 3):
-        raise ValueError("expected (m, n) signals or (m, H, W) images")
-    return _rolled(dataset, augment_shifts(X.shape[1:], stride))
-
-
-def rotate_augment(dataset: LabeledDataset, steps: int) -> LabeledDataset:
-    """All angle-axis cyclic shifts of polar grids at gamma/steps increments."""
-    X = dataset.samples
-    if X.ndim != 3:
-        raise ValueError("expected (m, gamma, C) polar grids")
-    gamma = X.shape[1]
-    if steps < 1 or gamma % steps != 0:
-        raise StepsNotDividingGamma(f"{steps} steps do not divide {gamma} angle bins")
-    return _rolled(dataset, augment_shifts((gamma,), gamma // steps))
 
 
 def _rolled(dataset: LabeledDataset, shifts) -> LabeledDataset:

@@ -63,10 +63,6 @@ class RadiusOutOfBounds(NumericalError):
     """A polar sampling radius leaves the image's inscribed circle."""
 
 
-class StepsNotDividingGamma(NumericalError):
-    """A rotation step count does not divide the angular grid size."""
-
-
 class LengthMismatch(RedunetError):
     """Two sequences that must be aligned have different lengths."""
 

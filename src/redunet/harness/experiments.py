@@ -33,8 +33,8 @@ import zlib
 import numpy as np
 
 from ..classify import evaluate, fit_subspaces, predict
-from ..datasets import (LabeledDataset, augment_shifts, gaussian_sphere, load_mnist,
-                        rotate_augment, shift_augment, signals_1d)
+from ..datasets import (LabeledDataset, _rolled, augment_shifts, gaussian_sphere,
+                        load_mnist, signals_1d)
 from ..errors import ConfigError, DataError
 from ..lifting import lift_1d, lift_2d, polar_transform, random_filters, sparsify
 from ..rate import Partition
@@ -156,20 +156,23 @@ def _prepare_gauss(cfg, dim: int) -> Prepared:
     return Prepared(train.samples.T, train.labels, test.samples.T, test.labels)
 
 
-def _mapped(as_input, train, test, aug=None, stride=None, want_aug=False) -> Prepared:
-    """The datasets' samples mapped into model space by ``as_input``: the
-    test and a vector model's augmented set ``aug`` as one carry stack, or,
-    for an invariant model (a ``stride`` per group axis) that ``want_aug``,
-    the test set and its shifts along the input's axes 1..rank (`Prepared`)."""
-    if aug is not None:
+def _mapped(as_input, train, test, rank, stride, want_aug, vector=False) -> Prepared:
+    """The datasets' samples mapped into model space by ``as_input``, and,
+    if ``want_aug``, the augmented set as the shifts by multiples of
+    ``stride`` along the samples' axes 1..``rank`` (`Prepared`): an
+    invariant model rolls its test features by each, a ``vector`` model
+    carries the rolled test samples after the test set, as one stack."""
+    shifts = augment_shifts(test.samples.shape[1:1 + rank], stride) if want_aug else None
+    if vector and shifts:
+        aug = _rolled(test, shifts)
         carry = as_input(np.concatenate([test.samples, aug.samples]))
         return Prepared(as_input(train.samples), train.labels, carry[..., :test.m],
                         test.labels, carry[..., test.m:], aug.labels, carry=carry)
     prep = Prepared(as_input(train.samples), train.labels, as_input(test.samples),
-                    test.labels, fit_stride=stride)
-    if want_aug:
-        prep.shifts = augment_shifts(test.samples.shape[1:1 + len(stride)], stride[0])
-        prep.aug_labels = np.repeat(test.labels, len(prep.shifts))
+                    test.labels, fit_stride=None if vector else (stride,) * rank)
+    if shifts:
+        prep.shifts = shifts
+        prep.aug_labels = np.repeat(test.labels, len(shifts))
     return prep
 
 
@@ -181,8 +184,7 @@ def _prepare_signals(cfg, want_aug: bool) -> Prepared:
     train = signals_1d(cfg.m_per_class, cfg.n, cfg.seed, cfg.noise)
     test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
     bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
-    return _mapped(lambda X: sparsify(lift_1d(X.T, bank)),
-                   train, test, stride=(cfg.stride,), want_aug=want_aug)
+    return _mapped(lambda X: sparsify(lift_1d(X.T, bank)), train, test, 1, cfg.stride, want_aug)
 
 
 def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
@@ -191,29 +193,24 @@ def _prepare_rotation(cfg, want_aug: bool) -> Prepared:
     radii = cfg.radii or _default_radii(cfg.channels, H, W)
 
     def to_polar(ds):
-        return LabeledDataset(np.stack([polar_transform(img, cfg.gamma, radii)
-                                        for img in ds.samples]), ds.labels)
+        return LabeledDataset(polar_transform(ds.samples, cfg.gamma, radii), ds.labels)
 
-    train_p, test_p = to_polar(train), to_polar(test)
-    if cfg.variant == "vector":
-        aug_p = rotate_augment(test_p, cfg.gamma // cfg.stride) if want_aug else None
-        return _mapped(_flat_samples, train_p, test_p, aug_p)
-    return _mapped(lambda X: X.transpose(2, 1, 0),  # (C, gamma, m)
-                   train_p, test_p, stride=(cfg.stride,), want_aug=want_aug)
+    vector = cfg.variant == "vector"
+    as_input = _flat_samples if vector else lambda X: X.transpose(2, 1, 0)  # (C, gamma, m)
+    return _mapped(as_input, to_polar(train), to_polar(test), 1, cfg.stride, want_aug, vector)
 
 
 def _prepare_translation(cfg, want_aug: bool) -> Prepared:
     train, test = _load_mnist_pair(cfg)
     if cfg.variant == "vector":
-        aug = shift_augment(test, cfg.stride) if want_aug else None
-        return _mapped(_flat_samples, train, test, aug)
+        return _mapped(_flat_samples, train, test, 2, cfg.stride, want_aug, vector=True)
     for size in train.samples.shape[1:]:
         if cfg.stride < size and size % cfg.stride:
             raise ConfigError(f"stride {cfg.stride} must divide the image size {size} "
                               "or be at least that size")
     bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
     return _mapped(lambda X: sparsify(lift_2d(X.transpose(1, 2, 0), bank)),
-                   train, test, stride=(cfg.stride, cfg.stride), want_aug=want_aug)
+                   train, test, 2, cfg.stride, want_aug)
 
 
 def _npz_labels(path, raw, count: int, key: str) -> np.ndarray:

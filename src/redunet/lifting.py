@@ -70,12 +70,13 @@ def polar_transform(img: np.ndarray, gamma: int, radii) -> np.ndarray:
     Row l holds samples at angle 2*pi*l/gamma, column i at radius
     radii[i]; rotating the underlying pattern by 2*pi*s/gamma cyclically
     shifts the angle axis by s (up to interpolation error). Radii must
-    stay inside the inscribed circle of the pixel grid.
+    stay inside the inscribed circle of the pixel grid. A batch (..., H, W)
+    of images gives (..., gamma, C), each image to the bytes it gets alone.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("expected an (H, W) image")
-    H, W = img.shape
+    if img.ndim < 2:
+        raise ValueError("expected an (H, W) image or a (..., H, W) batch")
+    H, W = img.shape[-2:]
     radii = np.asarray(radii, dtype=np.float64)
     rmax = (min(H, W) - 1) / 2.0
     if np.any(radii < 0) or np.any(radii > rmax):
@@ -87,5 +88,7 @@ def polar_transform(img: np.ndarray, gamma: int, radii) -> np.ndarray:
     y0 = np.clip(np.floor(ys).astype(int), 0, H - 2)
     x0 = np.clip(np.floor(xs).astype(int), 0, W - 2)
     fy, fx = ys - y0, xs - x0
-    return ((1 - fy) * (1 - fx) * img[y0, x0] + (1 - fy) * fx * img[y0, x0 + 1]
-            + fy * (1 - fx) * img[y0 + 1, x0] + fy * fx * img[y0 + 1, x0 + 1])
+    # the gathers put a batch's axes last in memory, and later products' bytes follow layout
+    return np.ascontiguousarray(
+        (1 - fy) * (1 - fx) * img[..., y0, x0] + (1 - fy) * fx * img[..., y0, x0 + 1]
+        + fy * (1 - fx) * img[..., y0 + 1, x0] + fy * fx * img[..., y0 + 1, x0 + 1])

@@ -18,11 +18,12 @@ Cholesky log-dets. The engine evaluates it on a stack (F, n, m) of feature
 sets in all three geometries (`_freq.spectral_components`, behind
 `spectral.group_rate_components`): a feature matrix Z is the stack Z[None],
 a spectral feature set the per-frequency stack of its half spectra. Every
-log-det is read off a Cholesky factor: `gram_logdet` factors for the
-objective alone, and `hermitian_inverse` returns the log-dets of the stack
-it inverts, which is how a layer gets the objective of its features from
-its own factorizations. The gradient is the engine's
-`spectral.group_gradient`, a feature matrix included.
+log-det is read off a Cholesky factor: `hermitian_inverse` returns the
+log-dets of the stack it inverts, which is how a layer gets the objective
+of its features from its own factorizations, and the engine's
+`_freq.regularized_logdet` factors the same matrices for the objective
+alone. The gradient is the engine's `spectral.group_gradient`, a feature
+matrix included.
 """
 
 import math
@@ -174,26 +175,6 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     P, R = _lower_inverse(L[..., :h, :h]), _lower_inverse(L[..., h:, h:])
     zeros = np.zeros((*L.shape[:-2], h, n - h), dtype=P.dtype)
     return np.block([[P, zeros], [-(R @ L[..., h:, :h]) @ P, R]])
-
-
-def gram_logdet(V: np.ndarray, coeff: float, weight: np.ndarray | None = None) -> float:
-    """sum_p w_p logdet(I + coeff V(p) V(p)*) over a (F, n, m) stack V.
-
-    One batched Cholesky factorization in V's own dtype, real or complex;
-    a factor that fails (the matrix is not positive definite) raises
-    NotPositiveDefinite. Each Gram is taken on its smaller side, since
-    logdet(I_n + c V V*) = logdet(I_m + c V* V). ``weight`` (F,) weights
-    the slices, 1 each when omitted.
-    """
-    _, n, m = V.shape
-    if m == 0:
-        return 0.0
-    Vh = _adjoint(V)
-    G = Vh @ V if m < n else V @ Vh
-    G = 0.5 * (G + _adjoint(G))
-    A = np.eye(G.shape[-1], dtype=G.dtype) + coeff * G
-    logs = _log_diagonal_sum(_cholesky(A))
-    return float(2.0 * (np.sum(logs) if weight is None else weight @ logs))
 
 
 def _triple(expand: float, compress: list, gamma: np.ndarray, scale: float) -> tuple:

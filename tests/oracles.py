@@ -17,8 +17,7 @@ from redunet import _freq
 from redunet._freq import SpectralLayer, half_weights
 from redunet.classify import SubspaceModel, _flatten, fit_subspaces, predict
 from redunet.errors import EmptyClass, NotPositiveDefinite, ZeroVector
-from redunet.datasets import (LabeledDataset, rotate_augment, shift_augment,
-                              signals_1d)
+from redunet.datasets import LabeledDataset, signals_1d
 from redunet.harness import experiments
 from redunet.harness.archive import KIND_VECTOR, MAGIC, VERSION, load_model
 from redunet.harness.experiments import ORTHO_COS, _flat
@@ -232,9 +231,18 @@ def roll_orthogonal_fraction(F_test, test_labels, F_train, labels):
 # ------------------------------------------- all-copies augmentation
 #
 # The augmented test set of an invariant kind as the harness handled it
-# before it rolled test features: every shifted input made by
-# `shift_augment` or `rotate_augment`, mapped into model space like the
-# test set, then carried through the construction and forwarded again.
+# before it rolled test features: every shifted input, rolled here one
+# sample and one shift at a time, mapped into model space like the test
+# set, then carried through the construction and forwarded again.
+
+def all_shifts(test, rank, stride):
+    """Every sample of ``test`` rolled by each multiple of ``stride`` along
+    its leading ``rank`` axes, row-major, each sample's copies contiguous."""
+    grids = [range(0, n, stride) for n in test.samples.shape[1:1 + rank]]
+    shifts = list(itertools.product(*grids))
+    copies = [np.roll(x, s, axis=tuple(range(rank))) for x in test.samples for s in shifts]
+    return LabeledDataset(np.stack(copies), np.repeat(test.labels, len(shifts)))
+
 
 def all_copies_stacks(cfg):
     """(train, labels, carry, m_test, aug_labels, stride) in model space for
@@ -244,14 +252,14 @@ def all_copies_stacks(cfg):
         train = signals_1d(cfg.m_per_class, cfg.n, cfg.seed, cfg.noise)
         test = signals_1d(cfg.m_test_per_class, cfg.n, cfg.seed + 1, cfg.noise)
         bank = random_filters(cfg.channels, cfg.kernel_size, cfg.seed + 2)
-        aug, stride = shift_augment(test, cfg.stride), (cfg.stride,)
+        aug, stride = all_shifts(test, 1, cfg.stride), (cfg.stride,)
 
         def as_input(X):
             return sparsify(lift_1d(X.T, bank))
     elif cfg.kind == "mnist-translation":
         train, test = experiments._load_mnist_pair(cfg)
         bank = random_filters(cfg.channels, (cfg.kernel_size, cfg.kernel_size), cfg.seed + 2)
-        aug, stride = shift_augment(test, cfg.stride), (cfg.stride, cfg.stride)
+        aug, stride = all_shifts(test, 2, cfg.stride), (cfg.stride, cfg.stride)
 
         def as_input(X):
             return sparsify(lift_2d(X.transpose(1, 2, 0), bank))
@@ -259,10 +267,9 @@ def all_copies_stacks(cfg):
         train, test = experiments._load_mnist_pair(cfg)
         radii = cfg.radii or experiments._default_radii(cfg.channels,
                                                         *train.samples.shape[1:])
-        train, test = (LabeledDataset(np.stack([polar_transform(img, cfg.gamma, radii)
-                                                for img in ds.samples]), ds.labels)
+        train, test = (LabeledDataset(polar_transform(ds.samples, cfg.gamma, radii), ds.labels)
                        for ds in (train, test))
-        aug, stride = rotate_augment(test, cfg.gamma // cfg.stride), (cfg.stride,)
+        aug, stride = all_shifts(test, 1, cfg.stride), (cfg.stride,)
 
         def as_input(X):
             return X.transpose(2, 1, 0)

@@ -5,11 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from redunet.datasets import (LabeledDataset, default_means, gaussian_sphere, load_mnist,
-                              rotate_augment, sample_grid, shift_augment, signals_1d,
-                              waveform)
-from redunet.errors import (BadMagic, LabelImageCountMismatch, StepsNotDividingGamma,
-                            TruncatedFile)
+from redunet.datasets import (LabeledDataset, _rolled, augment_shifts, default_means,
+                              gaussian_sphere, load_mnist, sample_grid, signals_1d, waveform)
+from redunet.errors import BadMagic, LabelImageCountMismatch, TruncatedFile
 
 
 # -------------------------------------------------------- sphere mixtures
@@ -196,10 +194,17 @@ def test_reference_test_set_zero_one_count():
 
 # ----------------------------------------------------------- augmentation
 
-def test_shift_augment_1d_order_and_count():
+def shifted(data, stride, rank=None):
+    """Every sample of ``data`` rolled by each multiple of ``stride`` along
+    its leading ``rank`` axes (all of them when omitted)."""
+    shape = data.samples.shape[1:]
+    return _rolled(data, augment_shifts(shape[:rank], stride))
+
+
+def test_shifts_1d_order_and_count():
     X = np.arange(12, dtype=float).reshape(2, 6)
     data = LabeledDataset(X, np.array([0, 1]))
-    aug = shift_augment(data, stride=2)
+    aug = shifted(data, stride=2)
     assert aug.samples.shape == (6, 6)
     assert np.array_equal(aug.labels, np.array([0, 0, 0, 1, 1, 1]))
     for a, s in enumerate([0, 2, 4]):
@@ -207,59 +212,53 @@ def test_shift_augment_1d_order_and_count():
         assert np.array_equal(aug.samples[3 + a], np.roll(X[1], s))
 
 
-def test_shift_augment_2d_reference_grid():
+def test_shifts_2d_reference_grid():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3, 28, 28))
     data = LabeledDataset(X, np.zeros(3, dtype=int))
-    aug = shift_augment(data, stride=7)
+    aug = shifted(data, stride=7)
     assert aug.samples.shape == (48, 28, 28)  # 16 translations per image
     assert np.array_equal(aug.samples[16 + 4 * 1 + 2], np.roll(X[1], (7, 14), axis=(0, 1)))
 
 
-def test_shift_augment_full_stride_is_identity():
+def test_shifts_full_stride_is_identity():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, 10))
     data = LabeledDataset(X, np.arange(4))
-    aug = shift_augment(data, stride=10)
+    aug = shifted(data, stride=10)
     assert np.array_equal(aug.samples, X)
     assert np.array_equal(aug.labels, data.labels)
 
 
-def test_shift_augment_closed_under_stride_shifts():
+def test_shifts_closed_under_stride_shifts():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((1, 8))
     data = LabeledDataset(X, np.zeros(1, dtype=int))
     pre = LabeledDataset(np.roll(X, 2, axis=1), np.zeros(1, dtype=int))
-    a = shift_augment(data, stride=2)
-    b = shift_augment(pre, stride=2)
+    a = shifted(data, stride=2)
+    b = shifted(pre, stride=2)
     rows = {tuple(np.round(r, 12)) for r in a.samples}
     assert rows == {tuple(np.round(r, 12)) for r in b.samples}
 
 
-def test_rotate_augment_counts_and_shifts():
+def test_angle_shifts_counts_and_shifts():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((2, 200, 5))
     data = LabeledDataset(X, np.array([0, 1]))
-    aug = rotate_augment(data, steps=20)
+    aug = shifted(data, stride=10, rank=1)  # 20 rotations of 200 angle bins
     assert aug.samples.shape == (40, 200, 5)
     assert np.array_equal(aug.samples[3], np.roll(X[0], 30, axis=0))  # 3 * (200/20)
     assert np.array_equal(aug.labels, np.repeat([0, 1], 20))
 
 
-def test_rotate_augment_identity_and_group_law():
+def test_angle_shifts_identity_and_group_law():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((1, 12, 2))
     data = LabeledDataset(X, np.zeros(1, dtype=int))
-    assert np.array_equal(rotate_augment(data, steps=1).samples, X)
-    aug = rotate_augment(data, steps=4).samples
+    assert np.array_equal(shifted(data, stride=12, rank=1).samples, X)
+    aug = shifted(data, stride=3, rank=1).samples  # four quarter turns
     # two successive quarter turns equal one half turn
     assert np.array_equal(np.roll(aug[1], 3, axis=0), aug[2])
-
-
-def test_rotate_augment_rejects_bad_steps():
-    data = LabeledDataset(np.zeros((1, 10, 2)), np.zeros(1, dtype=int))
-    with pytest.raises(StepsNotDividingGamma):
-        rotate_augment(data, steps=3)
 
 
 def test_dataset_validates_lengths():

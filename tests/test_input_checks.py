@@ -99,3 +99,29 @@ def test_forward_of_a_vector_model_takes_one_feature():
     single = forward(model, x[:, 0])
     assert single.shape == (5,)
     assert np.max(np.abs(single - forward(model, x)[:, 0])) < 1e-12
+
+
+@pytest.mark.parametrize("rank", SHAPES)
+@pytest.mark.parametrize("bad, error", BAD)
+@pytest.mark.parametrize("strided", [False, True])
+def test_fit_subspaces_rejects_bad_features(rank, bad, error, strided):
+    stride = (1,) * rank if strided else None
+    with pytest.raises(error):
+        fit_subspaces(spoil(stack(rank, 4), bad), PARTITION, stride=stride)
+
+
+@pytest.mark.parametrize("rank", SHAPES)
+@pytest.mark.parametrize("bad, error", BAD)
+@pytest.mark.parametrize("single", [False, True])
+def test_predict_rejects_bad_features(rank, bad, error, single):
+    fitted = fit_subspaces(stack(rank, 4), PARTITION)
+    z = spoil(stack(rank, 3, seed=4), bad)
+    with pytest.raises(error):
+        predict(z[..., 1] if single else z, fitted)
+
+
+def test_predict_does_not_label_nan_features():
+    # argmin of NaN residuals is 0, a class label given without a word
+    fitted = fit_subspaces(np.eye(2), Partition(np.array([0, 1])))
+    with pytest.raises(NumericalError):
+        predict(np.full((4, 2), np.nan), fitted)

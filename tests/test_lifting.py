@@ -178,3 +178,17 @@ def test_polar_grid_shape_at_reference_sizes():
     rng = rng_for(11)
     grid = polar_transform(rng.standard_normal((28, 28)), 200, np.linspace(2.0, 13.0, 5))
     assert grid.shape == (200, 5)
+
+
+def test_polar_batch_equals_each_image_alone():
+    # the bytes and the C-order layout of a stack of single-image calls,
+    # which every later product of the rotation pipeline reads
+    rng = rng_for(12)
+    imgs = rng.standard_normal((2, 25, 28, 28))
+    radii = np.linspace(2.0, 13.0, 5)
+    batch = polar_transform(imgs, 16, radii)
+    alone = np.stack([[polar_transform(img, 16, radii) for img in row] for row in imgs])
+    assert batch.shape == (2, 25, 16, 5) and batch.flags.c_contiguous
+    assert np.array_equal(batch, alone)
+    with pytest.raises(ValueError):
+        polar_transform(np.zeros(28), 16, radii)

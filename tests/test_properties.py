@@ -20,7 +20,7 @@ from redunet.errors import ConfigError, DataError, NotPositiveDefinite
 from redunet.harness.archive import load_model, save_model
 from redunet.harness.config import KINDS, load_config
 from redunet.harness.experiments import _orthogonal_fraction_all_shifts
-from redunet.rate import Partition, RateParams, gram_logdet
+from redunet.rate import Partition, RateParams
 from redunet.spectral import (SpectralReduNet, _spectra, construct, forward,
                               group_rate_components, stacked_circulant)
 
@@ -333,15 +333,17 @@ def test_layer_takes_one_operator_form_chosen_by_m_below_c(G, C, counts, seed):
 @example(G=(), C=4, m=3, k=2, seed=0)
 @example(G=(1, 1), C=1, m=2, k=1, seed=1)
 @example(G=(6,), C=3, m=9, k=3, seed=2)
+@example(G=(5,), C=6, m=5, k=2, seed=5)  # m < C: every operator factored
+@example(G=(3, 4), C=2, m=7, k=2, seed=0)
 def test_layer_objective_is_the_objective_of_its_features(G, C, m, k, seed):
-    # the log-dets of the layer's own factors give the triple that a
-    # separate factorization of the same features gives
+    # one log-det route: the objective alone factors the matrices the layer
+    # inverts, so the layer's triple has the bytes of `spectral_components`
+    # and every trace row comes from the same arithmetic
     k = min(k, m)
     _, Zbar, P = random_stack(seed, C, G, m, k)
     Vt = _spectra(_freq.normalize_samples(Zbar))
     got = _freq.build_layer(Vt, P, 0.5, eta=0.3, lam=10.0, freq_shape=G).components
-    want = _freq.spectral_components(Vt, P, 0.5, G)
-    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12 * max(1.0, abs(want[1]))
+    assert got == _freq.spectral_components(Vt, P, 0.5, G)
 
 
 def run_on_workers(workers, b, F_h, C, fn, *args, **kwargs):
@@ -474,24 +476,25 @@ def random_gram_stack(seed, F, n, m, complex_):
 @example(F=3, n=4, m=4, complex_=True, weighted=True, coeff=0.5, seed=1)
 @example(F=2, n=2, m=7, complex_=True, weighted=False, coeff=5.0, seed=2)
 @example(F=4, n=6, m=3, complex_=False, weighted=True, coeff=1.0, seed=3)
-def test_gram_logdet_equals_slogdet(F, n, m, complex_, weighted, coeff, seed):
+def test_regularized_logdet_equals_slogdet(F, n, m, complex_, weighted, coeff, seed):
     V = random_gram_stack(seed, F, n, m, complex_)
     weight = np.random.default_rng(seed + 1).uniform(0.5, 2.0, F) if weighted else np.ones(F)
     want = sum(w * np.linalg.slogdet(np.eye(n) + coeff * (Vp @ Vp.conj().T))[1]
                for w, Vp in zip(weight, V))
-    got = gram_logdet(V, coeff, weight if weighted else None)
-    assert isinstance(got, float)
+    logdets = _freq.regularized_logdet(V, coeff)
+    assert logdets.shape == (F,) and logdets.dtype == np.float64
+    got = weight @ logdets
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @settings(max_examples=40, deadline=None)
 @given(F=st.integers(1, 4), n=st.integers(1, 6), m=st.integers(1, 8),
        complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_gram_logdet_rejects_an_indefinite_matrix(F, n, m, complex_, seed):
+def test_regularized_logdet_rejects_an_indefinite_matrix(F, n, m, complex_, seed):
     V = random_gram_stack(seed, F, n, m, complex_)
     top = np.linalg.eigvalsh(V[-1] @ V[-1].conj().T).max()
     with pytest.raises(NotPositiveDefinite):  # I - 2 G / top has eigenvalue -1
-        gram_logdet(V, -2.0 / top)
+        _freq.regularized_logdet(V, -2.0 / top)
 
 
 @settings(max_examples=40, deadline=None)

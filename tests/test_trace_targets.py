@@ -30,12 +30,17 @@ from redunet.spectral import construct, forward  # noqa: E402
 # and `spectral.forward` on every group rank; and the dense vector operators,
 # whose module is gone (a vector layer's operators come from
 # `_freq.build_layer`, traced as freq.build_layer, and no program path
-# called them, so their per-layer numbers already read 0)
+# called them, so their per-layer numbers already read 0); and the dataset
+# shift augmentation, whose one remaining caller, a vector model's augmented
+# set, now rolls its test set by the same list of shifts an invariant model
+# rolls its features by (`datasets._rolled`; the span read 0 on signals1d
+# and translation2d already)
 RETIRED = ("vector.soft_membership", "vector._update_batch", "rate.rate_components",
            "spectral1d.construct_shift1d", "spectral1d.forward_shift1d",
            "spectral2d.construct_translation2d", "spectral2d.forward_translation2d",
            "vector.construct_vector_net", "vector.forward_vector",
-           "vector.expansion_operator", "vector.compression_operators")
+           "vector.expansion_operator", "vector.compression_operators",
+           "datasets.shift_augment")
 
 
 def _current(target):
